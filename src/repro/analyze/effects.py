@@ -1,9 +1,9 @@
 """Static engine-equivalence auditor: effect summaries for the fast-path gates.
 
-The fused (``SM._step_fast``) and vectorized (``run_vectorized``) backends
+The fused (``SM._step_fast``) and compiled (``run_compiled``) backends
 are only sound because hand-maintained gates route every instrumented or
-specialised run back to the reference engine: ``fast_step_eligible``,
-``policy_inert`` / ``_INERT_POLICY_ATTRS`` and ``run_eligible`` /
+specialised run back to a slower engine: ``fast_step_eligible``,
+``policy_inert`` / ``_INERT_POLICY_ATTRS`` and ``compiled_run_eligible`` /
 ``_BYPASSED_SM_ATTRS``.  Nothing used to *verify* those lists — a new hook
 read on the reference path, or a new policy override outside the checked
 surface, silently diverged the fast paths instead of disabling them.
@@ -21,10 +21,12 @@ conditions — then closes them over the call graph and audits the gates:
   ``self._wt``), or recorded in the audited fold table (``_FAST_FOLDED``,
   effects the fast step precomputes rather than re-reads).  Anything else
   is a HIGH ``fast-gate-missing`` finding.
-* **Vectorized bypass completeness** — SM methods the event engine invokes
-  dynamically but the decoupled runners bypass must all appear in
-  ``_BYPASSED_SM_ATTRS`` (or be barred by ``fast_step_eligible``'s
-  instance-dict scan), so an instance-level wrapper can never be skipped.
+* **Compiled bypass completeness** — SM methods the Python engines invoke
+  dynamically (the event loop's calls plus the fused step's own
+  ``self.<method>`` calls, the loop the C core transcribes) but the
+  compiled driver never calls must all appear in ``_BYPASSED_SM_ATTRS``
+  (or be barred by ``fast_step_eligible``'s instance-dict scan), so an
+  instance-level wrapper can never be skipped.
 * **Policy inertness derivation** — the engine-reachable base-policy
   surface is derived from the source and closed over base/override method
   bodies; every derived name must be checked by ``policy_inert`` (via
@@ -59,9 +61,8 @@ from typing import (Dict, FrozenSet, Iterable, List, Mapping, Optional,
                     Sequence, Set, Tuple)
 
 from repro.analyze.lint import lint_source
-from repro.sim.compiled import _COMPILED_BYPASSED_SM_ATTRS
-from repro.sim.vectorized import (_BYPASSED_SM_ATTRS, _INERT_POLICY_ATTRS,
-                                  instance_overrides)
+from repro.sim.compiled import (_BYPASSED_SM_ATTRS, _INERT_POLICY_ATTRS,
+                                instance_overrides)
 from repro.validate.findings import Finding, FindingReport, Severity
 
 __all__ = [
@@ -80,7 +81,6 @@ SIM_MODULE_FILES = {
     "sim.sm": "sim/sm.py",
     "sim.scheduler": "sim/scheduler.py",
     "sim.gpu": "sim/gpu.py",
-    "sim.vectorized": "sim/vectorized.py",
     "sim.compiled": "sim/compiled.py",
     "sim.launch": "sim/launch.py",
 }
@@ -162,15 +162,14 @@ class EffectsConfig:
     ``sources`` maps module keys (``sim.sm`` ...) to python source text;
     the self-test overrides individual entries to inject faults without
     touching the tree.  The gate tuples default to the live values
-    imported from :mod:`repro.sim.vectorized`, so editing the real gate
-    is immediately visible to the audit.
+    imported from :mod:`repro.sim.compiled`, so editing the real gate is
+    immediately visible to the audit.
     """
 
     sources: Mapping[str, str]
     paths: Mapping[str, str]
     bypassed_sm_attrs: Tuple[str, ...] = _BYPASSED_SM_ATTRS
     inert_policy_attrs: Tuple[str, ...] = _INERT_POLICY_ATTRS
-    compiled_bypassed_sm_attrs: Tuple[str, ...] = _COMPILED_BYPASSED_SM_ATTRS
 
 
 def default_effects_config() -> EffectsConfig:
@@ -255,10 +254,6 @@ class _CodeIndex:
 
     def lookup(self, ns: str, name: str) -> List[ast.FunctionDef]:
         """Bodies a ``<ns receiver>.<name>`` reference can dispatch to."""
-        if ns == "vec":
-            module = self.modules.get("sim.vectorized")
-            node = module.functions.get(name) if module else None
-            return [node] if node is not None else []
         if ns == "comp":
             # The compiled driver: module functions plus the _Run lowering
             # class, whose ``self.<method>`` calls stay in this namespace.
@@ -338,7 +333,7 @@ class _EffectVisitor(ast.NodeVisitor):
             alias = self._aliases.get(nid)
             if alias is not None:
                 ns, name = alias
-                if name in _POLICY_LINKS and ns in ("sm", "vec", "gpu"):
+                if name in _POLICY_LINKS and ns in ("sm", "gpu"):
                     return ("policy", None)
                 return (ns, name)
             ns = _NS_BY_LOCAL.get(nid)
@@ -432,7 +427,7 @@ def _closure(index: _CodeIndex, seeds: Iterable[Tuple[str, str]],
 
     Only namespaces in ``traversable`` are expanded; references into any
     other namespace are recorded but treated as opaque.  ``skip`` prunes
-    specific methods (e.g. the vectorized fallback's delegation back to
+    specific methods (e.g. the compiled backend's fallback delegation to
     the event engine, which is not part of the decoupled path).
     """
     result: _EffectMap = {}
@@ -444,9 +439,8 @@ def _closure(index: _CodeIndex, seeds: Iterable[Tuple[str, str]],
         if (ns, name) in skip:
             continue
         for node in index.lookup(ns, name):
-            self_ns = None if ns == "vec" else ns
             for (ins, iname), guardsets in index.summarize(
-                    node, self_ns).items():
+                    node, ns).items():
                 for guards in guardsets:
                     eff: FrozenSet[str] = guards | inherited
                     result.setdefault((ins, iname), set()).add(eff)
@@ -484,12 +478,8 @@ def _finding(tag: str, severity: Severity, message: str, path: str,
                    source="effects-audit", path=path, line=line)
 
 
-def _tuple_lineno(index: _CodeIndex, name: str,
-                  module_key: str = "sim.vectorized") -> Optional[int]:
-    module = index.modules.get(module_key)
-    if module is None:
-        return None
-    for node in module.tree.body:
+def _tuple_lineno(index: _CodeIndex, name: str) -> Optional[int]:
+    for node in index.modules["sim.compiled"].tree.body:
         if isinstance(node, ast.Assign):
             for target in node.targets:
                 if isinstance(target, ast.Name) and target.id == name:
@@ -540,12 +530,20 @@ def _audit_fused(index: _CodeIndex) -> List[Finding]:
 
 
 # ----------------------------------------------------------------------
-# Audit (b): vectorized bypass completeness
+# Audit (b): compiled-core bypass completeness
 # ----------------------------------------------------------------------
-def _audit_bypass(index: _CodeIndex) -> List[Finding]:
+def _audit_compiled(index: _CodeIndex) -> List[Finding]:
+    """The C core behind ``run_compiled`` reimplements the SM surface the
+    Python engines dispatch dynamically: the event loop's step /
+    next-event / accumulate calls and the hooks ``_step_fast`` (the loop
+    the C core transcribes) calls on its own SM.  Every such method the
+    compiled driver never calls must appear in ``_BYPASSED_SM_ATTRS`` so
+    ``compiled_run_eligible``'s instance-dict scan routes instrumented
+    SMs back to a Python backend instead of letting the C core silently
+    ignore the override."""
     findings: List[Finding] = []
     config = index.config
-    vec_path = index.modules["sim.vectorized"].path
+    comp = index.modules["sim.compiled"]
     line = _tuple_lineno(index, "_BYPASSED_SM_ATTRS")
     sm_methods = set(index.cls("sm").methods) if index.cls("sm") else set()
 
@@ -553,110 +551,50 @@ def _audit_bypass(index: _CodeIndex) -> List[Finding]:
         return {name for (ns, name) in effects
                 if ns == "sm" and "." not in name and name in sm_methods}
 
-    engine = _closure(index, [("gpu", "_run_event"), ("gpu", "_finish_run")],
-                      frozenset({"gpu"}))
-    runners = _closure(
-        index,
-        [("vec", "run_vectorized"), ("vec", "_sm_runner"),
-         ("vec", "run_eligible"), ("vec", "policy_inert")],
-        frozenset({"gpu", "vec"}),
-        skip=frozenset({("gpu", "_run_event"), ("gpu", "_run_dense")}))
-    bypassed = sm_refs(engine) - sm_refs(runners)
+    # Where each dynamic dispatch happens, so a finding names the call
+    # site: the event loop's per-SM entry points (which the C core
+    # replaces wholesale) first, then the hooks the fused step calls on
+    # its own SM (which the C core inlines).
+    sites: Dict[str, str] = dict.fromkeys(sorted(sm_refs(_closure(
+        index, [("gpu", "_run_event"), ("gpu", "_finish_run")],
+        frozenset({"gpu"})))), "the event loop (GPU._run_event)")
+    for step in ("_step_fast", "next_event_fast"):
+        for node in index.lookup("sm", step):
+            for name in sorted(sm_refs(index.summarize(node, "sm"))):
+                sites.setdefault(name, f"SM.{step}")
+    # policy_inert is called by bare name (invisible to receiver
+    # resolution); seed it explicitly.
+    seeds = [("comp", name) for name in ("run_compiled",
+                                         "compiled_run_eligible",
+                                         "policy_inert")]
+    seeds += [("comp", mname) for info in comp.classes.values()
+              for mname in sorted(info.methods)]
+    compiled = _closure(index, seeds, frozenset({"gpu", "comp"}),
+                        skip=frozenset({("gpu", "_run_event")}))
+    bypassed = set(sites) - sm_refs(compiled)
     covered = set(config.bypassed_sm_attrs) | _gate_mentions(
         index, "sm", "fast_step_eligible")
 
     for name in sorted(bypassed - covered):
         findings.append(_finding(
-            "bypass-gate-missing", HIGH,
-            f"the event engine dispatches SM.{name} dynamically but the "
-            f"vectorized runners never call it; an instance-level wrapper "
-            f"would be silently skipped — add {name!r} to "
-            f"_BYPASSED_SM_ATTRS", vec_path, line))
+            "compiled-gate-missing", HIGH,
+            f"{sites[name]} dispatches SM.{name} dynamically but the "
+            f"compiled driver never calls it (the C core would silently "
+            f"ignore an instance-level wrapper) — add {name!r} to "
+            f"_BYPASSED_SM_ATTRS", comp.path, line))
     for name in config.bypassed_sm_attrs:
         if name not in sm_methods:
             findings.append(_finding(
-                "bypass-gate-stale", MEDIUM,
-                f"_BYPASSED_SM_ATTRS entry {name!r} is not a "
-                f"StreamingMultiprocessor method; the instance-dict scan "
-                f"checks a name that cannot be shadowed", vec_path, line))
-        elif name not in bypassed:
-            findings.append(_finding(
-                "bypass-gate-candidate", LOW,
-                f"_BYPASSED_SM_ATTRS entry {name!r} is no longer derived "
-                f"as engine-only; the gate is wider than the runners "
-                f"require (narrowing candidate)", vec_path, line))
-    return findings
-
-
-# ----------------------------------------------------------------------
-# Audit (b'): compiled-core bypass completeness
-# ----------------------------------------------------------------------
-def _audit_compiled(index: _CodeIndex) -> List[Finding]:
-    """The C core behind ``run_compiled`` reimplements not only the SM
-    surface the vectorized runners already bypass but also the hooks the
-    runners still dispatched in Python (``_on_long_block``,
-    ``_wake_schedulers``).  Every SM method the Python engines reach that
-    the compiled driver never calls must appear in
-    ``_COMPILED_BYPASSED_SM_ATTRS`` so ``compiled_run_eligible``'s
-    instance-dict scan routes instrumented SMs back to a Python backend
-    instead of letting the C core silently ignore the override."""
-    findings: List[Finding] = []
-    config = index.config
-    comp = index.modules.get("sim.compiled")
-    if comp is None:
-        return findings  # compiled driver absent from the audited sources
-    line = _tuple_lineno(index, "_COMPILED_EXTRA_SM_ATTRS", "sim.compiled")
-    sm_methods = set(index.cls("sm").methods) if index.cls("sm") else set()
-
-    def sm_refs(effects: _EffectMap) -> Set[str]:
-        return {name for (ns, name) in effects
-                if ns == "sm" and "." not in name and name in sm_methods}
-
-    engine = _closure(index, [("gpu", "_run_event"), ("gpu", "_finish_run")],
-                      frozenset({"gpu"}))
-    runners = _closure(
-        index,
-        [("vec", "run_vectorized"), ("vec", "_sm_runner"),
-         ("vec", "run_eligible"), ("vec", "policy_inert")],
-        frozenset({"gpu", "vec"}),
-        skip=frozenset({("gpu", "_run_event"), ("gpu", "_run_dense")}))
-    seeds = [("comp", name)
-             for name in ("run_compiled", "compiled_run_eligible")]
-    seeds += [("comp", mname) for info in comp.classes.values()
-              for mname in sorted(info.methods)]
-    # compiled_run_eligible delegates to run_eligible/policy_inert by bare
-    # name (invisible to receiver resolution); seed them explicitly.
-    seeds += [("vec", "run_eligible"), ("vec", "policy_inert")]
-    compiled = _closure(
-        index, seeds, frozenset({"gpu", "vec", "comp"}),
-        skip=frozenset({("gpu", "_run_event"), ("gpu", "_run_dense"),
-                        ("vec", "run_vectorized"), ("vec", "_sm_runner"),
-                        ("comp", "_fallback")}))
-    bypassed = (sm_refs(engine) | sm_refs(runners)) - sm_refs(compiled)
-    covered = set(config.compiled_bypassed_sm_attrs) | _gate_mentions(
-        index, "sm", "fast_step_eligible")
-
-    for name in sorted(bypassed - covered):
-        findings.append(_finding(
-            "compiled-gate-missing", HIGH,
-            f"the Python engines dispatch SM.{name} dynamically but the "
-            f"compiled driver never calls it (the C core would silently "
-            f"ignore an instance-level wrapper) — add {name!r} to "
-            f"_COMPILED_BYPASSED_SM_ATTRS", comp.path, line))
-    for name in config.compiled_bypassed_sm_attrs:
-        if name not in sm_methods:
-            findings.append(_finding(
                 "compiled-gate-stale", MEDIUM,
-                f"_COMPILED_BYPASSED_SM_ATTRS entry {name!r} is not a "
+                f"_BYPASSED_SM_ATTRS entry {name!r} is not a "
                 f"StreamingMultiprocessor method; the instance-dict scan "
                 f"checks a name that cannot be shadowed", comp.path, line))
         elif name not in bypassed:
             findings.append(_finding(
                 "compiled-gate-candidate", LOW,
-                f"_COMPILED_BYPASSED_SM_ATTRS entry {name!r} is no longer "
-                f"derived as Python-engine-only; the gate is wider than "
-                f"the C core requires (narrowing candidate)", comp.path,
-                line))
+                f"_BYPASSED_SM_ATTRS entry {name!r} is no longer derived "
+                f"as Python-engine-only; the gate is wider than the C "
+                f"core requires (narrowing candidate)", comp.path, line))
     return findings
 
 
@@ -678,30 +616,28 @@ def _engine_policy_refs(index: _CodeIndex) -> Set[str]:
         for nodes in info.methods.values():
             for node in nodes:
                 refs |= _policy_ns_names(index.summarize(node, ns))
-    vec = index.modules.get("sim.vectorized")
-    if vec is not None:
-        for node in vec.functions.values():
-            refs |= _policy_ns_names(index.summarize(node, None))
+    for node in index.modules["sim.compiled"].functions.values():
+        refs |= _policy_ns_names(index.summarize(node, None))
     return refs
 
 
 def _audit_inert(index: _CodeIndex) -> List[Finding]:
     findings: List[Finding] = []
     config = index.config
-    vec_path = index.modules["sim.vectorized"].path
+    comp_path = index.modules["sim.compiled"].path
     line = _tuple_lineno(index, "_INERT_POLICY_ATTRS")
     family = index.policy_classes()
     base = family.get("RegisterFilePolicy")
     if base is None:
         return [_finding("inert-audit-error", HIGH,
                          "RegisterFilePolicy not found in audited sources",
-                         vec_path, line)]
+                         comp_path, line)]
     base_names = base[1].body_names
 
-    # Names policy_inert / run_eligible inspect directly on the instance.
+    # Names the gate functions inspect directly on the instance.
     direct: Set[str] = set()
-    for fn in ("policy_inert", "run_eligible"):
-        for node in index.lookup("vec", fn):
+    for fn in ("policy_inert", "compiled_run_eligible"):
+        for node in index.lookup("comp", fn):
             direct |= _policy_ns_names(index.summarize(node, None))
     covered = set(config.inert_policy_attrs) | direct | set(_INERT_EXEMPT)
 
@@ -732,14 +668,14 @@ def _audit_inert(index: _CodeIndex) -> List[Finding]:
             f"base-policy attribute {name!r} is engine-reachable but "
             f"policy_inert does not check it; a subclass overriding only "
             f"{name!r} would wrongly pass the inertness gate — add it to "
-            f"_INERT_POLICY_ATTRS", vec_path, line))
+            f"_INERT_POLICY_ATTRS", comp_path, line))
     for name in config.inert_policy_attrs:
         if name not in base_names:
             findings.append(_finding(
                 "inert-gate-stale", MEDIUM,
                 f"_INERT_POLICY_ATTRS entry {name!r} is not defined on "
                 f"RegisterFilePolicy; the identity check compares a name "
-                f"that cannot be overridden", vec_path, line))
+                f"that cannot be overridden", comp_path, line))
 
     # Per-subclass: overriding any base hook without touching a checked
     # one means policy_inert cannot tell the subclass from the base.
@@ -765,7 +701,7 @@ def _audit_inert(index: _CodeIndex) -> List[Finding]:
                 "inert-unguarded-policy", HIGH,
                 f"{cname} overrides base-policy surface "
                 f"({', '.join(sorted(base_overrides))}) but none of it is "
-                f"checked by policy_inert; the vectorized backend would "
+                f"checked by policy_inert; the compiled backend would "
                 f"treat it as the base no-op policy", path,
                 info.lineno))
         elif not base_overrides:
@@ -779,7 +715,7 @@ def _audit_inert(index: _CodeIndex) -> List[Finding]:
                 "inert-gate-candidate", LOW,
                 f"_INERT_POLICY_ATTRS entry {name!r} is overridden by no "
                 f"current subclass; still engine-reachable, but a "
-                f"narrowing candidate if the surface shrinks", vec_path,
+                f"narrowing candidate if the surface shrinks", comp_path,
                 line))
     return findings
 
@@ -829,8 +765,7 @@ def audit_effects(config: Optional[EffectsConfig] = None) -> FindingReport:
         config = default_effects_config()
     index = _CodeIndex(config)
     report = FindingReport()
-    for finding in (_audit_fused(index) + _audit_bypass(index)
-                    + _audit_compiled(index) + _audit_inert(index)
-                    + _audit_determinism(index)):
+    for finding in (_audit_fused(index) + _audit_compiled(index)
+                    + _audit_inert(index) + _audit_determinism(index)):
         report.add(finding)
     return report

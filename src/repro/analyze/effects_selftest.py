@@ -67,20 +67,21 @@ def _phantom_issue_hook() -> EffectsConfig:
 
 def _dropped_bypass_entry() -> EffectsConfig:
     """``accumulate`` removed from ``_BYPASSED_SM_ATTRS``: an instance
-    wrapper on ``SM.accumulate`` would run under the event engine but be
-    silently skipped by the vectorized runners."""
+    wrapper on ``SM.accumulate`` would run under the event loop but be
+    silently skipped by the compiled runner, which replaces the loop's
+    per-SM entry points wholesale."""
     config = default_effects_config()
     return replace(config, bypassed_sm_attrs=tuple(
         name for name in config.bypassed_sm_attrs if name != "accumulate"))
 
 
 def _dropped_compiled_entry() -> EffectsConfig:
-    """``_on_long_block`` removed from ``_COMPILED_BYPASSED_SM_ATTRS``:
-    an instance wrapper on ``SM._on_long_block`` would run under the
-    vectorized runner but be silently ignored by the C core."""
+    """``_on_long_block`` removed from ``_BYPASSED_SM_ATTRS``: an instance
+    wrapper on ``SM._on_long_block`` would run under the fused step but be
+    silently ignored by the C core."""
     config = default_effects_config()
-    return replace(config, compiled_bypassed_sm_attrs=tuple(
-        name for name in config.compiled_bypassed_sm_attrs
+    return replace(config, bypassed_sm_attrs=tuple(
+        name for name in config.bypassed_sm_attrs
         if name != "_on_long_block"))
 
 
@@ -130,13 +131,13 @@ SEEDED_FAULTS: Tuple[SeededFault, ...] = (
     SeededFault("phantom_issue_hook", "fast-gate-missing", Severity.ERROR,
                 "hook read added to _try_issue without widening "
                 "fast_step_eligible", _phantom_issue_hook),
-    SeededFault("dropped_bypass_entry", "bypass-gate-missing",
+    SeededFault("dropped_bypass_entry", "compiled-gate-missing",
                 Severity.ERROR,
                 "accumulate removed from _BYPASSED_SM_ATTRS",
                 _dropped_bypass_entry),
     SeededFault("dropped_compiled_entry", "compiled-gate-missing",
                 Severity.ERROR,
-                "_on_long_block removed from _COMPILED_BYPASSED_SM_ATTRS",
+                "_on_long_block removed from _BYPASSED_SM_ATTRS",
                 _dropped_compiled_entry),
     SeededFault("dropped_inert_entry", "inert-gate-missing", Severity.ERROR,
                 "on_tick removed from _INERT_POLICY_ATTRS",

@@ -13,7 +13,7 @@ lint statically flags the code patterns that silently break that purity:
   allowlist (``default_rng``, ``Generator``, the bit generators,
   ``RandomState``) still flags zero-argument calls, which seed from OS
   entropy.  Plain numpy ufuncs/array ops are stateless and produce no
-  findings — the vectorized engine backend depends on exactly that.
+  findings.
 * ``wall-clock`` (error) — reads of wall-clock time (``time.time``,
   ``perf_counter``, ``datetime.now`` ...).  Legitimate *reporting* uses
   carry an inline suppression.

@@ -67,7 +67,7 @@ def entries_from_bench(bench: Dict, commit: Optional[str] = None) -> List[Dict]:
     """All history lines one BENCH payload yields: headline + backends.
 
     The headline entry carries the *resolved* backend of the run (so an
-    ``auto`` resolution flip — e.g. vectorized -> compiled once the C
+    ``auto`` resolution flip — e.g. fused -> compiled once the C
     extension exists — starts a new series rather than showing up as a
     spurious jump inside an old one), and every completed ``backends``
     sweep cell becomes its own per-backend entry.  ``detect_regressions``

@@ -2,34 +2,32 @@
  *
  * One Core object holds the lowered state of every SM of one run: the
  * static per-instruction metadata table, the dynamic traces (deduplicated
- * by identity, exactly like the vectorized TraceTables memo), and flat
- * per-warp / per-CTA / per-scheduler records.  Core.resume(sm_id, ...)
- * advances one SM's issue loop -- a C transcription of
- * repro.sim.vectorized._sm_runner, which is itself a line-for-line copy
- * of StreamingMultiprocessor._step_fast -- until the SM either finishes
- * (returns the same 7-tuple summary the generator runner returns) or
- * reaches a *merge point*: a shared-memory-hierarchy access or a warp
- * EXIT.  At a merge point resume() parks the in-flight operation in a
- * small pending record and returns an op descriptor; the Python driver
- * (repro.sim.compiled) performs the shared operation through the real
- * Python objects in global (cycle, sm_id) order and calls resume() again,
- * which completes the parked op and continues.  This works without
- * coroutines because the runner's control flow after every yield is
- * fixed: complete the operation, (on the scan path) promote the warp to
- * the scheduler's current slot, count the issue, and move to the next
- * scheduler.
+ * by identity), and flat per-warp / per-CTA / per-scheduler records.
+ * Core.resume(sm_id, ...) advances one SM's issue loop -- a line-for-line
+ * C transcription of StreamingMultiprocessor._step_fast, its spec, plus
+ * the per-SM clock and closed-form accounting described in
+ * repro.sim.compiled -- until the SM either finishes (summary() then
+ * returns its 7-tuple summary) or reaches a *merge point*: a
+ * shared-memory-hierarchy access or a warp EXIT.  At a merge point
+ * resume() parks the in-flight operation in a small pending record and
+ * returns an op descriptor; the Python driver (repro.sim.compiled)
+ * performs the shared operation through the real Python objects in
+ * global (cycle, sm_id) order and calls resume() again, which completes
+ * the parked op and continues.  This works without coroutines because
+ * the loop's control flow after every merge point is fixed: complete the
+ * operation, (on the scan path) promote the warp to the scheduler's
+ * current slot, count the issue, and move to the next scheduler.
  *
- * Everything that the vectorized runners leave to Python stays in Python
- * here too: hierarchy accesses, the whole _finish_warp -> retire ->
- * policy.fill chain, and the final reconciliation.  The driver re-lowers
- * the mutated state after each EXIT (see the sync protocol in
- * repro.sim.compiled).  Per-scheduler state is a flat member array
- * scanned in attach order -- observably identical to the Python
- * ready/blocked buckets: the buckets only reorder *consideration* of
- * warps that could not issue anyway, consideration order among ready
- * warps is always ascending sched_seq (== attach order), and the
- * failed-scan sleep fold reduces to the min blocked_until over every
- * attached warp.
+ * Everything shared across SMs stays in Python: hierarchy accesses, the
+ * whole _finish_warp -> retire -> policy.fill chain, and the final
+ * reconciliation.  The driver re-lowers the mutated state after each
+ * EXIT (see the sync protocol in repro.sim.compiled).  Per-scheduler
+ * state is a flat member array scanned in attach order -- observably
+ * identical to the Python ready/blocked buckets: the buckets only
+ * reorder *consideration* of warps that could not issue anyway,
+ * consideration order among ready warps is always ascending sched_seq
+ * (== attach order), and the failed-scan sleep fold reduces to the min
+ * blocked_until over every attached warp.
  *
  * The level integrals are accumulated as int64 sums and merged into the
  * Python float counters once at the end: every term is an exact integer
@@ -118,7 +116,7 @@ typedef struct {
     int32_t pend_dest;
     int32_t pend_from_scan;
     int32_t pend_sched;
-    /* Closed-form accounting (mirrors the runner's locals). */
+    /* Closed-form accounting (the summary fields, see repro.sim.compiled). */
     int64_t seg_start;
     int64_t seg_active;
     int64_t seg_warps;
@@ -735,7 +733,7 @@ core_resume(CoreObject *self, PyObject *args)
     }
 
     /* Complete the parked merge-point operation, if any.  After every
-     * yield the runner finishes the op, promotes a scan-path warp to
+     * merge point the loop finishes the op, promotes a scan-path warp to
      * current, counts the issue, and moves to the next scheduler. */
     if (sm->pend_kind) {
         int kind = sm->pend_kind;
@@ -983,7 +981,7 @@ static PyMethodDef core_methods[] = {
     {"sched_state", (PyCFunction)core_sched_state, METH_VARARGS,
      "sched_state(sm_id, sched_idx) -> (sleep_until, current_wslot)."},
     {"summary", (PyCFunction)core_summary, METH_O,
-     "summary(sm_id) -> the 7-tuple runner summary."},
+     "summary(sm_id) -> the 7-tuple per-SM run summary."},
     {"levels", (PyCFunction)core_levels, METH_O,
      "levels(sm_id) -> (active_cta_sum, active_warp_sum, max_resident)."},
     {"take_stalls", (PyCFunction)core_take_stalls, METH_O,

@@ -1,5 +1,4 @@
-"""Engine backend selection: ``reference`` / ``fused`` / ``vectorized`` /
-``compiled``.
+"""Engine backend selection: ``reference`` / ``fused`` / ``compiled``.
 
 Every backend is a pure performance transformation of the same simulation
 -- the dense per-cycle oracle (``REPRO_DENSE_STEP=1``) remains the ground
@@ -12,24 +11,20 @@ executes a run:
   surface (sanitizer wrappers, telemetry, tracers, issue hooks) works.
 * ``fused`` — the event-driven engine with the per-SM fused fast step
   (``_step_fast``) for SMs that pass ``fast_step_eligible()``; ineligible
-  SMs transparently fall back to the reference step.  This is the PR-5
-  behaviour and the toolchain-free default.
-* ``vectorized`` — decoupled per-SM runners with numpy-precomputed
-  structure-of-arrays trace tables (:mod:`repro.sim.vectorized`).  Run-level
-  eligibility is conservative (inert policy, hook-free SMs); ineligible
-  runs degrade to ``fused`` automatically, so selecting ``vectorized`` is
-  always safe when numpy is importable.
-* ``compiled`` — the vectorized runners' issue loop lowered into the
-  ``repro.sim._ckernel`` C extension (:mod:`repro.sim.compiled`), built
-  best-effort at install time.  Eligibility narrows the vectorized gate
-  further; ineligible runs degrade to ``vectorized`` (then ``fused``), so
-  selecting ``compiled`` is always safe when the extension is importable.
+  SMs transparently fall back to the reference step.  This is the
+  toolchain-free default.
+* ``compiled`` — ``_step_fast``'s issue loop lowered into the
+  ``repro.sim._ckernel`` C extension and driven per SM, merged at shared
+  operations (:mod:`repro.sim.compiled`); the extension is built
+  best-effort at install time.  Run-level eligibility is conservative
+  (inert policy, hook-free SMs); ineligible runs degrade to ``fused``
+  automatically, so selecting ``compiled`` is always safe when the
+  extension is importable.
 
 Selection order: an explicit ``engine=`` argument to ``GPU.run`` wins, then
 the ``REPRO_ENGINE`` environment variable, then ``auto`` (compiled when the
-extension is importable, else vectorized when numpy is, else fused).
-``REPRO_DENSE_STEP=1`` overrides everything -- the oracle is not a backend,
-it is the spec.
+extension is importable, else fused).  ``REPRO_DENSE_STEP=1`` overrides
+everything -- the oracle is not a backend, it is the spec.
 """
 
 from __future__ import annotations
@@ -41,33 +36,19 @@ from typing import Optional, Tuple
 ENGINE_ENV = "REPRO_ENGINE"
 
 #: Every accepted ``REPRO_ENGINE`` value (``auto`` resolves at run time).
-ENGINE_NAMES: Tuple[str, ...] = ("auto", "reference", "fused", "vectorized",
-                                 "compiled")
+ENGINE_NAMES: Tuple[str, ...] = ("auto", "reference", "fused", "compiled")
 
 
 class EngineUnavailableError(RuntimeError):
     """An explicitly requested backend cannot run in this environment.
 
-    Raised when ``vectorized`` is requested without numpy, or ``compiled``
-    without the built ``repro.sim._ckernel`` extension.  ``auto`` never
-    raises; it degrades down the chain (compiled -> vectorized -> fused).
+    Raised when ``compiled`` is requested without the built
+    ``repro.sim._ckernel`` extension.  ``auto`` never raises; it degrades
+    down the chain (compiled -> fused).
     """
 
 
-_NUMPY_AVAILABLE: Optional[bool] = None
 _COMPILED_AVAILABLE: Optional[bool] = None
-
-
-def numpy_available() -> bool:
-    """True when the vectorized backend's numpy dependency is importable."""
-    global _NUMPY_AVAILABLE
-    if _NUMPY_AVAILABLE is None:
-        try:
-            import numpy  # noqa: F401
-            _NUMPY_AVAILABLE = True
-        except ImportError:  # pragma: no cover - numpy ships in the image
-            _NUMPY_AVAILABLE = False
-    return _NUMPY_AVAILABLE
 
 
 def compiled_available() -> bool:
@@ -106,28 +87,20 @@ def select_backend(engine: Optional[str] = None) -> str:
     """Resolve the backend one run will use: the explicit argument, then
     ``REPRO_ENGINE``, then ``auto`` resolution.
 
-    Returns one of ``reference`` / ``fused`` / ``vectorized`` /
-    ``compiled``.  ``auto`` picks the fastest importable backend
-    (``compiled`` -> ``vectorized`` -> ``fused``); an *explicit* request
-    for an unavailable backend raises :class:`EngineUnavailableError`
-    instead of silently degrading.
+    Returns one of ``reference`` / ``fused`` / ``compiled``.  ``auto``
+    picks the fastest importable backend (``compiled`` -> ``fused``); an
+    *explicit* request for an unavailable backend raises
+    :class:`EngineUnavailableError` instead of silently degrading.
     """
     name = parse_engine(engine if engine is not None
                         else os.environ.get(ENGINE_ENV))
     if name == "auto":
-        if compiled_available():
-            return "compiled"
-        return "vectorized" if numpy_available() else "fused"
-    if name == "vectorized" and not numpy_available():
-        raise EngineUnavailableError(
-            "REPRO_ENGINE=vectorized requires numpy, which is not "
-            "importable in this environment; install numpy or use "
-            "REPRO_ENGINE=auto (degrades to the fused backend)")
+        return "compiled" if compiled_available() else "fused"
     if name == "compiled" and not compiled_available():
         raise EngineUnavailableError(
             "REPRO_ENGINE=compiled requires the repro.sim._ckernel C "
             "extension, which is not importable in this environment; "
             "build it (pip install -e . with a C toolchain, or python "
             "setup.py build_ext --inplace) or use REPRO_ENGINE=auto "
-            "(degrades to vectorized/fused)")
+            "(degrades to the fused backend)")
     return name

@@ -98,7 +98,7 @@ class GPU:
         self.sanitizer = None  # set by validate.sanitizer.attach_sanitizer
         self.telemetry = None  # set by telemetry.session.attach_telemetry
         # Backend that actually drove the last run() ("dense", "reference",
-        # "fused", "vectorized" or "compiled"); None before the first run.
+        # "fused" or "compiled"); None before the first run.
         self.engine_used = None
         if hasattr(self.address_model, "warm_l2"):
             self.address_model.warm_l2(self.hierarchy.l2)
@@ -144,11 +144,11 @@ class GPU:
         """Simulate until the grid drains; returns the aggregate result.
 
         ``engine`` picks the backend explicitly (``auto`` / ``reference``
-        / ``fused`` / ``vectorized``); ``None`` defers to ``REPRO_ENGINE``
+        / ``fused`` / ``compiled``); ``None`` defers to ``REPRO_ENGINE``
         and then ``auto`` resolution (see :mod:`repro.sim.backend`).  The
         dense oracle override ``REPRO_DENSE_STEP=1`` beats everything.
         Every backend is observably identical; ``engine_used`` records
-        which driver actually ran (``vectorized`` falls back to the event
+        which driver actually ran (``compiled`` falls back to the event
         engine when the run is not decoupling-eligible).
         """
         # The hot loop allocates heavily (heap entries, scoreboard cycle
@@ -165,9 +165,6 @@ class GPU:
             if backend == "compiled":
                 from repro.sim.compiled import run_compiled
                 return run_compiled(self, max_cycles)
-            if backend == "vectorized":
-                from repro.sim.vectorized import run_vectorized
-                return run_vectorized(self, max_cycles)
             if backend == "reference":
                 return self._run_event(max_cycles, force_reference=True)
             return self._run_event(max_cycles)

@@ -20,11 +20,11 @@ Hot-loop notes:
   separate per-cycle ``_set_sleep`` walk is needed.  The cache stays
   conservative — any event that could make a warp runnable earlier resets
   it via :meth:`wake` — so sleeping is observably identical to rescanning.
-* Both the fused fast step (``sm._step_fast``) and the vectorized
-  backend's per-SM runners (``repro.sim.vectorized``) inline the bucket
-  maintenance and the sleep fold directly; the invariants above (stable
-  ``sched_seq`` order, conservative ``_sleep_until``, dirty-rebuild from
-  ``warps``) are their correctness contract.
+* The fused fast step (``sm._step_fast``) inlines the bucket maintenance
+  and the sleep fold directly, and the compiled backend's C core
+  (``repro/sim/_ckernel.c``) transcribes ``_step_fast``; the invariants
+  above (stable ``sched_seq`` order, conservative ``_sleep_until``,
+  dirty-rebuild from ``warps``) are their correctness contract.
 """
 
 from __future__ import annotations

@@ -475,11 +475,11 @@ class StreamingMultiprocessor:
         latency precomputed in ``meta[9]``, 1 = LDG, 2 = STG, 3 = BAR,
         4 = EXIT, 5 = no-op) so the common case is a single branch.
 
-        The vectorized backend's per-SM runner
-        (``repro.sim.vectorized._sm_runner``) carries a line-for-line copy
-        of this issue loop (plus merge-protocol yields before shared
-        operations); any change here must be mirrored there — the
-        three-way engine differential suite catches divergence.
+        This method is the spec of the compiled backend's C core
+        (``Core.resume`` in ``repro/sim/_ckernel.c``), which carries a
+        line-for-line transcription of this issue loop (plus merge points
+        before shared operations); any change here must be mirrored there
+        — the engine differential suite catches divergence.
         """
         if self.transit_ctas:
             self._settle_transits(now)

@@ -29,7 +29,7 @@ class WarpSim:
         "ready_at", "peak_ready", "blocked_until", "state", "sched_seq",
         "chk_pos", "chk_ready",
         "stream_counter", "reuse_counter", "shared_counter",
-        "stream_base", "reuse_base", "wmeta",
+        "stream_base", "reuse_base",
     )
 
     def __init__(self, warp_id: int, global_warp_id: int, cta_id: int,
@@ -65,10 +65,6 @@ class WarpSim:
         self.shared_counter = 0
         self.stream_base = (global_warp_id & 0xFFFF) << 26
         self.reuse_base = (cta_id & 0xFFFF) << 18 | 1 << 42
-        # Per-trace-position metadata (meta tuple per dynamic instruction),
-        # installed by the vectorized backend (sim.vectorized.TraceTables);
-        # None on the reference/fused paths.
-        self.wmeta = None
 
     # ------------------------------------------------------------------
     @property

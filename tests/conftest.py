@@ -20,8 +20,31 @@ from repro.experiments.runner import ExperimentRunner
 from repro.isa.cfg import ControlFlowGraph, EdgeKind
 from repro.isa.instructions import AccessPattern, Instruction, Opcode
 from repro.isa.kernel import Kernel, LaunchGeometry
+from repro.sim.backend import ENGINE_ENV, compiled_available, select_backend
 from repro.workloads.generator import build_workload
 from repro.workloads.suite import get_spec
+
+
+def _engine_line() -> str:
+    """What engine ``auto`` resolves to and whether the C extension
+    imported: the fast path this session exercises."""
+    ckernel = "imported" if compiled_available() else "not importable"
+    line = (f"repro engine: auto -> {select_backend('auto')}, "
+            f"repro.sim._ckernel {ckernel}")
+    forced = os.environ.get(ENGINE_ENV)
+    if forced:
+        line += f", {ENGINE_ENV}={forced}"
+    return line
+
+
+def pytest_report_header(config):
+    return _engine_line()
+
+
+def pytest_terminal_summary(terminalreporter, exitstatus, config):
+    # -q hides the report header; quiet logs still name the engine.
+    if config.option.verbose < 0:
+        terminalreporter.write_line(_engine_line())
 
 
 @pytest.fixture

@@ -3,11 +3,12 @@
 The acceptance contract of the auditor (docs/ANALYZE.md):
 
 * the current tree passes ``--effects --strict`` clean;
-* deleting *any* entry of ``_BYPASSED_SM_ATTRS``, ``_INERT_POLICY_ATTRS``
-  or ``_COMPILED_BYPASSED_SM_ATTRS`` produces the corresponding HIGH
-  finding (the tuples are load-bearing, entry by entry);
-* stale entries (naming nothing engine-reachable) are flagged so the
-  gates cannot silently rot into allowlists of dead names;
+* deleting *any* entry of ``_BYPASSED_SM_ATTRS`` or
+  ``_INERT_POLICY_ATTRS`` produces the corresponding HIGH finding (the
+  tuples are load-bearing, entry by entry);
+* stale entries (naming nothing engine-reachable, or a method the
+  compiled driver calls itself) are flagged so the gates cannot silently
+  rot into allowlists of dead names;
 * every seeded fault of the self-test is detected at its severity;
 * every shipped policy subclass overrides at least one checked attr, so
   ``policy_inert`` can never misclassify it as the base no-op policy.
@@ -25,8 +26,7 @@ from repro.analyze.effects_selftest import SEEDED_FAULTS, run_seeded_fault
 from repro.analyze.lint import default_lint_paths, default_lint_root
 from repro.policies.base import RegisterFilePolicy
 from repro.policies.baseline import BaselinePolicy
-from repro.sim.compiled import _COMPILED_BYPASSED_SM_ATTRS
-from repro.sim.vectorized import (
+from repro.sim.compiled import (
     _BYPASSED_SM_ATTRS,
     _INERT_POLICY_ATTRS,
     instance_overrides,
@@ -67,34 +67,44 @@ class TestCleanTree:
     def test_advisories_only_name_known_tags(self):
         report = audit_effects()
         infos = _tags_at(report, Severity.INFO)
-        assert infos <= {"inert-gate-candidate", "bypass-gate-candidate",
-                         "compiled-gate-candidate",
-                         "inert-policy-passthrough"}
+        # No compiled-gate-candidate: _BYPASSED_SM_ATTRS is exactly the
+        # derived Python-engine-only SM surface, not wider.
+        assert infos <= {"inert-gate-candidate", "inert-policy-passthrough"}
+
+
+#: The event loop's per-SM entry points.  The compiled runner replaces
+#: the loop wholesale, so it bypasses these; the rest of
+#: ``_BYPASSED_SM_ATTRS`` is hooks the fused step calls on its own SM,
+#: which the C core inlines.
+_EVENT_LOOP_ENTRIES = ("_step_fast", "accumulate", "next_event",
+                       "next_event_fast")
+
+
+def _audit_without_bypass_entry(entry):
+    config = default_effects_config()
+    return audit_effects(replace(config, bypassed_sm_attrs=tuple(
+        name for name in config.bypassed_sm_attrs if name != entry)))
 
 
 class TestGateDeletions:
     """Every single tuple entry must be provably load-bearing."""
 
     @pytest.mark.parametrize("entry", _BYPASSED_SM_ATTRS)
-    def test_deleting_bypass_entry_is_high(self, entry):
-        config = default_effects_config()
-        config = replace(config, bypassed_sm_attrs=tuple(
-            name for name in config.bypassed_sm_attrs if name != entry))
-        report = audit_effects(config)
-        hits = [f for f in report.by_tag("bypass-gate-missing")
-                if f.severity == Severity.ERROR and entry in f.message]
-        assert hits, report.format(f"no HIGH for dropped {entry!r}")
-
-    @pytest.mark.parametrize("entry", _COMPILED_BYPASSED_SM_ATTRS)
     def test_deleting_compiled_entry_is_high(self, entry):
-        config = default_effects_config()
-        config = replace(config, compiled_bypassed_sm_attrs=tuple(
-            name for name in config.compiled_bypassed_sm_attrs
-            if name != entry))
-        report = audit_effects(config)
+        report = _audit_without_bypass_entry(entry)
         hits = [f for f in report.by_tag("compiled-gate-missing")
                 if f.severity == Severity.ERROR and entry in f.message]
         assert hits, report.format(f"no HIGH for dropped {entry!r}")
+
+    @pytest.mark.parametrize("entry", _EVENT_LOOP_ENTRIES)
+    def test_deleting_bypass_entry_is_high(self, entry):
+        # The finding must trace the entry to the event loop, not only
+        # to the fused step's own calls (``accumulate`` is both).
+        report = _audit_without_bypass_entry(entry)
+        site = f"the event loop (GPU._run_event) dispatches SM.{entry} "
+        hits = [f for f in report.by_tag("compiled-gate-missing")
+                if f.severity == Severity.ERROR and site in f.message]
+        assert hits, report.format(f"no event-loop HIGH for {entry!r}")
 
     @pytest.mark.parametrize("entry", _INERT_POLICY_ATTRS)
     def test_deleting_inert_entry_is_high(self, entry):
@@ -110,24 +120,25 @@ class TestGateDeletions:
 class TestStaleEntries:
     """Entries naming nothing engine-reachable must be reported."""
 
-    def test_bogus_bypass_entry_is_stale(self):
+    def test_bogus_compiled_entry_is_stale(self):
         config = default_effects_config()
         config = replace(config, bypassed_sm_attrs=(
             config.bypassed_sm_attrs + ("definitely_not_an_sm_method",)))
         report = audit_effects(config)
-        hits = [f for f in report.by_tag("bypass-gate-stale")
-                if "definitely_not_an_sm_method" in f.message]
-        assert hits, report.format("stale bypass entry not reported")
-
-    def test_bogus_compiled_entry_is_stale(self):
-        config = default_effects_config()
-        config = replace(config, compiled_bypassed_sm_attrs=(
-            config.compiled_bypassed_sm_attrs
-            + ("definitely_not_an_sm_method",)))
-        report = audit_effects(config)
         hits = [f for f in report.by_tag("compiled-gate-stale")
                 if "definitely_not_an_sm_method" in f.message]
         assert hits, report.format("stale compiled entry not reported")
+
+    def test_bogus_bypass_entry_is_stale(self):
+        # A real SM method that the compiled driver calls itself needs no
+        # gate entry: listing it only refuses runs the C core could take.
+        config = default_effects_config()
+        config = replace(config, bypassed_sm_attrs=(
+            config.bypassed_sm_attrs + ("flush_levels",)))
+        report = audit_effects(config)
+        hits = [f for f in report.by_tag("compiled-gate-candidate")
+                if "'flush_levels'" in f.message]
+        assert hits, report.format("stale bypass entry not reported")
 
     def test_bogus_inert_entry_is_stale(self):
         config = default_effects_config()

@@ -112,8 +112,8 @@ class TestKernelLaunch:
         assert launch.remaining == 0
 
     def test_base0_trace_identity_preserved(self, km):
-        # The vectorized backend keys trace tables by list identity; the
-        # base-0 launch must return the provider's memoized object as-is.
+        # The compiled backend interns traces by list identity; the base-0
+        # launch must return the provider's memoized object as-is.
         (launch,) = build_launches(specs_for(km))
         assert launch.trace_for(0, 0) is km.trace_provider.trace_for(0, 0)
 

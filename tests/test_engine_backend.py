@@ -7,14 +7,15 @@ contract itself:
 * ``REPRO_ENGINE`` / ``engine=`` parsing, precedence and loud failure on
   typos (a silently-wrong backend would invalidate a benchmark),
 * ``auto`` resolution and graceful degradation down the chain (compiled
-  -> vectorized -> fused) when the C extension or numpy is missing; an
-  *explicit* request for an unavailable backend raises
-  ``EngineUnavailableError``,
-* run-level vectorized/compiled eligibility: instrumented runs
-  (sanitizer, telemetry, tracers), non-GTO scheduling and non-inert
-  policies must all degrade to the next backend down rather than take
-  the decoupled runners or the C core — ``gpu.engine_used`` records what
-  actually executed.
+  -> fused) when the C extension is missing; an *explicit* request for
+  an unavailable backend raises ``EngineUnavailableError``,
+* run-level compiled eligibility: instrumented runs (sanitizer,
+  telemetry, tracers), non-GTO scheduling, non-inert policies and
+  instance-level wrappers on the surface the C core inlines must all
+  fail ``compiled_run_eligible``.  The gate is pure Python, so those
+  checks run without the extension; with it built, the runs must then
+  degrade to the next backend down rather than take the C core —
+  ``gpu.engine_used`` records what actually executed.
 
 Bit-identity of the backends themselves is pinned separately by
 tests/test_engine_differential.py.
@@ -29,8 +30,9 @@ from repro.experiments.runner import POLICIES
 from repro.sim import backend
 from repro.sim.backend import (EngineUnavailableError, parse_engine,
                                select_backend)
+from repro.sim.compiled import (_BYPASSED_SM_ATTRS, compiled_run_eligible,
+                                policy_inert)
 from repro.sim.gpu import GPU
-from repro.sim.vectorized import policy_inert, run_eligible
 from repro.workloads.generator import build_workload
 from repro.workloads.suite import get_spec
 
@@ -54,7 +56,7 @@ def build_gpu(policy: str = "baseline", config: GPUConfig = MICRO_CONFIG,
     ("", "auto"),
     ("auto", "auto"),
     ("fused", "fused"),
-    ("  Vectorized \n", "vectorized"),
+    (" Fused \n", "fused"),
     ("REFERENCE", "reference"),
     ("Compiled", "compiled"),
 ])
@@ -62,7 +64,8 @@ def test_parse_engine_normalizes(raw, expected):
     assert parse_engine(raw) == expected
 
 
-@pytest.mark.parametrize("raw", ["fast", "dense", "vector", "fused,"])
+@pytest.mark.parametrize("raw", ["fast", "dense", "vector", "vectorized",
+                                 "fused,"])
 def test_parse_engine_rejects_unknown_names(raw):
     with pytest.raises(ValueError, match="unknown engine"):
         parse_engine(raw)
@@ -82,35 +85,17 @@ def test_select_backend_env_typo_fails_loudly(monkeypatch):
 
 def test_select_backend_auto_prefers_compiled_when_built(monkeypatch):
     monkeypatch.setattr(backend, "_COMPILED_AVAILABLE", True)
-    monkeypatch.setattr(backend, "_NUMPY_AVAILABLE", True)
     monkeypatch.delenv(backend.ENGINE_ENV, raising=False)
     assert select_backend() == "compiled"
     assert select_backend("auto") == "compiled"
 
 
-def test_select_backend_auto_prefers_vectorized_without_extension(
+def test_select_backend_auto_degrades_to_fused_without_extension(
         monkeypatch):
     monkeypatch.setattr(backend, "_COMPILED_AVAILABLE", False)
-    monkeypatch.setattr(backend, "_NUMPY_AVAILABLE", True)
-    monkeypatch.delenv(backend.ENGINE_ENV, raising=False)
-    assert select_backend() == "vectorized"
-    assert select_backend("auto") == "vectorized"
-
-
-def test_select_backend_degrades_to_fused_without_numpy(monkeypatch):
-    monkeypatch.setattr(backend, "_COMPILED_AVAILABLE", False)
-    monkeypatch.setattr(backend, "_NUMPY_AVAILABLE", False)
     monkeypatch.delenv(backend.ENGINE_ENV, raising=False)
     assert select_backend() == "fused"
-
-
-def test_explicit_vectorized_without_numpy_raises(monkeypatch):
-    monkeypatch.setattr(backend, "_NUMPY_AVAILABLE", False)
-    with pytest.raises(EngineUnavailableError, match="numpy"):
-        select_backend("vectorized")
-    monkeypatch.setenv(backend.ENGINE_ENV, "vectorized")
-    with pytest.raises(EngineUnavailableError, match="numpy"):
-        select_backend()
+    assert select_backend("auto") == "fused"
 
 
 def test_explicit_compiled_without_extension_raises(monkeypatch):
@@ -133,61 +118,50 @@ def test_run_consults_engine_env(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# Run-level vectorized eligibility / fallback routing
+# Run-level compiled eligibility (pure Python: no extension needed)
 # ----------------------------------------------------------------------
-def test_vectorized_falls_back_to_fused_with_sanitizer():
-    from repro.validate.sanitizer import attach_sanitizer
+#: Why ``compiled_run_eligible`` refuses a run, and where an explicit
+#: ``engine="compiled"`` request then lands.
+INELIGIBLE_RUNS = [
+    ("sanitizer", "reference"),   # fails fast_step_eligible per SM
+    ("cta_tracer", "fused"),      # fused step eligible, run-level not
+    ("telemetry", "reference"),
+    ("lrr", "reference"),         # the fused step hard-codes GTO's scan
+]
+
+
+def build_ineligible_gpu(reason: str) -> GPU:
+    if reason == "lrr":
+        return build_gpu(config=GPUConfig(num_sms=2, warp_scheduling="lrr"))
     gpu = build_gpu()
-    attach_sanitizer(gpu)
-    assert not run_eligible(gpu)
-    gpu.run(max_cycles=TINY.max_cycles, engine="vectorized")
-    # Sanitizer wrappers also fail per-SM fast_step_eligible, so the
-    # event engine runs the reference step.
-    assert gpu.engine_used == "reference"
+    if reason == "sanitizer":
+        from repro.validate.sanitizer import attach_sanitizer
+        attach_sanitizer(gpu)
+    elif reason == "cta_tracer":
+        # A CTA-level tracer only observes launch/retire, so the fused
+        # step stays eligible -- but per-SM issue loops would scramble the
+        # global order of its records, hence the run-level refusal.
+        from repro.sim.tracing import attach_tracer
+        attach_tracer(gpu, level="cta")
+    else:
+        from repro.telemetry.session import attach_telemetry
+        attach_telemetry(gpu)
+    return gpu
 
 
-def test_vectorized_falls_back_with_cta_tracer():
-    from repro.sim.tracing import attach_tracer
-    gpu = build_gpu()
-    attach_tracer(gpu, level="cta")
-    assert not run_eligible(gpu)
-    gpu.run(max_cycles=TINY.max_cycles, engine="vectorized")
-    # A CTA-level tracer only observes launch/retire, so the fused step
-    # stays eligible -- but the decoupled runners would scramble the
-    # global order of its records, hence the run-level fallback.
-    assert gpu.engine_used == "fused"
-
-
-def test_vectorized_falls_back_with_telemetry():
-    from repro.telemetry.session import attach_telemetry
-    gpu = build_gpu()
-    attach_telemetry(gpu)
-    assert not run_eligible(gpu)
-    gpu.run(max_cycles=TINY.max_cycles, engine="vectorized")
-    assert gpu.engine_used == "reference"
-
-
-def test_vectorized_falls_back_on_lrr_scheduling():
-    gpu = build_gpu(config=GPUConfig(num_sms=2, warp_scheduling="lrr"))
-    assert not run_eligible(gpu)
-    gpu.run(max_cycles=TINY.max_cycles, engine="vectorized")
-    # LRR schedulers fail fast_step_eligible (the fused step hard-codes
-    # GTO's greedy-then-oldest scan), so the reference step runs.
-    assert gpu.engine_used == "reference"
+@pytest.mark.parametrize("reason", [r for r, __ in INELIGIBLE_RUNS])
+def test_compiled_gate_refuses_ineligible_runs(reason):
+    assert not compiled_run_eligible(build_ineligible_gpu(reason))
 
 
 @pytest.mark.parametrize("policy", sorted(p for p in POLICIES
                                           if p != "baseline"))
-def test_vectorized_falls_back_on_non_inert_policies(policy):
+def test_compiled_gate_refuses_non_inert_policies(policy):
     """Every non-baseline policy overrides launch/finish/idle hooks the
-    closed-form idle accounting bypasses, so none may take the runners."""
+    closed-form idle accounting bypasses, so none may take the C core."""
     gpu = build_gpu(policy)
     assert not policy_inert(gpu.sms[0]._policy)
-    assert not run_eligible(gpu)
-    gpu.run(max_cycles=TINY.max_cycles, engine="vectorized")
-    # Hook-free policies still take the fused step; policies needing an
-    # issue hook (vt_regmutex) drop all the way to the reference step.
-    assert gpu.engine_used in ("fused", "reference")
+    assert not compiled_run_eligible(gpu)
 
 
 def test_instance_policy_override_defeats_inertness():
@@ -196,21 +170,35 @@ def test_instance_policy_override_defeats_inertness():
     assert policy_inert(policy)
     policy.on_tick = lambda now: None
     assert not policy_inert(policy)
-    assert not run_eligible(gpu)
+    assert not compiled_run_eligible(gpu)
 
 
 def test_instance_sm_override_defeats_run_eligibility():
-    """Mutation-style instance wrappers on bypassed SM methods (the dense
-    oracle would honor them; the runners would not) must disqualify."""
+    """Mutation-style instance wrappers on any SM method the C core
+    bypasses, or on the stats flush it inlines, must disqualify: the
+    Python engines would honor them, the C core would not."""
     gpu = build_gpu()
-    assert run_eligible(gpu)
+    assert compiled_run_eligible(gpu)
     sm = gpu.sms[0]
-    sm.accumulate = lambda *a, **k: None
-    assert not run_eligible(gpu)
+    for name in _BYPASSED_SM_ATTRS:
+        setattr(sm, name, getattr(sm, name))
+        assert not compiled_run_eligible(gpu), name
+        delattr(sm, name)
+    sm.stats.accumulate = sm.stats.accumulate
+    assert not compiled_run_eligible(gpu)
+
+
+def test_scheduler_surface_cannot_be_wrapped_per_instance():
+    """The scheduler surface the C core inlines (bucket scan, barrier
+    wake, sleep fold) needs no instance gate: GTOScheduler declares
+    __slots__, and fast_step_eligible pins the exact type."""
+    gpu = build_gpu()
+    with pytest.raises(AttributeError):
+        gpu.sms[0].schedulers[0].wake = lambda: None
 
 
 # ----------------------------------------------------------------------
-# Run-level compiled eligibility / fallback routing
+# Compiled fallback routing (needs the built extension)
 # ----------------------------------------------------------------------
 needs_extension = pytest.mark.skipif(
     not backend.compiled_available(),
@@ -220,37 +208,17 @@ needs_extension = pytest.mark.skipif(
 @needs_extension
 def test_compiled_runs_the_uninstrumented_baseline():
     gpu = build_gpu()
-    from repro.sim.compiled import compiled_run_eligible
     assert compiled_run_eligible(gpu)
     gpu.run(max_cycles=TINY.max_cycles, engine="compiled")
     assert gpu.engine_used == "compiled"
 
 
 @needs_extension
-@pytest.mark.parametrize("reason, expect_used", [
-    ("sanitizer", "reference"),   # fails fast_step_eligible per SM
-    ("cta_tracer", "fused"),      # fused step eligible, run-level not
-    ("telemetry", "reference"),
-    ("lrr", "reference"),
-])
+@pytest.mark.parametrize("reason, expect_used", INELIGIBLE_RUNS)
 def test_compiled_falls_back_per_run_eligibility_reason(reason, expect_used):
-    """Every ``run_eligible`` failure must route compiled down the chain
-    exactly where vectorized would land -- never error."""
-    if reason == "lrr":
-        gpu = build_gpu(config=GPUConfig(num_sms=2, warp_scheduling="lrr"))
-    else:
-        gpu = build_gpu()
-        if reason == "sanitizer":
-            from repro.validate.sanitizer import attach_sanitizer
-            attach_sanitizer(gpu)
-        elif reason == "cta_tracer":
-            from repro.sim.tracing import attach_tracer
-            attach_tracer(gpu, level="cta")
-        else:
-            from repro.telemetry.session import attach_telemetry
-            attach_telemetry(gpu)
-    from repro.sim.compiled import compiled_run_eligible
-    assert not compiled_run_eligible(gpu)
+    """Every refused run must route compiled down the chain -- never
+    error."""
+    gpu = build_ineligible_gpu(reason)
     gpu.run(max_cycles=TINY.max_cycles, engine="compiled")
     assert gpu.engine_used == expect_used
 
@@ -260,29 +228,19 @@ def test_compiled_falls_back_per_run_eligibility_reason(reason, expect_used):
                                           if p != "baseline"))
 def test_compiled_falls_back_on_non_inert_policies(policy):
     gpu = build_gpu(policy)
-    from repro.sim.compiled import compiled_run_eligible
-    assert not compiled_run_eligible(gpu)
     gpu.run(max_cycles=TINY.max_cycles, engine="compiled")
+    # Hook-free policies still take the fused step; policies needing an
+    # issue hook (vt_regmutex) drop all the way to the reference step.
     assert gpu.engine_used in ("fused", "reference")
 
 
 @needs_extension
-@pytest.mark.parametrize("surface", ["sm", "wake", "stats"])
-def test_compiled_only_overrides_fall_back_to_vectorized(surface):
-    """Instance wrappers on the surface only the C core inlines (beyond
-    the vectorized bypass list) must route to vectorized, which still
-    honors them dynamically.  (The scheduler surface needs no instance
-    gate: GTOScheduler declares __slots__, so wrapping e.g. ``wake`` on
-    an instance is impossible -- pinned here -- and run_eligible already
-    requires the exact type.)"""
-    from repro.sim.compiled import compiled_run_eligible
+@pytest.mark.parametrize("surface", ["sm", "stats"])
+def test_compiled_only_overrides_fall_back_to_fused(surface):
+    """Instance wrappers on the surface only the C core inlines route the
+    run to the fused engine, which still honors them dynamically."""
     gpu = build_gpu()
-    assert compiled_run_eligible(gpu)
     sm = gpu.sms[0]
-    if surface == "wake":
-        with pytest.raises(AttributeError):
-            sm.schedulers[0].wake = lambda: None
-        return
     if surface == "sm":
         original = sm._on_long_block
         sm._on_long_block = lambda warp, now: original(warp, now)
@@ -291,18 +249,5 @@ def test_compiled_only_overrides_fall_back_to_vectorized(surface):
         sm.stats.accumulate = (
             lambda dt, active, pending, warps: original(dt, active,
                                                         pending, warps))
-    assert not compiled_run_eligible(gpu)
-    assert run_eligible(gpu)
-    gpu.run(max_cycles=TINY.max_cycles, engine="compiled")
-    assert gpu.engine_used == "vectorized"
-
-
-@needs_extension
-def test_compiled_ineligible_without_numpy_lands_on_fused(monkeypatch):
-    """The fallback chain's last hop: compiled-ineligible run in a
-    numpy-less environment must take the event engine."""
-    gpu = build_gpu()
-    gpu.sms[0]._on_long_block = lambda warp, now: None
-    monkeypatch.setattr(backend, "_NUMPY_AVAILABLE", False)
     gpu.run(max_cycles=TINY.max_cycles, engine="compiled")
     assert gpu.engine_used == "fused"
