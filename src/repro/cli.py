@@ -119,10 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
     cache_cmd.set_defaults(func=cmd_cache)
 
     obs_cmd = sub.add_parser(
-        "obs",
-        help="inspect campaign observability logs + perf trajectory")
-    obs_cmd.add_argument("action", choices=("summarize", "tail", "perfetto",
-                                            "perf-trajectory"))
+        "obs", help="inspect campaign observability logs")
+    obs_cmd.add_argument("action", choices=("summarize", "tail", "perfetto"))
     obs_cmd.add_argument("log", nargs="?", default=None,
                          help="campaign JSONL event log "
                               "(run_all --obs-log / REPRO_OBS=1)")
@@ -130,15 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="output path for the perfetto export")
     obs_cmd.add_argument("-n", "--last", type=int, default=20,
                          help="events to show for tail (default 20)")
-    obs_cmd.add_argument("--history", default=None, metavar="PATH",
-                         help="BENCH history file for perf-trajectory "
-                              "(default BENCH_history.jsonl)")
-    obs_cmd.add_argument("--threshold", type=float, default=0.20,
-                         help="fractional throughput drop flagged as a "
-                              "regression (default 0.20)")
     obs_cmd.add_argument("--strict", action="store_true",
-                         help="exit non-zero on regressions or "
-                              "reconciliation problems")
+                         help="exit non-zero on reconciliation problems")
     obs_cmd.add_argument("--json", action="store_true",
                          help="machine-readable output on stdout")
     obs_cmd.set_defaults(func=cmd_obs)
@@ -348,9 +339,7 @@ def cmd_obs(args: argparse.Namespace) -> int:
     # Lazy import: the observability readers are only needed here.
     from repro.obs.cli import run_obs
     return run_obs(args.action, log=args.log, out=args.out,
-                   last=args.last, history=args.history,
-                   threshold=args.threshold, strict=args.strict,
-                   as_json=args.json)
+                   last=args.last, strict=args.strict, as_json=args.json)
 
 
 def cmd_overhead(args: argparse.Namespace) -> int:

@@ -30,7 +30,6 @@ from repro.obs import OBS_LOG_ENV, ObsSession, obs_enabled
 from repro.obs import clock
 from repro.obs.spans import phase_rows
 from repro.telemetry.rollup import render_rollup, rollup_results
-from repro.telemetry.selfprof import SelfProfiler
 
 #: (module, headline summary keys) in paper order.
 CAMPAIGN = (
@@ -79,8 +78,7 @@ def campaign_plan(runner: ExperimentRunner,
 
 def run_campaign(runner: ExperimentRunner,
                  modules: Optional[Sequence[str]] = None,
-                 jobs: Optional[int] = None,
-                 profiler: Optional[SelfProfiler] = None) -> List:
+                 jobs: Optional[int] = None) -> List:
     """Run every experiment; returns the ExperimentResult list.
 
     With ``jobs != 1`` the combined module plans are prefetched over a
@@ -88,25 +86,20 @@ def run_campaign(runner: ExperimentRunner,
     runner's memo for everything except result-dependent follow-ups
     (e.g. Fig 18's resource-scaled baseline).
 
-    ``profiler`` (a :class:`~repro.telemetry.selfprof.SelfProfiler`)
-    records the campaign's own wall-clock phases and simulated
-    cycles-per-second throughput.
+    When the runner carries an :class:`~repro.obs.ObsSession`
+    (``runner.attach_obs``), the campaign's wall-clock phases are
+    recorded as its spans.
     """
-    if profiler is None:
-        profiler = SelfProfiler()
     obs = getattr(runner, "obs", None)
 
     def obs_phase(name: str):
         return obs.phase(name) if obs is not None else nullcontext()
 
     if jobs is None or jobs > 1:
-        with profiler.phase("plan+prefetch") as timer, \
-                obs_phase("plan+prefetch"):
+        with obs_phase("plan+prefetch"):
             runner.run_many(campaign_plan(runner, modules), jobs=jobs)
-            timer.sim_cycles = sum(
-                r.cycles for __, r in runner.memoized_results())
     results = []
-    with profiler.phase("render"), obs_phase("render"):
+    with obs_phase("render"):
         for name, __ in CAMPAIGN:
             if modules is not None and name not in modules:
                 continue
@@ -183,7 +176,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     runner = ExperimentRunner(scale=SCALES[args.scale])
     modules = args.only.split(",") if args.only else None
-    profiler = SelfProfiler()
 
     # The observability session always runs in-memory (spans feed the
     # REPORT.md breakdown); the JSONL log is written only when asked for.
@@ -200,23 +192,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         jobs=args.jobs if args.jobs is not None else default_jobs(),
         label=f"run_all:{args.scale}")
 
-    results = run_campaign(runner, modules, jobs=args.jobs,
-                           profiler=profiler)
+    results = run_campaign(runner, modules, jobs=args.jobs)
     rollup = rollup_results(runner.memoized_results())
     report = Path(args.out) / "REPORT.md"
-    with profiler.phase("report"), session.phase("report"):
+    with session.phase("report"):
         write_report(results, report, args.scale,
                      rollup_text=render_rollup(rollup),
                      phase_breakdown=phase_rows(session.recorder.spans))
     session.campaign_end()
     session.close()
     bench = Path(args.out) / "BENCH_campaign.json"
-    payload = profiler.as_payload()
-    payload["rollup"] = rollup
-    payload["obs"] = session.summary()
+    summary = session.summary()
+    payload = {"rollup": rollup, "obs": summary}
     bench.write_text(json.dumps(payload, indent=2, sort_keys=True))
     print(f"wrote {report} ({len(results)} experiments)")
-    print(f"wrote {bench} (self-profile, {profiler.total_wall_s:.1f}s)")
+    print(f"wrote {bench} (campaign wall "
+          f"{summary['campaign']['wall_s']:.1f}s)")
     if log_path:
         rate = session.metrics.hit_rate()
         rate_text = f"{rate:.1%}" if rate is not None else "n/a"

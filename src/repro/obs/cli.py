@@ -7,9 +7,7 @@ Actions:
 * ``tail <log>``: the last N events, one line each, with invalid lines
   marked rather than crashing (a live log may be mid-write);
 * ``perfetto <log> --out trace.json``: export the span tree to
-  Chrome-trace/Perfetto JSON (validated before writing);
-* ``perf-trajectory``: analyze ``BENCH_history.jsonl`` for throughput
-  regressions across commits beyond the CI smoke threshold.
+  Chrome-trace/Perfetto JSON (validated before writing).
 """
 
 from __future__ import annotations
@@ -22,9 +20,6 @@ from repro.obs.events import ObsLogError, events_of, load_log
 from repro.obs.export import spans_from_events, write_campaign_perfetto
 from repro.obs.schema import check_obs_event
 from repro.obs.spans import Span, reconcile_spans
-from repro.obs.trajectory import (DEFAULT_HISTORY, DEFAULT_THRESHOLD,
-                                  detect_regressions, load_history,
-                                  trajectory_report)
 
 
 def _span_objects(span_dicts: Sequence[Dict]) -> List[Span]:
@@ -172,32 +167,8 @@ def _tail(path: str, last: int) -> int:
 
 def run_obs(action: str, log: Optional[str] = None,
             out: Optional[str] = None, last: int = 20,
-            history: Optional[str] = None, bench: Optional[str] = None,
-            threshold: float = DEFAULT_THRESHOLD, strict: bool = False,
-            as_json: bool = False) -> int:
+            strict: bool = False, as_json: bool = False) -> int:
     """Entry point behind ``repro obs`` (also directly testable)."""
-    if action == "perf-trajectory":
-        path = history if history is not None else DEFAULT_HISTORY
-        if not Path(path).exists():
-            print(f"no history at {path} (run tools/profile_sim.py to "
-                  f"record entries)")
-            return 1
-        try:
-            entries = load_history(path)
-        except ValueError as exc:
-            print(f"error: {exc}")
-            return 1
-        regressions = detect_regressions(entries, threshold)
-        if as_json:
-            print(json.dumps({"entries": len(entries),
-                              "threshold": threshold,
-                              "regressions": regressions},
-                             indent=1, sort_keys=True))
-        else:
-            for line in trajectory_report(entries, threshold):
-                print(line)
-        return 1 if (strict and regressions) else 0
-
     if log is None:
         print(f"error: obs {action} requires a campaign log path")
         return 2

@@ -1,16 +1,14 @@
-"""Orchestration-tier host clock -- the obs layer's ONE wall-clock module.
+"""Host clock -- the ONE module inside ``src/repro`` that reads wall time.
 
-Every other `repro.obs` module measures time by calling :func:`monotonic`
-from here; none touches ``time`` directly.  Together with
-``telemetry/selfprof.py`` this is the complete set of modules allowed to
-read the host clock inside ``src/repro``: the determinism lint's
+Every other module that needs host time (the rest of `repro.obs`, the
+campaign driver, ``repro trace``) calls the functions below; none touches
+``time`` directly.  The determinism lint's
 wall-clock-allowance audit (see ``repro.analyze.lint``) fails any
 ``# lint: allow[wall-clock]`` suppression elsewhere, and a test strips the
 tags below to prove they are load-bearing.
 
-Only the *simulator* must be deterministic; the campaign tier measures
-itself with these clocks without ever feeding a reading back into a
-simulation.
+Only the *simulator* must be deterministic; the harness measures itself
+with these clocks without ever feeding a reading back into a simulation.
 """
 
 from __future__ import annotations

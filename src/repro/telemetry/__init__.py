@@ -1,4 +1,4 @@
-"""Observability layer: metrics, timelines, trace export, self-profiling.
+"""Observability layer: metrics, timelines, trace export.
 
 The package is strictly *observation-only*: attaching any of its pieces to a
 simulation must never change a single simulated cycle, and every disabled
@@ -13,8 +13,9 @@ Pieces (see docs/TELEMETRY.md for the full catalog):
 * :mod:`repro.telemetry.perfetto`  -- Chrome trace-event / Perfetto export.
 * :mod:`repro.telemetry.schema`    -- payload shape validation (CI).
 * :mod:`repro.telemetry.rollup`    -- campaign-level p50/p95 aggregation.
-* :mod:`repro.telemetry.selfprof`  -- wall-clock self-profiling (the only
-  module allowed to read the host clock; see the determinism lint).
+
+No module here reads the host clock: ``repro trace`` times its run through
+:mod:`repro.obs.clock`, the one module the determinism lint allows to.
 """
 
 from repro.telemetry.registry import MetricsRegistry

@@ -18,10 +18,10 @@ from typing import Optional
 
 from repro.config import SCALES, default_config
 from repro.experiments.report import format_table
+from repro.obs import clock
 from repro.sim.gpu import GPU
 from repro.sim.tracing import attach_tracer
 from repro.telemetry.perfetto import write_perfetto
-from repro.telemetry.selfprof import SelfProfiler
 from repro.telemetry.session import TelemetryConfig, attach_telemetry
 from repro.workloads.generator import build_workload
 from repro.workloads.suite import get_spec
@@ -54,10 +54,9 @@ def run_trace(app: str, policy: str = "finereg", scale_name: str = "tiny",
     session = attach_telemetry(
         gpu, TelemetryConfig(timeline_interval=interval))
 
-    profiler = SelfProfiler()
-    with profiler.phase("simulate") as timer:
-        result = gpu.run(max_cycles=scale.max_cycles)
-        timer.sim_cycles = result.cycles
+    started = clock.monotonic()
+    result = gpu.run(max_cycles=scale.max_cycles)
+    wall_s = clock.monotonic() - started
 
     if perfetto_out:
         _ensure_parent(perfetto_out)
@@ -74,8 +73,7 @@ def run_trace(app: str, policy: str = "finereg", scale_name: str = "tiny",
         print(f"wrote {timeline_out} "
               f"({session.timeline.num_samples} samples/SM)")
 
-    _print_summary(spec.abbrev, policy, scale_name, result, tracer,
-                   profiler)
+    _print_summary(spec.abbrev, policy, scale_name, result, tracer, wall_s)
     return 0
 
 
@@ -85,7 +83,7 @@ def _ensure_parent(path: str) -> None:
 
 
 def _print_summary(abbrev: str, policy: str, scale_name: str, result,
-                   tracer, profiler: SelfProfiler) -> None:
+                   tracer, wall_s: float) -> None:
     span = max(1, result.cycles * result.num_sms)
     rows = [
         ["cycles", result.cycles],
@@ -98,10 +96,9 @@ def _print_summary(abbrev: str, policy: str, scale_name: str, result,
         ["  switch-out", result.switch_out_overhead_cycles],
         ["  switch-in", result.switch_in_overhead_cycles],
     ]
-    phase = profiler.phases[0]
-    cps = phase.cycles_per_second
-    if cps is not None:
-        rows.append(["simulator speed", f"{cps:,.0f} cycles/s"])
+    if wall_s > 0:
+        rows.append(["simulator speed",
+                     f"{result.instructions / wall_s:,.0f} insts/s"])
     for kind, count in sorted(tracer.counts_by_kind().items()):
         rows.append([f"events: {kind}", count])
     if tracer.dropped:

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import EXPERIMENT_MODULES, build_parser, main
@@ -102,6 +104,8 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "stall fraction" in out
         assert "switch overhead" in out
+        assert re.search(r"simulator speed\s+[\d,]+ insts/s", out), out
+        assert "cycles/s" not in out
         assert check_trace_payload(
             json.loads(trace_path.read_text())) == []
         assert check_timeline_payload(

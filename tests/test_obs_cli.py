@@ -1,5 +1,4 @@
-"""Tests for the `repro obs` / `repro cache stats` surfaces and the
-perf-trajectory analytics behind them."""
+"""Tests for the `repro obs` / `repro cache stats` surfaces."""
 
 import json
 
@@ -11,11 +10,6 @@ from repro.experiments.parallel import RunRequest
 from repro.experiments.runner import ExperimentRunner
 from repro.obs.cli import run_obs
 from repro.obs.session import ObsSession
-from repro.obs.trajectory import (HISTORY_SCHEMA_VERSION, append_history,
-                                  check_history_entry, detect_regressions,
-                                  entries_from_bench, entry_from_bench,
-                                  git_commit, load_history,
-                                  trajectory_report)
 
 
 @pytest.fixture()
@@ -32,14 +26,6 @@ def campaign_log(tmp_path):
     session.campaign_end()
     session.close()
     return log
-
-
-def history_entry(commit, cycles, **overrides):
-    entry = {"v": HISTORY_SCHEMA_VERSION, "commit": commit, "app": "KM",
-             "policy": "baseline", "scale": "small",
-             "backend": "vectorized", "sim_cycles_per_s": cycles}
-    entry.update(overrides)
-    return entry
 
 
 class TestRunObs:
@@ -116,132 +102,6 @@ class TestRunObs:
         assert run_obs("summarize") == 2
         assert run_obs("unknown-action", log=str(campaign_log)) == 2
         assert run_obs("summarize", log="does/not/exist.jsonl") == 1
-
-
-class TestPerfTrajectory:
-    def test_report_lists_series_and_flags_regressions(self, tmp_path,
-                                                       capsys):
-        history = tmp_path / "hist.jsonl"
-        append_history(str(history), history_entry("aaaa111", 100_000))
-        append_history(str(history), history_entry("bbbb222", 70_000))
-        assert run_obs("perf-trajectory", history=str(history)) == 0
-        out = capsys.readouterr().out
-        assert "KM/baseline/small/vectorized" in out
-        assert "REGRESSION" in out
-        # Strict mode turns the regression into a non-zero exit.
-        assert run_obs("perf-trajectory", history=str(history),
-                       strict=True) == 1
-
-    def test_json_output_and_threshold(self, tmp_path, capsys):
-        history = tmp_path / "hist.jsonl"
-        append_history(str(history), history_entry("aaaa111", 100_000))
-        append_history(str(history), history_entry("bbbb222", 85_000))
-        assert run_obs("perf-trajectory", history=str(history),
-                       as_json=True) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["regressions"] == [], "15% drop within 20% slack"
-        assert run_obs("perf-trajectory", history=str(history),
-                       threshold=0.10, strict=True, as_json=True) == 1
-
-    def test_missing_history_is_reported(self, tmp_path, capsys):
-        assert run_obs("perf-trajectory",
-                       history=str(tmp_path / "none.jsonl")) == 1
-        assert "no history" in capsys.readouterr().out
-
-    def test_committed_history_file_is_valid(self, capsys):
-        """The repo ships a seeded BENCH_history.jsonl; it must load."""
-        from pathlib import Path
-        root = Path(__file__).resolve().parent.parent
-        entries = load_history(str(root / "BENCH_history.jsonl"))
-        assert entries, "seeded history must carry at least one entry"
-        assert detect_regressions(entries) == []
-
-
-class TestTrajectoryModule:
-    def test_detect_regressions_is_per_series_and_consecutive(self):
-        entries = [
-            history_entry("c1", 100_000),
-            history_entry("c1", 500_000, app="HS"),  # other series
-            history_entry("c2", 75_000),             # -25%: regression
-            history_entry("c3", 74_000),             # -1.3%: fine
-            history_entry("c2", 490_000, app="HS"),  # -2%: fine
-        ]
-        regs = detect_regressions(entries, threshold=0.20)
-        assert len(regs) == 1
-        assert regs[0]["series"] == "KM/baseline/small/vectorized"
-        assert regs[0]["prev_commit"] == "c1"
-        assert regs[0]["commit"] == "c2"
-        assert regs[0]["drop"] == 0.25
-
-    def test_trajectory_report_shows_net_change(self):
-        entries = [history_entry("c1", 100_000),
-                   history_entry("c2", 110_000)]
-        lines = trajectory_report(entries)
-        assert any("+10.0% over 2 entries" in line for line in lines)
-
-    def test_append_rejects_invalid_entries(self, tmp_path):
-        with pytest.raises(ValueError, match="refusing to append"):
-            append_history(str(tmp_path / "h.jsonl"),
-                           {"v": HISTORY_SCHEMA_VERSION})
-        assert not (tmp_path / "h.jsonl").exists()
-
-    def test_load_rejects_damaged_history(self, tmp_path):
-        path = tmp_path / "h.jsonl"
-        path.write_text("not json\n")
-        with pytest.raises(ValueError, match="line 1"):
-            load_history(str(path))
-
-    def test_entry_from_bench_extracts_identity_and_throughput(self):
-        bench = {"app": "KM", "policy": "baseline", "scale": "small",
-                 "backend": "fused", "sim_cycles_per_s": 123456,
-                 "stages": {"simulate_best_s": 0.5}}
-        entry = entry_from_bench(bench, commit="abc1234")
-        assert entry == {"v": HISTORY_SCHEMA_VERSION, "commit": "abc1234",
-                         "app": "KM", "policy": "baseline",
-                         "scale": "small", "backend": "fused",
-                         "sim_cycles_per_s": 123456, "best_s": 0.5}
-        assert not entry_from_bench(bench, commit="x").get("missing")
-
-    def test_entries_from_bench_fans_out_per_backend(self):
-        bench = {"app": "KM", "policy": "baseline", "scale": "small",
-                 "backend": "compiled", "sim_cycles_per_s": 600_000,
-                 "stages": {"simulate_best_s": 0.1},
-                 "backends": {
-                     "reference": {"sim_cycles_per_s": 40_000,
-                                   "best_s": 1.5},
-                     "vectorized": {"sim_cycles_per_s": 250_000,
-                                    "best_s": 0.24},
-                     # Duplicates the headline backend: omitted.
-                     "compiled": {"sim_cycles_per_s": 590_000,
-                                  "best_s": 0.101},
-                     "fused": {"skipped": "whatever"},
-                 }}
-        entries = entries_from_bench(bench, commit="abc1234")
-        assert [(e["backend"], e["sim_cycles_per_s"]) for e in entries] == [
-            ("compiled", 600_000), ("reference", 40_000),
-            ("vectorized", 250_000)]
-        assert all(not check_history_entry(e) for e in entries)
-
-    def test_backend_switch_does_not_cross_trigger_regressions(self):
-        """An ``auto`` resolution flip (vectorized -> compiled) starts a
-        new series; the slower vectorized trajectory and the faster
-        compiled one never compare against each other."""
-        entries = [
-            history_entry("c1", 250_000),  # backend=vectorized
-            history_entry("c2", 600_000, backend="compiled"),
-            history_entry("c2", 245_000),  # vectorized sweep leg
-            history_entry("c3", 595_000, backend="compiled"),
-        ]
-        assert detect_regressions(entries, threshold=0.20) == []
-        # ... while a genuine within-series drop still fires.
-        entries.append(history_entry("c4", 100_000, backend="compiled"))
-        regs = detect_regressions(entries, threshold=0.20)
-        assert [r["series"] for r in regs] == [
-            "KM/baseline/small/compiled"]
-
-    def test_git_commit_never_raises(self, tmp_path):
-        assert git_commit(cwd=str(tmp_path)) == "unknown"
-        assert isinstance(git_commit(), str)
 
 
 class TestCacheStatsCli:

@@ -200,8 +200,8 @@ class TestPhaseRows:
 
 
 class TestClockConfinement:
-    """The obs tier reads wall clocks only through repro.obs.clock, and
-    the determinism lint enforces that confinement."""
+    """The obs and telemetry packages read wall clocks only through
+    repro.obs.clock, and the determinism lint enforces that confinement."""
 
     def test_shipped_clock_module_is_lint_clean_but_tags_are_real(self):
         from repro.analyze.lint import lint_file, lint_source
@@ -218,9 +218,13 @@ class TestClockConfinement:
     def test_no_other_obs_module_reads_the_clock_directly(self):
         from repro.analyze.lint import lint_file
         import repro.obs as obs_pkg
+        import repro.telemetry as telemetry_pkg
 
-        pkg_dir = Path(obs_pkg.__file__).parent
-        for module in sorted(pkg_dir.glob("*.py")):
+        modules = [module
+                   for pkg in (obs_pkg, telemetry_pkg)
+                   for module in sorted(Path(pkg.__file__).parent
+                                        .glob("*.py"))]
+        for module in modules:
             if module.name == "clock.py":
                 continue
             findings = lint_file(module)
@@ -247,10 +251,12 @@ class TestClockConfinement:
         src = ("import time\n"
                "def f():\n"
                "    return time.time()  # lint: allow[wall-clock]\n")
-        for exempt in ("src/repro/obs/clock.py",
-                       "src/repro/telemetry/selfprof.py",
-                       "tools/profile_sim.py"):
+        for exempt in ("src/repro/obs/clock.py", "tools/calibrate.py"):
             assert lint_source(src, path=exempt) == [], exempt
+        # Everywhere else a tagged read is flagged, including a second
+        # clock module beside the telemetry package.
+        findings = lint_source(src, path="src/repro/telemetry/selfprof.py")
+        assert [f.tag for f in findings] == ["wall-clock-allowance"]
 
     def test_untagged_clock_read_still_fails_as_wall_clock(self):
         from repro.analyze.lint import lint_source

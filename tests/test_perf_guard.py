@@ -5,9 +5,10 @@ enable with ``REPRO_PERF=1``.  The budget is several times the current
 best-of-three (~0.13 s under the event-driven engine's fused fast step),
 so only a genuine regression — e.g. losing fast-path eligibility or
 reverting to per-cycle full warp scans — trips it, not machine noise.
-The finer-grained throughput check (>20% drop vs the committed
-``BENCH_sim.json``) lives in ``tools/profile_sim.py --check``, run by the
-CI ``perf-smoke`` job.
+The finer-grained check lives in the repository benchmark (``bench/``):
+the CI ``bench`` job compares paired base/head runs with
+``bench/compare.py`` and fails on any end-to-end metric worse than its
+``BENCHMARK.json`` bound.
 """
 
 from __future__ import annotations

@@ -1,11 +1,13 @@
 """Tests for the full-campaign driver."""
 
 import json
-from pathlib import Path
 
+from repro.config import TINY
 from repro.experiments.run_all import CAMPAIGN, run_campaign, write_report
+from repro.experiments.runner import ExperimentRunner
+from repro.obs.session import ObsSession
+from repro.obs.spans import phase_rows
 from repro.telemetry.rollup import render_rollup, rollup_results
-from repro.telemetry.selfprof import SelfProfiler
 
 
 class TestCampaignDefinition:
@@ -38,18 +40,20 @@ class TestCampaignExecution:
         assert "# FineReg reproduction" in text
         assert "fig03" in text
 
-    def test_profiled_campaign_with_rollup_report(self, tiny_runner,
-                                                  tmp_path):
-        profiler = SelfProfiler()
-        results = run_campaign(tiny_runner, modules=["fig03_cta_overhead"],
-                               profiler=profiler)
-        phases = {p["name"] for p in profiler.as_payload()["phases"]}
+    def test_profiled_campaign_with_rollup_report(self, tmp_path):
+        # A private runner: the session-wide one must not keep the session.
+        runner = ExperimentRunner(scale=TINY)
+        session = ObsSession()
+        runner.attach_obs(session)
+        results = run_campaign(runner, modules=["fig03_cta_overhead"])
+        phases = {name for __, name, __ in
+                  phase_rows(session.recorder.spans)}
         assert {"plan+prefetch", "render"} <= phases
         # Roll-up derives purely from the memoized SimResults (fig03 is
         # analytic, so simulate a pair of runs to have something to roll up).
-        tiny_runner.run("KM", "finereg")
-        tiny_runner.run("KM", "baseline")
-        rollup = rollup_results(tiny_runner.memoized_results())
+        runner.run("KM", "finereg")
+        runner.run("KM", "baseline")
+        rollup = rollup_results(runner.memoized_results())
         assert rollup["groups"]
         assert all(g["runs"] > 0 for g in rollup["groups"])
         report = tmp_path / "REPORT.md"
@@ -59,8 +63,8 @@ class TestCampaignExecution:
         assert "## Telemetry roll-up" in text
         assert "stall p50" in text
         # ... so the BENCH payload round-trips through JSON.
-        payload = profiler.as_payload()
-        payload["rollup"] = rollup
+        session.close()
+        payload = {"rollup": rollup, "obs": session.summary()}
         assert json.loads(json.dumps(payload)) == payload
 
 

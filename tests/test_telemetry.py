@@ -1,11 +1,10 @@
-"""The telemetry subsystem: registry, timelines, session, roll-up,
-self-profiling, and the observation-only guarantee."""
+"""The telemetry subsystem: registry, timelines, session, roll-up, and
+the observation-only guarantee."""
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import re
 
 import pytest
 
@@ -258,45 +257,3 @@ class TestRollup:
             percentile([], 50)
         with pytest.raises(ValueError):
             percentile([1], 150)
-
-
-# ----------------------------------------------------------------------
-# Self-profiling (the audited wall-clock exemption)
-# ----------------------------------------------------------------------
-class TestSelfProfiler:
-    def test_phases_record_and_aggregate(self):
-        from repro.telemetry.selfprof import SelfProfiler
-        prof = SelfProfiler()
-        with prof.phase("simulate") as timer:
-            timer.sim_cycles = 1000
-        with prof.phase("render"):
-            pass
-        assert [p.name for p in prof.phases] == ["simulate", "render"]
-        assert prof.total_wall_s >= 0
-        payload = prof.as_payload()
-        assert payload["phases"][0]["sim_cycles"] == 1000
-        json.dumps(payload)
-
-    def test_cycles_per_second_needs_both_inputs(self):
-        from repro.telemetry.selfprof import PhaseProfile
-        assert PhaseProfile("x", 0.5, 1000).cycles_per_second == 2000
-        assert PhaseProfile("x", 0.5, None).cycles_per_second is None
-        assert PhaseProfile("x", 0.0, 1000).cycles_per_second is None
-
-    def test_shipped_module_is_lint_clean_but_exemption_is_real(self):
-        """selfprof.py is the one allowed wall-clock reader.  The shipped
-        file must pass the determinism lint (its reads carry allow tags),
-        and a copy with the tags stripped must be flagged -- proving the
-        tags are load-bearing, not decorative."""
-        from pathlib import Path
-
-        from repro.analyze.lint import lint_file, lint_source
-        import repro.telemetry.selfprof as selfprof
-
-        path = Path(selfprof.__file__)
-        assert not lint_file(path), "shipped selfprof.py must lint clean"
-        stripped = re.sub(r"\s*# lint: allow\[wall-clock\]", "",
-                          path.read_text())
-        findings = lint_source(stripped, path="selfprof_stripped.py")
-        assert any(f.tag == "wall-clock" for f in findings), (
-            "stripping the allow tags must expose the wall-clock reads")
