@@ -27,12 +27,15 @@ conditions — then closes them over the call graph and audits the gates:
   compiled driver never calls must all appear in ``_BYPASSED_SM_ATTRS``
   (or be barred by ``fast_step_eligible``'s instance-dict scan), so an
   instance-level wrapper can never be skipped.
-* **Policy inertness derivation** — the engine-reachable base-policy
-  surface is derived from the source and closed over base/override method
-  bodies; every derived name must be checked by ``policy_inert`` (via
-  ``_INERT_POLICY_ATTRS`` or its direct attribute reads), every subclass
-  that overrides any base hook must override at least one *checked* one,
-  and stale or never-overridden entries are reported.
+* **Policy gate derivation** — the base-policy surface the C core runs
+  itself is derived from two sources: hooks the Python engines reach that
+  the compiled driver never serves (the issue hook, the idle attribution
+  inside ``accumulate``, ...), and every base body the C source marks
+  ``transcribes RegisterFilePolicy.<name>``.  Each derived name must be
+  checked by ``policy_inert`` (via ``_INERT_POLICY_ATTRS`` or its direct
+  attribute reads); stale or never-overridden entries are reported, and
+  subclasses overriding only served hooks are listed as running on the
+  compiled core.
 * **Determinism** — the launch/arbiter layer (and every audited module) is
   re-checked for unordered set iteration, and every ``sorted``/``min``/
   ``max`` key lambda must break ties on a unique id attribute.
@@ -61,6 +64,8 @@ from typing import (Dict, FrozenSet, Iterable, List, Mapping, Optional,
                     Sequence, Set, Tuple)
 
 from repro.analyze.lint import lint_source
+import re
+
 from repro.sim.compiled import (_BYPASSED_SM_ATTRS, _INERT_POLICY_ATTRS,
                                 instance_overrides)
 from repro.validate.findings import Finding, FindingReport, Severity
@@ -95,6 +100,12 @@ POLICY_MODULE_FILES = {
     "policies.unified_memory": "policies/unified_memory.py",
 }
 MODULE_FILES = {**SIM_MODULE_FILES, **POLICY_MODULE_FILES}
+#: The C core, scanned for its base-policy transcription markers.
+CORE_C_FILE = "sim/_ckernel.c"
+_TRANSCRIBES = re.compile(r"transcribes\s+RegisterFilePolicy\.(\w+)")
+#: The compiled driver's gate functions (refusal checks, not served ops).
+_GATE_FUNCTIONS = ("policy_refusal", "policy_inert", "compiled_refusal",
+                   "compiled_run_eligible")
 
 #: Receiver namespaces with a backing class.
 _NAMESPACE_CLASSES = {
@@ -159,9 +170,9 @@ _UNIQUE_ID_ATTRS = frozenset({
 class EffectsConfig:
     """Inputs of one audit run.
 
-    ``sources`` maps module keys (``sim.sm`` ...) to python source text;
-    the self-test overrides individual entries to inject faults without
-    touching the tree.  The gate tuples default to the live values
+    ``sources`` maps module keys (``sim.sm`` ...) to python source text
+    and ``core_source`` is the C core's source; the self-test overrides
+    individual entries to inject faults without touching the tree.  The gate tuples default to the live values
     imported from :mod:`repro.sim.compiled`, so editing the real gate is
     immediately visible to the audit.
     """
@@ -170,6 +181,7 @@ class EffectsConfig:
     paths: Mapping[str, str]
     bypassed_sm_attrs: Tuple[str, ...] = _BYPASSED_SM_ATTRS
     inert_policy_attrs: Tuple[str, ...] = _INERT_POLICY_ATTRS
+    core_source: str = ""
 
 
 def default_effects_config() -> EffectsConfig:
@@ -179,7 +191,9 @@ def default_effects_config() -> EffectsConfig:
         path = _REPRO_ROOT / rel
         sources[key] = path.read_text()
         paths[key] = f"src/repro/{rel}"
-    return EffectsConfig(sources=sources, paths=paths)
+    return EffectsConfig(
+        sources=sources, paths=paths,
+        core_source=(_REPRO_ROOT / CORE_C_FILE).read_text())
 
 
 # ----------------------------------------------------------------------
@@ -562,11 +576,9 @@ def _audit_compiled(index: _CodeIndex) -> List[Finding]:
         for node in index.lookup("sm", step):
             for name in sorted(sm_refs(index.summarize(node, "sm"))):
                 sites.setdefault(name, f"SM.{step}")
-    # policy_inert is called by bare name (invisible to receiver
-    # resolution); seed it explicitly.
-    seeds = [("comp", name) for name in ("run_compiled",
-                                         "compiled_run_eligible",
-                                         "policy_inert")]
+    # The gate functions are called by bare name (invisible to receiver
+    # resolution); seed them explicitly.
+    seeds = [("comp", name) for name in ("run_compiled",) + _GATE_FUNCTIONS]
     seeds += [("comp", mname) for info in comp.classes.values()
               for mname in sorted(info.methods)]
     compiled = _closure(index, seeds, frozenset({"gpu", "comp"}),
@@ -599,7 +611,7 @@ def _audit_compiled(index: _CodeIndex) -> List[Finding]:
 
 
 # ----------------------------------------------------------------------
-# Audit (c): policy inertness derivation
+# Audit (c): policy gate derivation
 # ----------------------------------------------------------------------
 def _policy_ns_names(effects: _EffectMap) -> Set[str]:
     return {name for (ns, name) in effects
@@ -607,7 +619,7 @@ def _policy_ns_names(effects: _EffectMap) -> Set[str]:
 
 
 def _engine_policy_refs(index: _CodeIndex) -> Set[str]:
-    """Base-policy attributes referenced anywhere in the engine layer."""
+    """Base-policy attributes the Python engines reference (SM and GPU)."""
     refs: Set[str] = set()
     for ns in ("sm", "gpu"):
         info = index.cls(ns)
@@ -616,9 +628,41 @@ def _engine_policy_refs(index: _CodeIndex) -> Set[str]:
         for nodes in info.methods.values():
             for node in nodes:
                 refs |= _policy_ns_names(index.summarize(node, ns))
-    for node in index.modules["sim.compiled"].functions.values():
-        refs |= _policy_ns_names(index.summarize(node, None))
     return refs
+
+
+def _policy_closure(index: _CodeIndex, names: Set[str],
+                    family: Dict[str, Tuple[str, _ClassInfo]],
+                    stop: Set[str] = frozenset()) -> Set[str]:
+    """``names`` plus every policy name the base or override bodies of a
+    reached method reference (``stop`` names are reached, not entered)."""
+    reached = set(names)
+    work = deque(sorted(reached - set(stop)))
+    while work:
+        mname = work.popleft()
+        for _, info in family.values():
+            for node in info.methods.get(mname, []):
+                for name in _policy_ns_names(index.summarize(node, "policy")):
+                    if name not in reached:
+                        reached.add(name)
+                        if name not in stop:
+                            work.append(name)
+    return reached
+
+
+def _served_policy_refs(index: _CodeIndex,
+                        family: Dict[str, Tuple[str, _ClassInfo]]
+                        ) -> Set[str]:
+    """Policy names the compiled driver's served ops reach: its own calls
+    through the GPU/SM surface (``_finish_warp`` -> ``on_cta_finished``
+    ...), closed over every policy body those calls run in Python."""
+    comp = index.modules["sim.compiled"]
+    seeds = [("comp", "run_compiled")]
+    seeds += [("comp", mname) for info in comp.classes.values()
+              for mname in sorted(info.methods)]
+    reached = _closure(index, seeds, frozenset({"gpu", "comp", "sm"}),
+                       skip=frozenset({("gpu", "_run_event")}))
+    return _policy_closure(index, _policy_ns_names(reached), family)
 
 
 def _audit_inert(index: _CodeIndex) -> List[Finding]:
@@ -636,38 +680,33 @@ def _audit_inert(index: _CodeIndex) -> List[Finding]:
 
     # Names the gate functions inspect directly on the instance.
     direct: Set[str] = set()
-    for fn in ("policy_inert", "compiled_run_eligible"):
+    for fn in _GATE_FUNCTIONS:
         for node in index.lookup("comp", fn):
             direct |= _policy_ns_names(index.summarize(node, None))
-    covered = set(config.inert_policy_attrs) | direct | set(_INERT_EXEMPT)
+    skipped = direct | set(_INERT_EXEMPT)
 
-    # Required = engine-referenced base surface, closed over the bodies of
-    # required-named methods in the base class and every subclass (an
-    # override of a required hook may route through further base hooks).
-    required = {name for name in _engine_policy_refs(index)
-                if name in base_names} - direct - set(_INERT_EXEMPT)
-    changed = True
-    while changed:
-        changed = False
-        for cname, (_, info) in family.items():
-            for mname, nodes in info.methods.items():
-                if mname not in required:
-                    continue
-                for node in nodes:
-                    for name in _policy_ns_names(
-                            index.summarize(node, "policy")):
-                        if (name in base_names and name not in required
-                                and name not in direct
-                                and name not in _INERT_EXEMPT):
-                            required.add(name)
-                            changed = True
+    # Required = hooks the Python engines reach but no served op does (the
+    # C core replaces their call sites), plus every base body the C source
+    # marks as transcribed; closed over the bodies of required methods
+    # (an override may route through further base hooks) short of what the
+    # served ops run in Python anyway.
+    served = _served_policy_refs(index, family)
+    transcribed = set(_TRANSCRIBES.findall(config.core_source))
+    required = ((_engine_policy_refs(index) - served) | transcribed) \
+        & base_names
+    required = (_policy_closure(index, required, family, stop=served)
+                & base_names) - skipped
 
     for name in sorted(required - set(config.inert_policy_attrs)):
+        origin = ("the C core transcribes its base body"
+                  if name in transcribed else
+                  "the Python engines call it where the C core does not")
         findings.append(_finding(
             "inert-gate-missing", HIGH,
-            f"base-policy attribute {name!r} is engine-reachable but "
-            f"policy_inert does not check it; a subclass overriding only "
-            f"{name!r} would wrongly pass the inertness gate — add it to "
+            f"base-policy attribute {name!r} is part of the surface the "
+            f"C core runs itself ({origin}) but policy_inert does not "
+            f"check it; a subclass overriding {name!r} would be silently "
+            f"ignored on the compiled core — add it to "
             f"_INERT_POLICY_ATTRS", comp_path, line))
     for name in config.inert_policy_attrs:
         if name not in base_names:
@@ -677,8 +716,9 @@ def _audit_inert(index: _CodeIndex) -> List[Finding]:
                 f"RegisterFilePolicy; the identity check compares a name "
                 f"that cannot be overridden", comp_path, line))
 
-    # Per-subclass: overriding any base hook without touching a checked
-    # one means policy_inert cannot tell the subclass from the base.
+    # Per-subclass: which policies the gate admits (every override is a
+    # served hook) and which entries no subclass overrides.
+    checked = set(config.inert_policy_attrs) | skipped
     overridden_entries: Set[str] = set()
     for cname, (mkey, info) in sorted(family.items()):
         if cname == "RegisterFilePolicy":
@@ -692,31 +732,23 @@ def _audit_inert(index: _CodeIndex) -> List[Finding]:
                 inherited |= family[cursor][1].body_names
             cursor = next((b for b in family[cursor][1].bases
                            if b in family), None)
-        base_overrides = (inherited & base_names) - set(_INERT_EXEMPT)
-        checked = base_overrides & covered
+        base_overrides = {name for name in inherited & base_names
+                          if not name.startswith("__")} - set(_INERT_EXEMPT)
         overridden_entries |= base_overrides & set(config.inert_policy_attrs)
-        path = index.modules[mkey].path
-        if base_overrides and not checked:
-            findings.append(_finding(
-                "inert-unguarded-policy", HIGH,
-                f"{cname} overrides base-policy surface "
-                f"({', '.join(sorted(base_overrides))}) but none of it is "
-                f"checked by policy_inert; the compiled backend would "
-                f"treat it as the base no-op policy", path,
-                info.lineno))
-        elif not base_overrides:
+        if not base_overrides & checked:
             findings.append(_finding(
                 "inert-policy-passthrough", LOW,
-                f"{cname} overrides no base-policy behaviour and passes "
-                f"policy_inert by design", path, info.lineno))
+                f"{cname} overrides only served hooks "
+                f"({', '.join(sorted(base_overrides)) or 'none'}) and runs "
+                f"on the compiled core", index.modules[mkey].path,
+                info.lineno))
     for name in config.inert_policy_attrs:
         if name in base_names and name not in overridden_entries:
             findings.append(_finding(
                 "inert-gate-candidate", LOW,
                 f"_INERT_POLICY_ATTRS entry {name!r} is overridden by no "
-                f"current subclass; still engine-reachable, but a "
-                f"narrowing candidate if the surface shrinks", comp_path,
-                line))
+                f"current subclass; still required, but no shipped policy "
+                f"is refused for it", comp_path, line))
     return findings
 
 

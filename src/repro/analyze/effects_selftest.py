@@ -4,9 +4,9 @@ Mirror of :mod:`repro.analyze.selftest`, one layer deeper: each
 :class:`SeededFault` builds an :class:`~repro.analyze.effects.EffectsConfig`
 with exactly one soundness hole injected — a phantom hook read on the
 reference path, a gate entry dropped, an unordered iteration or a
-degenerate sort key seeded into the dispatch arbiter, a policy subclass
-overriding only unchecked surface — without ever touching the tree (the
-faults live in in-memory source overrides).  The harness asserts
+degenerate sort key seeded into the dispatch arbiter, a policy hook the
+C core would silently skip — without ever touching the tree (the faults
+live in in-memory source overrides).  The harness asserts
 ``audit_effects`` reports a finding carrying that case's tag at the
 expected severity; an auditor that passes the real tree but also passes
 these is a gate that gates nothing.
@@ -52,7 +52,7 @@ def _inject(config: EffectsConfig, key: str, anchor: str,
 
 
 # ----------------------------------------------------------------------
-# The seven injections
+# The eight injections
 # ----------------------------------------------------------------------
 def _phantom_issue_hook() -> EffectsConfig:
     """A new hook read in ``_try_issue`` that ``fast_step_eligible``
@@ -86,11 +86,13 @@ def _dropped_compiled_entry() -> EffectsConfig:
 
 
 def _dropped_inert_entry() -> EffectsConfig:
-    """``on_tick`` removed from ``_INERT_POLICY_ATTRS``: a policy
-    overriding only ``on_tick`` would wrongly pass ``policy_inert``."""
+    """``classify_idle`` removed from ``_INERT_POLICY_ATTRS``: a policy
+    overriding it would pass ``policy_inert`` while the C core keeps
+    attributing idle cycles with the base body."""
     config = default_effects_config()
     return replace(config, inert_policy_attrs=tuple(
-        name for name in config.inert_policy_attrs if name != "on_tick"))
+        name for name in config.inert_policy_attrs
+        if name != "classify_idle"))
 
 
 def _unordered_dispatch_iteration() -> EffectsConfig:
@@ -102,21 +104,39 @@ def _unordered_dispatch_iteration() -> EffectsConfig:
 
 
 def _phantom_policy_override() -> EffectsConfig:
-    """A policy subclass overriding only surface ``policy_inert`` never
-    checks — it would be treated as the base no-op policy."""
-    extra = (
+    """A new policy hook called from ``SM._on_long_block`` (a site the C
+    core inlines) and overridden by a subclass, without widening the gate:
+    the compiled core would never call the override."""
+    anchor = "            self._policy.on_cta_stalled(cta, now)\n"
+    config = _inject(default_effects_config(), "sim.sm", anchor,
+                     anchor + "            self._policy.on_phantom_stall("
+                     "cta, now)\n")
+    hook = ("    def on_phantom_stall(self, cta, now: int) -> None:\n"
+            "        \"\"\"Seeded fault: engine-only hook.\"\"\"\n\n")
+    anchor = "    def on_issue(self, warp, static_index: int, now: int) -> bool:\n"
+    config = _inject(config, "policies.base", anchor, hook + anchor)
+    override = (
         "\n\n"
-        "class PhantomTelemetryPolicy(RegisterFilePolicy):\n"
-        "    \"\"\"Seeded fault: overrides only unchecked base surface.\"\"\"\n"
+        "class PhantomStallPolicy(RegisterFilePolicy):\n"
+        "    \"\"\"Seeded fault: overrides only the phantom hook.\"\"\"\n"
         "\n"
-        "    name = \"phantom_telemetry\"\n"
+        "    name = \"phantom_stall\"\n"
         "\n"
-        "    def telemetry_levels(self):\n"
-        "        return {\"phantom\": 1}\n")
-    config = default_effects_config()
+        "    def on_phantom_stall(self, cta, now):\n"
+        "        self.rf_used_entries += 1\n")
     sources = dict(config.sources)
-    sources["policies.base"] = sources["policies.base"] + extra
+    sources["policies.base"] += override
     return replace(config, sources=sources)
+
+
+def _phantom_core_transcription() -> EffectsConfig:
+    """The C core starts running a base-policy body itself (here the
+    telemetry levels) without the gate pinning it to the base: a policy
+    overriding it would be silently ignored on the compiled core."""
+    config = default_effects_config()
+    return replace(config, core_source=(
+        config.core_source
+        + "\n/* transcribes RegisterFilePolicy.telemetry_levels */\n"))
 
 
 def _degenerate_tiebreak() -> EffectsConfig:
@@ -140,16 +160,21 @@ SEEDED_FAULTS: Tuple[SeededFault, ...] = (
                 "_on_long_block removed from _BYPASSED_SM_ATTRS",
                 _dropped_compiled_entry),
     SeededFault("dropped_inert_entry", "inert-gate-missing", Severity.ERROR,
-                "on_tick removed from _INERT_POLICY_ATTRS",
+                "classify_idle removed from _INERT_POLICY_ATTRS",
                 _dropped_inert_entry),
     SeededFault("unordered_dispatch_iteration", "set-iteration",
                 Severity.ERROR,
                 "arbiter dispatch loop iterates a set",
                 _unordered_dispatch_iteration),
-    SeededFault("phantom_policy_override", "inert-unguarded-policy",
+    SeededFault("phantom_policy_override", "inert-gate-missing",
                 Severity.ERROR,
-                "policy subclass overriding only unchecked base surface",
+                "policy hook called only where the C core inlines, "
+                "overridden by a subclass, gate not widened",
                 _phantom_policy_override),
+    SeededFault("phantom_core_transcription", "inert-gate-missing",
+                Severity.ERROR,
+                "C core transcribes a base-policy body the gate does not "
+                "pin", _phantom_core_transcription),
     SeededFault("degenerate_tiebreak", "unstable-tiebreak",
                 Severity.WARNING,
                 "arbiter sort key loses its unique-id tie-break",

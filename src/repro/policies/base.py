@@ -21,7 +21,7 @@ from typing import List, Optional, TYPE_CHECKING
 
 from repro.sim.cta import CTASim, CTAState
 from repro.sim.tracing import EventKind
-from repro.sim.warp import FOREVER
+from repro.sim.warp import FOREVER, WarpState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.sm import StreamingMultiprocessor
@@ -67,7 +67,20 @@ class PendingTracker:
         return cta
 
     def has_ready(self, now: int) -> bool:
-        return bool(self.ready_ctas(now))
+        """``bool(ready_ctas(now))`` without rebuilding the ready list.
+
+        Every reader of ``_ready`` filters it first, so leaving entries
+        that left PENDING for the next ``ready_ctas`` to drop changes no
+        result; with ``_ready`` empty and the heap top later than ``now``
+        the answer is False without touching anything.
+        """
+        heap = self._heap
+        if heap and heap[0][0] <= now:
+            self.drain_ready(now)
+        for cta in self._ready:
+            if cta.state is CTAState.PENDING:
+                return True
+        return False
 
     def next_ready_time(self) -> int:
         return self._heap[0][0] if self._heap else FOREVER
@@ -213,24 +226,50 @@ class RegisterFilePolicy:
         already done so, so any fully stalled CTA can be parked with zero
         opportunity cost.  A short cooldown bounds the rescan cost while one
         SM idles and another keeps the global clock ticking cycle by cycle.
+
+        The stalled set is computed once here: with none to park, the
+        cooldown is armed without calling the subclass (which could only
+        have found nothing to do), so the compiled core can make the same
+        decision from its own warp state and skip the call.
         """
         if now < self._next_idle_check:
             return
-        if not self._act_on_idle(now):
+        stalled = self.stalled_active_ctas(now)
+        if not stalled or not self._act_on_idle(now, stalled):
             self._next_idle_check = now + 16
 
-    def _act_on_idle(self, now: int) -> bool:
-        """Subclass hook: try to switch CTAs; return True if anything moved."""
+    def _act_on_idle(self, now: int, stalled) -> bool:
+        """Subclass hook: try to switch out the ``stalled`` CTAs (a
+        non-empty list from :meth:`stalled_active_ctas`); return True if
+        anything moved."""
         return False
 
     def stalled_active_ctas(self, now: int):
-        """Active CTAs that are completely stalled and worth parking."""
+        """Active CTAs that are completely stalled and worth parking.
+
+        One pass per CTA computes ``cta.fully_stalled(now,
+        min_remaining=1) and cta.earliest_resume(now) - now >=
+        min_park_cycles``: every unfinished warp blocked past ``now``, and
+        the earliest ``blocked_until`` (finished warps read FOREVER) far
+        enough away.
+        """
         threshold = self.config.min_park_cycles
         out = []
         for cta in self.sm.active_ctas:
-            if cta.fully_stalled(now, min_remaining=1) and \
-                    cta.earliest_resume(now) - now >= threshold:
-                out.append(cta)
+            earliest = FOREVER
+            unfinished = False
+            for warp in cta.warps:
+                b = warp.blocked_until
+                if b < earliest:
+                    earliest = b
+                if warp.state is WarpState.FINISHED:
+                    continue
+                unfinished = True
+                if b <= now:
+                    break
+            else:
+                if unfinished and earliest - now >= threshold:
+                    out.append(cta)
         return out
 
     def on_issue(self, warp, static_index: int, now: int) -> bool:
@@ -270,17 +309,27 @@ class RegisterFilePolicy:
         }
 
     def next_event(self, now: int) -> int:
-        """Earliest cycle a policy-driven event (pending ready) can fire."""
+        """Earliest cycle a policy-driven event (pending ready) can fire.
+
+        Two rules let the engines cache the value: it changes only inside
+        a hook (``fill`` / ``on_cta_*`` / ``on_tick`` / ``on_idle``), and
+        calling it after a hook never mutates state.
+        """
         return FOREVER
 
     def wake_time(self, now: int) -> int:
         """Event engine: earliest executed cycle ``on_tick`` could act.
 
-        Consulted (after ``on_tick`` already ran at ``now``) only for
-        policies that override ``on_tick``; returning ``now + 1`` disables
-        skipping.  Must be conservative: between ``now`` and the returned
-        cycle, ``on_tick`` has to be an observable no-op given the SM's
-        frozen state.
+        Consulted (after ``on_tick`` already ran at ``now``, or after a
+        later hook of the same cycle) only for policies that override
+        ``on_tick``; returning ``now + 1`` disables skipping.  Must be
+        conservative: between ``now`` and the returned cycle, ``on_tick``
+        has to be an observable no-op given the SM's frozen state.
+
+        The same two rules as :meth:`next_event` hold: the value changes
+        only inside a hook, and calling it after a hook never mutates
+        state -- a :class:`PendingTracker` drain at or below the heap top
+        the hook already drained pops nothing.
         """
         return FOREVER
 

@@ -118,10 +118,10 @@ class FineRegPolicy(RegisterFilePolicy):
     # ------------------------------------------------------------------
     # Core event: an active CTA completely stalled.
     # ------------------------------------------------------------------
-    def _act_on_idle(self, now: int) -> bool:
+    def _act_on_idle(self, now: int, stalled) -> bool:
         """The SM starves: move stalled live sets to the PCRF and refill."""
         acted = False
-        for cta in self.stalled_active_ctas(now):
+        for cta in stalled:
             if not self._try_switch_out(cta, now):
                 break
             acted = True
@@ -326,11 +326,6 @@ class FineRegPolicy(RegisterFilePolicy):
         return self.pending.next_ready_time()
 
     # ------------------------------------------------------------------
-    def classify_idle(self, dt: int) -> str:
-        if self._blocked_on_rf:
-            return "rf"
-        return "other"
-
     def telemetry_levels(self) -> dict:
         return {
             "acrf_free": self.acrf.free,

@@ -42,9 +42,9 @@ class RegDRAMPolicy(VirtualThreadPolicy):
         self.context_restores = 0
 
     # ------------------------------------------------------------------
-    def _act_on_idle(self, now: int) -> bool:
+    def _act_on_idle(self, now: int, stalled) -> bool:
         acted = False
-        for cta in self.stalled_active_ctas(now):
+        for cta in stalled:
             # On-chip options first (plain Virtual Thread behaviour).  Any
             # swap must keep the active region within the Table-I limits:
             # a partially-retired CTA frees fewer slots than a full

@@ -36,10 +36,10 @@ class VirtualThreadPolicy(RegisterFilePolicy):
                 and self.register_space_for_launch())
 
     # ------------------------------------------------------------------
-    def _act_on_idle(self, now: int) -> bool:
+    def _act_on_idle(self, now: int, stalled) -> bool:
         """The SM starves: swap out stalled CTAs for runnable work."""
         acted = False
-        for cta in self.stalled_active_ctas(now):
+        for cta in stalled:
             # A partially-retired CTA frees fewer warp slots than a full
             # incoming one needs; only swap when the result stays legal.
             candidate = self._pop_ready_swap(self.pending, cta, now)

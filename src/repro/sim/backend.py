@@ -13,13 +13,16 @@ executes a run:
   (``_step_fast``) for SMs that pass ``fast_step_eligible()``; ineligible
   SMs transparently fall back to the reference step.  This is the
   toolchain-free default.
-* ``compiled`` — ``_step_fast``'s issue loop lowered into the
-  ``repro.sim._ckernel`` C extension and driven per SM, merged at shared
-  operations (:mod:`repro.sim.compiled`); the extension is built
-  best-effort at install time.  Run-level eligibility is conservative
-  (inert policy, hook-free SMs); ineligible runs degrade to ``fused``
-  automatically, so selecting ``compiled`` is always safe when the
-  extension is importable.
+* ``compiled`` — the event engine's cycle loop and ``_step_fast``'s
+  issue loop lowered into the ``repro.sim._ckernel`` C extension on one
+  global clock, with shared memory accesses, warp finishes and policy
+  hooks served as ops through the real Python objects
+  (:mod:`repro.sim.compiled`); the extension is built best-effort at
+  install time.  Refused runs (instrumentation, concurrent launches, an
+  issue-hook policy, instance wrappers on inlined surface) degrade to
+  ``fused`` automatically and record why in ``gpu.engine_refusal``, so
+  selecting ``compiled`` is always safe when the extension is
+  importable.
 
 Selection order: an explicit ``engine=`` argument to ``GPU.run`` wins, then
 the ``REPRO_ENGINE`` environment variable, then ``auto`` (compiled when the

@@ -100,6 +100,10 @@ class GPU:
         # Backend that actually drove the last run() ("dense", "reference",
         # "fused" or "compiled"); None before the first run.
         self.engine_used = None
+        # First check that refused the last run() on the compiled core
+        # (e.g. "policy-hook:on_issue"); None when it ran there or was not
+        # asked.  Observation only: never part of SimResult.
+        self.engine_refusal = None
         if hasattr(self.address_model, "warm_l2"):
             self.address_model.warm_l2(self.hierarchy.l2)
         self.completed_ctas = 0
@@ -149,7 +153,8 @@ class GPU:
         dense oracle override ``REPRO_DENSE_STEP=1`` beats everything.
         Every backend is observably identical; ``engine_used`` records
         which driver actually ran (``compiled`` falls back to the event
-        engine when the run is not decoupling-eligible).
+        engine when the C core refuses the run, and ``engine_refusal``
+        names the check that refused it).
         """
         # The hot loop allocates heavily (heap entries, scoreboard cycle
         # ints) but retains almost none of it, so generational GC passes
@@ -157,6 +162,7 @@ class GPU:
         was_enabled = gc.isenabled()
         if was_enabled:
             gc.disable()
+        self.engine_refusal = None
         try:
             if os.environ.get("REPRO_DENSE_STEP") == "1":
                 self.engine_used = "dense"
@@ -290,9 +296,8 @@ class GPU:
                         sm._policy.on_idle(now)
                     w = sm._sched_sleep
                     if w > now + 1:
-                        for cta in sm.transit_ctas:
-                            if cta.transit_until < w:
-                                w = cta.transit_until
+                        if sm._transit_min < w:
+                            w = sm._transit_min
                         if sm._needs_tick:
                             t = sm._policy.wake_time(now)
                             if t < w:
@@ -368,9 +373,8 @@ class GPU:
                 # again, from post-step/post-on_idle state.
                 w = sm._sched_sleep
                 if w > now + 1:
-                    for cta in sm.transit_ctas:
-                        if cta.transit_until < w:
-                            w = cta.transit_until
+                    if sm._transit_min < w:
+                        w = sm._transit_min
                     if sm._needs_tick:
                         t = sm._policy.wake_time(now)
                         if t < w:

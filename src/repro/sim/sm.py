@@ -64,6 +64,12 @@ class StreamingMultiprocessor:
         self.active_ctas: List[CTASim] = []
         self.pending_ctas: List[CTASim] = []
         self.transit_ctas: List[CTASim] = []
+        # Earliest ``transit_until`` over ``transit_ctas`` (FOREVER when
+        # none): the cycle the next switch settles.  Kept by the only
+        # ``begin_transit`` callers (deactivate_cta / activate_cta) and by
+        # ``_settle_transits``, so the step skips the settle scan until it
+        # is due.
+        self._transit_min = FOREVER
         self.stats = SMStats()
         self.shmem_used = 0
         self._active_warps = 0
@@ -353,6 +359,8 @@ class StreamingMultiprocessor:
         self._detach_warps(cta)
         cta.begin_transit(now + latency, CTAState.PENDING)
         self.transit_ctas.append(cta)
+        if now + latency < self._transit_min:
+            self._transit_min = now + latency
         self.stats.cta_switch_events += 1
         self.stats.switch_out_overhead_cycles += latency
         if self._kstats is not None:
@@ -368,6 +376,8 @@ class StreamingMultiprocessor:
         self.pending_ctas.remove(cta)
         cta.begin_transit(now + latency, CTAState.ACTIVE)
         self.transit_ctas.append(cta)
+        if now + latency < self._transit_min:
+            self._transit_min = now + latency
         self._incoming_ctas += 1
         self._incoming_warps += cta.launch.warps_per_cta
         self._incoming_threads += cta.launch.threads_per_cta
@@ -418,7 +428,7 @@ class StreamingMultiprocessor:
     # ------------------------------------------------------------------
     def step(self, now: int) -> int:
         """Advance one cycle; returns the number of instructions issued."""
-        if self.transit_ctas:
+        if now >= self._transit_min:
             self._settle_transits(now)
         if self._needs_tick:
             self._policy.on_tick(now)
@@ -477,11 +487,12 @@ class StreamingMultiprocessor:
 
         This method is the spec of the compiled backend's C core
         (``Core.resume`` in ``repro/sim/_ckernel.c``), which carries a
-        line-for-line transcription of this issue loop (plus merge points
-        before shared operations); any change here must be mirrored there
-        — the engine differential suite catches divergence.
+        line-for-line transcription of this issue loop (returning to
+        Python at an op before every shared operation and policy hook);
+        any change here must be mirrored there — the engine differential
+        suite catches divergence.
         """
-        if self.transit_ctas:
+        if now >= self._transit_min:
             self._settle_transits(now)
         if self._needs_tick:
             self._policy.on_tick(now)
@@ -810,6 +821,7 @@ class StreamingMultiprocessor:
 
     def _settle_transits(self, now: int) -> None:
         remaining = []
+        earliest = FOREVER
         for cta in self.transit_ctas:
             if cta.settle_transit(now):
                 self._lvl_dirty = True
@@ -825,7 +837,10 @@ class StreamingMultiprocessor:
                     self.pending_ctas.append(cta)
             else:
                 remaining.append(cta)
+                if cta.transit_until < earliest:
+                    earliest = cta.transit_until
         self.transit_ctas = remaining
+        self._transit_min = earliest
 
     # ------------------------------------------------------------------
     # Instruction issue (the hot path)
@@ -1068,9 +1083,8 @@ class StreamingMultiprocessor:
                     blocked = b
         if blocked < FOREVER:
             earliest = blocked if blocked > now else now
-        for cta in self.transit_ctas:
-            if cta.transit_until < earliest:
-                earliest = cta.transit_until
+        if self._transit_min < earliest:
+            earliest = self._transit_min
         if self._policy is not None:
             t = self._policy.next_event(now)
             if t < earliest:
@@ -1097,9 +1111,8 @@ class StreamingMultiprocessor:
             earliest = ss if ss > now else now
         else:
             earliest = FOREVER
-        for cta in self.transit_ctas:
-            if cta.transit_until < earliest:
-                earliest = cta.transit_until
+        if self._transit_min < earliest:
+            earliest = self._transit_min
         policy = self._policy
         if policy is not None:
             t = policy.next_event(now)

@@ -10,8 +10,9 @@ The acceptance contract of the auditor (docs/ANALYZE.md):
   compiled driver calls itself) are flagged so the gates cannot silently
   rot into allowlists of dead names;
 * every seeded fault of the self-test is detected at its severity;
-* every shipped policy subclass overrides at least one checked attr, so
-  ``policy_inert`` can never misclassify it as the base no-op policy.
+* the gate the C core relies on refuses exactly the shipped policy that
+  overrides surface the core runs itself (vt_regmutex) and admits every
+  other, whose hooks it serves as ops.
 """
 
 from dataclasses import replace
@@ -25,7 +26,7 @@ from repro.analyze.effects import (
 from repro.analyze.effects_selftest import SEEDED_FAULTS, run_seeded_fault
 from repro.analyze.lint import default_lint_paths, default_lint_root
 from repro.policies.base import RegisterFilePolicy
-from repro.policies.baseline import BaselinePolicy
+from repro.policies.regmutex import RegMutexPolicy
 from repro.sim.compiled import (
     _BYPASSED_SM_ATTRS,
     _INERT_POLICY_ATTRS,
@@ -161,27 +162,30 @@ class TestSeededFaults:
 
 
 class TestPolicyFamily:
-    """Runtime cross-check of the audit's inertness derivation."""
+    """Runtime cross-check of the audit's gate derivation."""
 
-    def test_every_subclass_overrides_a_checked_attr(self):
-        base_surface = set(vars(RegisterFilePolicy))
+    def test_only_regmutex_overrides_a_checked_attr(self):
         for cls in _all_policy_subclasses():
-            overridden = set()
-            for klass in cls.__mro__:
-                if klass is RegisterFilePolicy:
-                    break
-                overridden.update(vars(klass))
-            surface = overridden & base_surface - {
-                "name", "__doc__", "__module__", "__qualname__"}
-            if not surface:
-                # BaselinePolicy: a pure passthrough is inert by
-                # construction and needs no gate entry.
-                assert cls is BaselinePolicy
-                continue
-            checked = surface & set(_INERT_POLICY_ATTRS)
-            assert checked, (
-                f"{cls.__name__} overrides only unchecked base surface "
-                f"{sorted(surface)}; policy_inert would misclassify it")
+            checked = {name for name in _INERT_POLICY_ATTRS
+                       if getattr(cls, name)
+                       is not getattr(RegisterFilePolicy, name)}
+            if cls is RegMutexPolicy:
+                # The issue hook and the stateful SRP attribution.
+                assert checked == {"on_issue", "classify_idle"}
+                assert cls.needs_issue_hook
+            else:
+                assert not checked, (
+                    f"{cls.__name__} overrides {sorted(checked)}, surface "
+                    f"the compiled core runs itself")
+                assert not cls.needs_issue_hook
+
+    def test_audit_lists_the_admitted_policies(self):
+        report = audit_effects()
+        admitted = {f.message.split()[0]
+                    for f in report.by_tag("inert-policy-passthrough")}
+        assert admitted == {"BaselinePolicy", "VirtualThreadPolicy",
+                            "FineRegPolicy", "AdaptiveFineRegPolicy",
+                            "RegDRAMPolicy"}
 
     def test_family_matches_audit_expectations(self):
         names = {cls.__name__ for cls in _all_policy_subclasses()}

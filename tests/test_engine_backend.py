@@ -10,12 +10,16 @@ contract itself:
   -> fused) when the C extension is missing; an *explicit* request for
   an unavailable backend raises ``EngineUnavailableError``,
 * run-level compiled eligibility: instrumented runs (sanitizer,
-  telemetry, tracers), non-GTO scheduling, non-inert policies and
+  telemetry, tracers), non-GTO scheduling, policies overriding the
+  surface the C core runs itself (vt_regmutex's issue hook) and
   instance-level wrappers on the surface the C core inlines must all
-  fail ``compiled_run_eligible``.  The gate is pure Python, so those
-  checks run without the extension; with it built, the runs must then
-  degrade to the next backend down rather than take the C core —
-  ``gpu.engine_used`` records what actually executed.
+  fail ``compiled_run_eligible``, and ``compiled_refusal`` names the
+  first check that refused; every other policy's hooks are served as
+  ops and must be admitted.  The gate is pure Python, so those checks
+  run without the extension; with it built, refused runs must degrade
+  to the next backend down rather than take the C core —
+  ``gpu.engine_used`` records what actually executed and
+  ``gpu.engine_refusal`` why.
 
 Bit-identity of the backends themselves is pinned separately by
 tests/test_engine_differential.py.
@@ -30,8 +34,8 @@ from repro.experiments.runner import POLICIES
 from repro.sim import backend
 from repro.sim.backend import (EngineUnavailableError, parse_engine,
                                select_backend)
-from repro.sim.compiled import (_BYPASSED_SM_ATTRS, compiled_run_eligible,
-                                policy_inert)
+from repro.sim.compiled import (_BYPASSED_SM_ATTRS, compiled_refusal,
+                                compiled_run_eligible, policy_inert)
 from repro.sim.gpu import GPU
 from repro.workloads.generator import build_workload
 from repro.workloads.suite import get_spec
@@ -128,6 +132,12 @@ INELIGIBLE_RUNS = [
     ("telemetry", "reference"),
     ("lrr", "reference"),         # the fused step hard-codes GTO's scan
 ]
+#: The first failed check ``compiled_refusal`` reports for each.
+REFUSAL_REASONS = {"sanitizer": "sanitizer", "cta_tracer": "tracer",
+                   "telemetry": "telemetry", "lrr": "fast-step"}
+#: Policies whose hooks the C core serves as ops (all but vt_regmutex,
+#: whose issue hook and stateful idle attribution it cannot run).
+SERVED_POLICIES = sorted(p for p in POLICIES if p != "vt_regmutex")
 
 
 def build_ineligible_gpu(reason: str) -> GPU:
@@ -139,8 +149,8 @@ def build_ineligible_gpu(reason: str) -> GPU:
         attach_sanitizer(gpu)
     elif reason == "cta_tracer":
         # A CTA-level tracer only observes launch/retire, so the fused
-        # step stays eligible -- but per-SM issue loops would scramble the
-        # global order of its records, hence the run-level refusal.
+        # step stays eligible -- but tracers stay refused by the C core
+        # as a whole, hence the run-level refusal.
         from repro.sim.tracing import attach_tracer
         attach_tracer(gpu, level="cta")
     else:
@@ -151,26 +161,55 @@ def build_ineligible_gpu(reason: str) -> GPU:
 
 @pytest.mark.parametrize("reason", [r for r, __ in INELIGIBLE_RUNS])
 def test_compiled_gate_refuses_ineligible_runs(reason):
-    assert not compiled_run_eligible(build_ineligible_gpu(reason))
+    gpu = build_ineligible_gpu(reason)
+    assert not compiled_run_eligible(gpu)
+    assert compiled_refusal(gpu) == REFUSAL_REASONS[reason]
 
 
-@pytest.mark.parametrize("policy", sorted(p for p in POLICIES
-                                          if p != "baseline"))
+def test_concurrent_launches_are_refused_with_their_reason():
+    from repro.workloads.apps import APP_POOLS, build_app
+    specs = build_app(APP_POOLS["st+km"], MICRO_CONFIG, TINY)
+    gpu = GPU.concurrent(MICRO_CONFIG, specs, POLICIES["baseline"]())
+    assert compiled_refusal(gpu) == "concurrent-launches"
+
+
+@pytest.mark.parametrize("policy", ["vt_regmutex"])
 def test_compiled_gate_refuses_non_inert_policies(policy):
-    """Every non-baseline policy overrides launch/finish/idle hooks the
-    closed-form idle accounting bypasses, so none may take the C core."""
+    """vt_regmutex's issue hook (and stateful classify_idle) is surface
+    the C core runs itself, so it may not take the C core."""
     gpu = build_gpu(policy)
     assert not policy_inert(gpu.sms[0]._policy)
     assert not compiled_run_eligible(gpu)
+    assert compiled_refusal(gpu) == "policy-hook:on_issue"
+
+
+@pytest.mark.parametrize("policy", SERVED_POLICIES)
+def test_compiled_gate_admits_served_policies(policy):
+    """Launch/finish/tick/idle hooks and transit settles are served as
+    ops through the real policy, so the paper's policies qualify."""
+    gpu = build_gpu(policy)
+    assert policy_inert(gpu.sms[0]._policy)
+    assert compiled_run_eligible(gpu)
+    assert compiled_refusal(gpu) is None
 
 
 def test_instance_policy_override_defeats_inertness():
     gpu = build_gpu()
     policy = gpu.sms[0]._policy
     assert policy_inert(policy)
-    policy.on_tick = lambda now: None
+    policy.classify_idle = lambda dt: "other"
     assert not policy_inert(policy)
     assert not compiled_run_eligible(gpu)
+    assert compiled_refusal(gpu) == "policy-hook:classify_idle"
+
+
+def test_instance_override_of_a_served_hook_stays_eligible():
+    """A wrapper on a served hook is honored: the driver calls it."""
+    gpu = build_gpu("virtual_thread")
+    policy = gpu.sms[0]._policy
+    original = policy.on_tick
+    policy.on_tick = lambda now: original(now)
+    assert compiled_run_eligible(gpu)
 
 
 def test_instance_sm_override_defeats_run_eligibility():
@@ -183,6 +222,7 @@ def test_instance_sm_override_defeats_run_eligibility():
     for name in _BYPASSED_SM_ATTRS:
         setattr(sm, name, getattr(sm, name))
         assert not compiled_run_eligible(gpu), name
+        assert compiled_refusal(gpu) == f"sm-override:{name}"
         delattr(sm, name)
     sm.stats.accumulate = sm.stats.accumulate
     assert not compiled_run_eligible(gpu)
@@ -211,27 +251,35 @@ def test_compiled_runs_the_uninstrumented_baseline():
     assert compiled_run_eligible(gpu)
     gpu.run(max_cycles=TINY.max_cycles, engine="compiled")
     assert gpu.engine_used == "compiled"
+    assert gpu.engine_refusal is None
 
 
 @needs_extension
 @pytest.mark.parametrize("reason, expect_used", INELIGIBLE_RUNS)
 def test_compiled_falls_back_per_run_eligibility_reason(reason, expect_used):
     """Every refused run must route compiled down the chain -- never
-    error."""
+    error -- and record why."""
     gpu = build_ineligible_gpu(reason)
     gpu.run(max_cycles=TINY.max_cycles, engine="compiled")
     assert gpu.engine_used == expect_used
+    assert gpu.engine_refusal == REFUSAL_REASONS[reason]
 
 
 @needs_extension
-@pytest.mark.parametrize("policy", sorted(p for p in POLICIES
-                                          if p != "baseline"))
-def test_compiled_falls_back_on_non_inert_policies(policy):
+@pytest.mark.parametrize("policy", SERVED_POLICIES + ["vt_regmutex"])
+def test_paper_policies_run_on_compiled(policy):
+    """Every policy but vt_regmutex finishes a micro run on the C core;
+    vt_regmutex drops to the reference step with its reason recorded."""
     gpu = build_gpu(policy)
-    gpu.run(max_cycles=TINY.max_cycles, engine="compiled")
-    # Hook-free policies still take the fused step; policies needing an
-    # issue hook (vt_regmutex) drop all the way to the reference step.
-    assert gpu.engine_used in ("fused", "reference")
+    result = gpu.run(max_cycles=TINY.max_cycles, engine="compiled")
+    assert not result.timed_out
+    if policy == "vt_regmutex":
+        assert gpu.engine_used == "reference"
+        assert gpu.engine_refusal == "policy-hook:on_issue"
+    else:
+        assert gpu.engine_used == "compiled"
+        assert gpu.engine_refusal is None
+    assert "engine_refusal" not in result.to_json()
 
 
 @needs_extension
@@ -251,3 +299,6 @@ def test_compiled_only_overrides_fall_back_to_fused(surface):
                                                         pending, warps))
     gpu.run(max_cycles=TINY.max_cycles, engine="compiled")
     assert gpu.engine_used == "fused"
+    assert gpu.engine_refusal == ("sm-override:_on_long_block"
+                                  if surface == "sm"
+                                  else "stats-override:accumulate")

@@ -8,9 +8,9 @@ full golden corpus and over hypothesis-chosen (app, seed) micro-workloads
 for every registered policy, for the fused event engine and (when the
 ``repro.sim._ckernel`` extension is built) the compiled backend, so any
 divergence introduced in the fused fast step, the wakeup computation,
-the closed-form idle-span accounting, the compiled merge driver, or the
-C core's lowering/write-back protocol fails loudly with a payload diff
-instead of silently drifting the science.
+the C core's global clock and idle accounting, its policy-hook ops
+(settle / tick / idle), or its lowering/write-back protocol fails loudly
+with a payload diff instead of silently drifting the science.
 
 The golden replays run *bare* (no tracer/sanitizer) for the engine
 comparison so the compiled backend actually engages on the baseline
@@ -43,8 +43,10 @@ from repro.workloads.suite import get_spec
 TINY = SCALES["tiny"]
 #: Two SMs keep the micro-workloads fast while still exercising the
 #: cross-SM parts of the engines (shared L2/DRAM, global cycle advance,
-#: the compiled merge driver's cross-SM ordering).
+#: the compiled core's cross-SM op ordering).
 MICRO_CONFIG = GPUConfig(num_sms=2)
+#: Four SMs, so the hook ops of more than two SMs interleave in a cycle.
+QUAD_CONFIG = GPUConfig(num_sms=4)
 APPS = ("KM", "HS", "LB")
 
 #: The production backends differentially pinned to the dense oracle.
@@ -73,17 +75,19 @@ def result_bytes(result) -> str:
     return json.dumps(result.to_json(), sort_keys=True)
 
 
-def build_micro_gpu(policy: str, app: str, seed: int) -> GPU:
+def build_micro_gpu(policy: str, app: str, seed: int,
+                    config: GPUConfig = MICRO_CONFIG) -> GPU:
     spec = replace(get_spec(app), seed=seed)
-    instance = build_workload(spec, MICRO_CONFIG, TINY)
-    return GPU(MICRO_CONFIG, instance.kernel, POLICIES[policy](),
+    instance = build_workload(spec, config, TINY)
+    return GPU(config, instance.kernel, POLICIES[policy](),
                instance.trace_provider, instance.address_model,
                liveness=instance.liveness)
 
 
-def simulate_micro(policy: str, app: str, seed: int, engine=None):
-    """One tiny 2-SM simulation with the workload spec reseeded."""
-    gpu = build_micro_gpu(policy, app, seed)
+def simulate_micro(policy: str, app: str, seed: int, engine=None,
+                   config: GPUConfig = MICRO_CONFIG):
+    """One tiny simulation (2 SMs by default), workload spec reseeded."""
+    gpu = build_micro_gpu(policy, app, seed, config)
     return gpu.run(max_cycles=TINY.max_cycles, engine=engine)
 
 
@@ -269,3 +273,18 @@ def test_random_micro_workloads_bit_identical(policy, data):
         assert result_bytes(dense) == result_bytes(current), (
             f"{engine} engine diverged from the dense oracle "
             f"({policy}, {app}, seed={seed})")
+
+
+@pytest.mark.parametrize("app", APPS)
+@pytest.mark.parametrize("policy", sorted(POLICIES))
+def test_four_sm_runs_bit_identical(policy, app):
+    """Four SMs: the settle / tick / idle ops of several SMs interleave
+    within one cycle, and every backend must match the dense oracle."""
+    with dense_engine():
+        dense = simulate_micro(policy, app, 0, config=QUAD_CONFIG)
+    for engine in ENGINES:
+        current = simulate_micro(policy, app, 0, engine=engine,
+                                 config=QUAD_CONFIG)
+        assert result_bytes(dense) == result_bytes(current), (
+            f"{engine} engine diverged from the dense oracle "
+            f"({policy}, {app}, 4 SMs)")
