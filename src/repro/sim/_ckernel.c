@@ -2,20 +2,21 @@
  *
  * One Core object holds the lowered state of every SM of one run: the
  * static per-instruction metadata table, the dynamic traces (deduplicated
- * by identity), flat per-warp / per-CTA / per-scheduler records, and one
- * *global* clock.  Core.resume(value) runs the uninstrumented cycle loop of
- * GPU._run_event -- every SM stepped in sm_id order per executed cycle,
- * each step a line-for-line C transcription of
- * StreamingMultiprocessor._step_fast, then the per-cycle idle and level
- * accounting, the idle jump to the minimum next event, timeout and
- * deadlock -- until it reaches an *op*: something only the real Python
- * objects may do.  It then returns an op descriptor; the driver
- * (repro.sim.compiled) serves the op and calls resume() again, which
- * completes the op and continues.  Ops come out in the dense engine's
- * global order (cycle, sm_id, program order):
+ * by identity), flat per-warp / per-CTA / per-scheduler records, the
+ * memory hierarchy (every L1's and the L2's tag arrays, the per-SM merge
+ * tables and the DRAM channel) and one *global* clock.  Core.resume() runs
+ * the uninstrumented cycle loop of GPU._run_event -- every SM stepped in
+ * sm_id order per executed cycle, each step a line-for-line C
+ * transcription of StreamingMultiprocessor._step_fast with its LDG/STG
+ * accesses completed by mem_access() (a transcription of
+ * MemoryHierarchy._access), then the per-cycle idle and level accounting,
+ * the idle jump to the minimum next event, timeout and deadlock -- until it
+ * reaches an *op*: something only the real Python objects may do.  It then
+ * returns an op descriptor; repro.sim.compiled serves the op and calls
+ * resume() again, which completes the op and continues.  Ops
+ * come out in the dense engine's global order (cycle, sm_id, program
+ * order):
  *
- *   LOAD / STORE  a shared memory-hierarchy access (resume() takes the
- *                 load's completion cycle);
  *   EXIT          a warp EXIT: the _finish_warp -> retire -> policy chain;
  *   SETTLE        now reached the SM's earliest transit_until;
  *   TICK          now reached the policy's cached wake_time;
@@ -24,9 +25,9 @@
  *
  * This works without coroutines because the control flow after every op
  * is fixed: each SM step is a small phase machine (settle, tick, issue,
- * idle) and the issue loop's continuation after a memory op or EXIT is
- * always "complete the op, promote a scan-path warp to current, count the
- * issue, move to the next scheduler".
+ * idle) and the issue loop's continuation after an EXIT is always
+ * "promote a scan-path warp to current, count the issue, move to the next
+ * scheduler".
  *
  * After each policy op the driver pushes the SM's mirrors (levels, dirty
  * flag, earliest transit, wake_time, next_event, idle cooldown, RF-blocked
@@ -36,6 +37,15 @@
  * settle scan before the earliest transit, and the base on_idle without a
  * park candidate only arms its 16-cycle cooldown, which the core does on
  * its own state.
+ *
+ * The DRAM channel is shared with the served ops (context spills and
+ * restores, bit-vector fetches and the backlog read go through the Python
+ * DRAM): the core hands its channel_free to the Python object before
+ * returning any op and reads it back when resume() is called again.  The
+ * demand traffic counters stay in C until repro.sim.compiled merges them
+ * at run end, but the first demand charge of each class inserts its key
+ * into bytes_by_class, so the dict's key order matches the Python
+ * engines'.
  *
  * Per-scheduler state is a flat member array scanned in attach order --
  * observably identical to the Python ready/blocked buckets: the buckets
@@ -65,13 +75,11 @@
 
 /* resume() descriptor kinds. */
 #define OP_DONE 0
-#define OP_LOAD 1
-#define OP_STORE 2
-#define OP_EXIT 3
-#define OP_SETTLE 4
-#define OP_TICK 5
-#define OP_IDLE 6
-#define OP_DEADLOCK 7
+#define OP_EXIT 1
+#define OP_SETTLE 2
+#define OP_TICK 3
+#define OP_IDLE 4
+#define OP_DEADLOCK 5
 
 /* Per-SM step phases within one cycle. */
 #define PH_SETTLE 0
@@ -141,10 +149,9 @@ typedef struct {
     int32_t sched_idx;      /* scheduler to continue from */
     int32_t issued;         /* issues this cycle (_last_step_issued) */
     int64_t sched_sleep;    /* sm._sched_sleep */
-    /* Parked issue-loop operation. */
-    int32_t pend_kind;      /* 0 none / OP_LOAD / OP_STORE / OP_EXIT */
+    /* Parked EXIT of the issue loop. */
+    int32_t pend_exit;
     int32_t pend_warp;
-    int32_t pend_dest;
     int32_t pend_from_scan;
     int32_t pend_sched;
     /* Active CTA slots, in sm.active_ctas order (set at sync points). */
@@ -180,6 +187,63 @@ typedef struct {
     PyObject *obj;          /* the StreamingMultiprocessor */
 } CSm;
 
+/* One Cache: set s holds fill[s] tags at tags[s * assoc ...] in MRU
+ * order (Cache._sets[s]), each with its dirty bit (a (s, tag) key of
+ * Cache._dirty).  The counters are this run's CacheStats increments. */
+typedef struct {
+    int64_t num_sets;
+    int32_t assoc;
+    int32_t allocate_on_write;
+    int32_t last_evicted_dirty;
+    int64_t *tags;
+    uint8_t *dirty;
+    int32_t *fill;
+    /* The lowered sets, for the write-back diff. */
+    int64_t *tags0;
+    uint8_t *dirty0;
+    int32_t *fill0;
+    uint8_t *touched;       /* per set: accessed this run */
+    int32_t *touched_list;  /* touched sets, first-touch order */
+    int32_t ntouched;
+    int64_t read_hits, read_misses, write_hits, write_misses;
+    int64_t dirty_evictions;
+} CCache;
+
+/* One SM's outstanding-miss table (MemoryHierarchy._outstanding[sm]):
+ * line address -> completion cycle, open addressing with linear probing
+ * (key -1 marks an empty slot; cap is a power of two, at most half full). */
+typedef struct {
+    int64_t *keys;
+    int64_t *done;
+    int32_t cap;
+    int32_t count;
+} CMerge;
+
+/* Demand traffic classes the core charges (DRAMStats.bytes_by_class). */
+#define DEMAND_READ 0
+#define DEMAND_WRITE 1
+
+typedef struct {
+    CCache *caches;         /* num_sms L1s, then the L2 */
+    CCache *l2;
+    CMerge *merges;         /* per SM */
+    int64_t line_bytes;
+    int64_t l1_hit_lat;
+    int64_t l2_hit_lat;
+    /* HierarchyStats increments. */
+    int64_t loads, stores, merged_misses;
+    /* The DRAM channel and this run's DRAMStats increments. */
+    PyObject *dram;         /* the Python DRAM (channel hand-off) */
+    PyObject *by_class;     /* its stats.bytes_by_class */
+    double channel_free;
+    double bytes_per_cycle;
+    int64_t latency;
+    int32_t channel_moved;  /* C charged the channel since the hand-off */
+    int32_t class_seen[2];
+    int64_t class_bytes[2];
+    int64_t requests, total_bytes, queue_cycles;
+} CMem;
+
 typedef struct {
     PyObject_HEAD
     int32_t num_sms;
@@ -213,6 +277,7 @@ typedef struct {
     PyObject *states;       /* the WarpState members, by C state id */
     CSm *sms;
     CSched *scheds;         /* num_sms * nsched, row-major by SM */
+    CMem mem;
     /* The global clock. */
     int64_t now;
     int64_t grid_remaining;
@@ -242,9 +307,38 @@ grow(void **buf, int32_t *cap, int32_t need, size_t itemsize)
 }
 
 static void
+cache_free(CCache *c)
+{
+    PyMem_Free(c->tags);
+    PyMem_Free(c->dirty);
+    PyMem_Free(c->fill);
+    PyMem_Free(c->tags0);
+    PyMem_Free(c->dirty0);
+    PyMem_Free(c->fill0);
+    PyMem_Free(c->touched);
+    PyMem_Free(c->touched_list);
+    memset(c, 0, sizeof(*c));
+}
+
+static void
 core_dealloc(CoreObject *self)
 {
     int32_t i;
+    CMem *mem = &self->mem;
+    if (mem->caches) {
+        for (i = 0; i <= self->num_sms; i++)
+            cache_free(&mem->caches[i]);
+        PyMem_Free(mem->caches);
+    }
+    if (mem->merges) {
+        for (i = 0; i < self->num_sms; i++) {
+            PyMem_Free(mem->merges[i].keys);
+            PyMem_Free(mem->merges[i].done);
+        }
+        PyMem_Free(mem->merges);
+    }
+    Py_XDECREF(mem->dram);
+    Py_XDECREF(mem->by_class);
     if (self->traces) {
         for (i = 0; i < self->ntraces; i++)
             PyMem_Free(self->traces[i].idx);
@@ -463,7 +557,7 @@ core_add_trace(CoreObject *self, PyObject *arg)
  * writes (set up at module init). */
 static PyObject *s_pos, *s_state, *s_blocked_until, *s_barrier_arrived,
     *s_first_issue_cycle, *s_stall_recorded, *s_sleep_until, *s_current,
-    *s_dirty, *s_sched_sleep, *s_warps, *s_active_ctas;
+    *s_dirty, *s_sched_sleep, *s_warps, *s_active_ctas, *s_channel_free;
 
 static int
 remember(PyObject *dict, PyObject ***objs, int32_t *cap, int32_t slot,
@@ -950,6 +1044,702 @@ has_park_candidate(CoreObject *core, CSm *sm, int64_t now)
 }
 
 /* ------------------------------------------------------------------ */
+/* The memory hierarchy: merge tables, cache sets, the DRAM channel and
+ * mem_access(), which LDG/STG complete through inside the issue loop. */
+
+#define MERGE_EMPTY (-1)
+
+static inline uint32_t
+merge_home(const CMerge *t, int64_t key)
+{
+    return (uint32_t)(((uint64_t)key * 0x9E3779B97F4A7C15ULL) >> 32)
+        & (uint32_t)(t->cap - 1);
+}
+
+static inline int32_t
+merge_find(const CMerge *t, int64_t key)
+{
+    uint32_t mask = (uint32_t)t->cap - 1, i = merge_home(t, key);
+    for (;;) {
+        int64_t k = t->keys[i];
+        if (k == key)
+            return (int32_t)i;
+        if (k == MERGE_EMPTY)
+            return -1;
+        i = (i + 1) & mask;
+    }
+}
+
+/* Insert a key the table does not hold (a free slot is guaranteed). */
+static inline void
+merge_put(CMerge *t, int64_t key, int64_t done)
+{
+    uint32_t mask = (uint32_t)t->cap - 1, i = merge_home(t, key);
+    while (t->keys[i] != MERGE_EMPTY)
+        i = (i + 1) & mask;
+    t->keys[i] = key;
+    t->done[i] = done;
+    t->count++;
+}
+
+/* Move the table into fresh storage of ``cap`` slots, keeping only the
+ * entries that complete after ``keep_after``. */
+static int
+merge_rebuild(CMerge *t, int32_t cap, int64_t keep_after)
+{
+    int64_t *keys = t->keys, *done = t->done;
+    int32_t old = t->cap, i;
+    int64_t *nkeys = PyMem_Malloc((size_t)cap * sizeof(int64_t));
+    int64_t *ndone = PyMem_Malloc((size_t)cap * sizeof(int64_t));
+    if (nkeys == NULL || ndone == NULL) {
+        PyMem_Free(nkeys);
+        PyMem_Free(ndone);
+        PyErr_NoMemory();
+        return -1;
+    }
+    for (i = 0; i < cap; i++)
+        nkeys[i] = MERGE_EMPTY;
+    t->keys = nkeys;
+    t->done = ndone;
+    t->cap = cap;
+    t->count = 0;
+    for (i = 0; i < old; i++)
+        if (keys[i] != MERGE_EMPTY && done[i] > keep_after)
+            merge_put(t, keys[i], done[i]);
+    PyMem_Free(keys);
+    PyMem_Free(done);
+    return 0;
+}
+
+static inline int
+merge_insert(CMerge *t, int64_t key, int64_t done)
+{
+    if ((t->count + 1) * 2 > t->cap
+            && merge_rebuild(t, t->cap * 2, INT64_MIN))
+        return -1;
+    merge_put(t, key, done);
+    return 0;
+}
+
+/* Delete the entry at ``slot`` (backward-shift deletion: every later
+ * entry of the probe run that may move into the hole does). */
+static inline void
+merge_delete(CMerge *t, int32_t slot)
+{
+    uint32_t mask = (uint32_t)t->cap - 1, i = (uint32_t)slot, j = i;
+    for (;;) {
+        j = (j + 1) & mask;
+        int64_t k = t->keys[j];
+        if (k == MERGE_EMPTY)
+            break;
+        uint32_t h = merge_home(t, k);
+        if (i <= j ? (i < h && h <= j) : (i < h || h <= j))
+            continue;
+        t->keys[i] = k;
+        t->done[i] = t->done[j];
+        i = j;
+    }
+    t->keys[i] = MERGE_EMPTY;
+    t->count--;
+}
+
+static inline void
+cache_touch(CCache *c, int64_t set)
+{
+    if (!c->touched[set]) {
+        c->touched[set] = 1;
+        c->touched_list[c->ntouched++] = (int32_t)set;
+    }
+}
+
+/* ``tag in ways``: its way index in the set, or -1. */
+static inline int
+cache_way(const CCache *c, int64_t set, int64_t tag)
+{
+    const int64_t *ways = &c->tags[set * c->assoc];
+    int w, n = c->fill[set];
+    for (w = 0; w < n; w++)
+        if (ways[w] == tag)
+            return w;
+    return -1;
+}
+
+/* ways.remove(tag); ways.insert(0, tag) for the tag at way w. */
+static inline void
+cache_to_front(CCache *c, int64_t set, int w)
+{
+    int64_t *ways = &c->tags[set * c->assoc];
+    uint8_t *dirty = &c->dirty[set * c->assoc];
+    int64_t tag = ways[w];
+    uint8_t d = dirty[w];
+    memmove(ways + 1, ways, (size_t)w * sizeof(int64_t));
+    memmove(dirty + 1, dirty, (size_t)w);
+    ways[0] = tag;
+    dirty[0] = d;
+}
+
+/* ways.insert(0, tag) with its dirty bit, then ways.pop() of the LRU
+ * victim when the set overflows; returns 1 when that victim was dirty. */
+static inline int
+cache_insert(CCache *c, int64_t set, int64_t tag, int is_dirty)
+{
+    int64_t *ways = &c->tags[set * c->assoc];
+    uint8_t *dirty = &c->dirty[set * c->assoc];
+    int n = c->fill[set], victim_dirty = 0;
+    if (n == c->assoc)
+        victim_dirty = dirty[--n];
+    else
+        c->fill[set] = n + 1;
+    memmove(ways + 1, ways, (size_t)n * sizeof(int64_t));
+    memmove(dirty + 1, dirty, (size_t)n);
+    ways[0] = tag;
+    dirty[0] = (uint8_t)is_dirty;
+    return victim_dirty;
+}
+
+/* transcribes Cache.access_line (the merged-miss path's L1 update). */
+static void
+cache_access_line(CCache *c, int64_t line, int is_write)
+{
+    c->last_evicted_dirty = 0;
+    int64_t set = line % c->num_sets, tag = line / c->num_sets;
+    cache_touch(c, set);
+    int w = cache_way(c, set, tag);
+    if (w >= 0) {
+        cache_to_front(c, set, w);
+        if (is_write) {
+            c->write_hits += 1;
+            c->dirty[set * c->assoc] = 1;
+        } else {
+            c->read_hits += 1;
+        }
+        return;
+    }
+    if (is_write) {
+        c->write_misses += 1;
+        if (!c->allocate_on_write)
+            return;
+    } else {
+        c->read_misses += 1;
+    }
+    if (cache_insert(c, set, tag, is_write)) {
+        c->last_evicted_dirty = 1;
+        c->dirty_evictions += 1;
+    }
+}
+
+/* Interned "demand_read" / "demand_write" (set up at module init). */
+static PyObject *s_demand[2];
+
+/* transcribes DRAM.request: returns the completion cycle, or -1 with an
+ * exception set.  The first charge of a class this run inserts its key
+ * into bytes_by_class where DRAMStats bookkeeping would; the bytes follow
+ * at write-back. */
+static int64_t
+dram_request(CMem *mem, int64_t now, int64_t nbytes, int cls)
+{
+    double free = mem->channel_free;
+    double start = free > (double)now ? free : (double)now;
+    free = start + (double)nbytes / mem->bytes_per_cycle;
+    mem->channel_free = free;
+    mem->channel_moved = 1;
+    mem->requests += 1;
+    mem->total_bytes += nbytes;
+    if (!mem->class_seen[cls]) {
+        int has = PyDict_Contains(mem->by_class, s_demand[cls]);
+        if (has < 0)
+            return -1;
+        if (!has) {
+            PyObject *zero = PyLong_FromLong(0);
+            int r = zero == NULL ? -1
+                : PyDict_SetItem(mem->by_class, s_demand[cls], zero);
+            Py_XDECREF(zero);
+            if (r < 0)
+                return -1;
+        }
+        mem->class_seen[cls] = 1;
+    }
+    mem->class_bytes[cls] += nbytes;
+    mem->queue_cycles += (int64_t)(start - (double)now);
+    return (int64_t)free + mem->latency;
+}
+
+/* transcribes MemoryHierarchy._access: returns the completion cycle, or
+ * -1 with an exception set.  Addresses are never negative, so C's integer
+ * division and remainder are Python's. */
+static int64_t
+mem_access(CMem *mem, int32_t sm_id, int64_t address, int64_t now,
+           int is_write)
+{
+    const int64_t line_bytes = mem->line_bytes;
+    const int64_t line = address / line_bytes;
+    const int64_t line_addr = line * line_bytes;
+
+    /* A miss to this line may still be in flight: later accesses (from
+     * this SM) complete with it. */
+    CMerge *outstanding = &mem->merges[sm_id];
+    CCache *l1 = &mem->caches[sm_id];
+    int32_t slot = merge_find(outstanding, line_addr);
+    if (slot >= 0) {
+        int64_t pending = outstanding->done[slot];
+        if (pending > now) {
+            mem->merged_misses += 1;
+            cache_access_line(l1, line, is_write);  /* keep LRU honest */
+            return pending;
+        }
+        merge_delete(outstanding, slot);
+    }
+
+    /* L1 probe (write-through / no-write-allocate; last_evicted_dirty is
+     * left stale). */
+    int64_t set = line % l1->num_sets;
+    int64_t tag = line / l1->num_sets;
+    cache_touch(l1, set);
+    int w = cache_way(l1, set, tag);
+    if (w >= 0) {
+        cache_to_front(l1, set, w);
+        if (is_write) {
+            l1->write_hits += 1;
+            l1->dirty[set * l1->assoc] = 1;
+        } else {
+            l1->read_hits += 1;
+        }
+        return now + mem->l1_hit_lat;
+    }
+    if (is_write) {
+        l1->write_misses += 1;
+    } else {
+        l1->read_misses += 1;
+        if (cache_insert(l1, set, tag, 0))
+            l1->dirty_evictions += 1;
+    }
+
+    /* L2 probe (allocate-on-write, write-back). */
+    CCache *l2 = mem->l2;
+    set = line % l2->num_sets;
+    tag = line / l2->num_sets;
+    cache_touch(l2, set);
+    int evicted_dirty = 0;
+    int64_t done;
+    w = cache_way(l2, set, tag);
+    if (w >= 0) {
+        cache_to_front(l2, set, w);
+        if (is_write) {
+            l2->write_hits += 1;
+            l2->dirty[set * l2->assoc] = 1;
+        } else {
+            l2->read_hits += 1;
+        }
+        done = now + mem->l2_hit_lat;
+    } else {
+        if (is_write) {
+            /* Write-back L2: the store allocates on-chip; DRAM is only
+             * charged when a dirty line is eventually evicted. */
+            l2->write_misses += 1;
+            done = now + mem->l2_hit_lat;
+        } else {
+            l2->read_misses += 1;
+            done = dram_request(mem, now, line_bytes, DEMAND_READ);
+            if (done < 0)
+                return -1;
+            done += mem->l2_hit_lat - mem->l1_hit_lat;
+        }
+        if (cache_insert(l2, set, tag, is_write)) {
+            evicted_dirty = 1;
+            l2->dirty_evictions += 1;
+        }
+    }
+    if (evicted_dirty
+            && dram_request(mem, now, line_bytes, DEMAND_WRITE) < 0)
+        return -1;
+    if (!is_write) {
+        if (merge_insert(outstanding, line_addr, done))
+            return -1;
+        if (outstanding->count > 256  /* bound the merge-table size */
+                && merge_rebuild(outstanding, outstanding->cap, now))
+            return -1;
+    }
+    return done;
+}
+
+/* The DRAM channel is shared with the served ops: hand channel_free to
+ * the Python DRAM before returning an op (a served op may queue a bulk
+ * transfer behind it or read its backlog) ... */
+static int
+channel_out(CMem *mem)
+{
+    if (!mem->channel_moved)
+        return 0;
+    PyObject *v = PyFloat_FromDouble(mem->channel_free);
+    if (v == NULL)
+        return -1;
+    int r = PyObject_SetAttr(mem->dram, s_channel_free, v);
+    Py_DECREF(v);
+    mem->channel_moved = 0;
+    return r;
+}
+
+/* ... and read it back when resume() is called again. */
+static int
+channel_in(CMem *mem)
+{
+    PyObject *v = PyObject_GetAttr(mem->dram, s_channel_free);
+    if (v == NULL)
+        return -1;
+    double free = PyFloat_AsDouble(v);
+    Py_DECREF(v);
+    if (free == -1.0 && PyErr_Occurred())
+        return -1;
+    mem->channel_free = free;
+    return 0;
+}
+
+/* Lowering (from gpu.hierarchy, once per run) and write-back (once, at
+ * run end) of the memory state.  Only sets the run touched are written
+ * back, and only what changed in them. */
+
+static PyObject *
+core_set_memory(CoreObject *self, PyObject *args)
+{
+    long long line_bytes, l1_lat, l2_lat, latency;
+    double bytes_per_cycle;
+    PyObject *dram, *by_class;
+    if (!PyArg_ParseTuple(args, "LLLOdLO!", &line_bytes, &l1_lat, &l2_lat,
+                          &dram, &bytes_per_cycle, &latency, &PyDict_Type,
+                          &by_class))
+        return NULL;
+    CMem *mem = &self->mem;
+    if (self->sms == NULL || mem->caches != NULL) {
+        PyErr_SetString(PyExc_RuntimeError,
+                        "set_memory() needs a fresh initialized core");
+        return NULL;
+    }
+    if (line_bytes <= 0 || !(bytes_per_cycle > 0)) {
+        PyErr_SetString(PyExc_ValueError,
+                        "line size and bandwidth must be positive");
+        return NULL;
+    }
+    mem->caches = PyMem_Calloc((size_t)self->num_sms + 1, sizeof(CCache));
+    mem->merges = PyMem_Calloc((size_t)self->num_sms, sizeof(CMerge));
+    if (mem->caches == NULL || mem->merges == NULL) {
+        PyErr_NoMemory();
+        return NULL;
+    }
+    int32_t i;
+    for (i = 0; i < self->num_sms; i++)
+        if (merge_rebuild(&mem->merges[i], 16, INT64_MAX))
+            return NULL;
+    mem->l2 = &mem->caches[self->num_sms];
+    mem->line_bytes = line_bytes;
+    mem->l1_hit_lat = l1_lat;
+    mem->l2_hit_lat = l2_lat;
+    mem->bytes_per_cycle = bytes_per_cycle;
+    mem->latency = latency;
+    Py_INCREF(dram);
+    mem->dram = dram;
+    Py_INCREF(by_class);
+    mem->by_class = by_class;
+    if (channel_in(mem) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static CCache *
+cache_arg(CoreObject *self, int index)
+{
+    if (self->mem.caches == NULL || index < 0 || index > self->num_sms) {
+        PyErr_SetString(PyExc_ValueError, "bad cache index");
+        return NULL;
+    }
+    return &self->mem.caches[index];
+}
+
+static PyObject *
+core_lower_cache(CoreObject *self, PyObject *args)
+{
+    int index, assoc, allocate_on_write, last_evicted_dirty;
+    long long num_sets;
+    PyObject *sets, *dirty;
+    if (!PyArg_ParseTuple(args, "iLippO!O", &index, &num_sets, &assoc,
+                          &allocate_on_write, &last_evicted_dirty,
+                          &PyList_Type, &sets, &dirty))
+        return NULL;
+    CCache *c = cache_arg(self, index);
+    if (c == NULL)
+        return NULL;
+    if (num_sets <= 0 || num_sets > INT32_MAX || assoc <= 0
+            || PyList_GET_SIZE(sets) != num_sets) {
+        PyErr_SetString(PyExc_ValueError, "malformed cache geometry");
+        return NULL;
+    }
+    cache_free(c);
+    size_t nways = (size_t)num_sets * (size_t)assoc;
+    c->num_sets = num_sets;
+    c->assoc = assoc;
+    c->allocate_on_write = allocate_on_write;
+    c->last_evicted_dirty = last_evicted_dirty;
+    c->tags = PyMem_Calloc(nways, sizeof(int64_t));
+    c->dirty = PyMem_Calloc(nways, 1);
+    c->fill = PyMem_Calloc((size_t)num_sets, sizeof(int32_t));
+    c->tags0 = PyMem_Calloc(nways, sizeof(int64_t));
+    c->dirty0 = PyMem_Calloc(nways, 1);
+    c->fill0 = PyMem_Calloc((size_t)num_sets, sizeof(int32_t));
+    c->touched = PyMem_Calloc((size_t)num_sets, 1);
+    c->touched_list = PyMem_Calloc((size_t)num_sets, sizeof(int32_t));
+    if (c->tags == NULL || c->dirty == NULL || c->fill == NULL
+            || c->tags0 == NULL || c->dirty0 == NULL || c->fill0 == NULL
+            || c->touched == NULL || c->touched_list == NULL) {
+        cache_free(c);
+        PyErr_NoMemory();
+        return NULL;
+    }
+    Py_ssize_t set, w;
+    for (set = 0; set < num_sets; set++) {
+        PyObject *ways = PyList_GET_ITEM(sets, set);
+        if (!PyList_Check(ways) || PyList_GET_SIZE(ways) > assoc) {
+            cache_free(c);
+            PyErr_SetString(PyExc_ValueError,
+                            "cache set is not a list within its ways");
+            return NULL;
+        }
+        for (w = 0; w < PyList_GET_SIZE(ways); w++) {
+            long long tag = PyLong_AsLongLong(PyList_GET_ITEM(ways, w));
+            if (tag == -1 && PyErr_Occurred()) {
+                cache_free(c);
+                return NULL;
+            }
+            c->tags[set * assoc + w] = tag;
+        }
+        c->fill[set] = (int32_t)PyList_GET_SIZE(ways);
+    }
+    /* Cache._dirty keys (set_index, tag) become per-way bits: every key
+     * names a resident line (an eviction drops its key). */
+    PyObject *it = PyObject_GetIter(dirty), *key;
+    if (it == NULL) {
+        cache_free(c);
+        return NULL;
+    }
+    while ((key = PyIter_Next(it)) != NULL) {
+        long long ks = -1, kt = 0;
+        if (PyTuple_Check(key) && PyTuple_GET_SIZE(key) == 2) {
+            ks = PyLong_AsLongLong(PyTuple_GET_ITEM(key, 0));
+            kt = PyLong_AsLongLong(PyTuple_GET_ITEM(key, 1));
+        }
+        Py_DECREF(key);
+        int way = (ks >= 0 && ks < num_sets && !PyErr_Occurred())
+            ? cache_way(c, ks, kt) : -1;
+        if (way < 0) {
+            Py_DECREF(it);
+            cache_free(c);
+            if (!PyErr_Occurred())
+                PyErr_SetString(PyExc_ValueError,
+                                "dirty key names no resident line");
+            return NULL;
+        }
+        c->dirty[ks * assoc + way] = 1;
+    }
+    Py_DECREF(it);
+    if (PyErr_Occurred()) {
+        cache_free(c);
+        return NULL;
+    }
+    memcpy(c->tags0, c->tags, nways * sizeof(int64_t));
+    memcpy(c->dirty0, c->dirty, nways);
+    memcpy(c->fill0, c->fill, (size_t)num_sets * sizeof(int32_t));
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+core_lower_merges(CoreObject *self, PyObject *args)
+{
+    int sm_id;
+    PyObject *table, *key, *value;
+    if (!PyArg_ParseTuple(args, "iO!", &sm_id, &PyDict_Type, &table))
+        return NULL;
+    if (self->mem.merges == NULL || sm_arg(self, sm_id) == NULL) {
+        if (!PyErr_Occurred())
+            PyErr_SetString(PyExc_RuntimeError, "memory not set up");
+        return NULL;
+    }
+    CMerge *t = &self->mem.merges[sm_id];
+    int32_t cap = 16;
+    while (cap < 2 * (PyDict_GET_SIZE(table) + 1))
+        cap *= 2;
+    if (merge_rebuild(t, cap, INT64_MAX))
+        return NULL;
+    Py_ssize_t pos = 0;
+    while (PyDict_Next(table, &pos, &key, &value)) {
+        long long line_addr = PyLong_AsLongLong(key);
+        long long done = PyLong_AsLongLong(value);
+        if (PyErr_Occurred())
+            return NULL;
+        if (line_addr < 0) {
+            PyErr_SetString(PyExc_ValueError, "negative line address");
+            return NULL;
+        }
+        merge_put(t, line_addr, done);
+    }
+    Py_RETURN_NONE;
+}
+
+/* Add (add=1) or discard a (set_index, tag) key of Cache._dirty. */
+static int
+dirty_key(PyObject *dirty, int64_t set, int64_t tag, int add)
+{
+    PyObject *key = Py_BuildValue("(LL)", (long long)set, (long long)tag);
+    if (key == NULL)
+        return -1;
+    int r = add ? PySet_Add(dirty, key) : PySet_Discard(dirty, key);
+    Py_DECREF(key);
+    return r < 0 ? -1 : 0;
+}
+
+/* Write one touched set back onto its Python list and the dirty keys. */
+static int
+set_write_back(CCache *c, int64_t set, PyObject *ways, PyObject *dirty)
+{
+    size_t base = (size_t)set * c->assoc;
+    const int64_t *tags = &c->tags[base], *tags0 = &c->tags0[base];
+    const uint8_t *d = &c->dirty[base], *d0 = &c->dirty0[base];
+    int n = c->fill[set], n0 = c->fill0[set], i, j;
+    if (!PyList_Check(ways) || PyList_GET_SIZE(ways) != n0) {
+        PyErr_SetString(PyExc_RuntimeError,
+                        "cache set changed outside the core");
+        return -1;
+    }
+    /* Dirty keys: drop the lowered ones no longer dirty, add the rest. */
+    for (i = 0; i < n0; i++) {
+        if (!d0[i])
+            continue;
+        for (j = 0; j < n && tags[j] != tags0[i]; j++)
+            ;
+        if ((j == n || !d[j]) && dirty_key(dirty, set, tags0[i], 0))
+            return -1;
+    }
+    for (j = 0; j < n; j++) {
+        if (!d[j])
+            continue;
+        for (i = 0; i < n0 && tags0[i] != tags[j]; i++)
+            ;
+        if ((i == n0 || !d0[i]) && dirty_key(dirty, set, tags[j], 1))
+            return -1;
+    }
+    /* Tags in MRU order, reusing the list's int objects. */
+    if (n != n0 || memcmp(tags, tags0, (size_t)n * sizeof(int64_t))) {
+        PyObject *fresh = PyList_New(n);
+        if (fresh == NULL)
+            return -1;
+        for (j = 0; j < n; j++) {
+            PyObject *v = NULL;
+            for (i = 0; i < n0; i++) {
+                if (tags0[i] == tags[j]) {
+                    v = PyList_GET_ITEM(ways, i);
+                    Py_INCREF(v);
+                    break;
+                }
+            }
+            if (v == NULL && (v = PyLong_FromLongLong(tags[j])) == NULL) {
+                Py_DECREF(fresh);
+                return -1;
+            }
+            PyList_SET_ITEM(fresh, j, v);
+        }
+        int r = PyList_SetSlice(ways, 0, n0, fresh);
+        Py_DECREF(fresh);
+        if (r < 0)
+            return -1;
+    }
+    memcpy(&c->tags0[base], tags, (size_t)n * sizeof(int64_t));
+    memcpy(&c->dirty0[base], d, (size_t)n);
+    c->fill0[set] = n;
+    return 0;
+}
+
+static PyObject *
+core_write_back_cache(CoreObject *self, PyObject *args)
+{
+    int index;
+    PyObject *sets, *dirty;
+    if (!PyArg_ParseTuple(args, "iO!O!", &index, &PyList_Type, &sets,
+                          &PySet_Type, &dirty))
+        return NULL;
+    CCache *c = cache_arg(self, index);
+    if (c == NULL)
+        return NULL;
+    if (c->tags == NULL || PyList_GET_SIZE(sets) != c->num_sets) {
+        PyErr_SetString(PyExc_ValueError, "cache geometry changed");
+        return NULL;
+    }
+    int32_t k;
+    for (k = 0; k < c->ntouched; k++) {
+        int32_t set = c->touched_list[k];
+        c->touched[set] = 0;
+        if (set_write_back(c, set, PyList_GET_ITEM(sets, set), dirty))
+            return NULL;
+    }
+    c->ntouched = 0;
+    PyObject *counts = Py_BuildValue(
+        "LLLLLO", (long long)c->read_hits, (long long)c->read_misses,
+        (long long)c->write_hits, (long long)c->write_misses,
+        (long long)c->dirty_evictions,
+        c->last_evicted_dirty ? Py_True : Py_False);
+    if (counts != NULL)
+        c->read_hits = c->read_misses = c->write_hits = c->write_misses
+            = c->dirty_evictions = 0;
+    return counts;
+}
+
+static PyObject *
+core_write_back_merges(CoreObject *self, PyObject *args)
+{
+    int sm_id;
+    PyObject *table;
+    if (!PyArg_ParseTuple(args, "iO!", &sm_id, &PyDict_Type, &table))
+        return NULL;
+    if (self->mem.merges == NULL || sm_arg(self, sm_id) == NULL) {
+        if (!PyErr_Occurred())
+            PyErr_SetString(PyExc_RuntimeError, "memory not set up");
+        return NULL;
+    }
+    CMerge *t = &self->mem.merges[sm_id];
+    PyDict_Clear(table);
+    int32_t i;
+    for (i = 0; i < t->cap; i++) {
+        if (t->keys[i] == MERGE_EMPTY)
+            continue;
+        PyObject *key = PyLong_FromLongLong(t->keys[i]);
+        PyObject *value = PyLong_FromLongLong(t->done[i]);
+        int r = (key == NULL || value == NULL) ? -1
+            : PyDict_SetItem(table, key, value);
+        Py_XDECREF(key);
+        Py_XDECREF(value);
+        if (r < 0)
+            return NULL;
+    }
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+core_memory_counts(CoreObject *self, PyObject *Py_UNUSED(ignored))
+{
+    /* (loads, stores, merged_misses, dram requests, dram bytes, queue
+     *  cycles, demand_read bytes, demand_write bytes); resets them. */
+    CMem *mem = &self->mem;
+    PyObject *counts = Py_BuildValue(
+        "LLLLLLLL", (long long)mem->loads, (long long)mem->stores,
+        (long long)mem->merged_misses, (long long)mem->requests,
+        (long long)mem->total_bytes, (long long)mem->queue_cycles,
+        (long long)mem->class_bytes[DEMAND_READ],
+        (long long)mem->class_bytes[DEMAND_WRITE]);
+    if (counts != NULL) {
+        mem->loads = mem->stores = mem->merged_misses = 0;
+        mem->requests = mem->total_bytes = mem->queue_cycles = 0;
+        mem->class_bytes[DEMAND_READ] = mem->class_bytes[DEMAND_WRITE] = 0;
+    }
+    return counts;
+}
+
+/* ------------------------------------------------------------------ */
 /* The issue loop.  Helpers: operand-ready cycle with the chk memo, and
  * the inlined AddressModel.address_for. */
 
@@ -1017,25 +1807,45 @@ wake_schedulers(CSm *sm, CSched *scheds, int nsched)
         scheds[k].sleep_until = 0;
 }
 
-/* Park an issue-loop op; the caller returns its kind. */
+/* Park an EXIT; the caller returns OP_EXIT. */
 static inline int
-park(CSm *sm, int kind, int32_t ws, CMeta *m, int from_scan, int s)
+park_exit(CSm *sm, int32_t ws, int from_scan, int s)
 {
-    sm->pend_kind = kind;
+    sm->pend_exit = 1;
     sm->pend_warp = ws;
-    sm->pend_dest = m->dest;
     sm->pend_from_scan = from_scan;
     sm->pend_sched = s;
     sm->sched_idx = s;
-    return kind;
+    return OP_EXIT;
 }
 
-/* Run SM._step_fast's scheduler loop from sm->sched_idx.  Returns an op
- * kind when it parks a LOAD / STORE / EXIT (the address is left in
- * *address), 0 when the loop completes, -1 on error. */
+/* An LDG / STG: the inlined AddressModel.address_for, then the access
+ * through the hierarchy (a load's completion becomes its destination's
+ * ready cycle).  Returns -1 on error. */
+static inline int
+issue_mem(CoreObject *self, int32_t sm_id, CWarp *w, CMeta *m, int64_t now)
+{
+    CMem *mem = &self->mem;
+    int64_t address = mem_address(self, w, m);
+    if (m->fkind == 1) {
+        mem->loads += 1;
+        int64_t done = mem_access(mem, sm_id, address, now, 0);
+        if (done < 0)
+            return -1;
+        w->ready_at[m->dest] = done;
+        if (done > w->peak_ready)
+            w->peak_ready = done;
+        return 0;
+    }
+    mem->stores += 1;
+    return mem_access(mem, sm_id, address, now, 1) < 0 ? -1 : 0;
+}
+
+/* Run SM._step_fast's scheduler loop from sm->sched_idx.  Returns OP_EXIT
+ * when it parks an EXIT, 0 when the loop completes, -1 on error. */
 static int
-issue_loop(CoreObject *self, CSm *sm, CSched *scheds, int64_t now,
-           int64_t *address)
+issue_loop(CoreObject *self, int32_t sm_id, CSm *sm, CSched *scheds,
+           int64_t now)
 {
     CWarp *W = self->warps;
     const int nsched = self->nsched;
@@ -1070,8 +1880,8 @@ issue_loop(CoreObject *self, CSm *sm, CSched *scheds, int64_t now,
                         if (t > w->peak_ready)
                             w->peak_ready = t;
                     } else if (fk <= 2) {
-                        *address = mem_address(self, w, m);
-                        return park(sm, fk, cur, m, 0, s);
+                        if (issue_mem(self, sm_id, w, m, now))
+                            return -1;
                     } else if (fk == 3) {
                         if (arrive_at_barrier(self, w, now))
                             wake_schedulers(sm, scheds, nsched);
@@ -1079,7 +1889,7 @@ issue_loop(CoreObject *self, CSm *sm, CSched *scheds, int64_t now,
                                  && on_long_block(self, sm, w, now))
                             return -1;
                     } else if (fk == 4) {
-                        return park(sm, OP_EXIT, cur, m, 0, s);
+                        return park_exit(sm, cur, 0, s);
                     }
                     /* fk == 5: BRA / STS, no timing effect */
                     sm->issued += 1;
@@ -1130,8 +1940,8 @@ issue_loop(CoreObject *self, CSm *sm, CSched *scheds, int64_t now,
                 if (t > w->peak_ready)
                     w->peak_ready = t;
             } else if (fk <= 2) {
-                *address = mem_address(self, w, m);
-                return park(sm, fk, ws, m, 1, s);
+                if (issue_mem(self, sm_id, w, m, now))
+                    return -1;
             } else if (fk == 3) {
                 if (arrive_at_barrier(self, w, now))
                     wake_schedulers(sm, scheds, nsched);
@@ -1139,7 +1949,7 @@ issue_loop(CoreObject *self, CSm *sm, CSched *scheds, int64_t now,
                          && on_long_block(self, sm, w, now))
                     return -1;
             } else if (fk == 4) {
-                return park(sm, OP_EXIT, ws, m, 1, s);
+                return park_exit(sm, ws, 1, s);
             }
             /* fk == 5: no timing effect */
             sc->current = ws;
@@ -1171,7 +1981,7 @@ issue_loop(CoreObject *self, CSm *sm, CSched *scheds, int64_t now,
 /* One SM's step at self->now, resumed at sm->phase.  Returns an op kind
  * when the step stops at an op, 0 when the step is over, -1 on error. */
 static int
-step_sm(CoreObject *self, CSm *sm, CSched *scheds, int64_t *address)
+step_sm(CoreObject *self, int32_t sm_id, CSm *sm, CSched *scheds)
 {
     const int64_t now = self->now;
     int op, k;
@@ -1196,7 +2006,7 @@ step_sm(CoreObject *self, CSm *sm, CSched *scheds, int64_t *address)
         sm->phase = PH_SCAN;
         /* fall through */
     case PH_SCAN:
-        op = issue_loop(self, sm, scheds, now, address);
+        op = issue_loop(self, sm_id, sm, scheds, now);
         if (op)
             return op;
         if (sm->issued) {
@@ -1263,60 +2073,73 @@ idle_advance(CSm *sm, int64_t dt)
 }
 
 static PyObject *
-op_tuple(int kind, int64_t now, int sm_id, PyObject *a, int64_t b)
+yield_op(CoreObject *self, int kind, int64_t now, int sm_id, PyObject *a)
 {
-    PyObject *t = PyTuple_New(5);
-    if (t == NULL)
+    if (channel_out(&self->mem) < 0)
         return NULL;
-    Py_INCREF(a);
-    PyObject *items[5] = {
-        PyLong_FromLong(kind), PyLong_FromLongLong(now),
-        PyLong_FromLong(sm_id), a, PyLong_FromLongLong(b),
-    };
-    int i;
-    for (i = 0; i < 5; i++) {
-        if (items[i] == NULL) {
-            int j;
-            for (j = 0; j < 5; j++)
-                Py_XDECREF(items[j]);
-            Py_DECREF(t);
-            return NULL;
-        }
-    }
-    for (i = 0; i < 5; i++)
-        PyTuple_SET_ITEM(t, i, items[i]);
-    return t;
+    return Py_BuildValue("iLiO", kind, (long long)now, sm_id, a);
+}
+
+static int
+memory_lowered(CoreObject *self)
+{
+    CMem *mem = &self->mem;
+    int32_t i;
+    if (mem->caches == NULL)
+        return 0;
+    for (i = 0; i <= self->num_sms; i++)
+        if (mem->caches[i].tags == NULL)
+            return 0;
+    return 1;
 }
 
 static PyObject *
-core_resume(CoreObject *self, PyObject *arg)
+core_access(CoreObject *self, PyObject *args)
 {
-    long long value = PyLong_AsLongLong(arg);
-    if (value == -1 && PyErr_Occurred())
+    /* One access through the lowered hierarchy outside the issue loop,
+     * with the channel hand-off of an op around it. */
+    int sm_id, is_write;
+    long long address, now;
+    if (!PyArg_ParseTuple(args, "iLLp", &sm_id, &address, &now, &is_write))
         return NULL;
-    if (self->sms == NULL || self->status) {
-        PyErr_SetString(PyExc_RuntimeError,
-                        "resume() on an uninitialized or finished core");
+    if (sm_arg(self, sm_id) == NULL)
+        return NULL;
+    if (!memory_lowered(self) || address < 0) {
+        PyErr_SetString(PyExc_ValueError,
+                        "access() needs a lowered hierarchy and an address "
+                        ">= 0");
         return NULL;
     }
+    if (channel_in(&self->mem) < 0)
+        return NULL;
+    int64_t done = mem_access(&self->mem, sm_id, address, now, is_write);
+    if (done < 0 || channel_out(&self->mem) < 0)
+        return NULL;
+    return PyLong_FromLongLong(done);
+}
+
+static PyObject *
+core_resume(CoreObject *self, PyObject *Py_UNUSED(ignored))
+{
+    if (self->sms == NULL || self->status || !memory_lowered(self)) {
+        PyErr_SetString(PyExc_RuntimeError,
+                        "resume() on an unlowered or finished core");
+        return NULL;
+    }
+    if (channel_in(&self->mem) < 0)
+        return NULL;
     const int nsched = self->nsched;
     int timed_out = 0;
 
-    /* Complete the parked issue-loop op, if any: finish the op, promote a
-     * scan-path warp to current, count the issue, next scheduler. */
+    /* Complete the parked EXIT, if any: promote a scan-path warp to
+     * current, count the issue, next scheduler. */
     if (self->cycle_open && self->cur_sm < self->num_sms) {
         CSm *sm = &self->sms[self->cur_sm];
-        if (sm->pend_kind) {
+        if (sm->pend_exit) {
             CSched *scheds = &self->scheds[(size_t)self->cur_sm * nsched];
-            CWarp *w = &self->warps[sm->pend_warp];
-            if (sm->pend_kind == OP_LOAD) {
-                w->ready_at[sm->pend_dest] = value;
-                if (value > w->peak_ready)
-                    w->peak_ready = value;
-            }
             if (sm->pend_from_scan)
                 scheds[sm->pend_sched].current = sm->pend_warp;
-            sm->pend_kind = 0;
+            sm->pend_exit = 0;
             sm->issued += 1;
             sm->sched_idx = sm->pend_sched + 1;
         }
@@ -1345,9 +2168,8 @@ core_resume(CoreObject *self, PyObject *arg)
         }
         while (self->cur_sm < self->num_sms) {
             int32_t id = self->cur_sm;
-            int64_t address = 0;
-            int op = step_sm(self, &self->sms[id],
-                             &self->scheds[(size_t)id * nsched], &address);
+            int op = step_sm(self, id, &self->sms[id],
+                             &self->scheds[(size_t)id * nsched]);
             if (op < 0)
                 return NULL;
             if (op) {
@@ -1356,13 +2178,13 @@ core_resume(CoreObject *self, PyObject *arg)
                  * cooldown, which it may have re-armed since Python last
                  * saw it. */
                 if (op == OP_EXIT)
-                    return op_tuple(op, now, id,
-                                    self->warp_objs[sm->pend_warp], 0);
+                    return yield_op(self, op, now, id,
+                                    self->warp_objs[sm->pend_warp]);
                 PyObject *a = PyLong_FromLongLong(
                     op == OP_IDLE ? sm->next_idle : 0);
                 if (a == NULL)
                     return NULL;
-                PyObject *t = op_tuple(op, now, id, a, address);
+                PyObject *t = yield_op(self, op, now, id, a);
                 Py_DECREF(a);
                 return t;
             }
@@ -1394,7 +2216,7 @@ core_resume(CoreObject *self, PyObject *arg)
             }
             if (nxt >= CK_FOREVER) {
                 self->status = 1;
-                return op_tuple(OP_DEADLOCK, now, -1, Py_None, 0);
+                return yield_op(self, OP_DEADLOCK, now, -1, Py_None);
             }
             dt = nxt - now > 1 ? nxt - now : 1;
         }
@@ -1422,8 +2244,8 @@ done:
             sm->seg_start = now;
         }
         self->status = 1;
-        return op_tuple(OP_DONE, now, -1, timed_out ? Py_True : Py_False,
-                        0);
+        return yield_op(self, OP_DONE, now, -1,
+                        timed_out ? Py_True : Py_False);
     }
 }
 
@@ -1452,8 +2274,31 @@ static PyMethodDef core_methods[] = {
     {"finish", (PyCFunction)core_finish, METH_O,
      "finish(sm_id) -> (cta_sum, pending_sum, warp_sum, max_resident, "
      "idle, rf_depletion, next_idle_check, stall_latencies)."},
-    {"resume", (PyCFunction)core_resume, METH_O,
-     "resume(value) -> (kind, cycle, sm_id, a, b) op descriptor."},
+    {"set_memory", (PyCFunction)core_set_memory, METH_VARARGS,
+     "set_memory(line_bytes, l1_hit_latency, l2_hit_latency, dram, "
+     "bytes_per_cycle, dram_latency, bytes_by_class): set up the "
+     "hierarchy and bind the DRAM channel."},
+    {"lower_cache", (PyCFunction)core_lower_cache, METH_VARARGS,
+     "lower_cache(index, num_sets, assoc, allocate_on_write, "
+     "last_evicted_dirty, sets, dirty): index < num_sms is that SM's L1, "
+     "num_sms the L2."},
+    {"lower_merges", (PyCFunction)core_lower_merges, METH_VARARGS,
+     "lower_merges(sm_id, outstanding): the SM's outstanding-miss table."},
+    {"write_back_cache", (PyCFunction)core_write_back_cache, METH_VARARGS,
+     "write_back_cache(index, sets, dirty) -> (read_hits, read_misses, "
+     "write_hits, write_misses, dirty_evictions, last_evicted_dirty): "
+     "writes the touched sets back, returns the counter increments."},
+    {"write_back_merges", (PyCFunction)core_write_back_merges,
+     METH_VARARGS,
+     "write_back_merges(sm_id, outstanding): refill the table dict."},
+    {"memory_counts", (PyCFunction)core_memory_counts, METH_NOARGS,
+     "memory_counts() -> (loads, stores, merged_misses, dram_requests, "
+     "dram_bytes, queue_cycles, demand_read_bytes, demand_write_bytes)."},
+    {"access", (PyCFunction)core_access, METH_VARARGS,
+     "access(sm_id, address, now, is_write) -> completion cycle: one "
+     "MemoryHierarchy._access through the lowered hierarchy."},
+    {"resume", (PyCFunction)core_resume, METH_NOARGS,
+     "resume() -> (kind, cycle, sm_id, arg) op descriptor."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -1489,6 +2334,9 @@ PyInit__ckernel(void)
         {&s_sleep_until, "_sleep_until"}, {&s_current, "_current"},
         {&s_dirty, "_dirty"}, {&s_sched_sleep, "_sched_sleep"},
         {&s_warps, "warps"}, {&s_active_ctas, "active_ctas"},
+        {&s_channel_free, "_channel_free"},
+        {&s_demand[DEMAND_READ], "demand_read"},
+        {&s_demand[DEMAND_WRITE], "demand_write"},
     };
     size_t n;
     for (n = 0; n < sizeof(names) / sizeof(names[0]); n++) {

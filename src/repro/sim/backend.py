@@ -13,16 +13,17 @@ executes a run:
   (``_step_fast``) for SMs that pass ``fast_step_eligible()``; ineligible
   SMs transparently fall back to the reference step.  This is the
   toolchain-free default.
-* ``compiled`` — the event engine's cycle loop and ``_step_fast``'s
-  issue loop lowered into the ``repro.sim._ckernel`` C extension on one
-  global clock, with shared memory accesses, warp finishes and policy
-  hooks served as ops through the real Python objects
+* ``compiled`` — the event engine's cycle loop, ``_step_fast``'s issue
+  loop and the L1/L2/DRAM hierarchy lowered into the
+  ``repro.sim._ckernel`` C extension on one global clock, with warp
+  finishes and policy hooks served as ops through the real Python objects
   (:mod:`repro.sim.compiled`); the extension is built best-effort at
   install time.  Refused runs (instrumentation, concurrent launches, an
   issue-hook policy, instance wrappers on inlined surface) degrade to
   ``fused`` automatically and record why in ``gpu.engine_refusal``, so
   selecting ``compiled`` is always safe when the extension is
-  importable.
+  importable.  When ``auto`` finds no extension, the run takes ``fused``
+  and ``gpu.engine_refusal`` reads ``extension-missing``.
 
 Selection order: an explicit ``engine=`` argument to ``GPU.run`` wins, then
 the ``REPRO_ENGINE`` environment variable, then ``auto`` (compiled when the
@@ -86,6 +87,13 @@ def parse_engine(value: Optional[str]) -> str:
     return name
 
 
+def requested_engine(engine: Optional[str] = None) -> str:
+    """The engine one run asks for: the explicit argument, then
+    ``REPRO_ENGINE``, normalized (``auto`` when neither names one)."""
+    return parse_engine(engine if engine is not None
+                        else os.environ.get(ENGINE_ENV))
+
+
 def select_backend(engine: Optional[str] = None) -> str:
     """Resolve the backend one run will use: the explicit argument, then
     ``REPRO_ENGINE``, then ``auto`` resolution.
@@ -95,8 +103,7 @@ def select_backend(engine: Optional[str] = None) -> str:
     *explicit* request for an unavailable backend raises
     :class:`EngineUnavailableError` instead of silently degrading.
     """
-    name = parse_engine(engine if engine is not None
-                        else os.environ.get(ENGINE_ENV))
+    name = requested_engine(engine)
     if name == "auto":
         return "compiled" if compiled_available() else "fused"
     if name == "compiled" and not compiled_available():

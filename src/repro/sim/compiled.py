@@ -1,4 +1,5 @@
-"""Compiled backend: the event engine's cycle loop in C, policy hooks as ops.
+"""Compiled backend: the event engine's cycle loop and the memory hierarchy
+in C, policy hooks as ops.
 
 ``Core.resume`` in the ``repro.sim._ckernel`` extension is a C
 transcription of the uninstrumented loop of ``GPU._run_event``: one global
@@ -10,11 +11,16 @@ is a global fact -- cycle *c* is executed iff some SM issued at *c - 1* --
 so a policy hook that must fire "at the first executed cycle at or after
 X" is placed correctly by construction.
 
+The core also owns the memory hierarchy for the run: every L1's and the
+L2's tag arrays (MRU order, a dirty bit per way), the per-SM merge tables
+and the DRAM channel, lowered from ``gpu.hierarchy`` (so a warmed L2 or a
+unified-memory L1 resize carries over) and written back at run end.  An
+LDG/STG completes inside the issue loop through a C transcription of
+``MemoryHierarchy._access``.
+
 The core returns to Python only at **ops**, in the dense engine's global
 order ``(cycle, sm_id, program order)``:
 
-* ``LOAD`` / ``STORE`` -- a shared memory-hierarchy access, performed
-  through ``hierarchy._access`` (L2/DRAM state is mutated by every SM).
 * ``EXIT`` -- a warp EXIT: the real ``sm._finish_warp`` -> retire ->
   ``on_cta_finished`` -> ``fill`` chain (grid pulls included).
 * ``SETTLE`` -- ``now`` reached the SM's earliest ``transit_until``
@@ -42,6 +48,15 @@ skipped calls are provably exact:
 The surfaces of the last two points are what ``policy_inert`` checks
 (``_INERT_POLICY_ATTRS``): the policy surface the core runs itself.
 
+Served ops reach the DRAM channel too: reg_dram's context spills and
+restores and finereg's bit-vector fetches go through
+``hierarchy.bulk_transfer``, and finereg reads ``dram.backlog``.  So the
+core hands its ``_channel_free`` to the Python ``DRAM`` before returning
+any op and reads it back on ``resume()``.  Its demand-traffic counters are
+merged into ``DRAMStats`` at run end, but the first demand charge of each
+class inserts the class key into ``bytes_by_class``, so the dict's key
+order is the Python engines'.
+
 After each policy op the driver pushes the SM's mirrors in one call
 (levels and dirty flag, earliest transit, ``wake_time``, ``next_event``,
 ``_next_idle_check``, ``_blocked_on_rf``, grid remaining) and re-imports
@@ -52,7 +67,8 @@ and RF-depletion sums are int64 in C and merged into the float counters
 once at run end.
 
 Eligibility is run-level (``compiled_refusal``): no tracer, sanitizer or
-telemetry surface, a single launch, every SM passes
+telemetry surface, a single launch, the stock memory hierarchy with no
+instance-level override (``hierarchy_refusal``), every SM passes
 ``fast_step_eligible``, every policy passes ``policy_inert``, and no
 instance-level override on the SM or stats surface the core inlines.  A
 refused run takes the fused event engine, and ``gpu.engine_refusal``
@@ -65,6 +81,9 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.memory.cache import Cache
+from repro.memory.dram import DRAM
+from repro.memory.hierarchy import MemoryHierarchy
 from repro.policies.base import RegisterFilePolicy
 from repro.sim.warp import FOREVER, WarpState
 
@@ -96,8 +115,11 @@ _BYPASSED_STATS_ATTRS = ("accumulate",)
 _STATES = (WarpState.RUNNABLE, WarpState.AT_BARRIER, WarpState.FINISHED)
 
 #: ``Core.resume`` op kinds (part of the C ABI).
-(_OP_DONE, _OP_LOAD, _OP_STORE, _OP_EXIT, _OP_SETTLE, _OP_TICK, _OP_IDLE,
- _OP_DEADLOCK) = range(8)
+_OP_DONE, _OP_EXIT, _OP_SETTLE, _OP_TICK, _OP_IDLE, _OP_DEADLOCK = range(6)
+
+#: ``CacheStats`` counters, in ``Core.write_back_cache`` order.
+_CACHE_COUNTERS = ("read_hits", "read_misses", "write_hits", "write_misses",
+                   "dirty_evictions")
 
 
 def instance_overrides(obj, names):
@@ -129,6 +151,32 @@ def policy_refusal(policy) -> Optional[str]:
     return None
 
 
+def _methods(cls):
+    """The methods ``cls`` defines itself (the callables in its dict)."""
+    return tuple(name for name, value in vars(cls).items()
+                 if callable(value))
+
+
+def hierarchy_refusal(hierarchy) -> Optional[str]:
+    """Why the fast engines cannot own ``hierarchy`` (None when they can).
+
+    ``_step_fast`` calls ``_access`` directly, skipping ``load``/``store``,
+    and the C core transcribes the whole hierarchy, so both need the stock
+    classes with no instance dict shadowing one of their methods.
+    """
+    if type(hierarchy) is not MemoryHierarchy:
+        return f"hierarchy-override:{type(hierarchy).__name__}"
+    parts = [(hierarchy, MemoryHierarchy), (hierarchy.dram, DRAM)]
+    parts += [(cache, Cache) for cache in hierarchy.l1s + [hierarchy.l2]]
+    for obj, cls in parts:
+        if type(obj) is not cls:
+            return f"hierarchy-override:{type(obj).__name__}"
+        hits = instance_overrides(obj, _methods(cls))
+        if hits:
+            return f"hierarchy-override:{hits[0]}"
+    return None
+
+
 def policy_inert(policy) -> bool:
     """True when the surface the C core runs itself is the base policy's."""
     return policy_refusal(policy) is None
@@ -150,6 +198,9 @@ def compiled_refusal(gpu) -> Optional[str]:
         return "tracer"
     if len(gpu.launches) > 1:
         return "concurrent-launches"
+    reason = hierarchy_refusal(gpu.hierarchy)
+    if reason is not None:
+        return reason
     for sm in gpu.sms:
         reason = policy_refusal(sm._policy)
         if reason is not None:
@@ -190,6 +241,51 @@ def run_compiled(gpu, max_cycles):
     return _Run(gpu, max_cycles).run()
 
 
+def lower_memory(core, hier) -> None:
+    """Lower ``hier``'s state into ``core``, read from the objects (which a
+    warmed L2 or a unified-memory L1 resize has already shaped)."""
+    dram = hier.dram
+    core.set_memory(hier._line_bytes, hier._l1_hit_lat, hier._l2_hit_lat,
+                    dram, dram.bytes_per_cycle, dram.access_latency,
+                    dram.stats.bytes_by_class)
+    for index, cache in enumerate(hier.l1s + [hier.l2]):
+        core.lower_cache(index, cache.num_sets, cache.assoc,
+                         cache.allocate_on_write, cache.last_evicted_dirty,
+                         cache._sets, cache._dirty)
+    for sm_id, table in enumerate(hier._outstanding):
+        core.lower_merges(sm_id, table)
+
+
+def write_back_memory(core, hier) -> None:
+    """Write ``core``'s hierarchy state back onto ``hier``: the touched
+    cache sets and dirty keys, the merge tables and every counter (the
+    core hands ``_channel_free`` over itself whenever it returns)."""
+    for index, cache in enumerate(hier.l1s + [hier.l2]):
+        counts = core.write_back_cache(index, cache._sets, cache._dirty)
+        stats = cache.stats
+        for name, count in zip(_CACHE_COUNTERS, counts):
+            setattr(stats, name, getattr(stats, name) + count)
+        cache.last_evicted_dirty = counts[-1]
+    for sm_id, table in enumerate(hier._outstanding):
+        core.write_back_merges(sm_id, table)
+    (loads, stores, merged, requests, nbytes, queue, read_bytes,
+     write_bytes) = core.memory_counts()
+    stats = hier.stats
+    stats.loads += loads
+    stats.stores += stores
+    stats.merged_misses += merged
+    stats = hier.dram.stats
+    stats.requests += requests
+    stats.total_bytes += nbytes
+    stats.total_queue_cycles += queue
+    # The core inserted each demand class's key at its first charge.
+    by_class = stats.bytes_by_class
+    if read_bytes:
+        by_class["demand_read"] += read_bytes
+    if write_bytes:
+        by_class["demand_write"] += write_bytes
+
+
 class _Run:
     """One lowered run: the Core object plus the trace interning map."""
 
@@ -209,6 +305,7 @@ class _Run:
             sm0._stall_threshold, model.reuse_spatial, model.reuse_lines,
             model.shared_lines, model.SHARED_BASE, max_cycles,
             gpu.config.min_park_cycles, meta, _STATES)
+        lower_memory(self.core, gpu.hierarchy)
         # The core holds references to the lowered warps and CTAs (which
         # pins these ids: a warp references its trace), and maps them back
         # to their records; traces are interned once, by identity.
@@ -323,22 +420,10 @@ class _Run:
         gpu = self.gpu
         core = self.core
         sms = gpu.sms
-        hier = gpu.hierarchy
-        hier_stats = hier.stats
-        access = hier._access
         resume = core.resume
-        value = 0
         while True:
-            kind, now, sm_id, arg, address = resume(value)
-            if kind == _OP_LOAD:
-                hier_stats.loads += 1
-                value = access(sm_id, address, now, False)
-                continue
-            value = 0
-            if kind == _OP_STORE:
-                hier_stats.stores += 1
-                access(sm_id, address, now, True)
-            elif kind == _OP_EXIT:
+            kind, now, sm_id, arg = resume()
+            if kind == _OP_EXIT:
                 self._serve_exit(sms[sm_id], now, arg)
             elif kind == _OP_TICK:
                 self._serve_tick(sms[sm_id], now)
@@ -352,6 +437,7 @@ class _Run:
             else:
                 gpu._raise_deadlock(now)
 
+        write_back_memory(core, gpu.hierarchy)
         for sm in sms:
             # Final state export: _flush_deferred_stats reads warp.pos of
             # unfinished warps on a timeout, and post-run introspection

@@ -30,7 +30,7 @@ from repro.config import GPUConfig
 from repro.core.liveness import LivenessAnalysis, LivenessTable
 from repro.isa.kernel import Kernel
 from repro.memory.hierarchy import MemoryHierarchy
-from repro.sim.backend import select_backend
+from repro.sim.backend import requested_engine, select_backend
 from repro.sim.launch import (DispatchArbiter, GridView, KernelLaunch,
                               LaunchSpec, build_launches, combined_liveness,
                               shared_address_model)
@@ -101,8 +101,9 @@ class GPU:
         # "fused" or "compiled"); None before the first run.
         self.engine_used = None
         # First check that refused the last run() on the compiled core
-        # (e.g. "policy-hook:on_issue"); None when it ran there or was not
-        # asked.  Observation only: never part of SimResult.
+        # (e.g. "policy-hook:on_issue"), or "extension-missing" when auto
+        # found no C core; None when it ran there or was not asked.
+        # Observation only: never part of SimResult.
         self.engine_refusal = None
         if hasattr(self.address_model, "warm_l2"):
             self.address_model.warm_l2(self.hierarchy.l2)
@@ -154,7 +155,8 @@ class GPU:
         Every backend is observably identical; ``engine_used`` records
         which driver actually ran (``compiled`` falls back to the event
         engine when the C core refuses the run, and ``engine_refusal``
-        names the check that refused it).
+        names the check that refused it, or ``extension-missing`` when
+        ``auto`` found no C core to ask).
         """
         # The hot loop allocates heavily (heap entries, scoreboard cycle
         # ints) but retains almost none of it, so generational GC passes
@@ -167,7 +169,10 @@ class GPU:
             if os.environ.get("REPRO_DENSE_STEP") == "1":
                 self.engine_used = "dense"
                 return self._run_dense(max_cycles)
-            backend = select_backend(engine)
+            requested = requested_engine(engine)
+            backend = select_backend(requested)
+            if requested == "auto" and backend != "compiled":
+                self.engine_refusal = "extension-missing"
             if backend == "compiled":
                 from repro.sim.compiled import run_compiled
                 return run_compiled(self, max_cycles)

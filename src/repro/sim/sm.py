@@ -758,9 +758,12 @@ class StreamingMultiprocessor:
 
         Any instance-level wrapper on ``step``/``_try_issue`` (sanitizer,
         mutation self-test), any telemetry/tracing surface, Fig-5 usage
-        sampling, a policy issue hook, or a non-GTO scheduler routes the SM
-        to the unfused reference path.
+        sampling, a policy issue hook, a non-GTO scheduler, or a memory
+        hierarchy other than the stock classes without instance overrides
+        (``_step_fast`` calls ``_access`` directly) routes the SM to the
+        unfused reference path.
         """
+        from repro.sim.compiled import hierarchy_refusal
         from repro.sim.scheduler import GTOScheduler
         d = self.__dict__
         if ("step" in d or "_try_issue" in d
@@ -769,7 +772,8 @@ class StreamingMultiprocessor:
             return False
         gpu = self.gpu
         if (type(gpu.address_model) is not AddressModel
-                or gpu.hierarchy.telemetry is not None):
+                or gpu.hierarchy.telemetry is not None
+                or hierarchy_refusal(gpu.hierarchy) is not None):
             return False
         for sched in self.schedulers:
             if type(sched) is not GTOScheduler or sched.telemetry is not None:

@@ -7,12 +7,14 @@ contract itself:
 * ``REPRO_ENGINE`` / ``engine=`` parsing, precedence and loud failure on
   typos (a silently-wrong backend would invalidate a benchmark),
 * ``auto`` resolution and graceful degradation down the chain (compiled
-  -> fused) when the C extension is missing; an *explicit* request for
-  an unavailable backend raises ``EngineUnavailableError``,
+  -> fused) when the C extension is missing, recorded as the refusal
+  ``extension-missing``; an *explicit* request for an unavailable
+  backend raises ``EngineUnavailableError``,
 * run-level compiled eligibility: instrumented runs (sanitizer,
   telemetry, tracers), non-GTO scheduling, policies overriding the
-  surface the C core runs itself (vt_regmutex's issue hook) and
-  instance-level wrappers on the surface the C core inlines must all
+  surface the C core runs itself (vt_regmutex's issue hook), a memory
+  hierarchy other than the stock classes, and instance-level wrappers on
+  the surface the C core inlines must all
   fail ``compiled_run_eligible``, and ``compiled_refusal`` names the
   first check that refused; every other policy's hooks are served as
   ops and must be admitted.  The gate is pure Python, so those checks
@@ -31,6 +33,9 @@ import pytest
 
 from repro.config import SCALES, GPUConfig
 from repro.experiments.runner import POLICIES
+from repro.memory.cache import Cache
+from repro.memory.dram import DRAM
+from repro.memory.hierarchy import MemoryHierarchy
 from repro.sim import backend
 from repro.sim.backend import (EngineUnavailableError, parse_engine,
                                select_backend)
@@ -226,6 +231,82 @@ def test_instance_sm_override_defeats_run_eligibility():
         delattr(sm, name)
     sm.stats.accumulate = sm.stats.accumulate
     assert not compiled_run_eligible(gpu)
+
+
+#: A method of each hierarchy part, and where that part lives on the GPU.
+HIERARCHY_PARTS = {
+    "hierarchy": (lambda gpu: gpu.hierarchy, MemoryHierarchy, "load"),
+    "dram": (lambda gpu: gpu.hierarchy.dram, DRAM, "request"),
+    "l2": (lambda gpu: gpu.hierarchy.l2, Cache, "access_line"),
+    "l1": (lambda gpu: gpu.hierarchy.l1s[1], Cache, "access_line"),
+}
+
+
+@pytest.mark.parametrize("part", sorted(HIERARCHY_PARTS))
+def test_hierarchy_instance_override_refuses_both_fast_engines(part):
+    """_step_fast calls _access directly and the C core transcribes the
+    whole hierarchy, so an instance wrapper anywhere on it refuses both."""
+    gpu = build_gpu()
+    get, __, method = HIERARCHY_PARTS[part]
+    obj = get(gpu)
+    setattr(obj, method, getattr(obj, method))
+    assert compiled_refusal(gpu) == f"hierarchy-override:{method}"
+    assert not any(sm.fast_step_eligible() for sm in gpu.sms)
+
+
+@pytest.mark.parametrize("part", sorted(HIERARCHY_PARTS))
+def test_hierarchy_subclass_refuses_both_fast_engines(part):
+    gpu = build_gpu()
+    get, cls, __ = HIERARCHY_PARTS[part]
+    obj = get(gpu)
+    obj.__class__ = type(f"Custom{cls.__name__}", (cls,), {})
+    assert compiled_refusal(gpu) == f"hierarchy-override:Custom{cls.__name__}"
+    assert not any(sm.fast_step_eligible() for sm in gpu.sms)
+
+
+@pytest.mark.parametrize("engine", ["fused"] + (
+    ["compiled"] if backend.compiled_available() else []))
+def test_wrapped_hierarchy_load_runs_on_reference(engine):
+    """A counting wrapper on ``hierarchy.load`` is honored: the run falls
+    back to the reference step, which calls it for every load, and the
+    compiled request records why."""
+    gpu = build_gpu()
+    hier = gpu.hierarchy
+    calls = []
+    original = hier.load
+
+    def counting_load(sm_id, address, now):
+        calls.append(now)
+        return original(sm_id, address, now)
+
+    hier.load = counting_load
+    result = gpu.run(max_cycles=TINY.max_cycles, engine=engine)
+    assert gpu.engine_used == "reference"
+    assert gpu.engine_refusal == (
+        "hierarchy-override:load" if engine == "compiled" else None)
+    assert len(calls) == hier.stats.loads > 0
+    plain = build_gpu().run(max_cycles=TINY.max_cycles, engine=engine)
+    assert result.to_json() == plain.to_json()
+
+
+def test_auto_without_extension_records_extension_missing(monkeypatch):
+    monkeypatch.setattr(backend, "_COMPILED_AVAILABLE", False)
+    monkeypatch.delenv(backend.ENGINE_ENV, raising=False)
+    gpu = build_gpu()
+    result = gpu.run(max_cycles=TINY.max_cycles)
+    assert gpu.engine_used == "fused"
+    assert gpu.engine_refusal == "extension-missing"
+    assert "engine_refusal" not in result.to_json()
+    assert "extension-missing" not in str(result.to_json())
+
+
+@pytest.mark.parametrize("engine", ["fused", "reference"])
+def test_explicit_python_engine_records_no_refusal(monkeypatch, engine):
+    monkeypatch.setattr(backend, "_COMPILED_AVAILABLE", False)
+    gpu = build_gpu()
+    gpu.run(max_cycles=TINY.max_cycles, engine=engine)
+    assert gpu.engine_used == engine
+    assert gpu.engine_refusal is None
 
 
 def test_scheduler_surface_cannot_be_wrapped_per_instance():

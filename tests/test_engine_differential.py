@@ -17,6 +17,13 @@ comparison so the compiled backend actually engages on the baseline
 case -- ``run_case`` attaches a CTA tracer, which conservatively routes a
 run back to the fused engine (tests/test_engine_backend.py covers that
 fallback routing itself).
+
+The C core owns the memory hierarchy during a run and writes it back at
+the end, so beyond ``SimResult`` bytes the tests compare the hierarchy's
+full end state with the oracle's (``memory_state``): every cache set in
+MRU order, the dirty keys, the merge tables, every counter and the DRAM
+channel, plus the unsorted result JSON (the key order of
+``dram_traffic_by_class``).
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from __future__ import annotations
 import json
 import os
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +39,8 @@ from hypothesis import strategies as st
 
 from repro.config import SCALES, GPUConfig, default_config
 from repro.experiments.runner import POLICIES
+from repro.memory.hierarchy import MemoryHierarchy
+from repro.policies.unified_memory import apply_unified_memory
 from repro.sim.gpu import GPU
 from repro.sim.tracing import attach_tracer
 from repro.validate.golden import CORPUS, run_case
@@ -41,12 +50,17 @@ from repro.workloads.generator import build_workload
 from repro.workloads.suite import get_spec
 
 TINY = SCALES["tiny"]
+SMALL = SCALES["small"]
 #: Two SMs keep the micro-workloads fast while still exercising the
 #: cross-SM parts of the engines (shared L2/DRAM, global cycle advance,
 #: the compiled core's cross-SM op ordering).
 MICRO_CONFIG = GPUConfig(num_sms=2)
 #: Four SMs, so the hook ops of more than two SMs interleave in a cycle.
 QUAD_CONFIG = GPUConfig(num_sms=4)
+#: A 32-line, 2-way L2: every run evicts dirty L2 lines (and charges their
+#: DRAM write-back) and merges misses.
+PRESSURE_CONFIG = replace(MICRO_CONFIG, l2_size_bytes=16 * 128 * 2,
+                          l2_assoc=2)
 APPS = ("KM", "HS", "LB")
 
 #: The production backends differentially pinned to the dense oracle.
@@ -75,6 +89,49 @@ def result_bytes(result) -> str:
     return json.dumps(result.to_json(), sort_keys=True)
 
 
+def memory_state(hier) -> dict:
+    """The hierarchy state the C core lowers and writes back, and the DRAM
+    channel it shares with served ops."""
+    dram = hier.dram
+    return {
+        "caches": [(cache.name, cache.num_sets,
+                    [list(ways) for ways in cache._sets], set(cache._dirty),
+                    asdict(cache.stats), cache.last_evicted_dirty)
+                   for cache in hier.l1s + [hier.l2]],
+        "outstanding": [dict(table) for table in hier._outstanding],
+        "hierarchy_stats": asdict(hier.stats),
+        "dram_stats": asdict(dram.stats),
+        "dram_class_order": list(dram.stats.bytes_by_class),
+        "channel_free": repr(dram._channel_free),
+    }
+
+
+def assert_same_end_state(dense_gpu, dense, gpu, result, label: str):
+    """Result bytes (unsorted: the key order counts too) and the full
+    memory end state of ``gpu`` equal the dense oracle's."""
+    assert json.dumps(dense.to_json()) == json.dumps(result.to_json()), (
+        f"{label}: result diverged from the dense oracle")
+    expected = memory_state(dense_gpu.hierarchy)
+    actual = memory_state(gpu.hierarchy)
+    for key, value in expected.items():
+        assert actual[key] == value, (
+            f"{label}: {key} diverged from the dense oracle")
+
+
+def end_state_differential(build, max_cycles: int, label: str) -> GPU:
+    """Run ``build()``'s GPU on the dense oracle and on every engine and
+    compare full end states; returns the dense GPU."""
+    with dense_engine():
+        dense_gpu = build()
+        dense = dense_gpu.run(max_cycles=max_cycles)
+    for engine in ENGINES:
+        gpu = build()
+        result = gpu.run(max_cycles=max_cycles, engine=engine)
+        assert_same_end_state(dense_gpu, dense, gpu, result,
+                              f"{engine} ({label})")
+    return dense_gpu
+
+
 def build_micro_gpu(policy: str, app: str, seed: int,
                     config: GPUConfig = MICRO_CONFIG) -> GPU:
     spec = replace(get_spec(app), seed=seed)
@@ -82,13 +139,6 @@ def build_micro_gpu(policy: str, app: str, seed: int,
     return GPU(config, instance.kernel, POLICIES[policy](),
                instance.trace_provider, instance.address_model,
                liveness=instance.liveness)
-
-
-def simulate_micro(policy: str, app: str, seed: int, engine=None,
-                   config: GPUConfig = MICRO_CONFIG):
-    """One tiny simulation (2 SMs by default), workload spec reseeded."""
-    gpu = build_micro_gpu(policy, app, seed, config)
-    return gpu.run(max_cycles=TINY.max_cycles, engine=engine)
 
 
 def simulate_case_bare(case, engine=None):
@@ -178,12 +228,13 @@ def test_golden_case_bit_identical_across_engines(case):
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("case", CORPUS, ids=lambda c: c.name)
 def test_golden_case_bare_three_way_differential(case, engine):
-    """Uninstrumented replay: every backend byte-identical to the oracle."""
+    """Uninstrumented replay: every backend byte-identical to the oracle,
+    memory end state included."""
     with dense_engine():
-        dense, _ = simulate_case_bare(case)
-    current, _ = simulate_case_bare(case, engine=engine)
-    assert result_bytes(dense) == result_bytes(current), (
-        f"{engine} engine diverged from the dense oracle on {case.name}")
+        dense, dense_gpu = simulate_case_bare(case)
+    current, gpu = simulate_case_bare(case, engine=engine)
+    assert_same_end_state(dense_gpu, dense, gpu, current,
+                          f"{engine} on {case.name}")
 
 
 # ----------------------------------------------------------------------
@@ -266,25 +317,146 @@ def test_random_micro_workloads_bit_identical(policy, data):
     seed = data.draw(st.integers(min_value=0, max_value=2 ** 16 - 1),
                      label="spec seed")
     app = data.draw(st.sampled_from(APPS), label="app")
-    with dense_engine():
-        dense = simulate_micro(policy, app, seed)
-    for engine in ENGINES:
-        current = simulate_micro(policy, app, seed, engine=engine)
-        assert result_bytes(dense) == result_bytes(current), (
-            f"{engine} engine diverged from the dense oracle "
-            f"({policy}, {app}, seed={seed})")
+    end_state_differential(lambda: build_micro_gpu(policy, app, seed),
+                           TINY.max_cycles, f"{policy}, {app}, seed={seed}")
 
 
 @pytest.mark.parametrize("app", APPS)
 @pytest.mark.parametrize("policy", sorted(POLICIES))
 def test_four_sm_runs_bit_identical(policy, app):
     """Four SMs: the settle / tick / idle ops of several SMs interleave
-    within one cycle, and every backend must match the dense oracle."""
-    with dense_engine():
-        dense = simulate_micro(policy, app, 0, config=QUAD_CONFIG)
-    for engine in ENGINES:
-        current = simulate_micro(policy, app, 0, engine=engine,
-                                 config=QUAD_CONFIG)
-        assert result_bytes(dense) == result_bytes(current), (
-            f"{engine} engine diverged from the dense oracle "
-            f"({policy}, {app}, 4 SMs)")
+    within one cycle, and every backend must match the dense oracle,
+    memory end state included."""
+    end_state_differential(
+        lambda: build_micro_gpu(policy, app, 0, QUAD_CONFIG),
+        TINY.max_cycles, f"{policy}, {app}, 4 SMs")
+
+
+# ----------------------------------------------------------------------
+# Full end state of the memory hierarchy the C core owns during a run
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("policy", sorted(POLICIES))
+def test_memory_end_state_under_l2_pressure(policy):
+    """A tiny L2: dirty evictions, their DRAM write charges and merged
+    misses on every run."""
+    dense = end_state_differential(
+        lambda: build_micro_gpu(policy, "KM", 0, PRESSURE_CONFIG),
+        TINY.max_cycles, f"{policy}, KM, tiny L2")
+    assert dense.hierarchy.l2.stats.dirty_evictions > 0
+    assert dense.hierarchy.stats.merged_misses > 0
+
+
+@pytest.mark.parametrize("policy", ("baseline", "finereg"))
+def test_memory_end_state_after_unified_memory_resize(policy):
+    """Fig 19 resizes every L1 before the run: the core lowers the resized
+    geometry from the objects, not from the config."""
+    def build():
+        gpu = build_micro_gpu(policy, "KM", 0)
+        apply_unified_memory(gpu, reserve_pcrf=policy == "finereg")
+        return gpu
+
+    dense = end_state_differential(build, TINY.max_cycles,
+                                   f"{policy}, KM, unified memory")
+    assert dense.hierarchy.l1s[0].size_bytes != MICRO_CONFIG.l1_size_bytes
+
+
+class PruneCountingTable(dict):
+    """An outstanding-miss table counting the stores that push it past the
+    hierarchy's 256-entry prune bound."""
+
+    prunes = 0
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        if len(self) > 256:
+            self.prunes += 1
+
+
+@pytest.mark.parametrize("policy", ("baseline", "reg_dram"))
+def test_memory_end_state_on_small_cell_with_merge_table_prunes(policy):
+    """TR at small scale on 2 SMs prunes its merge tables; reg_dram adds
+    context spills that queue on the DRAM channel the core hands over."""
+    config = default_config(SMALL)
+    instance = build_workload(get_spec("TR"), config, SMALL)
+
+    def build():
+        gpu = GPU(config, instance.kernel, POLICIES[policy](),
+                  instance.trace_provider, instance.address_model,
+                  liveness=instance.liveness)
+        hier = gpu.hierarchy
+        hier._outstanding = [PruneCountingTable() for _ in hier._outstanding]
+        return gpu
+
+    dense = end_state_differential(build, SMALL.max_cycles,
+                                   f"{policy}, TR, small")
+    assert config.num_sms == 2
+    assert sum(table.prunes for table in dense.hierarchy._outstanding) > 0
+
+
+# ----------------------------------------------------------------------
+# The C hierarchy alone: access sequences through Core.access vs _access
+# ----------------------------------------------------------------------
+#: 2-set, 2-way L1s and L2: with ten lines and ops a few dozen cycles
+#: apart (a DRAM round trip is ~900), short sequences reach every branch
+#: of _access, down to merged misses that evict a dirty L1 line.
+TINY_CACHES = replace(MICRO_CONFIG, l1_size_bytes=2 * 2 * 128, l1_assoc=2,
+                      l2_size_bytes=2 * 2 * 128, l2_assoc=2)
+#: (sm_id, line, cycles since the previous op, kind): kind 0 reads, 1
+#: writes, 2 queues a context spill on the shared DRAM channel.
+ACCESS_OPS = st.lists(st.tuples(st.integers(0, 1), st.integers(0, 9),
+                                st.integers(0, 60), st.integers(0, 2)),
+                      min_size=60, max_size=120)
+#: 900 reads of distinct lines on one SM: its merge table passes the
+#: 256-entry bound before anything expires, then expires as time runs on.
+PRUNE_STREAM = [(0, line, 1 if line < 600 else 7, 0) for line in range(900)]
+
+
+def apply_op(hier, op, now, core=None):
+    """One op at ``now`` on ``hier`` (its access through ``core`` when
+    given); returns the completion cycle."""
+    sm_id, line, __, kind = op
+    if kind == 2:
+        return hier.bulk_transfer(now, 4096, "context_spill")
+    access = hier._access if core is None else core.access
+    return access(sm_id, line * 128 + now % 128, now, kind == 1)
+
+
+def core_replay_differential(warm, ops, spec):
+    """Warm ``spec`` and a twin up with ``warm``, lower the twin into a C
+    core, then replay ``ops`` on both.  After every op the completion
+    cycle and the written-back state (write-back is incremental) must be
+    the spec's."""
+    from repro.sim import _ckernel
+    from repro.sim.compiled import _STATES, lower_memory, write_back_memory
+
+    lowered = MemoryHierarchy(spec._config)
+    now = 0
+    for op in warm:
+        now += op[2]
+        apply_op(spec, op, now)
+        apply_op(lowered, op, now)
+    core = _ckernel.Core(spec._config.num_sms, 1, 1, 1, 1, 1, 1, 0, 1, 0,
+                         [], _STATES)
+    lower_memory(core, lowered)
+    for step, op in enumerate(ops):
+        now += op[2]
+        assert apply_op(lowered, op, now, core) == apply_op(spec, op, now), (
+            f"op {step} {op}: completion cycle diverged")
+        write_back_memory(core, lowered)
+        assert memory_state(lowered) == memory_state(spec), (
+            f"op {step} {op}: hierarchy state diverged")
+
+
+@needs_extension
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(warm=ACCESS_OPS, ops=ACCESS_OPS)
+def test_core_hierarchy_replays_access_sequences(warm, ops):
+    core_replay_differential(warm, ops, MemoryHierarchy(TINY_CACHES))
+
+
+@needs_extension
+def test_core_hierarchy_prunes_merge_tables_like_python():
+    spec = MemoryHierarchy(TINY_CACHES)
+    spec._outstanding = [PruneCountingTable() for _ in spec._outstanding]
+    core_replay_differential([], PRUNE_STREAM, spec)
+    assert spec._outstanding[0].prunes > 0
