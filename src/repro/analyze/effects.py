@@ -27,15 +27,18 @@ conditions — then closes them over the call graph and audits the gates:
   compiled driver never calls must all appear in ``_BYPASSED_SM_ATTRS``
   (or be barred by ``fast_step_eligible``'s instance-dict scan), so an
   instance-level wrapper can never be skipped.
-* **Policy gate derivation** — the base-policy surface the C core runs
+* **Policy gate derivation** — the policy surface the C core runs
   itself is derived from two sources: hooks the Python engines reach that
   the compiled driver never serves (the issue hook, the idle attribution
-  inside ``accumulate``, ...), and every base body the C source marks
-  ``transcribes RegisterFilePolicy.<name>``.  Each derived name must be
+  inside ``accumulate``, ...), and every policy body the C source marks
+  ``transcribes <PolicyClass>.<name>``.  Each derived name must be
   checked by ``policy_inert`` (via ``_INERT_POLICY_ATTRS`` or its direct
-  attribute reads); stale or never-overridden entries are reported, and
-  subclasses overriding only served hooks are listed as running on the
-  compiled core.
+  attribute reads); stale or never-overridden entries are reported.  The
+  markers are checked both ways against the bodies the gate admits (the
+  base body of every checked name plus ``_CORE_POLICY_BODIES``): an
+  admitted body without a marker is HIGH, a marker naming a body the gate
+  does not admit is MEDIUM.  Subclasses whose checked overrides are all
+  admitted bodies are listed as running on the compiled core.
 * **Determinism** — the launch/arbiter layer (and every audited module) is
   re-checked for unordered set iteration, and every ``sorted``/``min``/
   ``max`` key lambda must break ties on a unique id attribute.
@@ -66,8 +69,8 @@ from typing import (Dict, FrozenSet, Iterable, List, Mapping, Optional,
 from repro.analyze.lint import lint_source
 import re
 
-from repro.sim.compiled import (_BYPASSED_SM_ATTRS, _INERT_POLICY_ATTRS,
-                                instance_overrides)
+from repro.sim.compiled import (_BYPASSED_SM_ATTRS, _CORE_POLICY_BODIES,
+                                _INERT_POLICY_ATTRS, instance_overrides)
 from repro.validate.findings import Finding, FindingReport, Severity
 
 __all__ = [
@@ -100,12 +103,12 @@ POLICY_MODULE_FILES = {
     "policies.unified_memory": "policies/unified_memory.py",
 }
 MODULE_FILES = {**SIM_MODULE_FILES, **POLICY_MODULE_FILES}
-#: The C core, scanned for its base-policy transcription markers.
+#: The C core, scanned for its policy transcription markers.
 CORE_C_FILE = "sim/_ckernel.c"
-_TRANSCRIBES = re.compile(r"transcribes\s+RegisterFilePolicy\.(\w+)")
+_TRANSCRIBES = re.compile(r"transcribes\s+(\w+)\.(\w+)")
 #: The compiled driver's gate functions (refusal checks, not served ops).
 _GATE_FUNCTIONS = ("policy_refusal", "policy_inert", "compiled_refusal",
-                   "compiled_run_eligible")
+                   "compiled_run_eligible", "core_bodies", "runs_core_body")
 
 #: Receiver namespaces with a backing class.
 _NAMESPACE_CLASSES = {
@@ -181,6 +184,8 @@ class EffectsConfig:
     paths: Mapping[str, str]
     bypassed_sm_attrs: Tuple[str, ...] = _BYPASSED_SM_ATTRS
     inert_policy_attrs: Tuple[str, ...] = _INERT_POLICY_ATTRS
+    core_policy_bodies: Tuple[Tuple[str, str], ...] = tuple(
+        (owner.__name__, name) for owner, name in _CORE_POLICY_BODIES)
     core_source: str = ""
 
 
@@ -686,24 +691,30 @@ def _audit_inert(index: _CodeIndex) -> List[Finding]:
     skipped = direct | set(_INERT_EXEMPT)
 
     # Required = hooks the Python engines reach but no served op does (the
-    # C core replaces their call sites), plus every base body the C source
-    # marks as transcribed; closed over the bodies of required methods
-    # (an override may route through further base hooks) short of what the
-    # served ops run in Python anyway.
+    # C core replaces their call sites), plus every policy body the C
+    # source marks as transcribed; closed over the bodies of required
+    # methods (an override may route through further base hooks) short of
+    # what the served ops run in Python anyway.
     served = _served_policy_refs(index, family)
-    transcribed = set(_TRANSCRIBES.findall(config.core_source))
+    markers: Dict[Tuple[str, str], int] = {}
+    for match in _TRANSCRIBES.finditer(config.core_source):
+        if match.group(1) in family:
+            markers.setdefault(
+                (match.group(1), match.group(2)),
+                config.core_source.count("\n", 0, match.start()) + 1)
+    transcribed = {name for _, name in markers}
     required = ((_engine_policy_refs(index) - served) | transcribed) \
         & base_names
     required = (_policy_closure(index, required, family, stop=served)
                 & base_names) - skipped
 
     for name in sorted(required - set(config.inert_policy_attrs)):
-        origin = ("the C core transcribes its base body"
+        origin = ("the C core transcribes a body of it"
                   if name in transcribed else
                   "the Python engines call it where the C core does not")
         findings.append(_finding(
             "inert-gate-missing", HIGH,
-            f"base-policy attribute {name!r} is part of the surface the "
+            f"policy attribute {name!r} is part of the surface the "
             f"C core runs itself ({origin}) but policy_inert does not "
             f"check it; a subclass overriding {name!r} would be silently "
             f"ignored on the compiled core — add it to "
@@ -716,32 +727,74 @@ def _audit_inert(index: _CodeIndex) -> List[Finding]:
                 f"RegisterFilePolicy; the identity check compares a name "
                 f"that cannot be overridden", comp_path, line))
 
-    # Per-subclass: which policies the gate admits (every override is a
-    # served hook) and which entries no subclass overrides.
+    # The bodies the gate admits, checked against the markers both ways.
+    admitted = {("RegisterFilePolicy", name)
+                for name in config.inert_policy_attrs if name in base_names}
+    for cname, name in config.core_policy_bodies:
+        if (name not in config.inert_policy_attrs or cname not in family
+                or name not in family[cname][1].body_names):
+            findings.append(_finding(
+                "inert-gate-stale", MEDIUM,
+                f"_CORE_POLICY_BODIES entry {cname}.{name} is not a body "
+                f"{cname} defines for a name _INERT_POLICY_ATTRS checks; "
+                f"the gate never admits it", comp_path, line))
+        else:
+            admitted.add((cname, name))
+    for cname, name in sorted(admitted - set(markers)):
+        findings.append(_finding(
+            "core-transcription-missing", HIGH,
+            f"the gate admits {cname}.{name} but {CORE_C_FILE} marks no "
+            f"'transcribes {cname}.{name}': the C core would run another "
+            f"body, or none, where the Python engines run this one",
+            comp_path, line))
+    for cname, name in sorted(set(markers) - admitted):
+        findings.append(_finding(
+            "core-transcription-unadmitted", MEDIUM,
+            f"{CORE_C_FILE} marks 'transcribes {cname}.{name}' but the "
+            f"gate admits no such body (_INERT_POLICY_ATTRS / "
+            f"_CORE_POLICY_BODIES): the transcription is dead or its gate "
+            f"entry is missing", f"src/repro/{CORE_C_FILE}",
+            markers[(cname, name)]))
+
+    # Per-subclass: which policies the gate admits (every checked override
+    # resolves to an admitted body) and which entries no subclass
+    # overrides.
     checked = set(config.inert_policy_attrs) | skipped
     overridden_entries: Set[str] = set()
     for cname, (mkey, info) in sorted(family.items()):
         if cname == "RegisterFilePolicy":
             continue
-        inherited: Set[str] = set()
+        chain: List[str] = []
         cursor: Optional[str] = cname
-        seen_chain: Set[str] = set()
-        while cursor and cursor in family and cursor not in seen_chain:
-            seen_chain.add(cursor)
-            if cursor != "RegisterFilePolicy":
-                inherited |= family[cursor][1].body_names
+        while cursor and cursor in family and cursor not in chain:
+            chain.append(cursor)
             cursor = next((b for b in family[cursor][1].bases
                            if b in family), None)
-        base_overrides = {name for name in inherited & base_names
-                          if not name.startswith("__")} - set(_INERT_EXEMPT)
-        overridden_entries |= base_overrides & set(config.inert_policy_attrs)
-        if not base_overrides & checked:
+        definer: Dict[str, str] = {}
+        for owner in reversed(chain):
+            for name in family[owner][1].body_names:
+                definer[name] = owner
+        base_overrides = {name for name, owner in definer.items()
+                          if owner != "RegisterFilePolicy"
+                          and name in base_names
+                          and not name.startswith("__")} - set(_INERT_EXEMPT)
+        entries = base_overrides & set(config.inert_policy_attrs)
+        overridden_entries |= entries
+        bodies = sorted(name for name in entries
+                        if (definer[name], name) in admitted)
+        # An override of a name the gate reads directly (needs_issue_hook)
+        # pairs with a transcribed non-base body.
+        refused = bool(entries - set(bodies)) or bool(
+            (base_overrides & checked) - entries and not bodies)
+        if not refused:
+            hooks = sorted(base_overrides - checked)
+            extra = (f" and the transcribed bodies ({', '.join(bodies)})"
+                     if bodies else "")
             findings.append(_finding(
                 "inert-policy-passthrough", LOW,
                 f"{cname} overrides only served hooks "
-                f"({', '.join(sorted(base_overrides)) or 'none'}) and runs "
-                f"on the compiled core", index.modules[mkey].path,
-                info.lineno))
+                f"({', '.join(hooks) or 'none'}){extra} and runs on the "
+                f"compiled core", index.modules[mkey].path, info.lineno))
     for name in config.inert_policy_attrs:
         if name in base_names and name not in overridden_entries:
             findings.append(_finding(

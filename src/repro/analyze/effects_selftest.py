@@ -52,7 +52,7 @@ def _inject(config: EffectsConfig, key: str, anchor: str,
 
 
 # ----------------------------------------------------------------------
-# The eight injections
+# The ten injections
 # ----------------------------------------------------------------------
 def _phantom_issue_hook() -> EffectsConfig:
     """A new hook read in ``_try_issue`` that ``fast_step_eligible``
@@ -139,6 +139,28 @@ def _phantom_core_transcription() -> EffectsConfig:
         + "\n/* transcribes RegisterFilePolicy.telemetry_levels */\n"))
 
 
+def _dropped_core_marker() -> EffectsConfig:
+    """The C core stops marking RegMutex's lease as transcribed while the
+    gate still admits ``RegMutexPolicy.on_issue``: nothing ties the
+    admitted body to the code the core runs in its place."""
+    config = default_effects_config()
+    marker = "transcribes RegMutexPolicy.on_issue"
+    if marker not in config.core_source:
+        raise AssertionError(f"self-test anchor not found in the core: "
+                             f"{marker!r}")
+    return replace(config, core_source=config.core_source.replace(
+        marker, "runs RegMutexPolicy.on_issue"))
+
+
+def _unadmitted_core_marker() -> EffectsConfig:
+    """The C core claims a policy body the gate does not admit (RegDRAM's
+    idle attribution): dead code, or a gate entry someone forgot."""
+    config = default_effects_config()
+    return replace(config, core_source=(
+        config.core_source
+        + "\n/* transcribes RegDRAMPolicy.classify_idle */\n"))
+
+
 def _degenerate_tiebreak() -> EffectsConfig:
     """Arbiter sort key collapsed to priority only: equal-priority
     launches dispatch in an order the key no longer pins."""
@@ -175,6 +197,14 @@ SEEDED_FAULTS: Tuple[SeededFault, ...] = (
                 Severity.ERROR,
                 "C core transcribes a base-policy body the gate does not "
                 "pin", _phantom_core_transcription),
+    SeededFault("dropped_core_marker", "core-transcription-missing",
+                Severity.ERROR,
+                "gate admits RegMutexPolicy.on_issue, C core lost its "
+                "transcription marker", _dropped_core_marker),
+    SeededFault("unadmitted_core_marker", "core-transcription-unadmitted",
+                Severity.WARNING,
+                "C core marks a policy body the gate does not admit",
+                _unadmitted_core_marker),
     SeededFault("degenerate_tiebreak", "unstable-tiebreak",
                 Severity.WARNING,
                 "arbiter sort key loses its unique-id tie-break",

@@ -102,8 +102,10 @@ def simulate_request(scale: Scale, base_config: GPUConfig,
     ``obs`` is an optional span source (:class:`repro.obs.session.ObsSession`
     in-process, :class:`~repro.obs.session.WorkerObs` in a pool worker)
     whose ``phase(name)`` times the workload-build / engine-run / serialize
-    stages.  Observation-only: the returned SimResult is byte-identical
-    with or without it, and the off path costs one ``is not None`` test.
+    stages; the engine-run span is tagged with the engine that ran and why
+    a faster one was refused.  Observation-only: the returned SimResult is
+    byte-identical with or without it, and the off path costs one ``is not
+    None`` test.
     """
     # Imported lazily: runner.py imports this module for RunRequest.
     from repro.experiments.runner import POLICIES
@@ -135,15 +137,26 @@ def simulate_request(scale: Scale, base_config: GPUConfig,
         from repro.telemetry.session import attach_telemetry
         tracer = attach_tracer(gpu, level="warp")
         session = attach_telemetry(gpu)
-        with phase("engine-run"):
+        with phase("engine-run") as span:
             result = gpu.run(max_cycles=scale.max_cycles,
                              engine=request.engine)
+            _tag_engine(span, gpu)
         with phase("serialize"):
             write_run_telemetry(scale, base_config, request, session,
                                 result, tracer=tracer)
         return result
-    with phase("engine-run"):
-        return gpu.run(max_cycles=scale.max_cycles, engine=request.engine)
+    with phase("engine-run") as span:
+        result = gpu.run(max_cycles=scale.max_cycles, engine=request.engine)
+        _tag_engine(span, gpu)
+    return result
+
+
+def _tag_engine(span, gpu) -> None:
+    """Tag an engine-run span (None when unobserved) with
+    ``gpu.engine_used`` and ``gpu.engine_refusal``."""
+    if span is not None:
+        span.attrs.update(engine=gpu.engine_used,
+                          refusal=gpu.engine_refusal)
 
 
 #: Directory for per-run telemetry artifacts (override via env).

@@ -135,6 +135,8 @@ class ExperimentRunner:
             return cached
         disk_key = self._persistent_key(request, config)
         result = None if request.telemetry else self.cache.get(disk_key)
+        if result is not None and self.obs is not None:
+            self.obs.cached_request(request)
         if result is None:
             scope = self.obs.run_scope(request) if self.obs is not None \
                 else nullcontext()
@@ -176,6 +178,8 @@ class ExperimentRunner:
                     self.cache.get(self._persistent_key(request, config))
                 if result is not None:
                     self._results[key] = result
+                    if self.obs is not None:
+                        self.obs.cached_request(request)
                     continue
                 claimed.add(key)
                 pending.append((key, request.with_config(config)))

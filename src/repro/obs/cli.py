@@ -3,7 +3,9 @@
 Actions:
 
 * ``summarize <log>``: cache hit-rate, worker utilization, per-phase
-  wall-clock breakdown and reconciliation status of a campaign JSONL log;
+  wall-clock breakdown, the engine mix (requests and engine-run wall per
+  policy, engine and refusal) and reconciliation status of a campaign
+  JSONL log;
 * ``tail <log>``: the last N events, one line each, with invalid lines
   marked rather than crashing (a live log may be mid-write);
 * ``perfetto <log> --out trace.json``: export the span tree to
@@ -34,6 +36,41 @@ def _span_objects(span_dicts: Sequence[Dict]) -> List[Span]:
     return spans
 
 
+def engine_rows(span_dicts: Sequence[Dict],
+                completions: Sequence[Dict] = ()) -> List[Dict]:
+    """Requests and summed engine-run wall per (policy, engine, refusal).
+
+    Each tagged ``engine-run`` phase span is one simulated request, its
+    policy read from the enclosing ``req:<app>/<policy>`` request span
+    (serial and pooled runs alike); each ``run_complete`` marked
+    ``cached`` counts as engine ``cached``.
+    """
+    by_id = {span["span"]: span for span in span_dicts}
+    table: Dict[tuple, List] = {}
+    for span in span_dicts:
+        attrs = span.get("attrs") or {}
+        if span["name"] != "engine-run" or "engine" not in attrs:
+            continue
+        parent = by_id.get(span.get("parent"))
+        policy = (str(parent["name"]).rpartition("/")[2]
+                  if parent is not None and parent["kind"] == "request"
+                  else "-")
+        row = table.setdefault(
+            (policy, str(attrs["engine"]), attrs.get("refusal")), [0, 0.0])
+        row[0] += 1
+        row[1] += float(span["dur_s"])
+    for event in completions:
+        if event.get("cached"):
+            table.setdefault((event["policy"], "cached", None),
+                             [0, 0.0])[0] += 1
+    rows = [{"policy": policy, "engine": engine, "refusal": refusal,
+             "requests": count, "wall_s": round(wall, 6)}
+            for (policy, engine, refusal), (count, wall) in table.items()]
+    rows.sort(key=lambda row: (row["policy"], row["engine"],
+                               row["refusal"] or ""))
+    return rows
+
+
 def summarize_events(events: Sequence[Dict]) -> Dict:
     """Campaign summary computed purely from a validated event stream."""
     events = list(events)
@@ -41,7 +78,8 @@ def summarize_events(events: Sequence[Dict]) -> Dict:
     ends = events_of(events, "campaign_end")
     lookups = events_of(events, "cache_lookup")
     stores = events_of(events, "cache_store")
-    runs = events_of(events, "run_complete")
+    completions = events_of(events, "run_complete")
+    runs = [event for event in completions if not event.get("cached")]
     stalls = events_of(events, "stall")
     hits = sum(1 for event in lookups if event["hit"])
 
@@ -106,6 +144,7 @@ def summarize_events(events: Sequence[Dict]) -> Dict:
             "stall_events": len(stalls),
         },
         "phases": phases,
+        "engines": engine_rows(span_dicts, completions),
         "reconcile": reconcile_spans(spans),
     }
 
@@ -135,6 +174,13 @@ def format_summary(summary: Dict) -> str:
         lines.append("phases:")
         for row in summary["phases"]:
             lines.append(f"  {row['phase']}: {row['wall_s']:.3f}s")
+    if summary["engines"]:
+        lines.append("engines (policy, engine, refusal: requests, "
+                     "engine-run wall):")
+        for row in summary["engines"]:
+            lines.append(f"  {row['policy']:<18} {row['engine']:<10} "
+                         f"{row['refusal'] or '-':<24} "
+                         f"{row['requests']:>5}  {row['wall_s']:.3f}s")
     problems = summary["reconcile"]
     lines.append("spans reconcile: "
                  + ("ok" if not problems

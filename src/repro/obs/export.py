@@ -39,6 +39,8 @@ def spans_from_events(events: Sequence[Dict]) -> List[Dict]:
                 "t_start": event["t_start"], "dur_s": event["dur_s"]}
         if "worker" in event:
             span["worker"] = event["worker"]
+        if "attrs" in event:
+            span["attrs"] = event["attrs"]
         spans.append(span)
     return spans
 

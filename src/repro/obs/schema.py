@@ -34,6 +34,10 @@ _CHECKS = {
     "float|null": lambda v: v is None
     or (isinstance(v, (int, float)) and not isinstance(v, bool)),
     "kind": lambda v: v in _KINDS,
+    "attrs": lambda v: isinstance(v, dict) and all(
+        isinstance(key, str)
+        and (value is None or isinstance(value, (str, int, float, bool)))
+        for key, value in v.items()),
 }
 
 #: Per-event required and optional payload fields (beyond the envelope).
@@ -44,7 +48,8 @@ EVENT_FIELDS: Dict[str, Tuple[Dict[str, str], Dict[str, str]]] = {
                   {"parent": "int|null", "worker": "int"}),
     "span_close": ({"span": "int", "name": "str", "kind": "kind",
                     "t_start": "float", "dur_s": "float"},
-                   {"parent": "int|null", "worker": "int"}),
+                   {"parent": "int|null", "worker": "int",
+                    "attrs": "attrs"}),
     "cache_lookup": ({"key": "str", "hit": "bool", "latency_s": "float"},
                      {}),
     "cache_store": ({"key": "str", "bytes": "int", "latency_s": "float"},

@@ -14,7 +14,9 @@ trackers, and exposes the narrow hooks the orchestration tier calls:
 * ``run_requests`` opens a ``request`` span per pooled payload
   (:meth:`open_request`), reports arrivals via :meth:`pool_run_complete`
   (which grafts the worker-recorded phase spans under the request span),
-  and calls :meth:`idle_tick` while waiting so stalled workers surface.
+  and calls :meth:`idle_tick` while waiting so stalled workers surface;
+* ``ExperimentRunner`` reports each request answered from the persistent
+  cache via :meth:`cached_request`.
 
 Everything is observation-only: no hook returns data into a simulation,
 and the session never touches simulator state.  The only clock is the
@@ -174,6 +176,8 @@ class ObsSession:
         }
         if span.worker is not None:
             fields["worker"] = span.worker
+        if span.attrs:
+            fields["attrs"] = dict(span.attrs)
         self.log.emit("span_close", **fields)
 
     @contextmanager
@@ -212,6 +216,12 @@ class ObsSession:
                 self._emit_span_close(span)
                 self._record_run(index if index is not None else -1,
                                  request, span.duration, worker=None)
+
+    def cached_request(self, request) -> None:
+        """A request answered from the persistent cache: no simulation,
+        so no span; its ``run_complete`` is marked ``cached``."""
+        self.log.emit("run_complete", index=-1, abbrev=request.abbrev,
+                      policy=request.policy, dur_s=0.0, cached=True)
 
     # ------------------------------------------------------------------
     # Cache hooks (called by ResultCache when ``cache.obs`` is set)

@@ -4,8 +4,10 @@
  * static per-instruction metadata table, the dynamic traces (deduplicated
  * by identity), flat per-warp / per-CTA / per-scheduler records, the
  * memory hierarchy (every L1's and the L2's tag arrays, the per-SM merge
- * tables and the DRAM channel) and one *global* clock.  Core.resume() runs
- * the uninstrumented cycle loop of GPU._run_event -- every SM stepped in
+ * tables and the DRAM channel), RegMutex's shared register pool (the
+ * per-SM counters, a lease per warp and the demand table) and one
+ * *global* clock.  Core.resume() runs the uninstrumented cycle loop of
+ * GPU._run_event -- every SM stepped in
  * sm_id order per executed cycle, each step a line-for-line C
  * transcription of StreamingMultiprocessor._step_fast with its LDG/STG
  * accesses completed by mem_access() (a transcription of
@@ -37,6 +39,11 @@
  * settle scan before the earliest transit, and the base on_idle without a
  * park candidate only arms its 16-cycle cooldown, which the core does on
  * its own state.
+ *
+ * RegMutex's per-instruction SRP lease (srp_on_issue) runs in the issue
+ * loop where SM._try_issue calls the policy's issue hook, and its SRP idle
+ * attribution in the per-cycle idle accounting; its section below says
+ * how the pool crosses the EXIT ops.
  *
  * The DRAM channel is shared with the served ops (context spills and
  * restores, bit-vector fetches and the backlog read go through the Python
@@ -122,6 +129,8 @@ typedef struct {
     int64_t stream_base;
     int64_t reuse_base;
     int64_t global_warp_id;
+    int64_t lease;          /* SRP registers held (RegMutexPolicy._leases) */
+    int64_t lease_seq;      /* when the lease entered _leases (dict order) */
     int64_t *ready_at;      /* Core.nregs entries */
 } CWarp;
 
@@ -133,6 +142,7 @@ typedef struct {
     int64_t barrier_arrived;
     int64_t first_issue;    /* -1 == None */
     int32_t stall_recorded;
+    int32_t sm;             /* the SM that launched it */
 } CCta;
 
 typedef struct {
@@ -184,6 +194,17 @@ typedef struct {
     int64_t *stalls;        /* ordered stall latencies */
     int32_t nstalls;
     int32_t stallcap;
+    /* RegMutex's shared register pool: which of its bodies the policy
+     * runs (set_policy) and, when either, its lowered counters. */
+    int32_t srp_issue;      /* RegMutexPolicy.on_issue per issue */
+    int32_t srp_classify;   /* RegMutexPolicy.classify_idle per advance */
+    int64_t srp_free;
+    int64_t srp_capacity;
+    int64_t srp_acquires;
+    int64_t srp_denials;
+    int64_t srp_blocked;    /* policy._srp_blocked */
+    int64_t srp_stall;      /* merged into stats.srp_stall_cycles */
+    PyObject *policy;       /* lowered by lower_srp */
     PyObject *obj;          /* the StreamingMultiprocessor */
 } CSm;
 
@@ -278,6 +299,13 @@ typedef struct {
     CSm *sms;
     CSched *scheds;         /* num_sms * nsched, row-major by SM */
     CMem mem;
+    /* RegMutex's per-static-instruction SRP demand (one table: a compiled
+     * run has a single launch), its block size and retry interval. */
+    int64_t *srp_demand;
+    int32_t nsrp_demand;
+    int64_t srp_block;
+    int64_t srp_retry;
+    int64_t lease_seq;
     /* The global clock. */
     int64_t now;
     int64_t grid_remaining;
@@ -371,6 +399,7 @@ core_dealloc(CoreObject *self)
         for (i = 0; i < self->num_sms; i++) {
             PyMem_Free(self->sms[i].stalls);
             PyMem_Free(self->sms[i].active);
+            Py_XDECREF(self->sms[i].policy);
             Py_XDECREF(self->sms[i].obj);
         }
         PyMem_Free(self->sms);
@@ -380,6 +409,7 @@ core_dealloc(CoreObject *self)
     Py_XDECREF(self->states);
     PyMem_Free(self->meta);
     PyMem_Free(self->srcs);
+    PyMem_Free(self->srp_demand);
     Py_TYPE(self)->tp_free((PyObject *)self);
 }
 
@@ -557,7 +587,9 @@ core_add_trace(CoreObject *self, PyObject *arg)
  * writes (set up at module init). */
 static PyObject *s_pos, *s_state, *s_blocked_until, *s_barrier_arrived,
     *s_first_issue_cycle, *s_stall_recorded, *s_sleep_until, *s_current,
-    *s_dirty, *s_sched_sleep, *s_warps, *s_active_ctas, *s_channel_free;
+    *s_dirty, *s_sched_sleep, *s_warps, *s_active_ctas, *s_channel_free,
+    *s_srp_free, *s_srp_capacity, *s_srp_acquires, *s_srp_denials,
+    *s_srp_blocked, *s_leases;
 
 static int
 remember(PyObject *dict, PyObject ***objs, int32_t *cap, int32_t slot,
@@ -593,7 +625,10 @@ core_new_cta(CoreObject *self, PyObject *args)
 {
     PyObject *obj;
     long long cta_id;
-    if (!PyArg_ParseTuple(args, "OL", &obj, &cta_id))
+    int sm_id;
+    if (!PyArg_ParseTuple(args, "OLi", &obj, &cta_id, &sm_id))
+        return NULL;
+    if (sm_arg(self, sm_id) == NULL)
         return NULL;
     if (grow((void **)&self->ctas, &self->ctacap, self->nctas + 1,
              sizeof(CCta))
@@ -604,6 +639,7 @@ core_new_cta(CoreObject *self, PyObject *args)
     memset(c, 0, sizeof(*c));
     c->cta_id = cta_id;
     c->first_issue = -1;
+    c->sm = sm_id;
     return PyLong_FromLong(self->nctas++);
 }
 
@@ -651,12 +687,13 @@ core_new_warp(CoreObject *self, PyObject *args)
 static PyObject *
 core_set_policy(CoreObject *self, PyObject *args)
 {
-    /* Bind one SM: its Python object, its schedulers and the policy's
-     * hook flags. */
-    int sm_id, needs_tick, needs_idle;
+    /* Bind one SM: its Python object, its schedulers, the policy's hook
+     * flags and which of RegMutexPolicy's bodies it runs. */
+    int sm_id, needs_tick, needs_idle, srp_issue, srp_classify;
     PyObject *obj, *scheds;
-    if (!PyArg_ParseTuple(args, "iOO!pp", &sm_id, &obj, &PyList_Type,
-                          &scheds, &needs_tick, &needs_idle))
+    if (!PyArg_ParseTuple(args, "iOO!pppp", &sm_id, &obj, &PyList_Type,
+                          &scheds, &needs_tick, &needs_idle, &srp_issue,
+                          &srp_classify))
         return NULL;
     CSm *sm = sm_arg(self, sm_id);
     if (sm == NULL)
@@ -676,6 +713,8 @@ core_set_policy(CoreObject *self, PyObject *args)
     Py_XSETREF(sm->obj, obj);
     sm->needs_tick = needs_tick;
     sm->needs_idle = needs_idle;
+    sm->srp_issue = srp_issue;
+    sm->srp_classify = srp_classify;
     Py_RETURN_NONE;
 }
 
@@ -910,7 +949,8 @@ static PyObject *
 core_finish(CoreObject *self, PyObject *arg)
 {
     /* (cta_sum, pending_sum, warp_sum, max_resident, idle, rf_depletion,
-     *  next_idle_check, stall latencies); drains the stall log. */
+     *  srp_stall, next_idle_check, stall latencies); drains the stall
+     * log. */
     long sm_id = PyLong_AsLong(arg);
     if (sm_id == -1 && PyErr_Occurred())
         return NULL;
@@ -930,21 +970,22 @@ core_finish(CoreObject *self, PyObject *arg)
         PyList_SET_ITEM(stalls, i, v);
     }
     sm->nstalls = 0;
-    return Py_BuildValue("LLLLLLLN", (long long)sm->cta_sum,
+    return Py_BuildValue("LLLLLLLLN", (long long)sm->cta_sum,
                          (long long)sm->pend_sum, (long long)sm->warp_sum,
                          (long long)sm->max_resident, (long long)sm->idle,
-                         (long long)sm->rf, (long long)sm->next_idle,
-                         stalls);
+                         (long long)sm->rf, (long long)sm->srp_stall,
+                         (long long)sm->next_idle, stalls);
 }
 
 /* ------------------------------------------------------------------ */
 /* In-core subsystems: barrier arrival/release, the long-block /
  * fully-stalled check and the park-candidate test (exact transcriptions
  * of CTASim.arrive_at_barrier, SM._on_long_block and the base policy
- * bodies they reach).  Every base-policy body the core runs itself is
- * marked "transcribes RegisterFilePolicy.<name>": the effects auditor
- * (repro.analyze.effects) reads these markers and requires the policy
- * gate (_INERT_POLICY_ATTRS in repro.sim.compiled) to pin each one. */
+ * bodies they reach).  Every policy body the core runs itself is marked
+ * "transcribes <PolicyClass>.<name>": the effects auditor
+ * (repro.analyze.effects) reads these markers and checks them both ways
+ * against the bodies the policy gate admits (_INERT_POLICY_ATTRS and
+ * _CORE_POLICY_BODIES in repro.sim.compiled). */
 
 static int
 cta_unfinished(CoreObject *core, CCta *c)
@@ -1041,6 +1082,338 @@ has_park_candidate(CoreObject *core, CSm *sm, int64_t now)
             return 1;
     }
     return 0;
+}
+
+/* ------------------------------------------------------------------ */
+/* RegMutex's shared register pool (SRP): the per-instruction lease and
+ * the idle attribution run in the core for an SM whose policy runs
+ * RegMutexPolicy's bodies (set_policy says which).  The counters are
+ * lowered once per run, before any warp holds a lease (lower_srp), and
+ * written back with every warp's lease at its end (write_back_srp).
+ * Mid-run only RegMutexPolicy.on_cta_finished touches the pool from
+ * Python, inside the EXIT op chain, so srp_free and the exiting CTA's
+ * leases are handed to the policy before an EXIT op and read back when
+ * resume() is called again; between ops the policy's _leases holds
+ * nothing the core owns. */
+
+/* transcribes RegMutexPolicy.on_issue: returns 1 when the warp may
+ * issue, 0 when the SRP is exhausted and it must retry after
+ * SRP_RETRY_INTERVAL (the operand memo and the long-block check are
+ * untouched: the hook, not an operand, refused it). */
+static inline int
+srp_on_issue(CoreObject *core, CSm *sm, CWarp *w, int32_t static_index,
+             int64_t now)
+{
+    int64_t demand = core->srp_demand[static_index];
+    int64_t held = w->lease;
+    if (demand == 0) {
+        if (held) {
+            sm->srp_free += held;
+            w->lease = 0;
+        }
+        return 1;
+    }
+    /* Block-granular allocation: round the excess up to whole blocks. */
+    demand = (demand + core->srp_block - 1) / core->srp_block
+        * core->srp_block;
+    if (demand <= held)
+        return 1;
+    int64_t need = demand - held;
+    if (need <= sm->srp_free) {
+        sm->srp_free -= need;
+        if (!held)
+            w->lease_seq = ++core->lease_seq;
+        w->lease = demand;
+        sm->srp_acquires += 1;
+        return 1;
+    }
+    w->blocked_until = now + core->srp_retry;
+    sm->srp_blocked += 1;
+    sm->srp_denials += 1;
+    return 0;
+}
+
+static int
+srp_lowered(CoreObject *self)
+{
+    int32_t s;
+    for (s = 0; s < self->num_sms; s++) {
+        CSm *sm = &self->sms[s];
+        if ((sm->srp_issue || sm->srp_classify) && sm->policy == NULL)
+            return 0;
+        if (sm->srp_issue && self->srp_demand == NULL)
+            return 0;
+    }
+    return 1;
+}
+
+static PyObject *
+core_lower_srp(CoreObject *self, PyObject *args)
+{
+    /* Lower one SM's pool from its policy: the counters and, when the SM
+     * runs the lease, the demand table with SRP_BLOCK and
+     * SRP_RETRY_INTERVAL.  A compiled run has a single launch, so every
+     * SM's table must equal the first one lowered. */
+    int sm_id;
+    PyObject *policy, *demand;
+    long long block, retry;
+    if (!PyArg_ParseTuple(args, "iOOLL", &sm_id, &policy, &demand, &block,
+                          &retry))
+        return NULL;
+    CSm *sm = sm_arg(self, sm_id);
+    if (sm == NULL)
+        return NULL;
+    if (self->meta == NULL || block <= 0 || retry < 0
+            || (sm->srp_issue && demand == Py_None)) {
+        PyErr_SetString(PyExc_ValueError,
+                        "lower_srp needs SRP_BLOCK > 0, a retry interval "
+                        ">= 0 and the demand table of an SM running the "
+                        "lease");
+        return NULL;
+    }
+    if (demand != Py_None) {
+        PyObject *seq = PySequence_Fast(demand, "demand must be a sequence");
+        if (seq == NULL)
+            return NULL;
+        Py_ssize_t n = PySequence_Fast_GET_SIZE(seq), i;
+        int fresh = self->srp_demand == NULL;
+        if (n != self->nmeta || (!fresh && (block != self->srp_block
+                                           || retry != self->srp_retry))) {
+            Py_DECREF(seq);
+            PyErr_SetString(PyExc_ValueError,
+                            "SRP demand table or constants differ from the "
+                            "run's");
+            return NULL;
+        }
+        if (fresh) {
+            self->srp_demand = PyMem_Calloc(n ? (size_t)n : 1,
+                                            sizeof(int64_t));
+            if (self->srp_demand == NULL) {
+                Py_DECREF(seq);
+                return PyErr_NoMemory();
+            }
+            self->nsrp_demand = (int32_t)n;
+            self->srp_block = block;
+            self->srp_retry = retry;
+        }
+        for (i = 0; i < n; i++) {
+            long long v = PyLong_AsLongLong(PySequence_Fast_GET_ITEM(seq, i));
+            if (v < 0 || (!fresh && v != self->srp_demand[i])) {
+                Py_DECREF(seq);
+                if (fresh) {
+                    PyMem_Free(self->srp_demand);
+                    self->srp_demand = NULL;
+                }
+                if (!PyErr_Occurred())
+                    PyErr_SetString(PyExc_ValueError,
+                                    "SRP demand table differs from the "
+                                    "run's or is negative");
+                return NULL;
+            }
+            self->srp_demand[i] = v;
+        }
+        Py_DECREF(seq);
+    }
+    if (get_ll(policy, s_srp_free, &sm->srp_free)
+            || get_ll(policy, s_srp_capacity, &sm->srp_capacity)
+            || get_ll(policy, s_srp_acquires, &sm->srp_acquires)
+            || get_ll(policy, s_srp_denials, &sm->srp_denials)
+            || get_ll(policy, s_srp_blocked, &sm->srp_blocked))
+        return NULL;
+    /* Lowered before any warp issues, so no warp holds a lease yet. */
+    PyObject *leases = PyObject_GetAttr(policy, s_leases);
+    if (leases == NULL)
+        return NULL;
+    int held = !PyDict_Check(leases) || PyDict_GET_SIZE(leases);
+    Py_DECREF(leases);
+    if (held) {
+        PyErr_SetString(PyExc_ValueError,
+                        "lower_srp needs an empty _leases dict");
+        return NULL;
+    }
+    Py_INCREF(policy);
+    Py_XSETREF(sm->policy, policy);
+    Py_RETURN_NONE;
+}
+
+/* Before an EXIT op: srp_free and the exiting CTA's leases to the policy. */
+static int
+srp_out(CoreObject *self, CSm *sm, CCta *c)
+{
+    if (set_ll(sm->policy, s_srp_free, sm->srp_free))
+        return -1;
+    PyObject *leases = PyObject_GetAttr(sm->policy, s_leases);
+    if (leases == NULL)
+        return -1;
+    int32_t i;
+    for (i = 0; i < c->nwarps; i++) {
+        CWarp *w = &self->warps[c->warps[i]];
+        if (!w->lease)
+            continue;
+        PyObject *key = PyLong_FromLongLong(w->global_warp_id);
+        PyObject *val = PyLong_FromLongLong(w->lease);
+        int r = key == NULL || val == NULL
+            || PyDict_SetItem(leases, key, val) < 0;
+        Py_XDECREF(key);
+        Py_XDECREF(val);
+        if (r) {
+            Py_DECREF(leases);
+            return -1;
+        }
+    }
+    Py_DECREF(leases);
+    return 0;
+}
+
+/* After it: read them back (on_cta_finished popped the released ones). */
+static int
+srp_in(CoreObject *self, CSm *sm, CCta *c)
+{
+    int64_t free_count;
+    if (get_ll(sm->policy, s_srp_free, &free_count))
+        return -1;
+    PyObject *leases = PyObject_GetAttr(sm->policy, s_leases);
+    if (leases == NULL)
+        return -1;
+    int32_t i;
+    for (i = 0; i < c->nwarps; i++) {
+        CWarp *w = &self->warps[c->warps[i]];
+        PyObject *key = PyLong_FromLongLong(w->global_warp_id);
+        if (key == NULL)
+            goto fail;
+        PyObject *v = PyDict_GetItemWithError(leases, key);
+        int64_t held = 0;
+        if (v != NULL) {
+            held = PyLong_AsLongLong(v);
+            if ((held == -1 && PyErr_Occurred())
+                    || PyDict_DelItem(leases, key) < 0) {
+                Py_DECREF(key);
+                goto fail;
+            }
+        }
+        Py_DECREF(key);
+        if (PyErr_Occurred())
+            goto fail;
+        if (held && !w->lease)
+            w->lease_seq = ++self->lease_seq;
+        w->lease = held;
+    }
+    if (PyDict_Size(leases) || free_count < 0
+            || free_count > sm->srp_capacity) {
+        PyErr_SetString(PyExc_RuntimeError,
+                        "an EXIT op changed SRP state beyond the exiting "
+                        "CTA's leases");
+        goto fail;
+    }
+    Py_DECREF(leases);
+    sm->srp_free = free_count;
+    return 0;
+fail:
+    Py_DECREF(leases);
+    return -1;
+}
+
+typedef struct {
+    int64_t seq;
+    int32_t slot;
+} CLeaseOrder;
+
+static int
+lease_order_cmp(const void *a, const void *b)
+{
+    int64_t x = ((const CLeaseOrder *)a)->seq;
+    int64_t y = ((const CLeaseOrder *)b)->seq;
+    return (x > y) - (x < y);
+}
+
+static PyObject *
+core_write_back_srp(CoreObject *self, PyObject *arg)
+{
+    /* The SM's counters, _srp_blocked and whole lease table onto its
+     * policy, the leases in the order they entered _leases. */
+    long sm_id = PyLong_AsLong(arg);
+    if (sm_id == -1 && PyErr_Occurred())
+        return NULL;
+    CSm *sm = sm_arg(self, (int)sm_id);
+    if (sm == NULL)
+        return NULL;
+    if (sm->policy == NULL)
+        Py_RETURN_NONE;
+    if (set_ll(sm->policy, s_srp_free, sm->srp_free)
+            || set_ll(sm->policy, s_srp_acquires, sm->srp_acquires)
+            || set_ll(sm->policy, s_srp_denials, sm->srp_denials)
+            || set_ll(sm->policy, s_srp_blocked, sm->srp_blocked))
+        return NULL;
+    CLeaseOrder *order = PyMem_Malloc(
+        (self->nwarps ? (size_t)self->nwarps : 1) * sizeof(CLeaseOrder));
+    if (order == NULL)
+        return PyErr_NoMemory();
+    int32_t i, n = 0;
+    for (i = 0; i < self->nwarps; i++) {
+        CWarp *w = &self->warps[i];
+        if (w->lease && self->ctas[w->cta].sm == sm_id) {
+            order[n].seq = w->lease_seq;
+            order[n].slot = i;
+            n++;
+        }
+    }
+    qsort(order, (size_t)n, sizeof(CLeaseOrder), lease_order_cmp);
+    PyObject *leases = PyObject_GetAttr(sm->policy, s_leases);
+    if (leases == NULL || !PyDict_Check(leases)) {
+        PyMem_Free(order);
+        if (leases != NULL) {
+            Py_DECREF(leases);
+            PyErr_SetString(PyExc_TypeError, "_leases must be a dict");
+        }
+        return NULL;
+    }
+    PyDict_Clear(leases);
+    for (i = 0; i < n; i++) {
+        CWarp *w = &self->warps[order[i].slot];
+        PyObject *key = PyLong_FromLongLong(w->global_warp_id);
+        PyObject *val = PyLong_FromLongLong(w->lease);
+        int r = key == NULL || val == NULL
+            || PyDict_SetItem(leases, key, val) < 0;
+        Py_XDECREF(key);
+        Py_XDECREF(val);
+        if (r) {
+            Py_DECREF(leases);
+            PyMem_Free(order);
+            return NULL;
+        }
+    }
+    Py_DECREF(leases);
+    PyMem_Free(order);
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+core_issue_srp(CoreObject *self, PyObject *args)
+{
+    /* One RegMutexPolicy.on_issue through the lowered pool outside the
+     * issue loop -> (issued, the warp's blocked_until). */
+    int sm_id, static_index;
+    PyObject *warp;
+    long long now;
+    if (!PyArg_ParseTuple(args, "iOiL", &sm_id, &warp, &static_index, &now))
+        return NULL;
+    CSm *sm = sm_arg(self, sm_id);
+    if (sm == NULL)
+        return NULL;
+    if (sm->policy == NULL || self->srp_demand == NULL || static_index < 0
+            || static_index >= self->nsrp_demand) {
+        PyErr_SetString(PyExc_ValueError,
+                        "issue_srp() needs a lowered pool and a static "
+                        "index in the demand table");
+        return NULL;
+    }
+    int32_t slot = slot_of(self->warp_slots, warp, "warp");
+    if (slot < 0)
+        return NULL;
+    CWarp *w = &self->warps[slot];
+    int ok = srp_on_issue(self, sm, w, static_index, now);
+    return Py_BuildValue("OL", ok ? Py_True : Py_False,
+                         (long long)w->blocked_until);
 }
 
 /* ------------------------------------------------------------------ */
@@ -1842,7 +2215,10 @@ issue_mem(CoreObject *self, int32_t sm_id, CWarp *w, CMeta *m, int64_t now)
 }
 
 /* Run SM._step_fast's scheduler loop from sm->sched_idx.  Returns OP_EXIT
- * when it parks an EXIT, 0 when the loop completes, -1 on error. */
+ * when it parks an EXIT, 0 when the loop completes, -1 on error.  Where
+ * SM._try_issue calls the policy's issue hook (operands ready, before the
+ * dispatch) an SM with srp_issue runs srp_on_issue; any other SM
+ * transcribes RegisterFilePolicy.on_issue: there is no hook to call. */
 static int
 issue_loop(CoreObject *self, int32_t sm_id, CSm *sm, CSched *scheds,
            int64_t now)
@@ -1866,9 +2242,18 @@ issue_loop(CoreObject *self, int32_t sm_id, CSm *sm, CSched *scheds,
                 if (!warp_pos_ok(self, w))
                     return -1;
                 int64_t pos = w->pos;
-                CMeta *m = &self->meta[self->traces[w->trace].idx[pos]];
+                int32_t si = self->traces[w->trace].idx[pos];
+                CMeta *m = &self->meta[si];
                 int64_t rdy = operands_ready(self, w, m, pos, now);
-                if (rdy <= now) {
+                if (rdy > now) {
+                    w->blocked_until = rdy;
+                    w->chk_pos = pos;
+                    w->chk_ready = rdy;
+                    if (rdy - now >= thresh
+                            && on_long_block(self, sm, w, now))
+                        return -1;
+                } else if (!sm->srp_issue
+                           || srp_on_issue(self, sm, w, si, now)) {
                     CCta *c = &self->ctas[w->cta];
                     if (c->first_issue < 0)
                         c->first_issue = now;
@@ -1895,12 +2280,8 @@ issue_loop(CoreObject *self, int32_t sm_id, CSm *sm, CSched *scheds,
                     sm->issued += 1;
                     continue;      /* next scheduler */
                 }
-                w->blocked_until = rdy;
-                w->chk_pos = pos;
-                w->chk_ready = rdy;
-                if (rdy - now >= thresh && on_long_block(self, sm, w, now))
-                    return -1;
-                /* blocked greedy warp: fall through to the scan */
+                /* blocked or SRP-denied greedy warp: fall through to the
+                 * scan */
             }
         }
         /* ---- oldest-first scan over the members (sched_seq order;
@@ -1919,7 +2300,8 @@ issue_loop(CoreObject *self, int32_t sm_id, CSm *sm, CSched *scheds,
             if (!warp_pos_ok(self, w))
                 return -1;
             int64_t pos = w->pos;
-            CMeta *m = &self->meta[self->traces[w->trace].idx[pos]];
+            int32_t si = self->traces[w->trace].idx[pos];
+            CMeta *m = &self->meta[si];
             int64_t rdy = operands_ready(self, w, m, pos, now);
             if (rdy > now) {
                 w->blocked_until = rdy;
@@ -1929,6 +2311,9 @@ issue_loop(CoreObject *self, int32_t sm_id, CSm *sm, CSched *scheds,
                     return -1;
                 continue;
             }
+            /* SRP-denied: the scan moves on to the next member. */
+            if (sm->srp_issue && !srp_on_issue(self, sm, w, si, now))
+                continue;
             CCta *c = &self->ctas[w->cta];
             if (c->first_issue < 0)
                 c->first_issue = now;
@@ -2061,13 +2446,22 @@ flush_levels(CSm *sm, int64_t now)
     sm->lvl_dirty = 0;
 }
 
+/* SM.accumulate's idle taxonomy: one classify_idle call per advance
+ * (RegMutex's is stateful, so the cadence is part of the result). */
 static inline void
 idle_advance(CSm *sm, int64_t dt)
 {
     if (sm->active_count || sm->pend_count) {
         sm->idle += dt;
+        /* transcribes RegMutexPolicy.classify_idle: "srp" consumes the
+         * denial count; otherwise its super() call, the base body. */
+        if (sm->srp_classify
+                && (sm->srp_free == 0 || sm->srp_blocked > 0)) {
+            sm->srp_blocked = 0;
+            sm->srp_stall += dt;
+        }
         /* transcribes RegisterFilePolicy.classify_idle: "rf" */
-        if (sm->blocked_on_rf)
+        else if (sm->blocked_on_rf)
             sm->rf += dt;
     }
 }
@@ -2121,7 +2515,8 @@ core_access(CoreObject *self, PyObject *args)
 static PyObject *
 core_resume(CoreObject *self, PyObject *Py_UNUSED(ignored))
 {
-    if (self->sms == NULL || self->status || !memory_lowered(self)) {
+    if (self->sms == NULL || self->status || !memory_lowered(self)
+            || !srp_lowered(self)) {
         PyErr_SetString(PyExc_RuntimeError,
                         "resume() on an unlowered or finished core");
         return NULL;
@@ -2137,6 +2532,10 @@ core_resume(CoreObject *self, PyObject *Py_UNUSED(ignored))
         CSm *sm = &self->sms[self->cur_sm];
         if (sm->pend_exit) {
             CSched *scheds = &self->scheds[(size_t)self->cur_sm * nsched];
+            if (sm->policy != NULL
+                    && srp_in(self, sm,
+                              &self->ctas[self->warps[sm->pend_warp].cta]))
+                return NULL;
             if (sm->pend_from_scan)
                 scheds[sm->pend_sched].current = sm->pend_warp;
             sm->pend_exit = 0;
@@ -2177,9 +2576,14 @@ core_resume(CoreObject *self, PyObject *Py_UNUSED(ignored))
                 /* EXIT carries the warp; IDLE carries the core's idle
                  * cooldown, which it may have re-armed since Python last
                  * saw it. */
-                if (op == OP_EXIT)
+                if (op == OP_EXIT) {
+                    if (sm->policy != NULL
+                            && srp_out(self, sm, &self->ctas[
+                                self->warps[sm->pend_warp].cta]))
+                        return NULL;
                     return yield_op(self, op, now, id,
                                     self->warp_objs[sm->pend_warp]);
+                }
                 PyObject *a = PyLong_FromLongLong(
                     op == OP_IDLE ? sm->next_idle : 0);
                 if (a == NULL)
@@ -2254,12 +2658,13 @@ static PyMethodDef core_methods[] = {
     {"add_trace", (PyCFunction)core_add_trace, METH_O,
      "Lower one dynamic trace (sequence of static indices) -> index."},
     {"new_cta", (PyCFunction)core_new_cta, METH_VARARGS,
-     "new_cta(cta, cta_id) -> cta slot."},
+     "new_cta(cta, cta_id, sm_id) -> cta slot."},
     {"new_warp", (PyCFunction)core_new_warp, METH_VARARGS,
      "new_warp(warp, cta_slot, trace_idx, global_warp_id) -> warp slot."},
     {"set_policy", (PyCFunction)core_set_policy, METH_VARARGS,
-     "set_policy(sm_id, sm, schedulers, needs_tick, needs_idle): bind "
-     "one SM."},
+     "set_policy(sm_id, sm, schedulers, needs_tick, needs_idle, "
+     "srp_issue, srp_classify): bind one SM and say which RegMutexPolicy "
+     "bodies it runs."},
     {"sync", (PyCFunction)core_sync, METH_O,
      "sync(sm_id): re-import the SM's schedulers and active-CTA list."},
     {"mirror", (PyCFunction)core_mirror, METH_VARARGS,
@@ -2273,7 +2678,17 @@ static PyMethodDef core_methods[] = {
      "CTA / warp) state onto the Python objects."},
     {"finish", (PyCFunction)core_finish, METH_O,
      "finish(sm_id) -> (cta_sum, pending_sum, warp_sum, max_resident, "
-     "idle, rf_depletion, next_idle_check, stall_latencies)."},
+     "idle, rf_depletion, srp_stall, next_idle_check, stall_latencies)."},
+    {"lower_srp", (PyCFunction)core_lower_srp, METH_VARARGS,
+     "lower_srp(sm_id, policy, demand_or_None, srp_block, retry_interval):"
+     " lower the SM's shared register pool (its _leases must be empty)."},
+    {"write_back_srp", (PyCFunction)core_write_back_srp, METH_O,
+     "write_back_srp(sm_id): the pool's counters and leases onto the "
+     "policy."},
+    {"issue_srp", (PyCFunction)core_issue_srp, METH_VARARGS,
+     "issue_srp(sm_id, warp, static_index, now) -> (issued, "
+     "blocked_until): one RegMutexPolicy.on_issue through the lowered "
+     "pool."},
     {"set_memory", (PyCFunction)core_set_memory, METH_VARARGS,
      "set_memory(line_bytes, l1_hit_latency, l2_hit_latency, dram, "
      "bytes_per_cycle, dram_latency, bytes_by_class): set up the "
@@ -2335,6 +2750,9 @@ PyInit__ckernel(void)
         {&s_dirty, "_dirty"}, {&s_sched_sleep, "_sched_sleep"},
         {&s_warps, "warps"}, {&s_active_ctas, "active_ctas"},
         {&s_channel_free, "_channel_free"},
+        {&s_srp_free, "srp_free"}, {&s_srp_capacity, "srp_capacity"},
+        {&s_srp_acquires, "srp_acquires"}, {&s_srp_denials, "srp_denials"},
+        {&s_srp_blocked, "_srp_blocked"}, {&s_leases, "_leases"},
         {&s_demand[DEMAND_READ], "demand_read"},
         {&s_demand[DEMAND_WRITE], "demand_write"},
     };

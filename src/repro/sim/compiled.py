@@ -41,12 +41,24 @@ skipped calls are provably exact:
 * The base ``on_idle`` computes ``stalled_active_ctas`` once and, with
   none, only arms its 16-cycle cooldown; the core evaluates that
   predicate on its own warp state and arms the cooldown itself.
-* ``classify_idle`` is the base body, so the core attributes RF-depletion
-  cycles from the mirrored ``_blocked_on_rf`` flag; ``on_cta_stalled`` is
-  the base no-op; there is no issue hook.
+* ``classify_idle`` is the base body, which the core runs from the
+  mirrored ``_blocked_on_rf`` flag, or ``RegMutexPolicy``'s, which the
+  core runs on its own copy of the shared register pool (SRP);
+  ``on_cta_stalled`` is the base no-op; the issue hook is none or
+  ``RegMutexPolicy.on_issue``, the per-instruction SRP lease, which the
+  core runs where ``_try_issue`` calls it.
 
 The surfaces of the last two points are what ``policy_inert`` checks
-(``_INERT_POLICY_ATTRS``): the policy surface the core runs itself.
+(``_INERT_POLICY_ATTRS``): the policy surface the core runs itself, each
+attribute pinned to the base body or to a body in ``_CORE_POLICY_BODIES``.
+
+RegMutex's pool is lowered once per run, before any warp holds a lease
+(the counters and the demand table), and written back with the lease
+table at run end.  Mid-run only
+``RegMutexPolicy.on_cta_finished`` touches it from Python, inside the EXIT
+op chain, so the core hands ``srp_free`` and the exiting CTA's leases to
+the policy before an EXIT op and reads them back on ``resume()``; between
+ops the policy's ``_leases`` holds nothing the core owns.
 
 Served ops reach the DRAM channel too: reg_dram's context spills and
 restores and finereg's bit-vector fetches go through
@@ -69,10 +81,11 @@ once at run end.
 Eligibility is run-level (``compiled_refusal``): no tracer, sanitizer or
 telemetry surface, a single launch, the stock memory hierarchy with no
 instance-level override (``hierarchy_refusal``), every SM passes
-``fast_step_eligible``, every policy passes ``policy_inert``, and no
-instance-level override on the SM or stats surface the core inlines.  A
-refused run takes the fused event engine, and ``gpu.engine_refusal``
-names the first check that refused it.  The gate tuples below are
+``fast_step_eligible`` (an issue hook allowed when the core runs it),
+every policy passes ``policy_inert``, and no instance-level override on
+the SM or stats surface the core inlines.  A refused run takes the fused
+event engine, and ``gpu.engine_refusal`` names the first check that
+refused it.  The gate tuples below are
 machine-checked by the effects auditor (``repro.analyze.effects``,
 ``make analyze-effects``).
 """
@@ -85,18 +98,28 @@ from repro.memory.cache import Cache
 from repro.memory.dram import DRAM
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.policies.base import RegisterFilePolicy
+from repro.policies.regmutex import (SRP_BLOCK, SRP_RETRY_INTERVAL,
+                                     RegMutexPolicy)
 from repro.sim.warp import FOREVER, WarpState
 
-#: Policy surface the C core runs itself, so it must be byte-for-byte the
-#: base implementation: the issue hook (never called), the idle
-#: attribution (``classify_idle``, from the mirrored flag), the
-#: stalled-CTA hook (``_on_long_block`` is inlined), and ``on_idle`` /
-#: ``stalled_active_ctas``, whose base bodies decide when an IDLE op is
-#: due.  Every other hook is served as an op through the real policy.  The
-#: effects auditor derives this surface from the source and fails CI if a
-#: derived name is missing here or an entry goes stale.
+#: Policy surface the C core runs itself, so each attribute must be
+#: byte-for-byte the base body or a body of ``_CORE_POLICY_BODIES``: the
+#: issue hook (the base one is never called), the idle attribution
+#: (``classify_idle``), the stalled-CTA hook (``_on_long_block`` is
+#: inlined), and ``on_idle`` / ``stalled_active_ctas``, whose base bodies
+#: decide when an IDLE op is due.  Every other hook is served as an op
+#: through the real policy.  The effects auditor derives this surface from
+#: the source and fails CI if a derived name is missing here or an entry
+#: goes stale.
 _INERT_POLICY_ATTRS = ("on_issue", "classify_idle", "on_cta_stalled",
                        "on_idle", "stalled_active_ctas")
+
+#: Bodies beyond the base policy's that the C core runs itself, as
+#: (class, attribute): RegMutex's SRP lease and its SRP idle attribution.
+#: Each is marked ``transcribes <class>.<attribute>`` in ``_ckernel.c``,
+#: and the effects auditor checks both directions.
+_CORE_POLICY_BODIES = ((RegMutexPolicy, "on_issue"),
+                       (RegMutexPolicy, "classify_idle"))
 
 #: SM methods the Python engines dispatch dynamically but the C core
 #: inlines or replaces: the event loop's step / next-event / accumulate
@@ -137,14 +160,40 @@ def instance_overrides(obj, names):
     return tuple(name for name in names if name in instance_dict)
 
 
+def runs_core_body(policy, owner, name) -> bool:
+    """True when ``policy`` runs ``owner``'s own body for ``name`` and any
+    ``super()`` call in it reaches the base body: the body ``_ckernel``
+    transcribes.  Keyed off the class objects, never the policy's name."""
+    cls = type(policy)
+    if (not issubclass(cls, owner)
+            or getattr(cls, name) is not getattr(owner, name)):
+        return False
+    mro = cls.__mro__
+    return not any(name in vars(later)
+                   for later in mro[mro.index(owner) + 1:]
+                   if later is not RegisterFilePolicy)
+
+
+def core_bodies(policy):
+    """Which RegMutex bodies the C core runs for an admitted ``policy``:
+    ``(lease, idle)``, the per-issue ``on_issue`` (only when the Python
+    engines call the hook) and the per-advance ``classify_idle``."""
+    return (bool(policy.needs_issue_hook)
+            and runs_core_body(policy, RegMutexPolicy, "on_issue"),
+            runs_core_body(policy, RegMutexPolicy, "classify_idle"))
+
+
 def policy_refusal(policy) -> Optional[str]:
     """Why the C core cannot run ``policy`` (None when it can)."""
-    if policy.needs_issue_hook:
-        return "policy-hook:on_issue"
     cls = type(policy)
     for name in _INERT_POLICY_ATTRS:
-        if getattr(cls, name) is not getattr(RegisterFilePolicy, name):
+        if getattr(cls, name) is getattr(RegisterFilePolicy, name):
+            continue
+        if not any(attr == name and runs_core_body(policy, owner, name)
+                   for owner, attr in _CORE_POLICY_BODIES):
             return f"policy-hook:{name}"
+    if policy.needs_issue_hook and not core_bodies(policy)[0]:
+        return "policy-hook:on_issue"
     hits = instance_overrides(policy, _INERT_POLICY_ATTRS)
     if hits:
         return f"policy-hook:{hits[0]}"
@@ -202,10 +251,11 @@ def compiled_refusal(gpu) -> Optional[str]:
     if reason is not None:
         return reason
     for sm in gpu.sms:
-        reason = policy_refusal(sm._policy)
+        policy = sm._policy
+        reason = policy_refusal(policy)
         if reason is not None:
             return reason
-        if not sm.fast_step_eligible():
+        if not sm.fast_step_eligible(issue_hook=core_bodies(policy)[0]):
             return "fast-step"
         hits = instance_overrides(sm, _BYPASSED_SM_ATTRS)
         if hits:
@@ -312,9 +362,15 @@ class _Run:
         self._lowered = set()   # id(cta) of every lowered CTA
         self._trace_slots = {}  # id(trace) -> trace slot
         for sm in sms:
+            policy = sm._policy
+            lease, idle = core_bodies(policy)
             self.core.set_policy(sm.sm_id, sm, sm.schedulers, sm._needs_tick,
-                                 sm._needs_idle)
+                                 sm._needs_idle, lease, idle)
             self._lower_new(sm)
+            if lease or idle:
+                self.core.lower_srp(
+                    sm.sm_id, policy, policy._extra_demand if lease else None,
+                    SRP_BLOCK, SRP_RETRY_INTERVAL)
             self.core.sync(sm.sm_id)
             # Every SM is stepped at cycle 0, so on_tick is due at once.
             self._push(sm, 0, 0, sm._policy._next_idle_check)
@@ -331,7 +387,7 @@ class _Run:
             if id(cta) in lowered:
                 continue
             lowered.add(id(cta))
-            cslot = core.new_cta(cta, cta.cta_id)
+            cslot = core.new_cta(cta, cta.cta_id, sm.sm_id)
             for warp in cta.warps:
                 trace = warp.trace
                 tslot = trace_slots.get(id(trace))
@@ -441,11 +497,13 @@ class _Run:
         for sm in sms:
             # Final state export: _flush_deferred_stats reads warp.pos of
             # unfinished warps on a timeout, and post-run introspection
-            # (tests, debug_accounting) sees live state on every backend.
+            # (tests, debug_accounting, extras()) sees live state on every
+            # backend.
             core.export(sm.sm_id, True)
+            core.write_back_srp(sm.sm_id)
             stats = sm.stats
-            (cta_sum, pend_sum, warp_sum, max_res, idle, rf, next_idle,
-             stalls) = core.finish(sm.sm_id)
+            (cta_sum, pend_sum, warp_sum, max_res, idle, rf, srp,
+             next_idle, stalls) = core.finish(sm.sm_id)
             # The closed segments were accumulated in C as exact integer
             # sums; one float add of each total is bit-identical to the
             # dense per-segment float adds (every partial sum < 2**53).
@@ -459,6 +517,7 @@ class _Run:
                 stats.max_resident_ctas = max_res
             stats.idle_cycles += idle
             stats.rf_depletion_cycles += rf
+            stats.srp_stall_cycles += srp
             if stalls:
                 stats.stall_latencies.extend(stalls)
             sm._policy._next_idle_check = next_idle

@@ -101,8 +101,8 @@ class GPU:
         # "fused" or "compiled"); None before the first run.
         self.engine_used = None
         # First check that refused the last run() on the compiled core
-        # (e.g. "policy-hook:on_issue"), or "extension-missing" when auto
-        # found no C core; None when it ran there or was not asked.
+        # (e.g. "telemetry" or "fast-step"), or "extension-missing" when
+        # auto found no C core; None when it ran there or was not asked.
         # Observation only: never part of SimResult.
         self.engine_refusal = None
         if hasattr(self.address_model, "warm_l2"):

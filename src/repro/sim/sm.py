@@ -753,7 +753,7 @@ class StreamingMultiprocessor:
             self._sched_sleep = sleep
         return issued
 
-    def fast_step_eligible(self) -> bool:
+    def fast_step_eligible(self, issue_hook: bool = False) -> bool:
         """True when :meth:`_step_fast` is observably equal to :meth:`step`.
 
         Any instance-level wrapper on ``step``/``_try_issue`` (sanitizer,
@@ -761,14 +761,17 @@ class StreamingMultiprocessor:
         sampling, a policy issue hook, a non-GTO scheduler, or a memory
         hierarchy other than the stock classes without instance overrides
         (``_step_fast`` calls ``_access`` directly) routes the SM to the
-        unfused reference path.
+        unfused reference path.  ``issue_hook`` says the caller runs the
+        SM's issue hook itself (the C core runs RegMutex's lease): the SM
+        must then have one.
         """
         from repro.sim.compiled import hierarchy_refusal
         from repro.sim.scheduler import GTOScheduler
         d = self.__dict__
         if ("step" in d or "_try_issue" in d
                 or self.telemetry is not None or self._wt is not None
-                or self._sample_usage or self._issue_hook is not None):
+                or self._sample_usage
+                or (self._issue_hook is not None) != issue_hook):
             return False
         gpu = self.gpu
         if (type(gpu.address_model) is not AddressModel

@@ -127,9 +127,10 @@ class GoldenCase:
         return f"{self.name}.json"
 
 
-#: Six single-kernel (config, workload, policy) triples spanning the
+#: Seven single-kernel (config, workload, policy) triples spanning the
 #: policy space -- baseline, both FineReg variants (incl. adaptive
-#: repartitioning), the related-work configurations, and one scheduler
+#: repartitioning), the related-work configurations (VT, RegDRAM and
+#: VT+RegMutex at its most contended swept SRP ratio), and one scheduler
 #: ablation (LRR) -- plus three concurrent-kernel cases: a two-stream
 #: FineReg run, a priority-skewed pair, and a budget-saturated baseline
 #: pair under round-robin arbitration.
@@ -139,6 +140,8 @@ CORPUS: Tuple[GoldenCase, ...] = (
     GoldenCase("lb-adaptive-tiny", "LB", "finereg_adaptive"),
     GoldenCase("st-virtual-thread-tiny", "ST", "virtual_thread"),
     GoldenCase("hs-regdram-tiny", "HS", "reg_dram"),
+    GoldenCase("km-regmutex-tiny", "KM", "vt_regmutex",
+               policy_kwargs=(("srp_ratio", 0.2),)),
     GoldenCase("km-finereg-lrr-tiny", "KM", "finereg",
                config_overrides=(("warp_scheduling", "lrr"),)),
     GoldenCase("stkm-finereg-concurrent-tiny", "ST+KM", "finereg",

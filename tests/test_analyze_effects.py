@@ -10,9 +10,11 @@ The acceptance contract of the auditor (docs/ANALYZE.md):
   compiled driver calls itself) are flagged so the gates cannot silently
   rot into allowlists of dead names;
 * every seeded fault of the self-test is detected at its severity;
-* the gate the C core relies on refuses exactly the shipped policy that
-  overrides surface the core runs itself (vt_regmutex) and admits every
-  other, whose hooks it serves as ops.
+* the ``transcribes <PolicyClass>.<name>`` markers of the C core match
+  the bodies the gate admits in both directions;
+* the gate admits every shipped policy: the only checked surface one
+  overrides (vt_regmutex's issue hook and idle attribution) is exactly
+  the bodies the core transcribes, and every other hook is served.
 """
 
 from dataclasses import replace
@@ -29,6 +31,7 @@ from repro.policies.base import RegisterFilePolicy
 from repro.policies.regmutex import RegMutexPolicy
 from repro.sim.compiled import (
     _BYPASSED_SM_ATTRS,
+    _CORE_POLICY_BODIES,
     _INERT_POLICY_ATTRS,
     instance_overrides,
 )
@@ -118,6 +121,50 @@ class TestGateDeletions:
         assert hits, report.format(f"no HIGH for dropped {entry!r}")
 
 
+def _admitted_bodies():
+    return ([("RegisterFilePolicy", name) for name in _INERT_POLICY_ATTRS]
+            + [(owner.__name__, name) for owner, name in _CORE_POLICY_BODIES])
+
+
+class TestCoreMarkers:
+    """Each admitted body has its marker, and each marker an admission."""
+
+    @pytest.mark.parametrize("body", _admitted_bodies(),
+                             ids=lambda body: ".".join(body))
+    def test_deleting_marker_is_high(self, body):
+        config = default_effects_config()
+        marker = "transcribes {}.{}".format(*body)
+        assert marker in config.core_source
+        report = audit_effects(replace(config, core_source=(
+            config.core_source.replace(marker, "mirrors"))))
+        hits = [f for f in report.by_tag("core-transcription-missing")
+                if f.severity == Severity.ERROR
+                and ".".join(body) in f.message]
+        assert hits, report.format(f"no HIGH for the dropped {marker!r}")
+
+    @pytest.mark.parametrize("body", [(owner.__name__, name) for owner, name
+                                      in _CORE_POLICY_BODIES],
+                             ids=lambda body: ".".join(body))
+    def test_dropping_core_body_leaves_its_marker_unadmitted(self, body):
+        config = default_effects_config()
+        report = audit_effects(replace(config, core_policy_bodies=tuple(
+            entry for entry in config.core_policy_bodies if entry != body)))
+        hits = [f for f in report.by_tag("core-transcription-unadmitted")
+                if f.severity == Severity.WARNING
+                and ".".join(body) in f.message]
+        assert hits, report.format(f"no MEDIUM for the unadmitted {body}")
+        assert hits[0].line and hits[0].path.endswith("_ckernel.c")
+
+    def test_core_body_outside_the_checked_surface_is_stale(self):
+        config = default_effects_config()
+        report = audit_effects(replace(config, core_policy_bodies=(
+            config.core_policy_bodies
+            + (("RegMutexPolicy", "on_cta_finished"),))))
+        hits = [f for f in report.by_tag("inert-gate-stale")
+                if "RegMutexPolicy.on_cta_finished" in f.message]
+        assert hits, report.format("stale core body not reported")
+
+
 class TestStaleEntries:
     """Entries naming nothing engine-reachable must be reported."""
 
@@ -165,13 +212,18 @@ class TestPolicyFamily:
     """Runtime cross-check of the audit's gate derivation."""
 
     def test_only_regmutex_overrides_a_checked_attr(self):
+        """RegMutex's overrides of the checked surface are exactly the
+        bodies the C core transcribes; no other policy overrides it."""
+        transcribed = {(owner, name) for owner, name in _CORE_POLICY_BODIES}
         for cls in _all_policy_subclasses():
             checked = {name for name in _INERT_POLICY_ATTRS
                        if getattr(cls, name)
                        is not getattr(RegisterFilePolicy, name)}
             if cls is RegMutexPolicy:
-                # The issue hook and the stateful SRP attribution.
-                assert checked == {"on_issue", "classify_idle"}
+                # The SRP lease and the stateful SRP attribution.
+                assert {(cls, name) for name in checked} == transcribed
+                assert all(getattr(cls, name) is vars(cls)[name]
+                           for name in checked)
                 assert cls.needs_issue_hook
             else:
                 assert not checked, (
@@ -185,7 +237,7 @@ class TestPolicyFamily:
                     for f in report.by_tag("inert-policy-passthrough")}
         assert admitted == {"BaselinePolicy", "VirtualThreadPolicy",
                             "FineRegPolicy", "AdaptiveFineRegPolicy",
-                            "RegDRAMPolicy"}
+                            "RegDRAMPolicy", "RegMutexPolicy"}
 
     def test_family_matches_audit_expectations(self):
         names = {cls.__name__ for cls in _all_policy_subclasses()}

@@ -12,13 +12,15 @@ contract itself:
   backend raises ``EngineUnavailableError``,
 * run-level compiled eligibility: instrumented runs (sanitizer,
   telemetry, tracers), non-GTO scheduling, policies overriding the
-  surface the C core runs itself (vt_regmutex's issue hook), a memory
+  surface the C core runs itself with a body it does not transcribe (a
+  RegMutexPolicy subclass or instance wrapping its issue hook), a memory
   hierarchy other than the stock classes, and instance-level wrappers on
   the surface the C core inlines must all
   fail ``compiled_run_eligible``, and ``compiled_refusal`` names the
-  first check that refused; every other policy's hooks are served as
-  ops and must be admitted.  The gate is pure Python, so those checks
-  run without the extension; with it built, refused runs must degrade
+  first check that refused; every registered policy -- hooks served as
+  ops, RegMutex's lease and idle attribution run in the core -- must be
+  admitted.  The gate is pure Python, so those checks run without the
+  extension; with it built, refused runs must degrade
   to the next backend down rather than take the C core —
   ``gpu.engine_used`` records what actually executed and
   ``gpu.engine_refusal`` why.
@@ -36,11 +38,14 @@ from repro.experiments.runner import POLICIES
 from repro.memory.cache import Cache
 from repro.memory.dram import DRAM
 from repro.memory.hierarchy import MemoryHierarchy
+from repro.policies.base import RegisterFilePolicy
+from repro.policies.regmutex import RegMutexPolicy
 from repro.sim import backend
 from repro.sim.backend import (EngineUnavailableError, parse_engine,
                                select_backend)
 from repro.sim.compiled import (_BYPASSED_SM_ATTRS, compiled_refusal,
-                                compiled_run_eligible, policy_inert)
+                                compiled_run_eligible, core_bodies,
+                                policy_inert)
 from repro.sim.gpu import GPU
 from repro.workloads.generator import build_workload
 from repro.workloads.suite import get_spec
@@ -140,11 +145,6 @@ INELIGIBLE_RUNS = [
 #: The first failed check ``compiled_refusal`` reports for each.
 REFUSAL_REASONS = {"sanitizer": "sanitizer", "cta_tracer": "tracer",
                    "telemetry": "telemetry", "lrr": "fast-step"}
-#: Policies whose hooks the C core serves as ops (all but vt_regmutex,
-#: whose issue hook and stateful idle attribution it cannot run).
-SERVED_POLICIES = sorted(p for p in POLICIES if p != "vt_regmutex")
-
-
 def build_ineligible_gpu(reason: str) -> GPU:
     if reason == "lrr":
         return build_gpu(config=GPUConfig(num_sms=2, warp_scheduling="lrr"))
@@ -180,18 +180,69 @@ def test_concurrent_launches_are_refused_with_their_reason():
 
 @pytest.mark.parametrize("policy", ["vt_regmutex"])
 def test_compiled_gate_refuses_non_inert_policies(policy):
-    """vt_regmutex's issue hook (and stateful classify_idle) is surface
-    the C core runs itself, so it may not take the C core."""
+    """The C core transcribes RegMutexPolicy's own issue hook and idle
+    attribution: a subclass or an instance wrapping either is refused."""
     gpu = build_gpu(policy)
-    assert not policy_inert(gpu.sms[0]._policy)
-    assert not compiled_run_eligible(gpu)
+    regmutex = gpu.sms[0]._policy
+    assert policy_inert(regmutex)
+    for name in ("on_issue", "classify_idle"):
+        body = getattr(RegMutexPolicy, name)
+        regmutex.__class__ = type(f"Wrapped{name}", (RegMutexPolicy,), {
+            name: lambda self, *args, body=body: body(self, *args)})
+        assert not policy_inert(regmutex)
+        assert not compiled_run_eligible(gpu)
+        assert compiled_refusal(gpu) == f"policy-hook:{name}"
+        regmutex.__class__ = RegMutexPolicy
+        setattr(regmutex, name, getattr(regmutex, name))
+        assert compiled_refusal(gpu) == f"policy-hook:{name}"
+        delattr(regmutex, name)
+    assert compiled_refusal(gpu) is None
+
+
+def test_issue_hook_needs_regmutex_body():
+    """``needs_issue_hook`` is admitted only with RegMutexPolicy.on_issue:
+    the base body (or another policy's) would be skipped by the core."""
+    gpu = build_gpu()
+    policy = gpu.sms[0]._policy
+    policy.__class__ = type("Hooked", (type(policy),),
+                            {"needs_issue_hook": True})
     assert compiled_refusal(gpu) == "policy-hook:on_issue"
 
 
-@pytest.mark.parametrize("policy", SERVED_POLICIES)
+def test_regmutex_bodies_follow_the_class_not_the_name():
+    """``core_bodies`` keys off the class objects: a renamed RegMutex runs
+    both bodies, one routing ``on_issue`` back to the base body runs only
+    the idle attribution, and a mixin whose ``classify_idle`` the
+    RegMutex body's ``super()`` call would reach is refused."""
+    gpu = build_gpu("vt_regmutex")
+    policy = gpu.sms[0]._policy
+    assert core_bodies(policy) == (True, True)
+    policy.name = "renamed"
+    assert core_bodies(policy) == (True, True)
+    policy.__class__ = type("IdleOnly", (RegMutexPolicy,), {
+        "needs_issue_hook": False,
+        "on_issue": RegisterFilePolicy.on_issue})
+    assert core_bodies(policy) == (False, True)
+    # The SM caches its issue hook when the policy is assigned.
+    assert compiled_refusal(gpu) == "fast-step"
+    gpu.sms[0].policy = policy
+    assert compiled_refusal(gpu) is None
+
+    class Mixin(RegisterFilePolicy):
+        def classify_idle(self, dt):
+            return "other"
+
+    policy.__class__ = type("Mixed", (RegMutexPolicy, Mixin), {})
+    assert core_bodies(policy) == (True, False)
+    assert compiled_refusal(gpu) == "policy-hook:classify_idle"
+
+
+@pytest.mark.parametrize("policy", sorted(POLICIES))
 def test_compiled_gate_admits_served_policies(policy):
     """Launch/finish/tick/idle hooks and transit settles are served as
-    ops through the real policy, so the paper's policies qualify."""
+    ops through the real policy, and the core runs vt_regmutex's issue
+    hook and idle attribution itself, so every registered policy
+    qualifies."""
     gpu = build_gpu(policy)
     assert policy_inert(gpu.sms[0]._policy)
     assert compiled_run_eligible(gpu)
@@ -347,20 +398,25 @@ def test_compiled_falls_back_per_run_eligibility_reason(reason, expect_used):
 
 
 @needs_extension
-@pytest.mark.parametrize("policy", SERVED_POLICIES + ["vt_regmutex"])
+@pytest.mark.parametrize("policy", sorted(POLICIES))
 def test_paper_policies_run_on_compiled(policy):
-    """Every policy but vt_regmutex finishes a micro run on the C core;
-    vt_regmutex drops to the reference step with its reason recorded."""
+    """Every registered policy finishes a micro run on the C core,
+    vt_regmutex included; a RegMutex whose issue hook is wrapped per
+    instance drops to the reference step with its reason recorded."""
     gpu = build_gpu(policy)
     result = gpu.run(max_cycles=TINY.max_cycles, engine="compiled")
     assert not result.timed_out
-    if policy == "vt_regmutex":
-        assert gpu.engine_used == "reference"
-        assert gpu.engine_refusal == "policy-hook:on_issue"
-    else:
-        assert gpu.engine_used == "compiled"
-        assert gpu.engine_refusal is None
+    assert gpu.engine_used == "compiled"
+    assert gpu.engine_refusal is None
     assert "engine_refusal" not in result.to_json()
+    if policy == "vt_regmutex":
+        wrapped = build_gpu(policy)
+        for sm in wrapped.sms:
+            sm._policy.on_issue = sm._policy.on_issue
+        again = wrapped.run(max_cycles=TINY.max_cycles, engine="compiled")
+        assert wrapped.engine_used == "reference"
+        assert wrapped.engine_refusal == "policy-hook:on_issue"
+        assert again.to_json() == result.to_json()
 
 
 @needs_extension

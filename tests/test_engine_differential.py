@@ -23,7 +23,11 @@ the end, so beyond ``SimResult`` bytes the tests compare the hierarchy's
 full end state with the oracle's (``memory_state``): every cache set in
 MRU order, the dirty keys, the merge tables, every counter and the DRAM
 channel, plus the unsorted result JSON (the key order of
-``dram_traffic_by_class``).
+``dram_traffic_by_class``).  It owns RegMutex's shared register pool
+(SRP) the same way, so the tests also compare every SM's pool
+(``srp_state``): the free count, the lease table in dict order, the
+acquire/denial counters, the pending denial flag and the SRP stall
+cycles.
 """
 
 from __future__ import annotations
@@ -32,18 +36,22 @@ import json
 import os
 from contextlib import contextmanager
 from dataclasses import asdict, replace
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.config import SCALES, GPUConfig, default_config
+from repro.experiments.common import SRP_RATIOS
 from repro.experiments.runner import POLICIES
 from repro.memory.hierarchy import MemoryHierarchy
+from repro.policies.regmutex import SRP_BLOCK, SRP_RETRY_INTERVAL
 from repro.policies.unified_memory import apply_unified_memory
 from repro.sim.gpu import GPU
 from repro.sim.tracing import attach_tracer
 from repro.validate.golden import CORPUS, run_case
+from repro.validate.invariants import check_policy, check_sm
 from repro.validate.sanitizer import attach_sanitizer
 from repro.workloads.apps import APP_POOLS, AppPool, StreamSpec, build_app
 from repro.workloads.generator import build_workload
@@ -106,9 +114,27 @@ def memory_state(hier) -> dict:
     }
 
 
+def srp_pool(policy) -> dict:
+    """A RegMutex pool as the C core lowers and writes it back (the lease
+    table in dict order)."""
+    return {"srp_free": policy.srp_free,
+            "leases": list(policy._leases.items()),
+            "srp_acquires": policy.srp_acquires,
+            "srp_denials": policy.srp_denials,
+            "srp_blocked": policy._srp_blocked}
+
+
+def srp_state(gpu) -> list:
+    """Every SM's pool and SRP stall cycles (empty for policies without a
+    pool)."""
+    return [dict(srp_pool(sm._policy),
+                 srp_stall_cycles=sm.stats.srp_stall_cycles)
+            for sm in gpu.sms if hasattr(sm._policy, "srp_capacity")]
+
+
 def assert_same_end_state(dense_gpu, dense, gpu, result, label: str):
-    """Result bytes (unsorted: the key order counts too) and the full
-    memory end state of ``gpu`` equal the dense oracle's."""
+    """Result bytes (unsorted: the key order counts too), the full memory
+    end state and the SRP state of ``gpu`` equal the dense oracle's."""
     assert json.dumps(dense.to_json()) == json.dumps(result.to_json()), (
         f"{label}: result diverged from the dense oracle")
     expected = memory_state(dense_gpu.hierarchy)
@@ -116,27 +142,32 @@ def assert_same_end_state(dense_gpu, dense, gpu, result, label: str):
     for key, value in expected.items():
         assert actual[key] == value, (
             f"{label}: {key} diverged from the dense oracle")
+    assert srp_state(gpu) == srp_state(dense_gpu), (
+        f"{label}: SRP state diverged from the dense oracle")
 
 
-def end_state_differential(build, max_cycles: int, label: str) -> GPU:
+def end_state_differential(build, max_cycles: int, label: str):
     """Run ``build()``'s GPU on the dense oracle and on every engine and
-    compare full end states; returns the dense GPU."""
+    compare full end states; returns the dense GPU, its result and, by
+    engine, the GPUs they ran."""
     with dense_engine():
         dense_gpu = build()
         dense = dense_gpu.run(max_cycles=max_cycles)
+    gpus = {}
     for engine in ENGINES:
-        gpu = build()
+        gpu = gpus[engine] = build()
         result = gpu.run(max_cycles=max_cycles, engine=engine)
         assert_same_end_state(dense_gpu, dense, gpu, result,
                               f"{engine} ({label})")
-    return dense_gpu
+    return dense_gpu, dense, gpus
 
 
 def build_micro_gpu(policy: str, app: str, seed: int,
-                    config: GPUConfig = MICRO_CONFIG) -> GPU:
+                    config: GPUConfig = MICRO_CONFIG,
+                    **policy_kwargs) -> GPU:
     spec = replace(get_spec(app), seed=seed)
     instance = build_workload(spec, config, TINY)
-    return GPU(config, instance.kernel, POLICIES[policy](),
+    return GPU(config, instance.kernel, POLICIES[policy](**policy_kwargs),
                instance.trace_provider, instance.address_model,
                liveness=instance.liveness)
 
@@ -317,8 +348,13 @@ def test_random_micro_workloads_bit_identical(policy, data):
     seed = data.draw(st.integers(min_value=0, max_value=2 ** 16 - 1),
                      label="spec seed")
     app = data.draw(st.sampled_from(APPS), label="app")
-    end_state_differential(lambda: build_micro_gpu(policy, app, seed),
-                           TINY.max_cycles, f"{policy}, {app}, seed={seed}")
+    kwargs = {}
+    if policy == "vt_regmutex":
+        kwargs["srp_ratio"] = data.draw(st.sampled_from(SRP_RATIOS),
+                                        label="SRP ratio")
+    end_state_differential(
+        lambda: build_micro_gpu(policy, app, seed, **kwargs),
+        TINY.max_cycles, f"{policy}, {app}, seed={seed}, {kwargs}")
 
 
 @pytest.mark.parametrize("app", APPS)
@@ -339,7 +375,7 @@ def test_four_sm_runs_bit_identical(policy, app):
 def test_memory_end_state_under_l2_pressure(policy):
     """A tiny L2: dirty evictions, their DRAM write charges and merged
     misses on every run."""
-    dense = end_state_differential(
+    dense, __, __ = end_state_differential(
         lambda: build_micro_gpu(policy, "KM", 0, PRESSURE_CONFIG),
         TINY.max_cycles, f"{policy}, KM, tiny L2")
     assert dense.hierarchy.l2.stats.dirty_evictions > 0
@@ -355,8 +391,8 @@ def test_memory_end_state_after_unified_memory_resize(policy):
         apply_unified_memory(gpu, reserve_pcrf=policy == "finereg")
         return gpu
 
-    dense = end_state_differential(build, TINY.max_cycles,
-                                   f"{policy}, KM, unified memory")
+    dense, __, __ = end_state_differential(
+        build, TINY.max_cycles, f"{policy}, KM, unified memory")
     assert dense.hierarchy.l1s[0].size_bytes != MICRO_CONFIG.l1_size_bytes
 
 
@@ -387,10 +423,151 @@ def test_memory_end_state_on_small_cell_with_merge_table_prunes(policy):
         hier._outstanding = [PruneCountingTable() for _ in hier._outstanding]
         return gpu
 
-    dense = end_state_differential(build, SMALL.max_cycles,
-                                   f"{policy}, TR, small")
+    dense, __, __ = end_state_differential(
+        build, SMALL.max_cycles, f"{policy}, TR, small")
     assert config.num_sms == 2
     assert sum(table.prunes for table in dense.hierarchy._outstanding) > 0
+
+
+# ----------------------------------------------------------------------
+# RegMutex's shared register pool, which the C core owns during a run
+# ----------------------------------------------------------------------
+#: Every SRP ratio the campaign sweeps, plus one at which the pool runs
+#: dry on every app.
+SRP_LEG_RATIOS = SRP_RATIOS + (0.05,)
+#: Above the ~17k cycles LB needs at 0.05; KM and HS livelock on the pool
+#: at that ratio (every warp denied every 20 cycles) until the cap, so
+#: those legs are timed-out runs.
+SRP_MAX_CYCLES = 20_000
+
+
+def tiny_config(num_sms: int) -> GPUConfig:
+    """The tiny campaign's config on ``num_sms`` SMs (DRAM bandwidth
+    scales with the SM count): with the suite's own workloads, the SRP
+    ratios contend as in the sweep."""
+    return default_config(TINY).with_num_sms(num_sms)
+
+
+def assert_invariants_hold(gpu, now: int, label: str) -> None:
+    """The sanitizer's structural and policy invariants (srp-conservation
+    among them) on ``gpu``'s written-back end state."""
+    for sm in gpu.sms:
+        violations = check_sm(sm, now) + check_policy(sm._policy, sm, now)
+        assert not violations, f"{label}, SM {sm.sm_id}: {violations}"
+
+
+@pytest.mark.parametrize("num_sms", (2, 4))
+@pytest.mark.parametrize("app", APPS)
+@pytest.mark.parametrize("ratio", SRP_LEG_RATIOS)
+def test_regmutex_srp_end_state_at_every_swept_ratio(ratio, app, num_sms):
+    config = tiny_config(num_sms)
+    label = f"vt_regmutex srp_ratio={ratio}, {app}, {num_sms} SMs"
+    dense, result, gpus = end_state_differential(
+        lambda: build_micro_gpu("vt_regmutex", app, get_spec(app).seed,
+                                config, srp_ratio=ratio),
+        SRP_MAX_CYCLES, label)
+    for engine, gpu in gpus.items():
+        assert_invariants_hold(gpu, result.cycles, f"{engine} ({label})")
+    if ratio <= 0.2:
+        assert sum(sm._policy.srp_denials for sm in dense.sms) > 0
+
+
+@pytest.mark.parametrize("app, max_cycles", [
+    ("HS", 777), ("LB", 777), ("KM", 5000), ("LB", 5000)])
+def test_regmutex_srp_end_state_of_a_timed_out_run(app, max_cycles):
+    """A run cut mid-grid: warps still hold leases (at 5000 cycles KM also
+    has a denial its SM has not yet attributed), and the pool's lease
+    table, counters and denial flag are written back as they stand."""
+    label = f"vt_regmutex, {app}, max_cycles={max_cycles}"
+    dense, result, gpus = end_state_differential(
+        lambda: build_micro_gpu("vt_regmutex", app, get_spec(app).seed,
+                                tiny_config(2), srp_ratio=0.2),
+        max_cycles, label)
+    # An idle jump may carry the clock past the limit before it is seen.
+    assert result.timed_out and result.cycles >= max_cycles
+    assert any(sm._policy._leases for sm in dense.sms)
+    for engine, gpu in gpus.items():
+        assert_invariants_hold(gpu, result.cycles, f"{engine} ({label})")
+
+
+#: A demand table over twelve static instructions: zero (a release),
+#: exact SRP_BLOCK multiples and values that round up to one.
+SRP_DEMANDS = st.lists(st.sampled_from((0, 1, 7, 8, 9, 16, 17, 24)),
+                       min_size=12, max_size=12)
+#: (warp, static index, cycles since the previous call).
+SRP_CALLS = st.lists(st.tuples(st.integers(0, 5), st.integers(0, 11),
+                               st.integers(0, 30)),
+                     min_size=1, max_size=80)
+#: Deterministic coverage of every branch: warp 0 acquires a block,
+#: re-issues an instruction its lease covers (demand <= held), warp 1
+#: takes the last block (need == srp_free), warp 2 is denied, warp 0
+#: releases, warp 2 acquires after its retry interval, warp 1 is denied
+#: growing its lease into the exhausted pool and then issues within it.
+SRP_BRANCHES = dict(
+    demand=[0, 8, 7, 16, 9, 24, 1, 17, 0, 8, 16, 24], capacity=16,
+    calls=[(0, 1, 0), (0, 2, 1), (1, 1, 1), (2, 6, 1), (0, 0, 1),
+           (2, 6, 25), (1, 3, 1), (1, 9, 3)])
+
+
+@needs_extension
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@example(**SRP_BRANCHES)
+@given(demand=SRP_DEMANDS, capacity=st.integers(0, 48), calls=SRP_CALLS)
+def test_core_srp_lease_replays_on_issue(demand, capacity, calls):
+    """Random (warp, static index, now) calls through ``Core.issue_srp``
+    and through ``RegMutexPolicy.on_issue``: the verdict, the denied
+    warp's ``blocked_until`` and the written-back pool agree after every
+    call."""
+    from repro.sim import _ckernel
+    from repro.sim.compiled import _STATES
+
+    gpu = build_micro_gpu("vt_regmutex", "KM", 0)
+    spec, lowered = (sm._policy for sm in gpu.sms)
+    for policy in (spec, lowered):
+        policy._extra_demand = tuple(demand)
+        policy.srp_capacity = policy.srp_free = capacity
+    noop = (0, -1, -1, 5, 0, ())
+    core = _ckernel.Core(1, 1, 1, 1, 1, 1, 1, 0, 1, 0,
+                         [noop] * len(demand), _STATES)
+    core.set_policy(0, object(), [object()], False, False, True, True)
+    cslot = core.new_cta(object(), 0, 0)
+    tslot = core.add_trace([0])
+    spec_warps, core_warps = [], []
+    for gid in range(6):
+        spec_warps.append(SimpleNamespace(global_warp_id=gid,
+                                          blocked_until=0))
+        core_warps.append(object())
+        core.new_warp(core_warps[-1], cslot, tslot, gid)
+    core.lower_srp(0, lowered, lowered._extra_demand, SRP_BLOCK,
+                   SRP_RETRY_INTERVAL)
+    now = 0
+    for step, (warp, index, gap) in enumerate(calls):
+        now += gap
+        issued = spec.on_issue(spec_warps[warp], index, now)
+        assert core.issue_srp(0, core_warps[warp], index, now) == (
+            issued, spec_warps[warp].blocked_until), (
+                f"call {step} {(warp, index, now)}: verdict diverged")
+        core.write_back_srp(0)
+        assert srp_pool(lowered) == srp_pool(spec), (
+            f"call {step} {(warp, index, now)}: SRP state diverged")
+
+
+@needs_extension
+def test_core_srp_lowering_refuses_held_leases():
+    """The pool is lowered before any warp issues: a lease already in
+    ``_leases`` would be owned twice, so lowering refuses it."""
+    from repro.sim import _ckernel
+    from repro.sim.compiled import _STATES
+
+    policy = build_micro_gpu("vt_regmutex", "KM", 0).sms[0]._policy
+    core = _ckernel.Core(1, 1, 1, 1, 1, 1, 1, 0, 1, 0,
+                         [(0, -1, -1, 5, 0, ())] * len(policy._extra_demand),
+                         _STATES)
+    core.set_policy(0, object(), [object()], False, False, True, True)
+    policy._leases[0] = SRP_BLOCK
+    with pytest.raises(ValueError, match="empty _leases"):
+        core.lower_srp(0, policy, policy._extra_demand, SRP_BLOCK,
+                       SRP_RETRY_INTERVAL)
 
 
 # ----------------------------------------------------------------------

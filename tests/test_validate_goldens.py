@@ -27,7 +27,7 @@ from repro.validate.golden import (
 def test_corpus_spans_the_policy_space():
     policies = {case.policy for case in CORPUS}
     assert {"baseline", "finereg", "finereg_adaptive", "virtual_thread",
-            "reg_dram"} <= policies
+            "reg_dram", "vt_regmutex"} <= policies
     assert len({case.name for case in CORPUS}) == len(CORPUS)
 
 
