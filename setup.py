@@ -5,7 +5,7 @@ Metadata lives in pyproject.toml.
 The compiled engine backend's C extension (repro.sim._ckernel) is built
 here *best-effort*: ``optional=True`` plus the failure-tolerant build_ext
 below means a box without a working C toolchain still installs cleanly
-and ``auto`` resolution degrades to the fused backend at run time (see
+and ``auto`` resolution degrades to the reference backend at run time (see
 repro.sim.backend).
 """
 from setuptools import Extension, setup
@@ -37,7 +37,7 @@ class OptionalBuildExt(build_ext):
         print(f"warning: skipping optional C extension "
               f"repro.sim._ckernel ({exc!r}); the compiled engine "
               f"backend will be unavailable (auto degrades to "
-              f"the fused backend)")
+              f"the reference backend)")
 
 
 setup(

@@ -1,35 +1,35 @@
-"""Static engine-equivalence auditor: effect summaries for the fast-path gates.
+"""Static engine-equivalence auditor: effect summaries for the compiled gates.
 
-The fused (``SM._step_fast``) and compiled (``run_compiled``) backends
-are only sound because hand-maintained gates route every instrumented or
-specialised run back to a slower engine: ``fast_step_eligible``,
-``policy_inert`` / ``_INERT_POLICY_ATTRS`` and ``compiled_run_eligible`` /
-``_BYPASSED_SM_ATTRS``.  Nothing used to *verify* those lists — a new hook
-read on the reference path, or a new policy override outside the checked
-surface, silently diverged the fast paths instead of disabling them.
+The compiled backend (``run_compiled``, the ``_ckernel`` C core) is only
+sound because hand-maintained gates route every instrumented or
+specialised run back to the reference engine: ``compiled_refusal``,
+``policy_inert`` / ``_INERT_POLICY_ATTRS`` and ``_BYPASSED_SM_ATTRS``.
+Nothing used to *verify* those lists — a new hook read on the reference
+path, or a new policy override outside the checked surface, silently
+diverged the C core instead of disabling it.
 
 This module parses the simulator source (no simulation is run) into
 per-method **effect summaries** — which attributes a method reads or
 writes on which receiver, which methods it calls, and under which guard
 conditions — then closes them over the call graph and audits the gates:
 
-* **Fused-path completeness** — every effect of the reference step closure
-  (``SM.step`` + scheduler ``issue`` + ``_try_issue``) that the fused
-  closure (``fast_step_eligible`` + ``_bind_fast_path`` + ``_step_fast``)
-  does not reproduce must be *covered*: mentioned by ``fast_step_eligible``,
-  reachable only under a gate-checked guard (e.g. ``_div_forks`` behind
-  ``self._wt``), or recorded in the audited fold table (``_FAST_FOLDED``,
-  effects the fast step precomputes rather than re-reads).  Anything else
-  is a HIGH ``fast-gate-missing`` finding.
-* **Compiled bypass completeness** — SM methods the Python engines invoke
-  dynamically (the event loop's calls plus the fused step's own
-  ``self.<method>`` calls, the loop the C core transcribes) but the
-  compiled driver never calls must all appear in ``_BYPASSED_SM_ATTRS``
-  (or be barred by ``fast_step_eligible``'s instance-dict scan), so an
-  instance-level wrapper can never be skipped.
-* **Policy gate derivation** — the policy surface the C core runs
-  itself is derived from two sources: hooks the Python engines reach that
-  the compiled driver never serves (the issue hook, the idle attribution
+* **Issue-loop completeness** — every effect of the reference step
+  closure (``SM.step`` + scheduler ``issue`` + ``_try_issue``, and
+  ``SM.next_event``), the code the C core transcribes, that the compiled
+  driver's closure (its lowering, gate and served ops) does not reproduce
+  must be *covered*: mentioned by ``compiled_refusal``, named in
+  ``_BYPASSED_SM_ATTRS``, reachable only under a gate-checked guard (e.g.
+  ``_div_forks`` behind ``self._wt``), or recorded in the audited fold
+  table (``_CORE_FOLDED``, effects the core keeps in its own state rather
+  than re-reading).  Anything else is a HIGH ``fast-gate-missing`` finding.
+* **Compiled bypass completeness** — SM methods the event engine invokes
+  dynamically (the event loop's calls plus the ``self.<method>`` calls of
+  the bodies the C core transcribes) but the compiled driver never calls
+  must all appear in ``_BYPASSED_SM_ATTRS`` (or be reachable only under a
+  gate-checked guard), so an instance-level wrapper can never be skipped.
+* **Policy gate derivation** — the policy surface the C core runs itself
+  is derived from two sources: hooks the Python engines reach that the
+  compiled driver never serves (the issue hook, the idle attribution
   inside ``accumulate``, ...), and every policy body the C source marks
   ``transcribes <PolicyClass>.<name>``.  Each derived name must be
   checked by ``policy_inert`` (via ``_INERT_POLICY_ATTRS`` or its direct
@@ -129,27 +129,37 @@ _POLICY_LINKS = ("policy", "_policy")
 #: the GPU as ``self.gpu`` (``gpu = self.gpu`` / ``self.gpu._finish_run``).
 _GPU_LINKS = ("gpu", "_gpu")
 
-#: Reference-only effects the fused step intentionally *folds* instead of
-#: re-reading, with the equivalence argument.  An entry that stops showing
-#: up in the reference-minus-fused diff is reported stale (MEDIUM) so the
-#: table cannot rot.
-_FAST_FOLDED: Dict[Tuple[str, str], str] = {
-    ("sm", "_alu_lat"): (
-        "issue latency is precomputed per static instruction into "
-        "_meta[9] at table-build time; the fused loop reads meta[9]"),
-    ("sm", "_sfu_lat"): (
-        "issue latency is precomputed per static instruction into "
-        "_meta[9] at table-build time; the fused loop reads meta[9]"),
-    ("sm", "_shmem_lat"): (
-        "issue latency is precomputed per static instruction into "
-        "_meta[9] at table-build time; the fused loop reads meta[9]"),
+#: The fold rationale shared by the scheduler's issue buckets.
+_BUCKETS = (
+    "the core keeps no ready/blocked buckets: issue_loop scans the "
+    "scheduler's CSched.members in sched_seq order, and the buckets only "
+    "reorder consideration of warps that could not issue anyway")
+
+#: Reference-only effects the C core reproduces from its own state instead
+#: of reading them, with the equivalence argument.  A name also covers its
+#: dotted reads (``_ready`` covers ``_ready.sort``).  An entry that stops
+#: showing up in the reference-minus-compiled diff is reported stale
+#: (MEDIUM) so the table cannot rot.
+_CORE_FOLDED: Dict[Tuple[str, str], str] = {
     ("sched", "issue"): (
-        "GTOScheduler.issue is inlined into _step_fast verbatim "
-        "(greedy-then-oldest scan over the same _ready/_blocked state); "
-        "fast_step_eligible pins the scheduler type to GTOScheduler"),
+        "GTOScheduler.issue is transcribed by issue_loop (greedy retry of "
+        "CSched.current, then the oldest-first scan); compiled_refusal "
+        "pins the scheduler type to GTOScheduler"),
     ("sched", "_note_sleep"): (
-        "the telemetry-free sleep computation is folded into the fused "
-        "scan-failure path; sched.telemetry is gate-checked"),
+        "the telemetry-free sleep fold is inlined in issue_loop's "
+        "failed-scan path, writing CSched.sleep_until; sched.telemetry is "
+        "gate-checked"),
+    ("sched", "_ready"): _BUCKETS,
+    ("sched", "_blocked"): _BUCKETS,
+    ("sched", "_rebuild"): _BUCKETS,
+    ("sched", "_current"): (
+        "the greedy retry reads the state and blocked_until of the CWarp "
+        "that CSched.current names, which export()/sync() keep in step "
+        "with sched._current"),
+    ("sm", "_last_step_issued"): (
+        "the core counts a step's issues in CSm.issued, which its "
+        "end-of-cycle accounting reads where the event loop reads "
+        "_last_step_issued"),
 }
 
 #: Base-policy attributes the engine reaches but the inertness gate may
@@ -506,44 +516,69 @@ def _tuple_lineno(index: _CodeIndex, name: str) -> Optional[int]:
     return None
 
 
+#: The SM bodies the C core transcribes (with ``GTOScheduler.issue``).
+_CORE_SPEC = ("step", "_try_issue", "next_event")
+
+
+def _compiled_closure(index: _CodeIndex,
+                      traversable: FrozenSet[str]) -> _EffectMap:
+    """Effects of the compiled driver: ``run_compiled``, the gate
+    functions (called by bare name, so invisible to receiver resolution
+    and seeded explicitly) and every ``_Run`` method, short of the
+    fallback delegation to the event engine."""
+    comp = index.modules["sim.compiled"]
+    seeds = [("comp", name) for name in ("run_compiled",) + _GATE_FUNCTIONS]
+    seeds += [("comp", mname) for info in comp.classes.values()
+              for mname in sorted(info.methods)]
+    return _closure(index, seeds, traversable,
+                    skip=frozenset({("gpu", "_run_event")}))
+
+
+def _covered(name: str, guardsets: Set[FrozenSet[str]], gate: Set[str],
+             bypassed: Sequence[str]) -> bool:
+    """Is a reference-only effect gated: mentioned by ``compiled_refusal``,
+    named in ``_BYPASSED_SM_ATTRS``, or reachable only under a guard that
+    ``compiled_refusal`` checks?"""
+    if _last(name) in gate or name in bypassed:
+        return True
+    return bool(guardsets) and all(
+        g and {_last(t) for t in g} & gate for g in guardsets)
+
+
 # ----------------------------------------------------------------------
-# Audit (a): fused fast-step completeness
+# Audit (a): issue-loop completeness
 # ----------------------------------------------------------------------
-def _audit_fused(index: _CodeIndex) -> List[Finding]:
+def _audit_issue_loop(index: _CodeIndex) -> List[Finding]:
     findings: List[Finding] = []
     sm_path = index.modules["sim.sm"].path
-    traversable = frozenset({"sm", "sched"})
     reference = _closure(index, [("sm", "step"), ("sm", "next_event")],
-                         traversable)
-    fused = _closure(index, [("sm", "_step_fast"), ("sm", "next_event_fast"),
-                             ("sm", "_bind_fast_path"),
-                             ("sm", "fast_step_eligible")], traversable)
-    gate = _gate_mentions(index, "sm", "fast_step_eligible")
+                         frozenset({"sm", "sched"}))
+    compiled = _compiled_closure(
+        index, frozenset({"gpu", "comp", "sm", "sched"}))
+    gate = _gate_mentions(index, "comp", "compiled_refusal")
     folded_used: Set[Tuple[str, str]] = set()
 
     for (ns, name), guardsets in sorted(reference.items()):
-        if ns not in ("sm", "sched") or (ns, name) in fused:
+        if ns not in ("sm", "sched") or (ns, name) in compiled:
             continue
-        if _last(name) in gate:
+        if _covered(name, guardsets, gate, index.config.bypassed_sm_attrs):
             continue
-        if (ns, name) in _FAST_FOLDED:
-            folded_used.add((ns, name))
+        head = (ns, name.split(".", 1)[0])
+        if head in _CORE_FOLDED:
+            folded_used.add(head)
             continue
-        if guardsets and all(
-                g and {_last(t) for t in g} & gate for g in guardsets):
-            continue  # only reachable when a gate-checked hook is armed
         findings.append(_finding(
             "fast-gate-missing", HIGH,
-            f"reference step path touches {ns}.{name} but the fused "
-            f"_step_fast neither reproduces it nor gates on it: add it to "
-            f"fast_step_eligible's checks (or the audited fold table) "
-            f"before trusting the fused backend", sm_path))
-    for (ns, name), reason in _FAST_FOLDED.items():
+            f"reference step path touches {ns}.{name} but the compiled "
+            f"core neither reproduces it nor gates on it: add it to "
+            f"compiled_refusal's checks (or the audited fold table "
+            f"_CORE_FOLDED) before trusting the compiled backend", sm_path))
+    for (ns, name), reason in _CORE_FOLDED.items():
         if (ns, name) not in folded_used:
             findings.append(_finding(
                 "fast-gate-fold-stale", MEDIUM,
                 f"fold-table entry {ns}.{name} no longer appears in the "
-                f"reference-minus-fused effect diff; drop it "
+                f"reference-minus-compiled effect diff; drop it "
                 f"(recorded rationale: {reason})", sm_path))
     return findings
 
@@ -553,13 +588,13 @@ def _audit_fused(index: _CodeIndex) -> List[Finding]:
 # ----------------------------------------------------------------------
 def _audit_compiled(index: _CodeIndex) -> List[Finding]:
     """The C core behind ``run_compiled`` reimplements the SM surface the
-    Python engines dispatch dynamically: the event loop's step /
-    next-event / accumulate calls and the hooks ``_step_fast`` (the loop
-    the C core transcribes) calls on its own SM.  Every such method the
-    compiled driver never calls must appear in ``_BYPASSED_SM_ATTRS`` so
-    ``compiled_run_eligible``'s instance-dict scan routes instrumented
-    SMs back to a Python backend instead of letting the C core silently
-    ignore the override."""
+    event engine dispatches dynamically: the event loop's step /
+    next-event / accumulate calls and the hooks the bodies it transcribes
+    (``SM.step``, ``SM._try_issue``, ``SM.next_event``) call on their own
+    SM.  Every such method the compiled driver never calls must appear in
+    ``_BYPASSED_SM_ATTRS`` so ``compiled_refusal``'s instance-dict scan
+    routes instrumented SMs back to the reference engine instead of
+    letting the C core silently ignore the override."""
     findings: List[Finding] = []
     config = index.config
     comp = index.modules["sim.compiled"]
@@ -572,27 +607,27 @@ def _audit_compiled(index: _CodeIndex) -> List[Finding]:
 
     # Where each dynamic dispatch happens, so a finding names the call
     # site: the event loop's per-SM entry points (which the C core
-    # replaces wholesale) first, then the hooks the fused step calls on
-    # its own SM (which the C core inlines).
-    sites: Dict[str, str] = dict.fromkeys(sorted(sm_refs(_closure(
-        index, [("gpu", "_run_event"), ("gpu", "_finish_run")],
-        frozenset({"gpu"})))), "the event loop (GPU._run_event)")
-    for step in ("_step_fast", "next_event_fast"):
-        for node in index.lookup("sm", step):
-            for name in sorted(sm_refs(index.summarize(node, "sm"))):
-                sites.setdefault(name, f"SM.{step}")
-    # The gate functions are called by bare name (invisible to receiver
-    # resolution); seed them explicitly.
-    seeds = [("comp", name) for name in ("run_compiled",) + _GATE_FUNCTIONS]
-    seeds += [("comp", mname) for info in comp.classes.values()
-              for mname in sorted(info.methods)]
-    compiled = _closure(index, seeds, frozenset({"gpu", "comp"}),
-                        skip=frozenset({("gpu", "_run_event")}))
+    # replaces wholesale) first, then the hooks the transcribed bodies
+    # call on their own SM (which the C core inlines).
+    loop = _closure(index, [("gpu", "_run_event"), ("gpu", "_finish_run")],
+                    frozenset({"gpu"}))
+    sites: Dict[str, str] = dict.fromkeys(
+        sorted(sm_refs(loop)), "the event loop (GPU._run_event)")
+    guards: Dict[str, Set[FrozenSet[str]]] = {
+        name: set(loop[("sm", name)]) for name in sites}
+    for body in _CORE_SPEC:
+        for node in index.lookup("sm", body):
+            effects = index.summarize(node, "sm")
+            for name in sorted(sm_refs(effects)):
+                sites.setdefault(name, f"SM.{body}")
+                guards.setdefault(name, set()).update(effects[("sm", name)])
+    compiled = _compiled_closure(index, frozenset({"gpu", "comp"}))
     bypassed = set(sites) - sm_refs(compiled)
-    covered = set(config.bypassed_sm_attrs) | _gate_mentions(
-        index, "sm", "fast_step_eligible")
+    gate = _gate_mentions(index, "comp", "compiled_refusal")
 
-    for name in sorted(bypassed - covered):
+    for name in sorted(bypassed):
+        if _covered(name, guards[name], gate, config.bypassed_sm_attrs):
+            continue
         findings.append(_finding(
             "compiled-gate-missing", HIGH,
             f"{sites[name]} dispatches SM.{name} dynamically but the "
@@ -850,7 +885,7 @@ def audit_effects(config: Optional[EffectsConfig] = None) -> FindingReport:
         config = default_effects_config()
     index = _CodeIndex(config)
     report = FindingReport()
-    for finding in (_audit_fused(index) + _audit_compiled(index)
+    for finding in (_audit_issue_loop(index) + _audit_compiled(index)
                     + _audit_inert(index) + _audit_determinism(index)):
         report.add(finding)
     return report

@@ -55,9 +55,9 @@ def _inject(config: EffectsConfig, key: str, anchor: str,
 # The ten injections
 # ----------------------------------------------------------------------
 def _phantom_issue_hook() -> EffectsConfig:
-    """A new hook read in ``_try_issue`` that ``fast_step_eligible``
-    never learned about — the exact shape of a silent fused-path
-    divergence (the fused loop would never call the hook)."""
+    """A new hook read in ``_try_issue`` that ``compiled_refusal`` never
+    learned about — the exact shape of a silent compiled-core divergence
+    (the C issue loop would never call the hook)."""
     anchor = "        wt = self._wt\n"
     phantom = ("        if self._phantom_profiler is not None:\n"
                "            self._phantom_profiler(warp, static_index, now)\n")
@@ -77,8 +77,9 @@ def _dropped_bypass_entry() -> EffectsConfig:
 
 def _dropped_compiled_entry() -> EffectsConfig:
     """``_on_long_block`` removed from ``_BYPASSED_SM_ATTRS``: an instance
-    wrapper on ``SM._on_long_block`` would run under the fused step but be
-    silently ignored by the C core."""
+    wrapper on ``SM._on_long_block`` would run under the reference step,
+    whose ``_try_issue`` calls it, but be silently ignored by the C core,
+    which inlines the check."""
     config = default_effects_config()
     return replace(config, bypassed_sm_attrs=tuple(
         name for name in config.bypassed_sm_attrs
@@ -172,7 +173,7 @@ def _degenerate_tiebreak() -> EffectsConfig:
 SEEDED_FAULTS: Tuple[SeededFault, ...] = (
     SeededFault("phantom_issue_hook", "fast-gate-missing", Severity.ERROR,
                 "hook read added to _try_issue without widening "
-                "fast_step_eligible", _phantom_issue_hook),
+                "compiled_refusal", _phantom_issue_hook),
     SeededFault("dropped_bypass_entry", "compiled-gate-missing",
                 Severity.ERROR,
                 "accumulate removed from _BYPASSED_SM_ATTRS",

@@ -6,14 +6,14 @@
  * memory hierarchy (every L1's and the L2's tag arrays, the per-SM merge
  * tables and the DRAM channel), RegMutex's shared register pool (the
  * per-SM counters, a lease per warp and the demand table) and one
- * *global* clock.  Core.resume() runs the uninstrumented cycle loop of
- * GPU._run_event -- every SM stepped in
- * sm_id order per executed cycle, each step a line-for-line C
- * transcription of StreamingMultiprocessor._step_fast with its LDG/STG
+ * *global* clock.  Core.resume() runs the cycle loop of GPU._run_event --
+ * every SM stepped in sm_id order per executed cycle, each step a C
+ * transcription of StreamingMultiprocessor.step with GTOScheduler.issue
+ * and StreamingMultiprocessor._try_issue inlined (issue_loop), its LDG/STG
  * accesses completed by mem_access() (a transcription of
  * MemoryHierarchy._access), then the per-cycle idle and level accounting,
- * the idle jump to the minimum next event, timeout and deadlock -- until it
- * reaches an *op*: something only the real Python objects may do.  It then
+ * the idle jump to the minimum SM.next_event, timeout and deadlock -- until
+ * it reaches an *op*: something only the real Python objects may do.  It then
  * returns an op descriptor; repro.sim.compiled serves the op and calls
  * resume() again, which completes the op and continues.  Ops
  * come out in the dense engine's global order (cycle, sm_id, program
@@ -61,6 +61,40 @@
  * (== attach order), and the failed-scan sleep fold reduces to the min
  * blocked_until over every attached warp.
  *
+ * Where the transcription departs from the Python bodies, it is exact:
+ *
+ *   operand memo  a warp that fails its operand check records the trace
+ *                 position and the ready cycle it computed (chk_pos,
+ *                 chk_ready); a later check at the same position reuses
+ *                 the cycle.  ready_at changes only when the warp itself
+ *                 issues, which advances pos, so a matching position means
+ *                 the memo is still exact.
+ *   counters      the core counts no issued instructions, RF reads and
+ *                 writes, bank conflicts or shared-memory accesses:
+ *                 run_compiled sets sm._defer_stats, so the EXIT op's
+ *                 _finish_warp credits the warp's whole trace from
+ *                 sm._packed_vec and _finish_run the issued prefix of any
+ *                 warp a timeout leaves unfinished.  The totals are exact
+ *                 because every trace entry issues exactly once.
+ *   no peek       after an issue, _try_issue peeks the next instruction's
+ *                 operands and, for a stall shorter than the CTA-switch
+ *                 threshold, writes the blocked_until the warp's next
+ *                 attempt would write.  The core makes that attempt
+ *                 instead, which writes the identical value one attempt
+ *                 later; _try_issue's comment gives why no reader can tell
+ *                 the two apart (the peek is confined to short stalls for
+ *                 that reason).
+ *   sleep caches  the idle jump reads each SM's next event from its
+ *                 schedulers' sleep_until instead of SM.next_event's scan
+ *                 of every active warp's blocked_until.  Whenever the jump
+ *                 asks (a cycle on which no SM issued, after this SM's
+ *                 step or while it sleeps with frozen state), each
+ *                 scheduler's cache is the exact minimum over its members
+ *                 -- the failed-scan fold and GTOScheduler._resleep both
+ *                 compute it, and every external wake resets it -- and the
+ *                 members are every unfinished warp of the active CTAs, so
+ *                 the minimum and its clamp to now are next_event's.
+ *
  * The level integrals and the idle / RF-depletion counts are accumulated
  * as int64 sums and merged into the Python counters once at the end:
  * every term is an exact integer and the totals stay far below 2^53, so
@@ -103,9 +137,9 @@ typedef struct {
     int32_t nsrc;
     int32_t dest;      /* -1 when the instruction writes no register */
     int32_t pat;       /* 0 STREAM / 1 REUSE / 2 SHARED_WS / -1 */
-    int32_t fkind;     /* meta[8]: 0 fixed-lat, 1 LDG, 2 STG, 3 BAR,
-                          4 EXIT, 5 no-op */
-    int64_t flat;      /* meta[9]: total fixed latency for fkind 0 */
+    int32_t fkind;     /* collapsed kind (compiled._CORE_KINDS): 0 fixed
+                          latency, 1 LDG, 2 STG, 3 BAR, 4 EXIT, 5 no-op */
+    int64_t flat;      /* total fixed latency for fkind 0 */
     int32_t src_off;   /* offset into Core.srcs */
 } CMeta;
 
@@ -121,8 +155,8 @@ typedef struct {
     int64_t pos;
     int64_t blocked_until;
     int64_t peak_ready;
-    int64_t chk_pos;
-    int64_t chk_ready;
+    int64_t chk_pos;        /* operand memo: the position last checked */
+    int64_t chk_ready;      /* ... and its ready cycle */
     int64_t stream_counter;
     int64_t reuse_counter;
     int64_t shared_counter;
@@ -2113,8 +2147,9 @@ core_memory_counts(CoreObject *self, PyObject *Py_UNUSED(ignored))
 }
 
 /* ------------------------------------------------------------------ */
-/* The issue loop.  Helpers: operand-ready cycle with the chk memo, and
- * the inlined AddressModel.address_for. */
+/* The issue loop.  Helpers: operand-ready cycle with the operand memo
+ * (chk_pos / chk_ready; the header says why it is exact), and the inlined
+ * AddressModel.address_for. */
 
 static inline int64_t
 operands_ready(CoreObject *core, CWarp *w, CMeta *m, int64_t pos,
@@ -2214,11 +2249,16 @@ issue_mem(CoreObject *self, int32_t sm_id, CWarp *w, CMeta *m, int64_t now)
     return mem_access(mem, sm_id, address, now, 1) < 0 ? -1 : 0;
 }
 
-/* Run SM._step_fast's scheduler loop from sm->sched_idx.  Returns OP_EXIT
- * when it parks an EXIT, 0 when the loop completes, -1 on error.  Where
- * SM._try_issue calls the policy's issue hook (operands ready, before the
- * dispatch) an SM with srp_issue runs srp_on_issue; any other SM
- * transcribes RegisterFilePolicy.on_issue: there is no hook to call. */
+/* Run SM.step's scheduler loop from sm->sched_idx: per awake scheduler,
+ * GTOScheduler.issue (the greedy retry of the current warp, then the
+ * oldest-first scan) with each attempt an inlined SM._try_issue, whose
+ * dispatch goes through the collapsed kind.  Returns OP_EXIT when it
+ * parks an EXIT, 0 when the loop completes, -1 on error.  The issue
+ * counters are deferred and the short-stall peek omitted (see the
+ * header).  Where SM._try_issue calls the policy's issue hook (operands
+ * ready, before the dispatch) an SM with srp_issue runs srp_on_issue; any
+ * other SM transcribes RegisterFilePolicy.on_issue: there is no hook to
+ * call. */
 static int
 issue_loop(CoreObject *self, int32_t sm_id, CSm *sm, CSched *scheds,
            int64_t now)
@@ -2601,7 +2641,8 @@ core_resume(CoreObject *self, PyObject *Py_UNUSED(ignored))
         if (!self->any_issued) {
             int64_t nxt = CK_FOREVER;
             for (s = 0; s < self->num_sms; s++) {
-                /* SM.next_event_fast */
+                /* SM.next_event, the sleep caches standing in for its
+                 * active-warp scan (see the header) */
                 CSm *sm = &self->sms[s];
                 CSched *scheds = &self->scheds[(size_t)s * nsched];
                 int64_t ss = CK_FOREVER, earliest;

@@ -1,4 +1,4 @@
-"""Engine backend selection: ``reference`` / ``fused`` / ``compiled``.
+"""Engine backend selection: ``reference`` / ``compiled``.
 
 Every backend is a pure performance transformation of the same simulation
 -- the dense per-cycle oracle (``REPRO_DENSE_STEP=1``) remains the ground
@@ -6,29 +6,28 @@ truth and ``tests/test_engine_differential.py`` pins all of them to it
 byte-for-byte.  The seam only decides *which* observably-identical driver
 executes a run:
 
-* ``reference`` — the event-driven engine stepping every SM through the
-  unfused ``StreamingMultiprocessor.step`` path.  Slowest, but every hook
-  surface (sanitizer wrappers, telemetry, tracers, issue hooks) works.
-* ``fused`` — the event-driven engine with the per-SM fused fast step
-  (``_step_fast``) for SMs that pass ``fast_step_eligible()``; ineligible
-  SMs transparently fall back to the reference step.  This is the
-  toolchain-free default.
-* ``compiled`` — the event engine's cycle loop, ``_step_fast``'s issue
-  loop and the L1/L2/DRAM hierarchy lowered into the
-  ``repro.sim._ckernel`` C extension on one global clock, with warp
-  finishes and policy hooks served as ops through the real Python objects
-  (:mod:`repro.sim.compiled`); the extension is built best-effort at
-  install time.  Refused runs (instrumentation, concurrent launches, an
-  issue-hook policy, instance wrappers on inlined surface) degrade to
-  ``fused`` automatically and record why in ``gpu.engine_refusal``, so
-  selecting ``compiled`` is always safe when the extension is
-  importable.  When ``auto`` finds no extension, the run takes ``fused``
-  and ``gpu.engine_refusal`` reads ``extension-missing``.
+* ``reference`` — the event-driven engine (``GPU._run_event``) stepping
+  every SM through ``StreamingMultiprocessor.step``.  Every hook surface
+  (sanitizer wrappers, telemetry, tracers, issue hooks) works, so it runs
+  every request the C core refuses, and every request on a machine
+  without the extension.
+* ``compiled`` — the event engine's cycle loop, the issue loop of
+  ``SM.step`` / ``GTOScheduler.issue`` / ``SM._try_issue`` and the
+  L1/L2/DRAM hierarchy lowered into the ``repro.sim._ckernel`` C extension
+  on one global clock, with warp finishes and policy hooks served as ops
+  through the real Python objects (:mod:`repro.sim.compiled`); the
+  extension is built best-effort at install time.  Refused runs
+  (instrumentation, concurrent launches, Fig 5 usage sampling, a non-GTO
+  scheduler, instance wrappers on inlined surface) degrade to
+  ``reference`` automatically and record why in ``gpu.engine_refusal``,
+  so selecting ``compiled`` is always safe when the extension is
+  importable.  When ``auto`` finds no extension, the run takes
+  ``reference`` and ``gpu.engine_refusal`` reads ``extension-missing``.
 
 Selection order: an explicit ``engine=`` argument to ``GPU.run`` wins, then
 the ``REPRO_ENGINE`` environment variable, then ``auto`` (compiled when the
-extension is importable, else fused).  ``REPRO_DENSE_STEP=1`` overrides
-everything -- the oracle is not a backend, it is the spec.
+extension is importable, else reference).  ``REPRO_DENSE_STEP=1``
+overrides everything -- the oracle is not a backend, it is the spec.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from typing import Optional, Tuple
 ENGINE_ENV = "REPRO_ENGINE"
 
 #: Every accepted ``REPRO_ENGINE`` value (``auto`` resolves at run time).
-ENGINE_NAMES: Tuple[str, ...] = ("auto", "reference", "fused", "compiled")
+ENGINE_NAMES: Tuple[str, ...] = ("auto", "reference", "compiled")
 
 
 class EngineUnavailableError(RuntimeError):
@@ -48,7 +47,7 @@ class EngineUnavailableError(RuntimeError):
 
     Raised when ``compiled`` is requested without the built
     ``repro.sim._ckernel`` extension.  ``auto`` never raises; it degrades
-    down the chain (compiled -> fused).
+    to ``reference``.
     """
 
 
@@ -98,19 +97,19 @@ def select_backend(engine: Optional[str] = None) -> str:
     """Resolve the backend one run will use: the explicit argument, then
     ``REPRO_ENGINE``, then ``auto`` resolution.
 
-    Returns one of ``reference`` / ``fused`` / ``compiled``.  ``auto``
-    picks the fastest importable backend (``compiled`` -> ``fused``); an
+    Returns ``reference`` or ``compiled``.  ``auto`` picks ``compiled``
+    when the extension is importable and ``reference`` otherwise; an
     *explicit* request for an unavailable backend raises
     :class:`EngineUnavailableError` instead of silently degrading.
     """
     name = requested_engine(engine)
     if name == "auto":
-        return "compiled" if compiled_available() else "fused"
+        return "compiled" if compiled_available() else "reference"
     if name == "compiled" and not compiled_available():
         raise EngineUnavailableError(
             "REPRO_ENGINE=compiled requires the repro.sim._ckernel C "
             "extension, which is not importable in this environment; "
             "build it (pip install -e . with a C toolchain, or python "
             "setup.py build_ext --inplace) or use REPRO_ENGINE=auto "
-            "(degrades to the fused backend)")
+            "(degrades to the reference backend)")
     return name

@@ -2,11 +2,12 @@
 in C, policy hooks as ops.
 
 ``Core.resume`` in the ``repro.sim._ckernel`` extension is a C
-transcription of the uninstrumented loop of ``GPU._run_event``: one global
-clock, every SM stepped in ``sm_id`` order per executed cycle (each step a
-transcription of ``StreamingMultiprocessor._step_fast``), the per-cycle
-idle and level accounting, the idle jump to the minimum next event with
-its ``max(1, .)`` clamp, timeout and deadlock.  Which cycles are executed
+transcription of ``GPU._run_event``: one global clock, every SM stepped in
+``sm_id`` order per executed cycle (each step a transcription of
+``StreamingMultiprocessor.step`` with ``GTOScheduler.issue`` and
+``StreamingMultiprocessor._try_issue`` inlined), the per-cycle idle and
+level accounting, the idle jump to the minimum ``SM.next_event`` with its
+``max(1, .)`` clamp, timeout and deadlock.  Which cycles are executed
 is a global fact -- cycle *c* is executed iff some SM issued at *c - 1* --
 so a policy hook that must fire "at the first executed cycle at or after
 X" is placed correctly by construction.
@@ -80,26 +81,30 @@ once at run end.
 
 Eligibility is run-level (``compiled_refusal``): no tracer, sanitizer or
 telemetry surface, a single launch, the stock memory hierarchy with no
-instance-level override (``hierarchy_refusal``), every SM passes
-``fast_step_eligible`` (an issue hook allowed when the core runs it),
-every policy passes ``policy_inert``, and no instance-level override on
-the SM or stats surface the core inlines.  A refused run takes the fused
-event engine, and ``gpu.engine_refusal`` names the first check that
-refused it.  The gate tuples below are
-machine-checked by the effects auditor (``repro.analyze.effects``,
-``make analyze-effects``).
+instance-level override (``hierarchy_refusal``), the stock address model,
+and on every SM no Fig 5 usage sampling, GTO schedulers, an issue hook
+only where the core runs it, a policy that passes ``policy_inert``, and
+no instance-level override on the SM or stats surface the core inlines.
+Each check names its own refusal reason.  A refused run takes the
+reference event engine, and ``gpu.engine_refusal`` names the first check
+that refused it.  The gate tuples below are machine-checked by the
+effects auditor (``repro.analyze.effects``, ``make analyze-effects``).
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
+from repro.isa.instructions import AccessPattern
 from repro.memory.cache import Cache
 from repro.memory.dram import DRAM
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.policies.base import RegisterFilePolicy
 from repro.policies.regmutex import (SRP_BLOCK, SRP_RETRY_INTERVAL,
                                      RegMutexPolicy)
+from repro.sim.scheduler import GTOScheduler
+from repro.sim.sm import (_K_ALU, _K_BAR, _K_BRA, _K_EXIT, _K_LDG, _K_LDS,
+                          _K_SFU, _K_STG, _K_STS)
 from repro.sim.warp import FOREVER, WarpState
 
 #: Policy surface the C core runs itself, so each attribute must be
@@ -121,14 +126,14 @@ _INERT_POLICY_ATTRS = ("on_issue", "classify_idle", "on_cta_stalled",
 _CORE_POLICY_BODIES = ((RegMutexPolicy, "on_issue"),
                        (RegMutexPolicy, "classify_idle"))
 
-#: SM methods the Python engines dispatch dynamically but the C core
+#: SM methods the event engine dispatches dynamically but the C core
 #: inlines or replaces: the event loop's step / next-event / accumulate
-#: calls, and the long-block check and barrier scheduler wake inside
-#: ``_step_fast``.  An instance-level wrapper on any of these would be
-#: silently skipped, so its presence routes the run to the fused engine,
-#: which honors it.
-_BYPASSED_SM_ATTRS = ("accumulate", "next_event", "next_event_fast",
-                      "_step_fast", "_on_long_block", "_wake_schedulers")
+#: calls, the issue attempt ``step`` hands to the schedulers, and the
+#: long-block check and barrier scheduler wake inside ``_try_issue``.  An
+#: instance-level wrapper on any of these would be silently skipped, so
+#: its presence routes the run to the reference engine, which honors it.
+_BYPASSED_SM_ATTRS = ("accumulate", "next_event", "step", "_try_issue",
+                      "_on_long_block", "_wake_schedulers")
 
 #: Stats surface inlined: the per-segment level flush runs in C as int64
 #: sums (merged once at run end).
@@ -139,6 +144,16 @@ _STATES = (WarpState.RUNNABLE, WarpState.AT_BARRIER, WarpState.FINISHED)
 
 #: ``Core.resume`` op kinds (part of the C ABI).
 _OP_DONE, _OP_EXIT, _OP_SETTLE, _OP_TICK, _OP_IDLE, _OP_DEADLOCK = range(6)
+
+#: ``_meta`` dispatch kinds -> the core's collapsed kind (part of the C
+#: ABI): 0 writes the destination at ``now`` plus a fixed latency (ALU,
+#: SFU, LDS), 1 LDG, 2 STG, 3 BAR, 4 EXIT, 5 no timing effect (BRA, STS).
+_CORE_KINDS = {_K_ALU: 0, _K_SFU: 0, _K_LDS: 0, _K_LDG: 1, _K_STG: 2,
+               _K_BAR: 3, _K_EXIT: 4, _K_BRA: 5, _K_STS: 5}
+
+#: Address patterns -> the core's generator ids (part of the C ABI);
+#: every other pattern is SHARED_WS (2).
+_CORE_PATTERNS = {AccessPattern.STREAM: 0, AccessPattern.REUSE: 1}
 
 #: ``CacheStats`` counters, in ``Core.write_back_cache`` order.
 _CACHE_COUNTERS = ("read_hits", "read_misses", "write_hits", "write_misses",
@@ -207,10 +222,10 @@ def _methods(cls):
 
 
 def hierarchy_refusal(hierarchy) -> Optional[str]:
-    """Why the fast engines cannot own ``hierarchy`` (None when they can).
+    """Why the C core cannot own ``hierarchy`` (None when it can).
 
-    ``_step_fast`` calls ``_access`` directly, skipping ``load``/``store``,
-    and the C core transcribes the whole hierarchy, so both need the stock
+    The core transcribes the whole hierarchy, ``load``/``store`` down to
+    ``_access`` and the caches and DRAM below it, so it needs the stock
     classes with no instance dict shadowing one of their methods.
     """
     if type(hierarchy) is not MemoryHierarchy:
@@ -235,13 +250,17 @@ def compiled_refusal(gpu) -> Optional[str]:
     """The first check that refuses the whole run on the C core, or None.
 
     The sanitizer, telemetry and the tracers observe per-cycle, per-warp
-    or per-step events the core does not emit, and concurrent kernels
-    need the dispatch arbiter; each routes the run to the fused event
-    engine -- never an error.
+    or per-step events the core does not emit, concurrent kernels need
+    the dispatch arbiter, and the core transcribes only the stock address
+    model, GTO's scan and the issue hooks it runs itself; each routes the
+    run to the reference event engine -- never an error.
     """
+    # Imported here: repro.workloads imports repro.analyze, whose effects
+    # auditor imports this module's gate tuples.
+    from repro.workloads.traces import AddressModel
     if gpu.sanitizer is not None:
         return "sanitizer"
-    if gpu.telemetry is not None:
+    if gpu.telemetry is not None or gpu.hierarchy.telemetry is not None:
         return "telemetry"
     if gpu.tracer is not None or gpu.warp_tracer is not None:
         return "tracer"
@@ -250,22 +269,35 @@ def compiled_refusal(gpu) -> Optional[str]:
     reason = hierarchy_refusal(gpu.hierarchy)
     if reason is not None:
         return reason
+    if type(gpu.address_model) is not AddressModel:
+        return f"address-model:{type(gpu.address_model).__name__}"
     for sm in gpu.sms:
         policy = sm._policy
         reason = policy_refusal(policy)
         if reason is not None:
             return reason
-        if not sm.fast_step_eligible(issue_hook=core_bodies(policy)[0]):
-            return "fast-step"
+        if sm._sample_usage:
+            return "usage-sampling"
+        # GTOScheduler declares __slots__, so pinning the exact type also
+        # rules out instance-level overrides of the scheduler surface the
+        # core inlines (the scan, the barrier wake, the sleep fold).
+        for sched in sm.schedulers:
+            if type(sched) is not GTOScheduler:
+                return f"scheduler:{type(sched).__name__}"
+        if sm.telemetry is not None or any(
+                sched.telemetry is not None for sched in sm.schedulers):
+            return "telemetry"
+        if sm._wt is not None:
+            return "tracer"
+        # The hook the SM cached when the policy was assigned must be the
+        # one the core runs (RegMutex's lease) or none.
+        if (sm._issue_hook is not None) != core_bodies(policy)[0]:
+            return "policy-hook:on_issue"
         hits = instance_overrides(sm, _BYPASSED_SM_ATTRS)
         if hits:
             return f"sm-override:{hits[0]}"
         if instance_overrides(sm.stats, _BYPASSED_STATS_ATTRS):
             return "stats-override:accumulate"
-        # The scheduler surface the C core inlines (the bucket scan, the
-        # barrier wake, the sleep fold) needs no instance gate:
-        # GTOScheduler declares __slots__, so instance-level overrides are
-        # impossible, and fast_step_eligible already pins the exact type.
     return None
 
 
@@ -275,8 +307,8 @@ def compiled_run_eligible(gpu) -> bool:
 
 
 def run_compiled(gpu, max_cycles):
-    """Drive one run on the C core (fused event engine if refused);
-    bit-identical to the dense oracle by construction."""
+    """Drive one run on the C core (the reference event engine if
+    refused); bit-identical to the dense oracle by construction."""
     reason = compiled_refusal(gpu)
     gpu.engine_refusal = reason
     if reason is not None:
@@ -284,7 +316,10 @@ def run_compiled(gpu, max_cycles):
     gpu.engine_used = "compiled"
     sms = gpu.sms
     for sm in sms:
-        sm._bind_fast_path()
+        # The core does not count issues: _finish_warp credits each
+        # warp's whole trace at its EXIT, and _finish_run the issued
+        # prefix of any warp a timeout leaves unfinished.
+        sm._defer_stats = True
     # Initial fill in SM order (exactly the dense prologue), then lower.
     for sm in sms:
         sm.policy.fill(0)
@@ -343,18 +378,14 @@ class _Run:
         from repro.sim import _ckernel
 
         sms = gpu.sms
-        sm0 = sms[0]
+        sm = sms[0]
         model = gpu.address_model
-        # _meta is identical across SMs for a single-launch run (the only
-        # kind that is eligible): lower SM 0's table once.
-        meta = [(m[6], -1 if m[1] is None else m[1], m[7], m[8], m[9],
-                 tuple(m[0])) for m in sm0._meta]
         self.gpu = gpu
         self.core = _ckernel.Core(
-            len(sms), len(sm0.schedulers), sm0._nregs,
-            sm0._stall_threshold, model.reuse_spatial, model.reuse_lines,
-            model.shared_lines, model.SHARED_BASE, max_cycles,
-            gpu.config.min_park_cycles, meta, _STATES)
+            len(sms), len(sm.schedulers), sm._nregs, sm._stall_threshold,
+            model.reuse_spatial, model.reuse_lines, model.shared_lines,
+            model.SHARED_BASE, max_cycles, gpu.config.min_park_cycles,
+            self._core_meta(sm), _STATES)
         lower_memory(self.core, gpu.hierarchy)
         # The core holds references to the lowered warps and CTAs (which
         # pins these ids: a warp references its trace), and maps them back
@@ -378,6 +409,26 @@ class _Run:
     # ------------------------------------------------------------------
     # Python -> C
     # ------------------------------------------------------------------
+    def _core_meta(self, sm):
+        """``sm._meta`` in the core's encoding, one ``(nsrc, dest or -1,
+        address pattern id or -1, collapsed kind, fixed latency, srcs)``
+        per static instruction.  The fixed latency is the one
+        ``_try_issue`` charges: the ALU latency plus the bank penalty, the
+        SFU latency or the shared-memory latency.  ``_meta`` is identical
+        across SMs for a single-launch run (the only kind admitted), so
+        SM 0's table is lowered once."""
+        latency = {_K_ALU: sm._alu_lat, _K_SFU: sm._sfu_lat,
+                   _K_LDS: sm._shmem_lat}
+        table = []
+        for srcs, dest, kind, penalty, __, instr, nsrc in sm._meta:
+            pattern = -1
+            if kind == _K_LDG or kind == _K_STG:
+                pattern = _CORE_PATTERNS.get(instr.pattern, 2)
+            fixed = latency.get(kind, 0) + (penalty if kind == _K_ALU else 0)
+            table.append((nsrc, -1 if dest is None else dest, pattern,
+                          _CORE_KINDS[kind], fixed, tuple(srcs)))
+        return table
+
     def _lower_new(self, sm) -> None:
         """Lower every freshly launched CTA (all warps in pristine state)."""
         core = self.core

@@ -1,8 +1,9 @@
 """Top-level GPU: SMs + shared memory hierarchy + the simulation loop.
 
-Two observably identical engines drive the simulation:
+Two observably identical Python loops drive the simulation:
 
-* The **event-driven engine** (default): on top of the global idle-jump,
+* The **event-driven engine** (the ``reference`` backend, and the loop the
+  ``compiled`` backend's C core transcribes): on top of the global idle-jump,
   each SM carries a wake-up cycle — the earliest cycle at which stepping it
   could have any observable effect (scheduler sleep expiry, CTA transit
   settling, a policy ``wake_time`` such as a pending-CTA readiness heap, or
@@ -97,13 +98,13 @@ class GPU:
         self.warp_tracer = None  # set by attach_tracer(level="warp")
         self.sanitizer = None  # set by validate.sanitizer.attach_sanitizer
         self.telemetry = None  # set by telemetry.session.attach_telemetry
-        # Backend that actually drove the last run() ("dense", "reference",
-        # "fused" or "compiled"); None before the first run.
+        # Backend that actually drove the last run() ("dense", "reference"
+        # or "compiled"); None before the first run.
         self.engine_used = None
         # First check that refused the last run() on the compiled core
-        # (e.g. "telemetry" or "fast-step"), or "extension-missing" when
-        # auto found no C core; None when it ran there or was not asked.
-        # Observation only: never part of SimResult.
+        # (e.g. "telemetry" or "usage-sampling"), or "extension-missing"
+        # when auto found no C core; None when it ran there or was not
+        # asked.  Observation only: never part of SimResult.
         self.engine_refusal = None
         if hasattr(self.address_model, "warm_l2"):
             self.address_model.warm_l2(self.hierarchy.l2)
@@ -149,14 +150,14 @@ class GPU:
         """Simulate until the grid drains; returns the aggregate result.
 
         ``engine`` picks the backend explicitly (``auto`` / ``reference``
-        / ``fused`` / ``compiled``); ``None`` defers to ``REPRO_ENGINE``
-        and then ``auto`` resolution (see :mod:`repro.sim.backend`).  The
-        dense oracle override ``REPRO_DENSE_STEP=1`` beats everything.
-        Every backend is observably identical; ``engine_used`` records
-        which driver actually ran (``compiled`` falls back to the event
-        engine when the C core refuses the run, and ``engine_refusal``
-        names the check that refused it, or ``extension-missing`` when
-        ``auto`` found no C core to ask).
+        / ``compiled``); ``None`` defers to ``REPRO_ENGINE`` and then
+        ``auto`` resolution (see :mod:`repro.sim.backend`).  The dense
+        oracle override ``REPRO_DENSE_STEP=1`` beats everything.  Every
+        backend is observably identical; ``engine_used`` records which
+        driver actually ran (``compiled`` falls back to the event engine
+        when the C core refuses the run, and ``engine_refusal`` names the
+        check that refused it, or ``extension-missing`` when ``auto`` found
+        no C core to ask).
         """
         # The hot loop allocates heavily (heap entries, scoreboard cycle
         # ints) but retains almost none of it, so generational GC passes
@@ -176,8 +177,6 @@ class GPU:
             if backend == "compiled":
                 from repro.sim.compiled import run_compiled
                 return run_compiled(self, max_cycles)
-            if backend == "reference":
-                return self._run_event(max_cycles, force_reference=True)
             return self._run_event(max_cycles)
         finally:
             if was_enabled:
@@ -226,8 +225,7 @@ class GPU:
             now += dt
         return self._finish_run(now, timed_out)
 
-    def _run_event(self, max_cycles: int,
-                   force_reference: bool = False) -> SimResult:
+    def _run_event(self, max_cycles: int) -> SimResult:
         """Event-driven engine: skip SMs until their wake-up cycle.
 
         An SM is skipped at an executed cycle only while stepping it would
@@ -237,8 +235,10 @@ class GPU:
         ``on_idle`` — the idle-check cooldown has not expired.  A skipped
         SM's state is frozen (nothing cross-SM mutates it), so its
         ``next_event``/``accumulate``/telemetry observables are exactly the
-        dense engine's.
+        dense engine's.  This loop is also the spec the compiled core's
+        global clock transcribes (``repro/sim/_ckernel.c``).
         """
+        self.engine_used = "reference"
         now = 0
         for sm in self.sms:
             sm.policy.fill(now)
@@ -248,102 +248,6 @@ class GPU:
         telemetry = self.telemetry
         grid = self._grid
         wake = [0] * len(sms)
-        # (sm, step-callable) pairs: hook-free SMs run the fused fast step;
-        # anything wrapped or instrumented runs the reference sm.step.  The
-        # same split picks the next-event flavour (the fused step maintains
-        # the _sched_sleep cache next_event_fast reads).
-        steppers = []
-        nextevs = []
-        all_fast = True
-        for sm in sms:
-            if not force_reference and sm.fast_step_eligible():
-                sm._bind_fast_path()
-                steppers.append((sm, sm._step_fast))
-                nextevs.append(sm.next_event_fast)
-            else:
-                all_fast = False
-                steppers.append((sm, sm.step))
-                nextevs.append(sm.next_event)
-        self.engine_used = "fused" if all_fast else "reference"
-        if sanitizer is None and telemetry is None and all_fast:
-            # Dedicated copy of the cycle loop for the uninstrumented
-            # common case: the per-cycle sanitizer/telemetry None checks
-            # disappear and the skipped-SM accumulate fold is inlined.
-            # Logic is otherwise identical to the general loop below.
-            while True:
-                if not grid:
-                    for sm in sms:
-                        if (sm.active_ctas or sm.pending_ctas
-                                or sm.transit_ctas):
-                            break
-                    else:
-                        break
-                if now >= max_cycles:
-                    timed_out = True
-                    break
-                issued = 0
-                index = -1
-                for sm, step in steppers:
-                    index += 1
-                    if now < wake[index]:
-                        continue
-                    if step(now):
-                        issued = 1
-                        wake[index] = 0
-                        continue
-                    # bool(), not the first truthy list: on_idle below may
-                    # swap the last active CTA out, emptying the very list
-                    # a bare `or` chain would have bound -- which silently
-                    # falsified the idle-cooldown wake reduction.
-                    busy = bool(sm.active_ctas or sm.pending_ctas
-                                or sm.transit_ctas)
-                    if busy and sm._needs_idle:
-                        sm._policy.on_idle(now)
-                    w = sm._sched_sleep
-                    if w > now + 1:
-                        if sm._transit_min < w:
-                            w = sm._transit_min
-                        if sm._needs_tick:
-                            t = sm._policy.wake_time(now)
-                            if t < w:
-                                w = t
-                        if busy and sm._needs_idle:
-                            t = sm._policy._next_idle_check
-                            if t < w:
-                                w = t
-                    wake[index] = w
-                if issued:
-                    for sm in sms:
-                        if not sm._last_step_issued:
-                            if sm._lvl_dirty:
-                                sm.accumulate(1, False)
-                                continue
-                            sm._lvl_dt += 1
-                            if (sm.active_ctas or sm.pending_ctas
-                                    or sm.transit_ctas):
-                                st = sm.stats
-                                st.idle_cycles += 1
-                                policy = sm._policy
-                                if policy is not None:
-                                    reason = policy.classify_idle(1)
-                                    if reason == "rf":
-                                        st.rf_depletion_cycles += 1
-                                    elif reason == "srp":
-                                        st.srp_stall_cycles += 1
-                    now += 1
-                    continue
-                nxt = FOREVER
-                for ne in nextevs:
-                    t = ne(now)
-                    if t < nxt:
-                        nxt = t
-                if nxt >= FOREVER:
-                    self._raise_deadlock(now)
-                dt = max(1, nxt - now)
-                for sm in sms:
-                    sm.accumulate(dt, True)
-                now += dt
-            return self._finish_run(now, timed_out)
         while True:
             if not grid:
                 for sm in sms:
@@ -355,18 +259,18 @@ class GPU:
                 timed_out = True
                 break
             issued = 0
-            index = -1
-            for sm, step in steppers:
-                index += 1
+            for index, sm in enumerate(sms):
                 if now < wake[index]:
                     continue
-                sm_issued = step(now)
+                sm_issued = sm.step(now)
                 if sm_issued:
                     issued += sm_issued
                     wake[index] = 0
                     continue
-                # bool() snapshot: on_idle may empty the bound list (see
-                # the fast loop above).
+                # bool(), not the first truthy list: on_idle below may swap
+                # the last active CTA out, emptying the very list a bare
+                # `or` chain would have bound -- which silently falsified
+                # the idle-cooldown wake reduction.
                 busy = bool(sm.active_ctas or sm.pending_ctas
                             or sm.transit_ctas)
                 if busy and sm._needs_idle:
@@ -393,47 +297,17 @@ class GPU:
                 sanitizer.on_cycle(now)
             if issued:
                 # Busy span, levels clean: accumulate() would only buffer
-                # the cycle; do it inline.  Fast-path SMs that issued have
-                # already folded their cycle in at the end of _step_fast.
-                if all_fast:
-                    for sm in sms:
-                        if not sm._last_step_issued:
-                            if sm._lvl_dirty:
-                                sm.accumulate(1, False)
-                                continue
-                            # accumulate(1, False) with clean levels, open
-                            # coded: buffer the span cycle, then the exact
-                            # per-cycle idle taxonomy (classify_idle may be
-                            # stateful, so the call cadence must not change).
-                            sm._lvl_dt += 1
-                            if (sm.active_ctas or sm.pending_ctas
-                                    or sm.transit_ctas):
-                                st = sm.stats
-                                st.idle_cycles += 1
-                                policy = sm._policy
-                                if policy is not None:
-                                    reason = policy.classify_idle(1)
-                                    if reason == "rf":
-                                        st.rf_depletion_cycles += 1
-                                    elif reason == "srp":
-                                        st.srp_stall_cycles += 1
-                else:
-                    for sm in sms:
-                        if sm._last_step_issued and sm._defer_stats:
-                            continue
-                        if sm._lvl_dirty or not sm._last_step_issued:
-                            sm.accumulate(1, False)
-                        else:
-                            sm._lvl_dt += 1
+                # the cycle; do it inline.
+                for sm in sms:
+                    if sm._lvl_dirty or not sm._last_step_issued:
+                        sm.accumulate(1, False)
+                    else:
+                        sm._lvl_dt += 1
                 if telemetry is not None:
                     telemetry.on_advance(now, 1)
                 now += 1
                 continue
-            nxt = FOREVER
-            for ne in nextevs:
-                t = ne(now)
-                if t < nxt:
-                    nxt = t
+            nxt = self._next_event(now)
             if nxt >= FOREVER:
                 self._raise_deadlock(now)
             dt = max(1, nxt - now)

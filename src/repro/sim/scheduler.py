@@ -20,11 +20,11 @@ Hot-loop notes:
   separate per-cycle ``_set_sleep`` walk is needed.  The cache stays
   conservative — any event that could make a warp runnable earlier resets
   it via :meth:`wake` — so sleeping is observably identical to rescanning.
-* The fused fast step (``sm._step_fast``) inlines the bucket maintenance
-  and the sleep fold directly, and the compiled backend's C core
-  (``repro/sim/_ckernel.c``) transcribes ``_step_fast``; the invariants
-  above (stable ``sched_seq`` order, conservative ``_sleep_until``,
-  dirty-rebuild from ``warps``) are their correctness contract.
+* The compiled backend's C core (``repro/sim/_ckernel.c``) transcribes
+  :meth:`GTOScheduler.issue` as a scan over the members in ``sched_seq``
+  order with the sleep fold inlined; the invariants above (stable
+  ``sched_seq`` order, conservative ``_sleep_until``, dirty-rebuild from
+  ``warps``) are its correctness contract.
 """
 
 from __future__ import annotations
@@ -86,8 +86,9 @@ class GTOScheduler:
         been the pending wake it pointed at); the recomputed value obeys the
         same contract the failed-scan fold establishes — never past the
         earliest cycle a remaining warp could issue — so behaviour is
-        observably unchanged, and the event engine's ``next_event_fast``
-        can equate the cache with the active-warp minimum."""
+        observably unchanged, and the C core's idle jump can stand the
+        schedulers' caches in for ``SM.next_event``'s active-warp
+        minimum."""
         earliest = FOREVER
         for warp in self.warps:
             b = warp.blocked_until

@@ -9,13 +9,11 @@ mechanics (launching CTAs, moving warps in and out of schedulers, timing).
 
 from __future__ import annotations
 
-from bisect import insort
-from heapq import heappop, heappush
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.config import GPUConfig
 from repro.isa.cfg import EdgeKind
-from repro.isa.instructions import AccessPattern, Opcode
+from repro.isa.instructions import Opcode
 from repro.isa.kernel import Kernel
 from repro.policies.base import RegisterFilePolicy
 from repro.sim.cta import CTASim, CTAState
@@ -23,11 +21,8 @@ from repro.sim.scheduler import SCHEDULER_KINDS
 from repro.sim.stats import KernelStats, SMStats
 from repro.sim.tracing import EventKind
 from repro.sim.warp import FOREVER, WarpSim, WarpState
-from repro.workloads.traces import AddressModel
 
-_RUNNABLE = WarpState.RUNNABLE
 _FINISHED = WarpState.FINISHED
-_SHARED_BASE = AddressModel.SHARED_BASE
 
 #: Issued-instruction window length for Fig-5 register-usage sampling.
 USAGE_WINDOW = 1000
@@ -122,8 +117,8 @@ class StreamingMultiprocessor:
         self._stall_threshold = config.cta_switch_threshold
         self._rf_banks = config.rf_banks if config.model_rf_banks else 0
         # Per-static-instruction issue metadata, precomputed once:
-        # (srcs, dest, kind, bank_penalty, opcode_value, instr).  The bank
-        # penalty depends only on the static source registers, so the
+        # (srcs, dest, kind, bank_penalty, opcode_value, instr, nsrc).  The
+        # bank penalty depends only on the static source registers, so the
         # per-issue set construction of the original hot path is static too.
         banks = self._rf_banks
         self._meta = []
@@ -132,47 +127,14 @@ class StreamingMultiprocessor:
             penalty = 0
             if banks and len(srcs) > 1:
                 penalty = len(srcs) - len({reg % banks for reg in srcs})
-            kind = _OPCODE_KIND[instr.opcode]
-            # Dense address-pattern id for the fused step's inlined
-            # AddressModel dispatch (-1 for non-global-memory kinds).
-            pat = -1
-            if kind == _K_LDG or kind == _K_STG:
-                pattern = instr.pattern
-                if pattern is AccessPattern.STREAM:
-                    pat = 0
-                elif pattern is AccessPattern.REUSE:
-                    pat = 1
-                else:
-                    pat = 2
-            # Fused-step dispatch id (meta[8]) and total fixed latency
-            # (meta[9]): ALU, SFU and LDS all reduce to "write dest at
-            # now + lat" in the fast path, so they share one branch with
-            # the latency (incl. the ALU bank penalty) precomputed.
-            if kind == _K_ALU:
-                fkind, flat = 0, self._alu_lat + penalty
-            elif kind == _K_SFU:
-                fkind, flat = 0, self._sfu_lat
-            elif kind == _K_LDS:
-                fkind, flat = 0, self._shmem_lat
-            elif kind == _K_LDG:
-                fkind, flat = 1, 0
-            elif kind == _K_STG:
-                fkind, flat = 2, 0
-            elif kind == _K_BAR:
-                fkind, flat = 3, 0
-            elif kind == _K_EXIT:
-                fkind, flat = 4, 0
-            else:               # BRA / STS: no timing effect when fused
-                fkind, flat = 5, 0
-            self._meta.append((srcs, instr.dest, kind,
-                               penalty, instr.opcode.value, instr, len(srcs),
-                               pat, fkind, flat))
+            self._meta.append((srcs, instr.dest, _OPCODE_KIND[instr.opcode],
+                               penalty, instr.opcode.value, instr, len(srcs)))
         # Per-static issue-counter increments packed into one integer
         # (20 bits per field), so a whole warp's contribution to the issue
-        # counters is one C-level sum over its trace.  Fast-path runs defer
-        # the per-issue counting to warp finish via these (see
-        # ``_defer_stats``); the totals are exact because every trace entry
-        # issues exactly once.
+        # counters is one C-level sum over its trace.  Compiled runs defer
+        # the per-issue counting to warp finish via these (``_defer_stats``,
+        # set by ``run_compiled``); the totals are exact because every trace
+        # entry issues exactly once.
         self._packed_vec = [
             m[6] + ((0 if m[1] is None else 1) << 20) + (m[3] << 40)
             + ((1 if m[2] == _K_LDS or m[2] == _K_STS else 0) << 60)
@@ -197,12 +159,6 @@ class StreamingMultiprocessor:
         self._lvl_active = 0
         self._lvl_pending = 0
         self._lvl_warps = 0
-        # Fast-path caches bound by _bind_fast_path (event engine only).
-        self._hier = None
-        self._reuse_spatial = 1
-        self._reuse_lines = 1
-        self._shared_lines = 1
-        self._fast_consts = None
 
     # ------------------------------------------------------------------
     # Policy attachment (hot-path hooks cached at assignment time)
@@ -457,350 +413,6 @@ class StreamingMultiprocessor:
             self._sched_sleep = sleep
         self._last_step_issued = issued
         return issued
-
-    def _step_fast(self, now: int,
-                   _RUNNABLE=_RUNNABLE, _FINISHED=_FINISHED,
-                   heappush=heappush, heappop=heappop, insort=insort,
-                   FOREVER=FOREVER, _SHARED_BASE=_SHARED_BASE) -> int:
-        """Hook-free fused issue step (event engine only).
-
-        Observably identical to :meth:`step` + ``GTOScheduler.issue`` +
-        :meth:`_try_issue` for SMs that pass ``fast_step_eligible``: no
-        sanitizer/mutation wrappers on ``step``/``_try_issue``, no
-        telemetry, no warp tracer, no Fig-5 sampling, no policy issue hook,
-        and plain :class:`GTOScheduler` schedulers.  Inlining the three
-        layers removes per-instruction call overhead and repeated attribute
-        loads, which dominate the dense hot path; the dense oracle plus the
-        engine differential test pin the duplicated logic to the reference
-        implementation.  ``_finish_warp``/``_on_long_block`` stay dynamic
-        attribute lookups (rare, and mutation tests wrap them).
-
-        The greedy retry of the scheduler's current warp and the
-        oldest-first scan of the ready bucket are two straight-line copies
-        of the try-issue body (operand check + dispatch) rather than one
-        shared loop with a phase flag: the per-issue flag tests and the
-        loop round trip per blocked warp are pure overhead at this call
-        rate.  Dispatch goes through ``meta[8]`` (the collapsed kind:
-        0 = fixed-latency register write for ALU/SFU/LDS with the total
-        latency precomputed in ``meta[9]``, 1 = LDG, 2 = STG, 3 = BAR,
-        4 = EXIT, 5 = no-op) so the common case is a single branch.
-
-        This method is the spec of the compiled backend's C core
-        (``Core.resume`` in ``repro/sim/_ckernel.c``), which carries a
-        line-for-line transcription of this issue loop (returning to
-        Python at an op before every shared operation and policy hook);
-        any change here must be mirrored there — the engine differential
-        suite catches divergence.
-        """
-        if now >= self._transit_min:
-            self._settle_transits(now)
-        if self._needs_tick:
-            self._policy.on_tick(now)
-        if now < self._sched_sleep:
-            self._last_step_issued = 0
-            return 0
-        issued = 0
-        (meta_list, thresh, hier, sm_id,
-         reuse_spatial, reuse_lines, shared_lines,
-         schedulers) = self._fast_consts
-        for sched in schedulers:
-            if now < sched._sleep_until:
-                continue
-            current = sched._current
-            if current is not None:
-                if current.state is _FINISHED:
-                    sched._current = None
-                    current = None
-                elif (current.blocked_until <= now
-                        and current.state is _RUNNABLE):
-                    # ---- greedy retry of the current warp ----
-                    warp = current
-                    tr = warp.trace
-                    pos = warp.pos
-                    meta = meta_list[tr[pos]]
-                    srcs = meta[0]
-                    rdy = 0
-                    if srcs and warp.peak_ready > now:
-                        # Reuse the memoized operand scan when the warp has
-                        # not issued since it was computed (ready_at is only
-                        # written by the warp's own issues, which advance
-                        # pos).
-                        if warp.chk_pos == pos:
-                            rdy = warp.chk_ready
-                        else:
-                            ra = warp.ready_at
-                            nsrc = meta[6]
-                            if nsrc == 1:
-                                rdy = ra[srcs[0]]
-                            elif nsrc == 2:
-                                rdy = ra[srcs[0]]
-                                t = ra[srcs[1]]
-                                if t > rdy:
-                                    rdy = t
-                            else:
-                                for reg in srcs:
-                                    t = ra[reg]
-                                    if t > rdy:
-                                        rdy = t
-                    if rdy <= now:
-                        cta = warp.cta
-                        if cta.first_issue_cycle is None:
-                            cta.first_issue_cycle = now
-                        warp.pos = pos + 1
-                        # Issue counters deferred to finish (_defer_stats).
-                        fk = meta[8]
-                        if fk == 0:       # ALU / SFU / LDS
-                            t = now + meta[9]
-                            warp.ready_at[meta[1]] = t
-                            if t > warp.peak_ready:
-                                warp.peak_ready = t
-                        elif fk <= 2:     # LDG / STG
-                            # Inlined AddressModel.address_for + hierarchy
-                            # wrappers (eligibility pins the stock
-                            # AddressModel and telemetry-off hierarchy).
-                            pat = meta[7]
-                            if pat == 0:      # STREAM
-                                c = warp.stream_counter + 1
-                                warp.stream_counter = c
-                                address = warp.stream_base + c * 128
-                            elif pat == 1:    # REUSE
-                                c = warp.reuse_counter
-                                warp.reuse_counter = c + 1
-                                address = warp.reuse_base + (
-                                    (c // reuse_spatial)
-                                    % reuse_lines) * 128
-                            else:             # SHARED_WS
-                                c = warp.shared_counter + 1
-                                warp.shared_counter = c
-                                address = _SHARED_BASE + (
-                                    (c * 7 + warp.global_warp_id * 13)
-                                    % shared_lines) * 128
-                            if fk == 1:
-                                hier.stats.loads += 1
-                                done = hier._access(sm_id, address, now,
-                                                    False)
-                                warp.ready_at[meta[1]] = done
-                                if done > warp.peak_ready:
-                                    warp.peak_ready = done
-                            else:
-                                hier.stats.stores += 1
-                                hier._access(sm_id, address, now, True)
-                        elif fk == 3:     # BAR
-                            if cta.arrive_at_barrier(warp, now):
-                                self._wake_schedulers()
-                            elif warp.blocked_until == FOREVER:
-                                self._on_long_block(warp, now)
-                        elif fk == 4:     # EXIT
-                            self._finish_warp(warp, now)
-                        # fk == 5: BRA / STS — no timing effect
-                        issued += 1
-                        continue
-                    warp.blocked_until = rdy
-                    warp.chk_pos = pos
-                    warp.chk_ready = rdy
-                    if rdy - now >= thresh:
-                        self._on_long_block(warp, now)
-                    # Blocked greedy warp: fall through to the ready scan.
-            # ---- oldest-first scan of the ready bucket ----
-            if sched._dirty:
-                sched._rebuild(now)
-                ready = sched._ready
-                blocked = sched._blocked
-            else:
-                ready = sched._ready
-                blocked = sched._blocked
-                if blocked and blocked[0][0] <= now:
-                    e = heappop(blocked)
-                    first = (e[1], e[2])
-                    if blocked and blocked[0][0] <= now:
-                        ready.append(first)
-                        while blocked and blocked[0][0] <= now:
-                            e = heappop(blocked)
-                            ready.append((e[1], e[2]))
-                        ready.sort()
-                    elif ready:
-                        insort(ready, first)
-                    else:
-                        ready.append(first)
-            i = 0
-            n = len(ready)
-            while i < n:
-                entry = ready[i]
-                warp = entry[1]
-                if warp is current:
-                    i += 1
-                    continue
-                b = warp.blocked_until
-                if b > now:
-                    heappush(blocked, (b, entry[0], warp))
-                    del ready[i]
-                    n -= 1
-                    continue
-                if warp.state is not _RUNNABLE:
-                    i += 1
-                    continue
-                tr = warp.trace
-                pos = warp.pos
-                meta = meta_list[tr[pos]]
-                srcs = meta[0]
-                rdy = 0
-                if srcs and warp.peak_ready > now:
-                    if warp.chk_pos == pos:
-                        rdy = warp.chk_ready
-                    else:
-                        ra = warp.ready_at
-                        nsrc = meta[6]
-                        if nsrc == 1:
-                            rdy = ra[srcs[0]]
-                        elif nsrc == 2:
-                            rdy = ra[srcs[0]]
-                            t = ra[srcs[1]]
-                            if t > rdy:
-                                rdy = t
-                        else:
-                            for reg in srcs:
-                                t = ra[reg]
-                                if t > rdy:
-                                    rdy = t
-                if rdy > now:
-                    warp.blocked_until = rdy
-                    warp.chk_pos = pos
-                    warp.chk_ready = rdy
-                    if rdy - now >= thresh:
-                        self._on_long_block(warp, now)
-                    heappush(blocked, (rdy, entry[0], warp))
-                    del ready[i]
-                    n -= 1
-                    continue
-                cta = warp.cta
-                if cta.first_issue_cycle is None:
-                    cta.first_issue_cycle = now
-                warp.pos = pos + 1
-                fk = meta[8]
-                if fk == 0:       # ALU / SFU / LDS
-                    t = now + meta[9]
-                    warp.ready_at[meta[1]] = t
-                    if t > warp.peak_ready:
-                        warp.peak_ready = t
-                elif fk <= 2:     # LDG / STG
-                    pat = meta[7]
-                    if pat == 0:      # STREAM
-                        c = warp.stream_counter + 1
-                        warp.stream_counter = c
-                        address = warp.stream_base + c * 128
-                    elif pat == 1:    # REUSE
-                        c = warp.reuse_counter
-                        warp.reuse_counter = c + 1
-                        address = warp.reuse_base + (
-                            (c // reuse_spatial)
-                            % reuse_lines) * 128
-                    else:             # SHARED_WS
-                        c = warp.shared_counter + 1
-                        warp.shared_counter = c
-                        address = _SHARED_BASE + (
-                            (c * 7 + warp.global_warp_id * 13)
-                            % shared_lines) * 128
-                    if fk == 1:
-                        hier.stats.loads += 1
-                        done = hier._access(sm_id, address, now, False)
-                        warp.ready_at[meta[1]] = done
-                        if done > warp.peak_ready:
-                            warp.peak_ready = done
-                    else:
-                        hier.stats.stores += 1
-                        hier._access(sm_id, address, now, True)
-                elif fk == 3:     # BAR
-                    if cta.arrive_at_barrier(warp, now):
-                        self._wake_schedulers()
-                    elif warp.blocked_until == FOREVER:
-                        self._on_long_block(warp, now)
-                elif fk == 4:     # EXIT
-                    self._finish_warp(warp, now)
-                # fk == 5: BRA / STS — no timing effect
-                sched._current = warp
-                issued += 1
-                break
-            else:
-                # No warp could issue: fold the sleep computation in (the
-                # telemetry-free _note_sleep body; telemetry-on runs are
-                # routed to the slow path).
-                earliest = blocked[0][0] if blocked else FOREVER
-                stay = False
-                for e in ready:
-                    b = e[1].blocked_until
-                    if b <= now:
-                        stay = True
-                        break
-                    if b < earliest:
-                        earliest = b
-                if not stay:
-                    sched._sleep_until = earliest
-        self._last_step_issued = issued
-        if issued:
-            # This SM issued, so the global clock advances by exactly one
-            # cycle; fold the per-cycle accumulate() in (issuing SMs skip
-            # the idle taxonomy, so only the level span is extended).
-            if self._lvl_dirty:
-                self.accumulate(1, False)
-            else:
-                self._lvl_dt += 1
-        else:
-            sleep = FOREVER
-            for sched in schedulers:
-                s = sched._sleep_until
-                if s < sleep:
-                    sleep = s
-            self._sched_sleep = sleep
-        return issued
-
-    def fast_step_eligible(self, issue_hook: bool = False) -> bool:
-        """True when :meth:`_step_fast` is observably equal to :meth:`step`.
-
-        Any instance-level wrapper on ``step``/``_try_issue`` (sanitizer,
-        mutation self-test), any telemetry/tracing surface, Fig-5 usage
-        sampling, a policy issue hook, a non-GTO scheduler, or a memory
-        hierarchy other than the stock classes without instance overrides
-        (``_step_fast`` calls ``_access`` directly) routes the SM to the
-        unfused reference path.  ``issue_hook`` says the caller runs the
-        SM's issue hook itself (the C core runs RegMutex's lease): the SM
-        must then have one.
-        """
-        from repro.sim.compiled import hierarchy_refusal
-        from repro.sim.scheduler import GTOScheduler
-        d = self.__dict__
-        if ("step" in d or "_try_issue" in d
-                or self.telemetry is not None or self._wt is not None
-                or self._sample_usage
-                or (self._issue_hook is not None) != issue_hook):
-            return False
-        gpu = self.gpu
-        if (type(gpu.address_model) is not AddressModel
-                or gpu.hierarchy.telemetry is not None
-                or hierarchy_refusal(gpu.hierarchy) is not None):
-            return False
-        for sched in self.schedulers:
-            if type(sched) is not GTOScheduler or sched.telemetry is not None:
-                return False
-        return True
-
-    def _bind_fast_path(self) -> None:
-        """Cache cross-object hot-path state for :meth:`_step_fast` and
-        switch the issue counters to deferred (per-warp-finish) mode.
-
-        The hot scalars are packed into one tuple so the fused step does a
-        single attribute load + C-level unpack per call instead of a dozen
-        attribute loads."""
-        model = self.gpu.address_model
-        self._hier = self.gpu.hierarchy
-        self._reuse_spatial = model.reuse_spatial
-        self._reuse_lines = model.reuse_lines
-        self._shared_lines = model.shared_lines
-        self._defer_stats = True
-        self._fast_consts = (
-            self._meta, self._stall_threshold, self._hier, self.sm_id,
-            self._reuse_spatial, self._reuse_lines, self._shared_lines,
-            tuple(self.schedulers),
-        )
 
     def _flush_deferred_stats(self) -> None:
         """Credit the issued prefix of still-unfinished warps (timeout).
@@ -1094,35 +706,6 @@ class StreamingMultiprocessor:
             earliest = self._transit_min
         if self._policy is not None:
             t = self._policy.next_event(now)
-            if t < earliest:
-                earliest = t
-        return earliest
-
-    def next_event_fast(self, now: int) -> int:
-        """:meth:`next_event` for fused-path SMs (event engine only).
-
-        The active-warp scan is replaced by ``_sched_sleep``: whenever the
-        event loop asks (global zero-issue cycles, after this SM's step or
-        while it sleeps with a frozen state), the cache equals the minimum
-        ``blocked_until`` over every scheduler-attached warp — each
-        scheduler's ``_sleep_until`` is the exact minimum over its bucket
-        entries, and every external wake resets the caches and marks the
-        buckets dirty.  Clamping mirrors :meth:`next_event`.
-        """
-        ss = FOREVER
-        for sched in self.schedulers:
-            s = sched._sleep_until
-            if s < ss:
-                ss = s
-        if ss < FOREVER:
-            earliest = ss if ss > now else now
-        else:
-            earliest = FOREVER
-        if self._transit_min < earliest:
-            earliest = self._transit_min
-        policy = self._policy
-        if policy is not None:
-            t = policy.next_event(now)
             if t < earliest:
                 earliest = t
         return earliest

@@ -27,7 +27,6 @@ class WarpSim:
     __slots__ = (
         "warp_id", "global_warp_id", "cta", "trace", "pos",
         "ready_at", "peak_ready", "blocked_until", "state", "sched_seq",
-        "chk_pos", "chk_ready",
         "stream_counter", "reuse_counter", "shared_counter",
         "stream_base", "reuse_base",
     )
@@ -49,12 +48,6 @@ class WarpSim:
         # skipped entirely.  Writebacks raise it; it never needs lowering
         # (a stale-high bound only costs one redundant scan).
         self.peak_ready = 0
-        # Memoized operand scan: the max source-ready cycle computed for
-        # trace position ``chk_pos``.  ``ready_at`` only changes when this
-        # warp issues (which advances ``pos``), so a matching position means
-        # the cached value is still exact.
-        self.chk_pos = -1
-        self.chk_ready = 0
         self.blocked_until = 0
         self.state = WarpState.RUNNABLE
         # Stable GTO priority key (attach order); set by the scheduler.

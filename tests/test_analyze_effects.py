@@ -78,10 +78,9 @@ class TestCleanTree:
 
 #: The event loop's per-SM entry points.  The compiled runner replaces
 #: the loop wholesale, so it bypasses these; the rest of
-#: ``_BYPASSED_SM_ATTRS`` is hooks the fused step calls on its own SM,
-#: which the C core inlines.
-_EVENT_LOOP_ENTRIES = ("_step_fast", "accumulate", "next_event",
-                       "next_event_fast")
+#: ``_BYPASSED_SM_ATTRS`` is hooks the reference step calls on its own
+#: SM, which the C core inlines.
+_EVENT_LOOP_ENTRIES = ("accumulate", "next_event", "step")
 
 
 def _audit_without_bypass_entry(entry):
@@ -103,7 +102,7 @@ class TestGateDeletions:
     @pytest.mark.parametrize("entry", _EVENT_LOOP_ENTRIES)
     def test_deleting_bypass_entry_is_high(self, entry):
         # The finding must trace the entry to the event loop, not only
-        # to the fused step's own calls (``accumulate`` is both).
+        # to the transcribed bodies' own calls.
         report = _audit_without_bypass_entry(entry)
         site = f"the event loop (GPU._run_event) dispatches SM.{entry} "
         hits = [f for f in report.by_tag("compiled-gate-missing")

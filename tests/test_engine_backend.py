@@ -6,24 +6,26 @@ contract itself:
 
 * ``REPRO_ENGINE`` / ``engine=`` parsing, precedence and loud failure on
   typos (a silently-wrong backend would invalidate a benchmark),
-* ``auto`` resolution and graceful degradation down the chain (compiled
-  -> fused) when the C extension is missing, recorded as the refusal
+* ``auto`` resolution and graceful degradation (compiled -> reference)
+  when the C extension is missing, recorded as the refusal
   ``extension-missing``; an *explicit* request for an unavailable
   backend raises ``EngineUnavailableError``,
 * run-level compiled eligibility: instrumented runs (sanitizer,
-  telemetry, tracers), non-GTO scheduling, policies overriding the
-  surface the C core runs itself with a body it does not transcribe (a
-  RegMutexPolicy subclass or instance wrapping its issue hook), a memory
-  hierarchy other than the stock classes, and instance-level wrappers on
-  the surface the C core inlines must all
-  fail ``compiled_run_eligible``, and ``compiled_refusal`` names the
-  first check that refused; every registered policy -- hooks served as
-  ops, RegMutex's lease and idle attribution run in the core -- must be
-  admitted.  The gate is pure Python, so those checks run without the
-  extension; with it built, refused runs must degrade
-  to the next backend down rather than take the C core —
-  ``gpu.engine_used`` records what actually executed and
-  ``gpu.engine_refusal`` why.
+  telemetry, tracers), Fig 5 usage sampling, non-GTO scheduling, a
+  subclassed address model, policies overriding the surface the C core
+  runs itself with a body it does not transcribe (a RegMutexPolicy
+  subclass or instance wrapping its issue hook), a memory hierarchy
+  other than the stock classes, and instance-level wrappers on the
+  surface the C core inlines must all fail ``compiled_run_eligible``, and
+  ``compiled_refusal`` names the first check that refused; every
+  registered policy -- hooks served as ops, RegMutex's lease and idle
+  attribution run in the core -- must be admitted.  The gate is pure
+  Python, so those checks run without the extension; with it built,
+  refused runs must degrade to ``reference`` rather than take the C
+  core — ``gpu.engine_used`` records what actually executed and
+  ``gpu.engine_refusal`` why,
+* the requested engine is recoverable from ``(engine_used,
+  engine_refusal)`` alone.
 
 Bit-identity of the backends themselves is pinned separately by
 tests/test_engine_differential.py.
@@ -49,17 +51,18 @@ from repro.sim.compiled import (_BYPASSED_SM_ATTRS, compiled_refusal,
 from repro.sim.gpu import GPU
 from repro.workloads.generator import build_workload
 from repro.workloads.suite import get_spec
+from repro.workloads.traces import AddressModel
 
 TINY = SCALES["tiny"]
 MICRO_CONFIG = GPUConfig(num_sms=2)
 
 
 def build_gpu(policy: str = "baseline", config: GPUConfig = MICRO_CONFIG,
-              **policy_kwargs) -> GPU:
+              sample_usage: bool = False, **policy_kwargs) -> GPU:
     instance = build_workload(get_spec("KM"), config, TINY)
     return GPU(config, instance.kernel, POLICIES[policy](**policy_kwargs),
                instance.trace_provider, instance.address_model,
-               liveness=instance.liveness)
+               liveness=instance.liveness, sample_usage=sample_usage)
 
 
 # ----------------------------------------------------------------------
@@ -69,8 +72,7 @@ def build_gpu(policy: str = "baseline", config: GPUConfig = MICRO_CONFIG,
     (None, "auto"),
     ("", "auto"),
     ("auto", "auto"),
-    ("fused", "fused"),
-    (" Fused \n", "fused"),
+    (" Reference \n", "reference"),
     ("REFERENCE", "reference"),
     ("Compiled", "compiled"),
 ])
@@ -79,15 +81,16 @@ def test_parse_engine_normalizes(raw, expected):
 
 
 @pytest.mark.parametrize("raw", ["fast", "dense", "vector", "vectorized",
-                                 "fused,"])
+                                 "fused", "fused,"])
 def test_parse_engine_rejects_unknown_names(raw):
     with pytest.raises(ValueError, match="unknown engine"):
         parse_engine(raw)
 
 
 def test_select_backend_explicit_argument_beats_env(monkeypatch):
+    monkeypatch.setattr(backend, "_COMPILED_AVAILABLE", True)
     monkeypatch.setenv(backend.ENGINE_ENV, "reference")
-    assert select_backend("fused") == "fused"
+    assert select_backend("compiled") == "compiled"
     assert select_backend() == "reference"
 
 
@@ -104,12 +107,12 @@ def test_select_backend_auto_prefers_compiled_when_built(monkeypatch):
     assert select_backend("auto") == "compiled"
 
 
-def test_select_backend_auto_degrades_to_fused_without_extension(
+def test_select_backend_auto_degrades_to_reference_without_extension(
         monkeypatch):
     monkeypatch.setattr(backend, "_COMPILED_AVAILABLE", False)
     monkeypatch.delenv(backend.ENGINE_ENV, raising=False)
-    assert select_backend() == "fused"
-    assert select_backend("auto") == "fused"
+    assert select_backend() == "reference"
+    assert select_backend("auto") == "reference"
 
 
 def test_explicit_compiled_without_extension_raises(monkeypatch):
@@ -127,8 +130,6 @@ def test_run_consults_engine_env(monkeypatch):
     gpu = build_gpu()
     gpu.run(max_cycles=TINY.max_cycles)
     assert gpu.engine_used == "reference"
-    assert all(sm._fast_consts is None for sm in gpu.sms), (
-        "the reference backend must not bind the fused fast path")
 
 
 # ----------------------------------------------------------------------
@@ -137,30 +138,50 @@ def test_run_consults_engine_env(monkeypatch):
 #: Why ``compiled_run_eligible`` refuses a run, and where an explicit
 #: ``engine="compiled"`` request then lands.
 INELIGIBLE_RUNS = [
-    ("sanitizer", "reference"),   # fails fast_step_eligible per SM
-    ("cta_tracer", "fused"),      # fused step eligible, run-level not
+    ("sanitizer", "reference"),
+    ("cta_tracer", "reference"),
     ("telemetry", "reference"),
-    ("lrr", "reference"),         # the fused step hard-codes GTO's scan
+    ("lrr", "reference"),          # the C scan is GTO's
+    ("usage_sampling", "reference"),
+    ("address_model", "reference"),
+    ("step_wrapper", "reference"),
+    ("try_issue_wrapper", "reference"),
 ]
 #: The first failed check ``compiled_refusal`` reports for each.
 REFUSAL_REASONS = {"sanitizer": "sanitizer", "cta_tracer": "tracer",
-                   "telemetry": "telemetry", "lrr": "fast-step"}
+                   "telemetry": "telemetry", "lrr": "scheduler:LRRScheduler",
+                   "usage_sampling": "usage-sampling",
+                   "address_model": "address-model:CustomAddressModel",
+                   "step_wrapper": "sm-override:step",
+                   "try_issue_wrapper": "sm-override:_try_issue"}
+
+
 def build_ineligible_gpu(reason: str) -> GPU:
     if reason == "lrr":
         return build_gpu(config=GPUConfig(num_sms=2, warp_scheduling="lrr"))
+    if reason == "usage_sampling":
+        return build_gpu(sample_usage=True)
     gpu = build_gpu()
     if reason == "sanitizer":
         from repro.validate.sanitizer import attach_sanitizer
         attach_sanitizer(gpu)
     elif reason == "cta_tracer":
-        # A CTA-level tracer only observes launch/retire, so the fused
-        # step stays eligible -- but tracers stay refused by the C core
-        # as a whole, hence the run-level refusal.
+        # A CTA-level tracer only observes launch/retire, but tracers are
+        # refused by the C core as a whole.
         from repro.sim.tracing import attach_tracer
         attach_tracer(gpu, level="cta")
-    else:
+    elif reason == "telemetry":
         from repro.telemetry.session import attach_telemetry
         attach_telemetry(gpu)
+    elif reason == "address_model":
+        gpu.address_model.__class__ = type("CustomAddressModel",
+                                           (AddressModel,), {})
+    else:
+        # Pass-through instance wrappers, as the mutation self-test
+        # installs: the reference step calls them, the C core could not.
+        sm = gpu.sms[1]
+        name = "step" if reason == "step_wrapper" else "_try_issue"
+        setattr(sm, name, getattr(sm, name))
     return gpu
 
 
@@ -224,7 +245,7 @@ def test_regmutex_bodies_follow_the_class_not_the_name():
         "on_issue": RegisterFilePolicy.on_issue})
     assert core_bodies(policy) == (False, True)
     # The SM caches its issue hook when the policy is assigned.
-    assert compiled_refusal(gpu) == "fast-step"
+    assert compiled_refusal(gpu) == "policy-hook:on_issue"
     gpu.sms[0].policy = policy
     assert compiled_refusal(gpu) is None
 
@@ -295,14 +316,13 @@ HIERARCHY_PARTS = {
 
 @pytest.mark.parametrize("part", sorted(HIERARCHY_PARTS))
 def test_hierarchy_instance_override_refuses_both_fast_engines(part):
-    """_step_fast calls _access directly and the C core transcribes the
-    whole hierarchy, so an instance wrapper anywhere on it refuses both."""
+    """The C core transcribes the whole hierarchy, so an instance wrapper
+    anywhere on it refuses the run."""
     gpu = build_gpu()
     get, __, method = HIERARCHY_PARTS[part]
     obj = get(gpu)
     setattr(obj, method, getattr(obj, method))
     assert compiled_refusal(gpu) == f"hierarchy-override:{method}"
-    assert not any(sm.fast_step_eligible() for sm in gpu.sms)
 
 
 @pytest.mark.parametrize("part", sorted(HIERARCHY_PARTS))
@@ -312,10 +332,9 @@ def test_hierarchy_subclass_refuses_both_fast_engines(part):
     obj = get(gpu)
     obj.__class__ = type(f"Custom{cls.__name__}", (cls,), {})
     assert compiled_refusal(gpu) == f"hierarchy-override:Custom{cls.__name__}"
-    assert not any(sm.fast_step_eligible() for sm in gpu.sms)
 
 
-@pytest.mark.parametrize("engine", ["fused"] + (
+@pytest.mark.parametrize("engine", ["reference"] + (
     ["compiled"] if backend.compiled_available() else []))
 def test_wrapped_hierarchy_load_runs_on_reference(engine):
     """A counting wrapper on ``hierarchy.load`` is honored: the run falls
@@ -345,13 +364,60 @@ def test_auto_without_extension_records_extension_missing(monkeypatch):
     monkeypatch.delenv(backend.ENGINE_ENV, raising=False)
     gpu = build_gpu()
     result = gpu.run(max_cycles=TINY.max_cycles)
-    assert gpu.engine_used == "fused"
+    assert gpu.engine_used == "reference"
     assert gpu.engine_refusal == "extension-missing"
     assert "engine_refusal" not in result.to_json()
     assert "extension-missing" not in str(result.to_json())
 
 
-@pytest.mark.parametrize("engine", ["fused", "reference"])
+#: What the artifacts read, ``(engine_used, engine_refusal)``, for each
+#: (requested engine, C extension importable, run admitted by the gate);
+#: the refused runs use Fig 5 usage sampling, and ``dense`` is the oracle
+#: switch ``REPRO_DENSE_STEP=1``.  An explicit ``compiled`` request
+#: without the extension raises instead of running.  Only ``auto`` and
+#: ``compiled`` share pairs, and they run the same way whenever both run,
+#: so the pair identifies the request.
+ENGINE_PAIRS = {
+    ("auto", True, True): ("compiled", None),
+    ("auto", True, False): ("reference", "usage-sampling"),
+    ("auto", False, True): ("reference", "extension-missing"),
+    ("auto", False, False): ("reference", "extension-missing"),
+    ("compiled", True, True): ("compiled", None),
+    ("compiled", True, False): ("reference", "usage-sampling"),
+    ("compiled", False, True): EngineUnavailableError,
+    ("compiled", False, False): EngineUnavailableError,
+    ("reference", True, True): ("reference", None),
+    ("reference", True, False): ("reference", None),
+    ("reference", False, True): ("reference", None),
+    ("reference", False, False): ("reference", None),
+    ("dense", True, True): ("dense", None),
+    ("dense", False, False): ("dense", None),
+}
+
+
+@pytest.mark.parametrize("requested, extension, admitted",
+                         sorted(ENGINE_PAIRS))
+def test_requested_engine_is_recoverable_from_the_pair(
+        monkeypatch, requested, extension, admitted):
+    if extension and not backend.compiled_available():
+        pytest.skip("repro.sim._ckernel extension not built")
+    if not extension:
+        monkeypatch.setattr(backend, "_COMPILED_AVAILABLE", False)
+    monkeypatch.delenv(backend.ENGINE_ENV, raising=False)
+    if requested == "dense":
+        monkeypatch.setenv("REPRO_DENSE_STEP", "1")
+    gpu = build_gpu(sample_usage=not admitted)
+    expected = ENGINE_PAIRS[requested, extension, admitted]
+    engine = None if requested == "dense" else requested
+    if not isinstance(expected, tuple):
+        with pytest.raises(expected):
+            gpu.run(max_cycles=TINY.max_cycles, engine=engine)
+        return
+    gpu.run(max_cycles=TINY.max_cycles, engine=engine)
+    assert (gpu.engine_used, gpu.engine_refusal) == expected
+
+
+@pytest.mark.parametrize("engine", ["reference"])
 def test_explicit_python_engine_records_no_refusal(monkeypatch, engine):
     monkeypatch.setattr(backend, "_COMPILED_AVAILABLE", False)
     gpu = build_gpu()
@@ -363,7 +429,7 @@ def test_explicit_python_engine_records_no_refusal(monkeypatch, engine):
 def test_scheduler_surface_cannot_be_wrapped_per_instance():
     """The scheduler surface the C core inlines (bucket scan, barrier
     wake, sleep fold) needs no instance gate: GTOScheduler declares
-    __slots__, and fast_step_eligible pins the exact type."""
+    __slots__, and compiled_refusal pins the exact type."""
     gpu = build_gpu()
     with pytest.raises(AttributeError):
         gpu.sms[0].schedulers[0].wake = lambda: None
@@ -388,13 +454,18 @@ def test_compiled_runs_the_uninstrumented_baseline():
 
 @needs_extension
 @pytest.mark.parametrize("reason, expect_used", INELIGIBLE_RUNS)
-def test_compiled_falls_back_per_run_eligibility_reason(reason, expect_used):
-    """Every refused run must route compiled down the chain -- never
-    error -- and record why."""
+def test_compiled_falls_back_per_run_eligibility_reason(
+        monkeypatch, reason, expect_used):
+    """Every refused run must route compiled to reference -- never
+    error -- record why, and keep the dense oracle's bytes on the same
+    surface."""
     gpu = build_ineligible_gpu(reason)
-    gpu.run(max_cycles=TINY.max_cycles, engine="compiled")
+    result = gpu.run(max_cycles=TINY.max_cycles, engine="compiled")
     assert gpu.engine_used == expect_used
     assert gpu.engine_refusal == REFUSAL_REASONS[reason]
+    monkeypatch.setenv("REPRO_DENSE_STEP", "1")
+    dense = build_ineligible_gpu(reason).run(max_cycles=TINY.max_cycles)
+    assert result.to_json() == dense.to_json()
 
 
 @needs_extension
@@ -421,9 +492,9 @@ def test_paper_policies_run_on_compiled(policy):
 
 @needs_extension
 @pytest.mark.parametrize("surface", ["sm", "stats"])
-def test_compiled_only_overrides_fall_back_to_fused(surface):
+def test_compiled_only_overrides_fall_back_to_reference(surface):
     """Instance wrappers on the surface only the C core inlines route the
-    run to the fused engine, which still honors them dynamically."""
+    run to the reference engine, which still honors them dynamically."""
     gpu = build_gpu()
     sm = gpu.sms[0]
     if surface == "sm":
@@ -435,7 +506,7 @@ def test_compiled_only_overrides_fall_back_to_fused(surface):
             lambda dt, active, pending, warps: original(dt, active,
                                                         pending, warps))
     gpu.run(max_cycles=TINY.max_cycles, engine="compiled")
-    assert gpu.engine_used == "fused"
+    assert gpu.engine_used == "reference"
     assert gpu.engine_refusal == ("sm-override:_on_long_block"
                                   if surface == "sm"
                                   else "stats-override:accumulate")

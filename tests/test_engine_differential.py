@@ -1,22 +1,22 @@
-"""Engine differential tests (dense × fused × compiled).
+"""Engine differential tests (dense × reference × compiled).
 
 Every engine backend is a pure performance transformation: for every
 workload, policy and seed it must produce a ``SimResult`` that is
 *byte-identical* (as sorted JSON) to the dense per-cycle oracle retained
 behind ``REPRO_DENSE_STEP=1``.  These tests pin that contract over the
 full golden corpus and over hypothesis-chosen (app, seed) micro-workloads
-for every registered policy, for the fused event engine and (when the
-``repro.sim._ckernel`` extension is built) the compiled backend, so any
-divergence introduced in the fused fast step, the wakeup computation,
-the C core's global clock and idle accounting, its policy-hook ops
-(settle / tick / idle), or its lowering/write-back protocol fails loudly
-with a payload diff instead of silently drifting the science.
+for every registered policy, for the reference event engine and (when
+the ``repro.sim._ckernel`` extension is built) the compiled backend, so
+any divergence introduced in the wakeup computation, the C core's issue
+loop, global clock and idle accounting, its policy-hook ops (settle /
+tick / idle), or its lowering/write-back protocol fails loudly with a
+payload diff instead of silently drifting the science.
 
 The golden replays run *bare* (no tracer/sanitizer) for the engine
 comparison so the compiled backend actually engages on the baseline
 case -- ``run_case`` attaches a CTA tracer, which conservatively routes a
-run back to the fused engine (tests/test_engine_backend.py covers that
-fallback routing itself).
+run back to the reference engine (tests/test_engine_backend.py covers
+that fallback routing itself).
 
 The C core owns the memory hierarchy during a run and writes it back at
 the end, so beyond ``SimResult`` bytes the tests compare the hierarchy's
@@ -77,7 +77,7 @@ APPS = ("KM", "HS", "LB")
 #: suite without it, so the conditional is part of the contract).
 from repro.sim.backend import compiled_available  # noqa: E402
 
-ENGINES = ("fused",) + (("compiled",) if compiled_available() else ())
+ENGINES = ("reference",) + (("compiled",) if compiled_available() else ())
 needs_extension = pytest.mark.skipif(
     not compiled_available(),
     reason="repro.sim._ckernel extension not built")
@@ -216,19 +216,8 @@ def test_env_switch_selects_dense_engine():
     gpu._run_dense = lambda max_cycles: sentinel
     with dense_engine():
         assert gpu.run(max_cycles=10) is sentinel
-    gpu._run_event = lambda max_cycles, force_reference=False: sentinel
-    assert gpu.run(max_cycles=10, engine="fused") is sentinel
-
-
-def test_uninstrumented_run_binds_the_fast_path():
-    """Hook-free SMs must take the fused step (guards eligibility drift)."""
-    instance = build_workload(get_spec("KM"), MICRO_CONFIG, TINY)
-    gpu = GPU(MICRO_CONFIG, instance.kernel, POLICIES["baseline"](),
-              instance.trace_provider, instance.address_model,
-              liveness=instance.liveness)
-    gpu.run(max_cycles=TINY.max_cycles, engine="fused")
-    assert all(sm._fast_consts is not None for sm in gpu.sms), (
-        "fast_step_eligible() stopped admitting a plain uninstrumented run")
+    gpu._run_event = lambda max_cycles: sentinel
+    assert gpu.run(max_cycles=10, engine="reference") is sentinel
 
 
 @needs_extension
@@ -284,7 +273,7 @@ def test_run_eligible_rejects_concurrent_runs():
 
 @needs_extension
 @pytest.mark.parametrize("policy", ("baseline", "finereg"))
-def test_concurrent_decoupled_request_falls_back_to_fused(policy):
+def test_concurrent_decoupled_request_falls_back_to_reference(policy):
     """An explicit ``engine="compiled"`` request on a concurrent run must
     land on the arbiter-aware event engine -- and still be byte-identical
     to the dense oracle."""
@@ -293,8 +282,8 @@ def test_concurrent_decoupled_request_falls_back_to_fused(policy):
             max_cycles=TINY.max_cycles)
     gpu = build_concurrent_gpu("st+km", policy)
     current = gpu.run(max_cycles=TINY.max_cycles, engine="compiled")
-    assert gpu.engine_used == "fused", (
-        f"concurrent run must fall back to the fused event engine, "
+    assert gpu.engine_used == "reference", (
+        f"concurrent run must fall back to the reference event engine, "
         f"got {gpu.engine_used!r}")
     assert result_bytes(dense) == result_bytes(current)
 
@@ -302,9 +291,9 @@ def test_concurrent_decoupled_request_falls_back_to_fused(policy):
 @pytest.mark.parametrize("instrument", ("bare", "sanitized", "traced",
                                         "traced+sanitized"))
 def test_concurrent_identity_survives_instrumentation(instrument):
-    """Dense-vs-fused byte identity for a concurrent run must hold with the
-    sanitizer and/or tracer attached (acceptance: sanitizer on/off,
-    traced/untraced)."""
+    """Dense-vs-reference byte identity for a concurrent run must hold
+    with the sanitizer and/or tracer attached (acceptance: sanitizer
+    on/off, traced/untraced)."""
     def run_one(engine=None):
         gpu = build_concurrent_gpu("hs+lb", "finereg",
                                    arbitration="round_robin")
@@ -316,7 +305,7 @@ def test_concurrent_identity_survives_instrumentation(instrument):
 
     with dense_engine():
         dense = run_one()
-    assert result_bytes(dense) == result_bytes(run_one(engine="fused"))
+    assert result_bytes(dense) == result_bytes(run_one(engine="reference"))
 
 
 @pytest.mark.parametrize("policy", sorted(POLICIES))
@@ -324,7 +313,7 @@ def test_concurrent_identity_survives_instrumentation(instrument):
 @given(data=st.data())
 def test_random_concurrent_runs_bit_identical(policy, data):
     """Hypothesis-chosen (pool, arbitration) concurrent runs, every policy:
-    the fused event engine must match the dense oracle byte for byte."""
+    the event engine must match the dense oracle byte for byte."""
     pool = data.draw(st.sampled_from(sorted(APP_POOLS)), label="pool")
     arbitration = data.draw(st.sampled_from(("priority", "round_robin")),
                             label="arbitration")
@@ -334,7 +323,7 @@ def test_random_concurrent_runs_bit_identical(policy, data):
     current = build_concurrent_gpu(pool, policy, arbitration).run(
         max_cycles=TINY.max_cycles)
     assert result_bytes(dense) == result_bytes(current), (
-        f"fused engine diverged from the dense oracle "
+        f"event engine diverged from the dense oracle "
         f"({policy}, {pool}, {arbitration})")
 
 
