@@ -111,9 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
     cache_cmd = sub.add_parser(
         "cache", help="inspect or clear the persistent result cache")
     cache_cmd.add_argument("action", choices=("info", "stats", "clear"))
-    cache_cmd.add_argument("--log", default=None, metavar="OBS_LOG",
-                           help="campaign obs log to source hit/miss "
-                                "counters from (stats only)")
     cache_cmd.add_argument("--json", action="store_true",
                            help="machine-readable stats on stdout")
     cache_cmd.set_defaults(func=cmd_cache)
@@ -277,8 +274,8 @@ def cmd_figure(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    # Lazy import: the telemetry exporters are only needed here.
-    from repro.telemetry.cli import run_trace
+    # Lazy import: the trace exporters are only needed here.
+    from repro.obs.cli import run_trace
     return run_trace(args.app, policy=args.policy, scale_name=args.scale,
                      perfetto_out=args.perfetto,
                      timeline_out=args.timeline,
@@ -294,14 +291,6 @@ def cmd_cache(args: argparse.Namespace) -> int:
     if args.action == "stats":
         import json as _json
         stats = cache.stats()
-        if args.log:
-            # A fresh CLI process has no live counters; a campaign obs log
-            # carries the real lookup traffic.
-            from repro.obs.events import events_of, load_log
-            lookups = events_of(load_log(args.log), "cache_lookup")
-            stats["hits"] = sum(1 for e in lookups if e["hit"])
-            stats["misses"] = len(lookups) - stats["hits"]
-            stats["counters_from"] = args.log
         if args.json:
             print(_json.dumps(stats, indent=1, sort_keys=True))
             return 0
@@ -314,10 +303,6 @@ def cmd_cache(args: argparse.Namespace) -> int:
         ]
         for version, count in stats["schema_versions"].items():
             rows.append([f"schema v{version}", count])
-        rows.append(["hits", stats["hits"]])
-        rows.append(["misses", stats["misses"]])
-        if "counters_from" in stats:
-            rows.append(["counters from", stats["counters_from"]])
         print(format_table(["field", "value"], rows,
                            title="Persistent result cache — stats"))
         return 0

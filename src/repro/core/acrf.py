@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.telemetry.registry import MetricsRegistry
+    from repro.obs.registry import MetricsRegistry
 
 
 class ACRFAllocator:
@@ -23,7 +23,7 @@ class ACRFAllocator:
             raise ValueError("ACRF capacity must be positive")
         self._capacity = capacity_entries
         self._allocated: Dict[int, int] = {}
-        #: MetricsRegistry installed by repro.telemetry (None = off).
+        #: MetricsRegistry installed by repro.obs.telemetry (None = off).
         self.telemetry: Optional["MetricsRegistry"] = None
         #: Test-only fault injection (mutation self-test): when non-zero,
         #: every release leaks this many entries into a phantom allocation.

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.telemetry.registry import MetricsRegistry
+    from repro.obs.registry import MetricsRegistry
 
 NEXT_POINTER_BITS = 10
 WARP_ID_BITS = 5
@@ -73,7 +73,7 @@ class PCRF:
         self._free_count = capacity_entries
         self._head_of_cta: Dict[int, int] = {}
         self._count_of_cta: Dict[int, int] = {}
-        #: MetricsRegistry installed by repro.telemetry (None = off).
+        #: MetricsRegistry installed by repro.obs.telemetry (None = off).
         self.telemetry: Optional["MetricsRegistry"] = None
         #: Test-only fault injection (mutation self-test): when True, each
         #: restore under-credits the free-space monitor by one slot.

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.telemetry.registry import MetricsRegistry
+    from repro.obs.registry import MetricsRegistry
 
 from repro.core.bitvector import LiveBitVector
 from repro.core.bitvector_cache import BitVectorCache
@@ -70,7 +70,7 @@ class RegisterManagementUnit:
         self._dram_latency = dram_latency
         self._pointer_table: Dict[int, _PointerTableEntry] = {}
         self.stats = RMUStats()
-        #: MetricsRegistry installed by repro.telemetry (None = off).
+        #: MetricsRegistry installed by repro.obs.telemetry (None = off).
         self.telemetry: Optional["MetricsRegistry"] = None
         #: Test-only fault injection (mutation self-test): when True, a
         #: spill claims PCRF space but never records its pointer-table row.

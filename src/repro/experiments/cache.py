@@ -21,11 +21,15 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.config import GPUConfig, Scale
 from repro.sim.stats import RESULT_SCHEMA_VERSION, SimResult
 from repro.workloads.spec import WorkloadSpec
+from repro.workloads.suite import get_spec
+
+if TYPE_CHECKING:
+    from repro.experiments.parallel import RunRequest
 
 #: Bump on any simulator change that alters observable results.  Combined
 #: with RESULT_SCHEMA_VERSION into every cache key.
@@ -87,6 +91,27 @@ def run_key(scale: Scale, reference: GPUConfig, config: GPUConfig,
     }
     blob = json.dumps(material, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def request_key(scale: Scale, base_config: GPUConfig,
+                request: "RunRequest") -> str:
+    """The :func:`run_key` of one request against a runner's base config.
+
+    The one place a request's key is built: the result cache and the
+    telemetry artifact path both call it, so a new key field cannot reach
+    one and miss the other.
+    """
+    config = request.config if request.config is not None else base_config
+    return run_key(
+        scale=scale,
+        reference=base_config.with_num_sms(config.num_sms),
+        config=config,
+        spec=get_spec(request.abbrev),
+        policy=request.policy,
+        policy_kwargs=request.kwargs,
+        sample_usage=request.sample_usage,
+        unified_memory=request.unified_memory,
+    )
 
 
 class ResultCache:
@@ -193,8 +218,6 @@ class ResultCache:
             "entries": len(entries),
             "total_bytes": total,
             "schema_versions": {k: schemas[k] for k in sorted(schemas)},
-            "hits": self.hits,
-            "misses": self.misses,
         }
 
     def __len__(self) -> int:

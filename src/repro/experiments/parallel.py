@@ -133,8 +133,8 @@ def simulate_request(scale: Scale, base_config: GPUConfig,
         from repro.validate.sanitizer import attach_sanitizer
         attach_sanitizer(gpu)
     if request.telemetry:
+        from repro.obs.telemetry import attach_telemetry
         from repro.sim.tracing import attach_tracer
-        from repro.telemetry.session import attach_telemetry
         tracer = attach_tracer(gpu, level="warp")
         session = attach_telemetry(gpu)
         with phase("engine-run") as span:
@@ -171,18 +171,8 @@ def telemetry_dir() -> str:
 def telemetry_artifact_path(scale: Scale, base_config: GPUConfig,
                             request: RunRequest) -> str:
     """Deterministic artifact path keyed by the run's content hash."""
-    from repro.experiments.cache import run_key
-    config = request.config if request.config is not None else base_config
-    key = run_key(
-        scale=scale,
-        reference=base_config.with_num_sms(config.num_sms),
-        config=config,
-        spec=get_spec(request.abbrev),
-        policy=request.policy,
-        policy_kwargs=dict(request.policy_kwargs),
-        sample_usage=request.sample_usage,
-        unified_memory=request.unified_memory,
-    )
+    from repro.experiments.cache import request_key
+    key = request_key(scale, base_config, request)
     name = (f"{request.abbrev}-{request.policy}-{scale.name}"
             f"-{key[:12]}.telemetry.json")
     return os.path.join(telemetry_dir(), name)
@@ -269,7 +259,7 @@ def run_requests(payloads: Sequence[Payload],
         # dispatch keeps the pool balanced.
         if obs is None:
             return pool.map(_simulate_payload, payloads, chunksize=1)
-        obs.pool_begin(jobs, len(payloads))
+        obs.pool_begin()
         spans = [obs.open_request(request)
                  for __, __, request in payloads]
         slots: List[Optional[SimResult]] = [None] * len(payloads)

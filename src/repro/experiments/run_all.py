@@ -22,14 +22,13 @@ import json
 import os
 from contextlib import nullcontext
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.config import SCALES
 from repro.experiments.runner import ExperimentRunner
 from repro.obs import OBS_LOG_ENV, ObsSession, obs_enabled
-from repro.obs import clock
-from repro.obs.spans import phase_rows
-from repro.telemetry.rollup import render_rollup, rollup_results
+from repro.obs.events import summarize_events
+from repro.obs.rollup import render_rollup, rollup_results
 
 #: (module, headline summary keys) in paper order.
 CAMPAIGN = (
@@ -104,18 +103,14 @@ def run_campaign(runner: ExperimentRunner,
             if modules is not None and name not in modules:
                 continue
             module = importlib.import_module(f"repro.experiments.{name}")
-            started = clock.monotonic()
             with obs_phase(f"render:{name}"):
-                result = module.run(runner)
-            result.summary["_elapsed_s"] = clock.monotonic() - started
-            results.append(result)
+                results.append(module.run(runner))
     return results
 
 
 def write_report(results, path: Path, scale_name: str,
                  rollup_text: Optional[str] = None,
-                 phase_breakdown: Optional[
-                     Sequence[Tuple[str, str, float]]] = None) -> None:
+                 phase_breakdown: Optional[Sequence[Dict]] = None) -> None:
     lines = [
         "# FineReg reproduction — full evaluation campaign",
         "",
@@ -148,8 +143,9 @@ def write_report(results, path: Path, scale_name: str,
                      "child phases sum to at most their parent.")
         lines.append("")
         lines.append("```")
-        for within, name, dur_s in phase_breakdown:
-            lines.append(f"{within:>14} / {name:<24} {dur_s:10.3f}s")
+        for row in phase_breakdown:
+            lines.append(f"{row['within']:>14} / {row['phase']:<24} "
+                         f"{row['wall_s']:10.3f}s")
         lines.append("```")
         lines.append("")
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -177,8 +173,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     runner = ExperimentRunner(scale=SCALES[args.scale])
     modules = args.only.split(",") if args.only else None
 
-    # The observability session always runs in-memory (spans feed the
-    # REPORT.md breakdown); the JSONL log is written only when asked for.
+    # The observability session always runs in-memory (its event log feeds
+    # the REPORT.md breakdown and BENCH_campaign.json); the JSONL file is
+    # written only when asked for.
     log_path = args.obs_log
     if log_path is None and obs_enabled():
         log_path = os.environ.get(OBS_LOG_ENV) \
@@ -196,24 +193,24 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     rollup = rollup_results(runner.memoized_results())
     report = Path(args.out) / "REPORT.md"
     with session.phase("report"):
+        phases = summarize_events(session.log.events)["phases"]
         write_report(results, report, args.scale,
                      rollup_text=render_rollup(rollup),
-                     phase_breakdown=phase_rows(session.recorder.spans))
-    session.campaign_end()
+                     phase_breakdown=phases)
     session.close()
     bench = Path(args.out) / "BENCH_campaign.json"
-    summary = session.summary()
+    summary = summarize_events(session.log.events)
     payload = {"rollup": rollup, "obs": summary}
     bench.write_text(json.dumps(payload, indent=2, sort_keys=True))
     print(f"wrote {report} ({len(results)} experiments)")
     print(f"wrote {bench} (campaign wall "
           f"{summary['campaign']['wall_s']:.1f}s)")
     if log_path:
-        rate = session.metrics.hit_rate()
+        rate = summary["cache"]["hit_rate"]
         rate_text = f"{rate:.1%}" if rate is not None else "n/a"
         print(f"wrote {log_path} (obs log; cache hit rate {rate_text})")
     for result in results:
-        keys = [k for k in result.summary if not k.startswith("_")][:3]
+        keys = list(result.summary)[:3]
         brief = ", ".join(f"{k}={result.summary[k]:.3g}" for k in keys)
         print(f"  {result.experiment:22} {brief}")
     return 0

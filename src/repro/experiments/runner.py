@@ -22,7 +22,7 @@ from contextlib import nullcontext
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.config import GPUConfig, SMALL, Scale, default_config
-from repro.experiments.cache import ResultCache, run_key
+from repro.experiments.cache import ResultCache, request_key
 from repro.experiments.parallel import RunRequest, run_requests, \
     simulate_request
 from repro.policies.baseline import BaselinePolicy
@@ -133,7 +133,7 @@ class ExperimentRunner:
         cached = self._results.get(key)
         if cached is not None:
             return cached
-        disk_key = self._persistent_key(request, config)
+        disk_key = request_key(self.scale, self.base_config, request)
         result = None if request.telemetry else self.cache.get(disk_key)
         if result is not None and self.obs is not None:
             self.obs.cached_request(request)
@@ -174,8 +174,8 @@ class ExperimentRunner:
                 key = self._memo_key(request, config)
                 if key in self._results or key in claimed:
                     continue
-                result = None if request.telemetry else \
-                    self.cache.get(self._persistent_key(request, config))
+                result = None if request.telemetry else self.cache.get(
+                    request_key(self.scale, self.base_config, request))
                 if result is not None:
                     self._results[key] = result
                     if self.obs is not None:
@@ -193,7 +193,7 @@ class ExperimentRunner:
                 for (key, request), result in zip(pending, results):
                     self._results[key] = result
                     self.cache.put(
-                        self._persistent_key(request, request.config),
+                        request_key(self.scale, self.base_config, request),
                         result)
         return [self._results[self._memo_key(
                     request,
@@ -220,19 +220,6 @@ class ExperimentRunner:
         return (request.abbrev, request.policy, self._config_key(config),
                 request.sample_usage, request.unified_memory,
                 request.policy_kwargs, request.telemetry)
-
-    def _persistent_key(self, request: RunRequest,
-                        config: GPUConfig) -> str:
-        return run_key(
-            scale=self.scale,
-            reference=self.base_config.with_num_sms(config.num_sms),
-            config=config,
-            spec=get_spec(request.abbrev),
-            policy=request.policy,
-            policy_kwargs=request.kwargs,
-            sample_usage=request.sample_usage,
-            unified_memory=request.unified_memory,
-        )
 
     @staticmethod
     def _config_key(config: GPUConfig) -> Tuple:

@@ -45,7 +45,7 @@ class MemoryHierarchy:
         self._l1_hit_lat = config.l1_hit_latency
         self._l2_hit_lat = config.l2_hit_latency
         self.stats = HierarchyStats()
-        #: MetricsRegistry installed by repro.telemetry (None = off).
+        #: MetricsRegistry installed by repro.obs.telemetry (None = off).
         self.telemetry = None
         # Per-SM outstanding-miss table: line address -> completion cycle.
         self._outstanding: List[Dict[int, int]] = [

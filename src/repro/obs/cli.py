@@ -1,11 +1,20 @@
-"""``repro obs`` -- inspect campaign observability artifacts.
+"""``repro trace`` and ``repro obs`` -- produce and inspect artifacts.
 
-Actions:
+``repro trace`` (:func:`run_trace`) runs one traced simulation.  It always
+simulates cold (no result cache involved): the point of the command is the
+event stream and timelines, which only exist when the simulation actually
+runs.  It exports:
+
+* ``--perfetto OUT``: Chrome trace-event / Perfetto JSON (load in
+  https://ui.perfetto.dev or ``chrome://tracing``);
+* ``--timeline OUT``: the raw columnar per-cycle timeline payload;
+* a stall-attribution / switch-overhead summary on stdout either way.
+
+``repro obs`` (:func:`run_obs`) inspects a campaign JSONL log:
 
 * ``summarize <log>``: cache hit-rate, worker utilization, per-phase
   wall-clock breakdown, the engine mix (requests and engine-run wall per
-  policy, engine and refusal) and reconciliation status of a campaign
-  JSONL log;
+  policy, engine and refusal) and reconciliation status;
 * ``tail <log>``: the last N events, one line each, with invalid lines
   marked rather than crashing (a live log may be mid-write);
 * ``perfetto <log> --out trace.json``: export the span tree to
@@ -15,140 +24,104 @@ Actions:
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional
 
-from repro.obs.events import ObsLogError, events_of, load_log
-from repro.obs.export import spans_from_events, write_campaign_perfetto
-from repro.obs.schema import check_obs_event
-from repro.obs.spans import Span, reconcile_spans
-
-
-def _span_objects(span_dicts: Sequence[Dict]) -> List[Span]:
-    spans: List[Span] = []
-    for entry in span_dicts:
-        span = Span(int(entry["span"]), entry.get("parent"),
-                    str(entry["name"]), str(entry["kind"]),
-                    float(entry["t_start"]), worker=entry.get("worker"))
-        if entry.get("dur_s") is not None:
-            span.t_end = span.t_start + float(entry["dur_s"])
-        spans.append(span)
-    return spans
+from repro.config import SCALES, default_config
+from repro.experiments.report import format_table
+from repro.experiments.runner import POLICIES
+from repro.obs import clock
+from repro.obs.events import ObsLogError, load_log, summarize_events
+from repro.obs.perfetto import (perfetto_from_events, perfetto_trace,
+                                write_perfetto)
+from repro.obs.schema import check_obs_event, check_trace_payload
+from repro.obs.telemetry import attach_telemetry
+from repro.sim.gpu import GPU
+from repro.sim.tracing import attach_tracer
+from repro.workloads.generator import build_workload
+from repro.workloads.suite import get_spec
 
 
-def engine_rows(span_dicts: Sequence[Dict],
-                completions: Sequence[Dict] = ()) -> List[Dict]:
-    """Requests and summed engine-run wall per (policy, engine, refusal).
+def run_trace(app: str, policy: str = "finereg", scale_name: str = "tiny",
+              perfetto_out: Optional[str] = None,
+              timeline_out: Optional[str] = None,
+              interval: int = 1, capacity: int = 100_000) -> int:
+    """Simulate ``app`` under ``policy`` with full telemetry attached."""
+    if policy not in POLICIES:
+        known = ", ".join(sorted(POLICIES))
+        raise KeyError(f"unknown policy {policy!r}; known: {known}")
+    scale = SCALES[scale_name]
+    config = default_config(scale)
+    spec = get_spec(app.upper())
+    instance = build_workload(spec, config, scale)
+    gpu = GPU(
+        config,
+        instance.kernel,
+        POLICIES[policy](),
+        instance.trace_provider,
+        instance.address_model,
+        liveness=instance.liveness,
+    )
+    tracer = attach_tracer(gpu, capacity=capacity, level="warp")
+    session = attach_telemetry(gpu, interval=interval)
 
-    Each tagged ``engine-run`` phase span is one simulated request, its
-    policy read from the enclosing ``req:<app>/<policy>`` request span
-    (serial and pooled runs alike); each ``run_complete`` marked
-    ``cached`` counts as engine ``cached``.
-    """
-    by_id = {span["span"]: span for span in span_dicts}
-    table: Dict[tuple, List] = {}
-    for span in span_dicts:
-        attrs = span.get("attrs") or {}
-        if span["name"] != "engine-run" or "engine" not in attrs:
-            continue
-        parent = by_id.get(span.get("parent"))
-        policy = (str(parent["name"]).rpartition("/")[2]
-                  if parent is not None and parent["kind"] == "request"
-                  else "-")
-        row = table.setdefault(
-            (policy, str(attrs["engine"]), attrs.get("refusal")), [0, 0.0])
-        row[0] += 1
-        row[1] += float(span["dur_s"])
-    for event in completions:
-        if event.get("cached"):
-            table.setdefault((event["policy"], "cached", None),
-                             [0, 0.0])[0] += 1
-    rows = [{"policy": policy, "engine": engine, "refusal": refusal,
-             "requests": count, "wall_s": round(wall, 6)}
-            for (policy, engine, refusal), (count, wall) in table.items()]
-    rows.sort(key=lambda row: (row["policy"], row["engine"],
-                               row["refusal"] or ""))
-    return rows
+    started = clock.monotonic()
+    result = gpu.run(max_cycles=scale.max_cycles)
+    wall_s = clock.monotonic() - started
 
+    if perfetto_out:
+        _ensure_parent(perfetto_out)
+        write_perfetto(perfetto_out, perfetto_trace(
+            tracer, timeline=session.timeline,
+            label=f"{spec.abbrev}/{policy}/{scale_name}"))
+        print(f"wrote {perfetto_out} "
+              f"({len(tracer.events)} events, {tracer.dropped} dropped)")
+    if timeline_out:
+        _ensure_parent(timeline_out)
+        with open(timeline_out, "w", encoding="utf-8") as fh:
+            json.dump(session.timeline.as_payload(), fh,
+                      separators=(",", ":"))
+        print(f"wrote {timeline_out} "
+              f"({session.timeline.num_samples} samples/SM)")
 
-def summarize_events(events: Sequence[Dict]) -> Dict:
-    """Campaign summary computed purely from a validated event stream."""
-    events = list(events)
-    starts = events_of(events, "campaign_start")
-    ends = events_of(events, "campaign_end")
-    lookups = events_of(events, "cache_lookup")
-    stores = events_of(events, "cache_store")
-    completions = events_of(events, "run_complete")
-    runs = [event for event in completions if not event.get("cached")]
-    stalls = events_of(events, "stall")
-    hits = sum(1 for event in lookups if event["hit"])
-
-    span_dicts = spans_from_events(events)
-    spans = _span_objects(span_dicts)
-    kind_of = {span.span_id: span.kind for span in spans}
-    campaign_span = next((s for s in spans if s.kind == "campaign"), None)
-    if campaign_span is not None:
-        wall = campaign_span.duration
-    elif events:
-        wall = float(events[-1]["t"]) - float(events[0]["t"])
-    else:
-        wall = 0.0
-
-    phases: List[Dict] = []
-    for span in spans:
-        if span.kind != "phase":
-            continue
-        if span.parent_id is not None \
-                and kind_of.get(span.parent_id) == "request":
-            continue
-        phases.append({"phase": span.name,
-                       "wall_s": round(span.duration, 6)})
-
-    workers: Dict[str, int] = {}
-    busy = 0.0
-    for event in runs:
-        worker = event.get("worker")
-        if worker is not None:
-            workers[str(worker)] = workers.get(str(worker), 0) + 1
-        busy += float(event["dur_s"])
-    jobs = int(starts[0]["jobs"]) if starts else 1
-    utilization = round(busy / (jobs * wall), 6) if wall > 0 else None
-
-    return {
-        "campaign": {
-            "label": starts[0]["label"] if starts else None,
-            "total": int(starts[0]["total"]) if starts else None,
-            "jobs": jobs,
-            "completed": (int(ends[-1]["completed"]) if ends
-                          else len(runs)),
-            "wall_s": round(wall, 6),
-        },
-        "cache": {
-            "lookups": len(lookups),
-            "hits": hits,
-            "misses": len(lookups) - hits,
-            "hit_rate": (round(hits / len(lookups), 6)
-                         if lookups else None),
-            "stores": len(stores),
-            "stored_bytes": sum(int(e["bytes"]) for e in stores),
-        },
-        "runs": {
-            "completed": len(runs),
-            "busy_s": round(busy, 6),
-            "mean_s": round(busy / len(runs), 6) if runs else None,
-        },
-        "workers": {
-            "seen": len(workers),
-            "runs_by_worker": {w: workers[w] for w in sorted(workers)},
-            "utilization": utilization,
-            "stall_events": len(stalls),
-        },
-        "phases": phases,
-        "engines": engine_rows(span_dicts, completions),
-        "reconcile": reconcile_spans(spans),
-    }
+    _print_trace_summary(spec.abbrev, policy, scale_name, result, tracer,
+                         wall_s)
+    return 0
 
 
+def _ensure_parent(path: str) -> None:
+    parent = os.path.dirname(os.path.abspath(path))
+    os.makedirs(parent, exist_ok=True)
+
+
+def _print_trace_summary(abbrev: str, policy: str, scale_name: str, result,
+                         tracer, wall_s: float) -> None:
+    span = max(1, result.cycles * result.num_sms)
+    rows = [
+        ["cycles", result.cycles],
+        ["IPC", f"{result.ipc:.3f}"],
+        ["stall fraction", f"{result.idle_cycles / span:.3f}"],
+        ["  RF depletion", f"{result.rf_depletion_cycles / span:.3f}"],
+        ["  SRP contention", f"{result.srp_stall_cycles / span:.3f}"],
+        ["CTA switches", result.cta_switch_events],
+        ["switch overhead (cyc)", result.switch_overhead_cycles],
+        ["  switch-out", result.switch_out_overhead_cycles],
+        ["  switch-in", result.switch_in_overhead_cycles],
+    ]
+    if wall_s > 0:
+        rows.append(["simulator speed",
+                     f"{result.instructions / wall_s:,.0f} insts/s"])
+    for kind, count in sorted(tracer.counts_by_kind().items()):
+        rows.append([f"events: {kind}", count])
+    if tracer.dropped:
+        rows.append(["events dropped", tracer.dropped])
+    print(format_table(
+        ["metric", "value"], rows,
+        title=f"Trace summary: {abbrev} under {policy} ({scale_name})"))
+
+
+# ----------------------------------------------------------------------
 def format_summary(summary: Dict) -> str:
     campaign = summary["campaign"]
     cache = summary["cache"]
@@ -173,7 +146,8 @@ def format_summary(summary: Dict) -> str:
     if summary["phases"]:
         lines.append("phases:")
         for row in summary["phases"]:
-            lines.append(f"  {row['phase']}: {row['wall_s']:.3f}s")
+            lines.append(f"  {row['within']} / {row['phase']}: "
+                         f"{row['wall_s']:.3f}s")
     if summary["engines"]:
         lines.append("engines (policy, engine, refusal: requests, "
                      "engine-run wall):")
@@ -243,13 +217,13 @@ def run_obs(action: str, log: Optional[str] = None,
     if action == "perfetto":
         target = out if out is not None else str(
             Path(log).with_suffix(".perfetto.json"))
-        from repro.telemetry.schema import check_trace_payload
-        payload = write_campaign_perfetto(target, events)
+        payload = perfetto_from_events(events)
         problems = check_trace_payload(payload)
         if problems:
             print(f"error: exported trace fails validation: "
                   f"{problems[:3]}")
             return 1
+        write_perfetto(target, payload)
         print(f"wrote {target} ({len(payload['traceEvents'])} events; "
               f"open in ui.perfetto.dev)")
         return 0

@@ -1,8 +1,11 @@
 """Chrome trace-event / Perfetto JSON export.
 
-Converts a recorded :class:`~repro.sim.tracing.EventTracer` log (plus an
-optional timeline) into the trace-event format both ``chrome://tracing`` and
-https://ui.perfetto.dev load directly:
+Both trace layouts share one event builder and one validator
+(:func:`repro.obs.schema.check_trace_payload`); load either file in
+https://ui.perfetto.dev or ``chrome://tracing``.
+
+**A simulation** (:func:`perfetto_trace`) converts a recorded
+:class:`~repro.sim.tracing.EventTracer` log (plus an optional timeline):
 
 * each **SM is a process** (``pid = sm_id + 1``) named via metadata events;
 * each **CTA is a track** (``tid = (cta_id + 1) << 6``) carrying complete
@@ -18,13 +21,29 @@ https://ui.perfetto.dev load directly:
 
 Timestamps are simulated cycles used directly as microseconds -- relative
 durations are what matter in the viewer.
+
+**A campaign** (:func:`perfetto_from_events`) converts a validated event
+log's spans:
+
+* the **campaign is one process** (``pid = 1``), named after the campaign
+  span;
+* the **orchestrator is track 1** and carries the campaign span, the
+  sequential orchestration phases, and serial request spans;
+* each **worker process is its own track** (``tid = 2 + rank``, ranked by
+  pid) carrying its request spans and the worker-side phases grafted
+  under them;
+* **stall events** appear as instants on the stalled worker's track.
+
+Monotonic-second timestamps are rebased to the earliest span and scaled
+to microseconds (the trace-event unit), so the viewer opens at t=0.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
+from repro.obs.events import events_of, spans_from_events
 from repro.sim.tracing import EventKind, EventTracer
 
 #: CTA tracks start here; tids 1..63 are reserved (1 = policy track).
@@ -209,10 +228,60 @@ def _emit_counters(builder: _TraceBuilder, timeline) -> None:
                     {n: series[n][index] for n in present})
 
 
-def write_perfetto(path: str, tracer: EventTracer, timeline=None,
-                   label: str = "") -> Dict:
-    """Render and write the trace; returns the payload for inspection."""
-    payload = perfetto_trace(tracer, timeline=timeline, label=label)
+# ----------------------------------------------------------------------
+_CAMPAIGN_PID = 1
+_ORCHESTRATOR_TID = 1
+_FIRST_WORKER_TID = 2
+
+
+def perfetto_from_events(events: Sequence[Dict]) -> Dict:
+    """Build the trace-event payload of a validated campaign event log."""
+    events = list(events)
+    starts = events_of(events, "campaign_start")
+    label = str(starts[0]["label"]) if starts else "campaign"
+    spans = spans_from_events(events)
+
+    builder = _TraceBuilder()
+    builder.name_process(_CAMPAIGN_PID, f"campaign: {label}")
+    builder.name_thread(_CAMPAIGN_PID, _ORCHESTRATOR_TID, "orchestrator")
+
+    workers = sorted({span["worker"] for span in spans
+                      if span.get("worker") is not None})
+    worker_tid = {worker: _FIRST_WORKER_TID + rank
+                  for rank, worker in enumerate(workers)}
+    for worker, tid in worker_tid.items():
+        builder.name_thread(_CAMPAIGN_PID, tid, f"worker {worker}")
+
+    t0 = min((float(span["t_start"]) for span in spans), default=0.0)
+
+    def to_us(seconds: float) -> int:
+        return int(round((seconds - t0) * 1e6))
+
+    for span in spans:
+        worker = span.get("worker")
+        tid = worker_tid.get(worker, _ORCHESTRATOR_TID)
+        args: Dict[str, object] = {"kind": span["kind"]}
+        if worker is not None:
+            args["worker"] = worker
+        builder.slice(_CAMPAIGN_PID, tid, str(span["name"]),
+                      to_us(float(span["t_start"])),
+                      max(1, int(round(float(span["dur_s"]) * 1e6))),
+                      args=args)
+
+    for stall in events_of(events, "stall"):
+        tid = worker_tid.get(stall["worker"], _ORCHESTRATOR_TID)
+        builder.instant(_CAMPAIGN_PID, tid, "stall",
+                        to_us(float(stall["t"])),
+                        args={"idle_s": stall["idle_s"]})
+
+    return {
+        "traceEvents": builder.events,
+        "displayTimeUnit": "ms",
+        "otherData": {"label": label, "spans": len(spans)},
+    }
+
+
+def write_perfetto(path: str, payload: Dict) -> None:
+    """Write a built trace payload as compact JSON."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, separators=(",", ":"))
-    return payload

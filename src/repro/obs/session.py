@@ -1,10 +1,11 @@
-"""The campaign observability session: spans + events + metrics + progress.
+"""The campaign observability session: spans + events + progress.
 
 One :class:`ObsSession` instruments one campaign.  It owns the
 :class:`~repro.obs.spans.SpanRecorder`, the JSONL
-:class:`~repro.obs.events.EventLog`, the
-:class:`~repro.obs.metrics.CampaignMetrics`, and the progress/stall
-trackers, and exposes the narrow hooks the orchestration tier calls:
+:class:`~repro.obs.events.EventLog` (the campaign's only ledger: its
+summary is :func:`~repro.obs.events.summarize_events` over the log), and
+the progress/stall trackers, and exposes the narrow hooks the
+orchestration tier calls:
 
 * ``ExperimentRunner`` wraps scheduling/pool/store phases in
   :meth:`phase` and serial runs in :meth:`run_scope`;
@@ -32,12 +33,11 @@ from typing import Callable, Dict, Iterator, Optional
 
 from repro.obs import clock
 from repro.obs.events import EventLog
-from repro.obs.metrics import CampaignMetrics
 from repro.obs.progress import POOL, ProgressTracker, StallDetector
-from repro.obs.spans import Span, SpanRecorder, phase_rows, reconcile_spans
+from repro.obs.spans import Span, SpanRecorder
 
-#: ``REPRO_OBS=1`` enables campaign observability in `run_all` (log +
-#: metrics); any of on/1/true/yes counts.
+#: ``REPRO_OBS=1`` makes `run_all` write its campaign event log; any of
+#: on/1/true/yes counts.
 OBS_ENV = "REPRO_OBS"
 #: Overrides the default event-log path (``<out>/obs.jsonl``).
 OBS_LOG_ENV = "REPRO_OBS_LOG"
@@ -91,21 +91,14 @@ class ObsSession:
         self._now = now if now is not None else clock.monotonic
         self.recorder = SpanRecorder(now=self._now)
         self.log = EventLog(log_path, now=self._now)
-        self.metrics = CampaignMetrics()
         self.stalls = StallDetector(min_threshold_s=stall_min_s)
         self.progress: Optional[ProgressTracker] = None
         self.progress_enabled = progress
         self.tick_s = tick_s
-        self.label = "campaign"
-        self.jobs = 1
-        self.total = 0
         self.completed = 0
         self._stream = stream
         self._campaign: Optional[Span] = None
         self._workers_seen: Dict[int, int] = {}
-        self._busy_s = 0.0
-        self._stall_events = 0
-        self._outstanding = 0
         self._finalized = False
 
     # ------------------------------------------------------------------
@@ -113,16 +106,13 @@ class ObsSession:
     # ------------------------------------------------------------------
     def campaign_begin(self, total: int, jobs: int = 1,
                        label: str = "campaign") -> Span:
-        self.label = label
-        self.total = total
-        self.jobs = max(1, jobs)
+        jobs = max(1, jobs)
         self._campaign = self.recorder.start(label, kind="campaign")
         self.recorder.push(self._campaign)
         self._emit_span_open(self._campaign)
-        self.log.emit("campaign_start", label=label, total=total,
-                      jobs=self.jobs)
+        self.log.emit("campaign_start", label=label, total=total, jobs=jobs)
         if self.progress_enabled:
-            self.progress = ProgressTracker(total, jobs=self.jobs)
+            self.progress = ProgressTracker(total, jobs=jobs)
         return self._campaign
 
     def campaign_end(self) -> None:
@@ -132,10 +122,6 @@ class ObsSession:
         self.recorder.pop(self._campaign)
         self.recorder.finish(self._campaign)
         self._emit_span_close(self._campaign)
-        self.metrics.worker_gauges(
-            jobs=self.jobs, workers_seen=len(self._workers_seen),
-            busy_s=self._busy_s, wall_s=self._campaign.duration,
-            stalls=self._stall_events)
         self.log.emit("campaign_end", completed=self.completed)
         if self.progress is not None:
             stream = self._stream if self._stream is not None \
@@ -191,7 +177,6 @@ class ObsSession:
             finally:
                 self.recorder.finish(span)
                 self._emit_span_close(span)
-                self.metrics.phase(name, span.duration)
 
     def open_request(self, request, worker: Optional[int] = None) -> Span:
         """Open a ``request`` span (pool dispatch side)."""
@@ -230,9 +215,7 @@ class ObsSession:
         t0 = self._now()
         result = cache._get(key)
         latency = self._now() - t0
-        hit = result is not None
-        self.metrics.cache_lookup(hit, latency)
-        self.log.emit("cache_lookup", key=key[:12], hit=hit,
+        self.log.emit("cache_lookup", key=key[:12], hit=result is not None,
                       latency_s=round(latency, 9))
         return result
 
@@ -240,18 +223,15 @@ class ObsSession:
         t0 = self._now()
         nbytes = cache._put(key, result)
         latency = self._now() - t0
-        self.metrics.cache_store(nbytes, latency)
         self.log.emit("cache_store", key=key[:12], bytes=nbytes,
                       latency_s=round(latency, 9))
 
     # ------------------------------------------------------------------
     # Pool callbacks (called by ``run_requests``)
     # ------------------------------------------------------------------
-    def pool_begin(self, jobs: int, outstanding: int) -> None:
-        self.jobs = max(self.jobs, jobs)
-        self._outstanding += outstanding
+    def pool_begin(self) -> None:
+        """The pool starts: its pseudo-worker's silence is timed from now."""
         self.stalls.beat(POOL, self._now())
-        self.metrics.queue_depth(self._outstanding)
 
     def pool_run_complete(self, index: int, request, span: Span,
                           report: Dict) -> None:
@@ -280,11 +260,8 @@ class ObsSession:
         else:
             self.recorder.finish(span)
         self._emit_span_close(span)
-        self._outstanding = max(0, self._outstanding - 1)
-        self.metrics.queue_depth(self._outstanding)
         self.stalls.beat(worker, now)
         self.stalls.beat(POOL, now)
-        self._busy_s += span.duration
         self._record_run(index, request, span.duration, worker=worker)
         self.log.emit("heartbeat", worker=worker, completed=self.completed)
 
@@ -292,7 +269,6 @@ class ObsSession:
         """Called while the pool is quiet: surface stalled workers."""
         now = self._now()
         for worker, idle in self.stalls.stalled(now):
-            self._stall_events += 1
             self.log.emit("stall", worker=worker, idle_s=round(idle, 6))
         self._render_progress()
 
@@ -301,7 +277,6 @@ class ObsSession:
                     worker: Optional[int]) -> None:
         self.completed += 1
         self.stalls.observe_duration(dur_s)
-        self.metrics.run_complete(dur_s, pooled=worker is not None)
         fields: Dict[str, object] = {
             "index": index, "abbrev": request.abbrev,
             "policy": request.policy, "dur_s": round(dur_s, 6),
@@ -323,35 +298,3 @@ class ObsSession:
         stream = self._stream if self._stream is not None else sys.stderr
         end = "\r" if getattr(stream, "isatty", lambda: False)() else "\n"
         print(f"[obs] {self.progress.render()}", file=stream, end=end)
-
-    # ------------------------------------------------------------------
-    def summary(self) -> Dict:
-        """JSON-ready in-process summary (the log-file twin lives in
-        ``repro.obs.cli.summarize_events``)."""
-        campaign = self._campaign
-        wall = campaign.duration if campaign is not None and campaign.closed \
-            else (self._now() - campaign.t_start
-                  if campaign is not None else 0.0)
-        rate = self.metrics.hit_rate()
-        return {
-            "campaign": {
-                "label": self.label,
-                "jobs": self.jobs,
-                "total": self.total,
-                "completed": self.completed,
-                "wall_s": round(wall, 6),
-            },
-            "cache_hit_rate": round(rate, 6) if rate is not None else None,
-            "metrics": self.metrics.snapshot(),
-            "phases": [
-                {"within": within, "phase": name, "wall_s": round(dur, 6)}
-                for within, name, dur in phase_rows(self.recorder.spans)
-            ],
-            "workers": {str(w): self._workers_seen[w]
-                        for w in sorted(self._workers_seen)},
-            "stall_events": self._stall_events,
-            "reconcile": {
-                "spans": reconcile_spans(self.recorder.spans),
-                "metrics": self.metrics.reconcile(),
-            },
-        }

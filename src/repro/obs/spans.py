@@ -20,7 +20,7 @@ collision-free.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
 from repro.obs import clock
 
@@ -215,24 +215,3 @@ def reconcile_spans(spans: Sequence[Span],
                 f"phase children of span {parent_id} ({parent.name}) sum to "
                 f"{total:.6f}s > parent {parent.duration:.6f}s")
     return problems
-
-
-def phase_rows(spans: Sequence[Span]) -> List[Tuple[str, str, float]]:
-    """(parent name, phase name, seconds) rows for closed phase spans.
-
-    Worker-side phases (whose parents are ``request`` spans) are omitted:
-    the campaign-level breakdown reports orchestration phases, not the
-    thousands of per-run repeats (those live in the metrics histograms).
-    """
-    by_id = {span.span_id: span for span in spans}
-    rows: List[Tuple[str, str, float]] = []
-    for span in spans:
-        if span.kind != "phase" or not span.closed:
-            continue
-        parent = by_id.get(span.parent_id) if span.parent_id is not None \
-            else None
-        if parent is not None and parent.kind == "request":
-            continue
-        rows.append((parent.name if parent is not None else "-",
-                     span.name, span.duration))
-    return rows

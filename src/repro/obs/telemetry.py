@@ -1,7 +1,7 @@
-"""One-call telemetry attachment and artifact assembly.
+"""One-call telemetry attachment and artifact assembly for one simulation.
 
 ``attach_telemetry(gpu)`` builds a :class:`TelemetrySession` and installs
-its :class:`~repro.telemetry.registry.MetricsRegistry` into every publisher
+its :class:`~repro.obs.registry.MetricsRegistry` into every publisher
 (SMs, warp schedulers, the memory hierarchy, and -- via duck typing -- any
 policy-owned ACRF/PCRF/RMU).  The GPU's main loop drives the session through
 ``on_advance``/``on_run_end``; everything else is passive.
@@ -12,49 +12,30 @@ everywhere, which is also the zero-overhead state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.telemetry.registry import MetricsRegistry
-from repro.telemetry.timeline import DEFAULT_MAX_SAMPLES, TimelineSampler
-
-#: Bump when the telemetry artifact layout changes.
-TELEMETRY_SCHEMA_VERSION = 1
+from repro.obs.registry import MetricsRegistry
+from repro.obs.schema import SCHEMA_VERSION
+from repro.obs.timeline import TimelineSampler
 
 #: Policy attributes the registry is duck-typed onto when present.
 _POLICY_PUBLISHERS = ("acrf", "pcrf", "rmu")
 
 
-@dataclass(frozen=True)
-class TelemetryConfig:
-    """What to collect.  Defaults are the full set at cycle resolution."""
-
-    metrics: bool = True
-    timeline: bool = True
-    timeline_interval: int = 1
-    max_samples: int = DEFAULT_MAX_SAMPLES
-
-
 class TelemetrySession:
     """All telemetry state of one simulation run."""
 
-    def __init__(self, gpu, config: Optional[TelemetryConfig] = None) -> None:
+    def __init__(self, gpu, interval: int) -> None:
         self.gpu = gpu
-        self.config = config if config is not None else TelemetryConfig()
-        self.registry = MetricsRegistry() if self.config.metrics else None
-        self.timeline = (
-            TimelineSampler(gpu, interval=self.config.timeline_interval,
-                            max_samples=self.config.max_samples)
-            if self.config.timeline else None
-        )
+        self.registry = MetricsRegistry()
+        self.timeline = TimelineSampler(gpu, interval=interval)
         self.end_cycle: Optional[int] = None
 
     # ------------------------------------------------------------------
     # GPU main-loop hooks
     # ------------------------------------------------------------------
     def on_advance(self, now: int, dt: int) -> None:
-        if self.timeline is not None:
-            self.timeline.on_advance(now, dt)
+        self.timeline.on_advance(now, dt)
 
     def on_run_end(self, now: int) -> None:
         self.end_cycle = now
@@ -63,12 +44,10 @@ class TelemetrySession:
     def as_payload(self) -> Dict:
         """JSON-ready artifact written next to the run's result."""
         return {
-            "schema": TELEMETRY_SCHEMA_VERSION,
+            "schema": SCHEMA_VERSION,
             "end_cycle": self.end_cycle,
-            "metrics": (self.registry.snapshot()
-                        if self.registry is not None else None),
-            "timeline": (self.timeline.as_payload()
-                         if self.timeline is not None else None),
+            "metrics": self.registry.snapshot(),
+            "timeline": self.timeline.as_payload(),
             "kernels": self._kernel_summary(),
         }
 
@@ -99,20 +78,19 @@ class TelemetrySession:
         return out
 
 
-def attach_telemetry(gpu, config: Optional[TelemetryConfig] = None
-                     ) -> TelemetrySession:
-    """Create a session and install its registry into every publisher."""
-    session = TelemetrySession(gpu, config)
+def attach_telemetry(gpu, interval: int = 1) -> TelemetrySession:
+    """Create a session sampling the timeline every ``interval`` cycles
+    and install its registry into every publisher."""
+    session = TelemetrySession(gpu, interval)
     gpu.telemetry = session
     registry = session.registry
-    if registry is not None:
-        gpu.hierarchy.telemetry = registry
-        for sm in gpu.sms:
-            sm.telemetry = registry
-            for scheduler in sm.schedulers:
-                scheduler.telemetry = registry
-            for attr in _POLICY_PUBLISHERS:
-                component = getattr(sm.policy, attr, None)
-                if component is not None:
-                    component.telemetry = registry
+    gpu.hierarchy.telemetry = registry
+    for sm in gpu.sms:
+        sm.telemetry = registry
+        for scheduler in sm.schedulers:
+            scheduler.telemetry = registry
+        for attr in _POLICY_PUBLISHERS:
+            component = getattr(sm.policy, attr, None)
+            if component is not None:
+                component.telemetry = registry
     return session

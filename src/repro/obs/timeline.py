@@ -22,32 +22,28 @@ Series per SM:
   counters move once per main-loop advance, not per tick).
 
 The artifact is columnar JSON: one shared ``cycles`` axis plus per-SM
-``series`` arrays, bounded by ``max_samples`` (``truncated`` flags the cut).
+``series`` arrays, bounded by :data:`MAX_SAMPLES` (``truncated`` flags the
+cut).
 """
 
 from __future__ import annotations
 
 from typing import Dict, List
 
-#: Bump when the timeline artifact layout changes.
-TIMELINE_SCHEMA_VERSION = 1
+from repro.obs.schema import SCHEMA_VERSION
 
-#: Default sample-count bound (keeps artifacts a few MB at worst).
-DEFAULT_MAX_SAMPLES = 200_000
+#: Sample-count bound (keeps artifacts a few MB at worst).
+MAX_SAMPLES = 200_000
 
 
 class TimelineSampler:
     """Columnar per-cycle series over one simulation run."""
 
-    def __init__(self, gpu, interval: int = 1,
-                 max_samples: int = DEFAULT_MAX_SAMPLES) -> None:
+    def __init__(self, gpu, interval: int) -> None:
         if interval <= 0:
             raise ValueError("sampling interval must be positive")
-        if max_samples <= 0:
-            raise ValueError("max_samples must be positive")
         self.gpu = gpu
         self.interval = interval
-        self.max_samples = max_samples
         self.truncated = False
         self.cycles: List[int] = []
         self._series: List[Dict[str, List[float]]] = [
@@ -61,7 +57,7 @@ class TimelineSampler:
         first = now + (-now) % interval
         end = now + dt
         for tick in range(first, end, interval):
-            if len(self.cycles) >= self.max_samples:
+            if len(self.cycles) >= MAX_SAMPLES:
                 self.truncated = True
                 return
             self._sample(tick)
@@ -99,7 +95,7 @@ class TimelineSampler:
     def as_payload(self) -> Dict:
         """The columnar JSON artifact."""
         return {
-            "schema": TIMELINE_SCHEMA_VERSION,
+            "schema": SCHEMA_VERSION,
             "interval": self.interval,
             "num_sms": len(self._series),
             "truncated": self.truncated,

@@ -97,7 +97,7 @@ class GPU:
         self.tracer = None  # set by sim.tracing.attach_tracer
         self.warp_tracer = None  # set by attach_tracer(level="warp")
         self.sanitizer = None  # set by validate.sanitizer.attach_sanitizer
-        self.telemetry = None  # set by telemetry.session.attach_telemetry
+        self.telemetry = None  # set by repro.obs.telemetry.attach_telemetry
         # Backend that actually drove the last run() ("dense", "reference"
         # or "compiled"); None before the first run.
         self.engine_used = None

@@ -49,7 +49,7 @@ class GTOScheduler:
         self.warps: List[WarpSim] = []
         self._current: Optional[WarpSim] = None
         self._sleep_until = 0
-        # MetricsRegistry installed by repro.telemetry (None = off).
+        # MetricsRegistry installed by repro.obs.telemetry (None = off).
         self.telemetry = None
         # Incremental issue buckets (derived from ``warps``; rebuilt lazily).
         self._ready: List[Tuple[int, WarpSim]] = []

@@ -101,7 +101,7 @@ class StreamingMultiprocessor:
             self._klvl_active = [0] * len(launches)
             self._klvl_warps = [0] * len(launches)
         # Telemetry surfaces.  ``telemetry`` is a MetricsRegistry installed
-        # by repro.telemetry; ``_wt`` caches the warp-level tracer so the
+        # by repro.obs.telemetry; ``_wt`` caches the warp-level tracer so the
         # warp-event emission sites pay one attribute test when disabled.
         self.telemetry = None
         self._wt = None

@@ -91,7 +91,7 @@ class TestCommands:
     def test_trace_writes_artifacts(self, capsys, tmp_path):
         import json
 
-        from repro.telemetry.schema import (
+        from repro.obs.schema import (
             check_timeline_payload,
             check_trace_payload,
         )

@@ -16,8 +16,8 @@ import pytest
 from repro.config import TINY, default_config
 from repro.experiments import fig12_concurrent_kernels
 from repro.experiments.runner import POLICIES
+from repro.obs.telemetry import attach_telemetry
 from repro.sim.gpu import GPU
-from repro.telemetry.session import attach_telemetry
 from repro.workloads.apps import APP_POOLS, AppPool, StreamSpec, build_app
 from repro.workloads.generator import build_workload
 from repro.workloads.suite import get_spec

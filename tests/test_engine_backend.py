@@ -171,7 +171,7 @@ def build_ineligible_gpu(reason: str) -> GPU:
         from repro.sim.tracing import attach_tracer
         attach_tracer(gpu, level="cta")
     elif reason == "telemetry":
-        from repro.telemetry.session import attach_telemetry
+        from repro.obs.telemetry import attach_telemetry
         attach_telemetry(gpu)
     elif reason == "address_model":
         gpu.address_model.__class__ = type("CustomAddressModel",

@@ -3,7 +3,8 @@
 The same six-request campaign runs with and without an attached
 ObsSession (and serially vs. pooled); the SimResults and the on-disk
 cache entries must be byte-identical, while the obs run additionally
-produces a schema-valid event log whose spans and metrics reconcile.
+produces a schema-valid event log whose spans reconcile and whose
+summary accounts for every lookup and run.
 """
 
 import json
@@ -12,8 +13,7 @@ from repro.config import TINY
 from repro.experiments.cache import ResultCache
 from repro.experiments.parallel import RunRequest
 from repro.experiments.runner import ExperimentRunner
-from repro.obs.cli import summarize_events
-from repro.obs.events import events_of, load_log
+from repro.obs.events import events_of, load_log, summarize_events
 from repro.obs.schema import check_obs_event
 from repro.obs.session import ObsSession
 from repro.obs.spans import reconcile_spans
@@ -91,14 +91,18 @@ class TestCampaignLog:
             assert check_obs_event(event) == []
         # Span tree: phase children sum within parents, requests exempt.
         assert reconcile_spans(session.recorder.spans) == []
-        # Metrics: hits + misses == lookups, pooled + serial == completed.
-        assert session.metrics.reconcile() == []
         # Every cold run stored; lookups cover the deduped requests.
         lookups = events_of(events, "cache_lookup")
         stores = events_of(events, "cache_store")
         assert len(lookups) == 5
         assert all(not e["hit"] for e in lookups)
         assert len(stores) == 5
+        # The summary accounts for every lookup, store and pooled run.
+        summary = summarize_events(events)
+        assert summary["cache"]["hits"] + summary["cache"]["misses"] == 5
+        assert summary["cache"]["stores"] == 5
+        assert summary["runs"]["completed"] == session.completed == 5
+        assert sum(summary["workers"]["runs_by_worker"].values()) == 5
 
     def test_summarize_shows_hit_rate_and_utilization(self, tmp_path):
         run_campaign(tmp_path, "sum", 3, True, log_name="obs.jsonl")
@@ -125,9 +129,10 @@ class TestCampaignLog:
         session.campaign_end()
 
         assert result_bytes(warm_results) == result_bytes(cold_results)
-        assert session.metrics.hit_rate() == 1.0
         assert session.completed == 0, "warm campaign simulates nothing"
-        assert session.summary()["cache_hit_rate"] == 1.0
+        summary = summarize_events(session.log.events)
+        assert summary["cache"]["hit_rate"] == 1.0
+        assert summary["cache"]["lookups"] == 5
         session.close()
 
     def test_serial_run_scope_instruments_single_runs(self, tmp_path):
@@ -145,19 +150,3 @@ class TestCampaignLog:
         assert "engine-run" in names
         assert reconcile_spans(session.recorder.spans) == []
         session.close()
-
-    def test_summary_matches_log_derived_summary(self, tmp_path):
-        """The in-process summary and the log-file summary agree on the
-        headline numbers (they are computed independently)."""
-        __, session, __ = run_campaign(tmp_path, "agree", 3, True,
-                                       log_name="obs.jsonl")
-        live = session.summary()
-        from_log = summarize_events(load_log(str(tmp_path / "obs.jsonl")))
-        assert live["campaign"]["completed"] == \
-            from_log["campaign"]["completed"]
-        assert live["cache_hit_rate"] == from_log["cache"]["hit_rate"]
-        assert live["stall_events"] == from_log["workers"]["stall_events"]
-        live_phases = {(p["phase"], p["wall_s"]) for p in live["phases"]}
-        log_phases = {(p["phase"], p["wall_s"])
-                      for p in from_log["phases"]}
-        assert live_phases == log_phases

@@ -9,6 +9,8 @@ from repro.experiments.cache import ResultCache
 from repro.experiments.parallel import RunRequest
 from repro.experiments.runner import ExperimentRunner
 from repro.obs.cli import run_obs
+from repro.obs.events import load_log, summarize_events
+from repro.obs.schema import check_trace_payload
 from repro.obs.session import ObsSession
 
 
@@ -81,7 +83,6 @@ class TestRunObs:
                        out=str(out_path)) == 0
         payload = json.loads(out_path.read_text())
         assert payload["traceEvents"], "trace must carry span events"
-        from repro.telemetry.schema import check_trace_payload
         assert check_trace_payload(payload) == []
         assert "ui.perfetto.dev" in capsys.readouterr().out
 
@@ -122,11 +123,19 @@ class TestCacheStatsCli:
         out = capsys.readouterr().out
         assert "entries" in out and "schema v" in out
 
-    def test_stats_json_with_log_counters(self, tmp_path, monkeypatch,
+    def test_stats_json_reports_inventory(self, tmp_path, monkeypatch,
                                           capsys):
         from repro.cli import main
         cache = self._seed_cache(tmp_path, monkeypatch)
-        # A warm lookup recorded through an obs log.
+        assert main(["cache", "stats", "--json"]) == 0
+        stats = json.loads(capsys.readouterr().out)
+        assert set(stats) == {"root", "enabled", "entries", "total_bytes",
+                              "schema_versions"}
+        assert stats["root"] == str(cache.root)
+        assert stats["entries"] == 1
+        assert stats["total_bytes"] > 0
+        assert list(stats["schema_versions"])
+        # Hit/miss traffic is the campaign log's to count, not the CLI's.
         log = tmp_path / "obs.jsonl"
         session = ObsSession(log_path=str(log))
         warm = ExperimentRunner(
@@ -134,14 +143,8 @@ class TestCacheStatsCli:
         warm.attach_obs(session)
         warm.run("KM", "baseline")
         session.close()
-        assert main(["cache", "stats", "--log", str(log),
-                     "--json"]) == 0
-        stats = json.loads(capsys.readouterr().out)
-        assert stats["entries"] == 1
-        assert stats["hits"] == 1 and stats["misses"] == 0
-        assert stats["counters_from"] == str(log)
-        assert stats["total_bytes"] > 0
-        assert list(stats["schema_versions"])
+        lookups = summarize_events(load_log(str(log)))["cache"]
+        assert (lookups["hits"], lookups["misses"]) == (1, 0)
 
     def test_obs_subcommand_wires_through_main(self, campaign_log,
                                                capsys):

@@ -17,8 +17,8 @@ from repro.experiments.cache import ResultCache
 from repro.experiments.parallel import (TELEMETRY_DIR_ENV, RunRequest,
                                         run_requests)
 from repro.experiments.runner import ExperimentRunner
-from repro.obs.cli import format_summary, run_obs, summarize_events
-from repro.obs.events import load_log
+from repro.obs.cli import format_summary, run_obs
+from repro.obs.events import load_log, summarize_events
 from repro.obs.schema import check_obs_event
 from repro.obs.session import ObsSession
 from repro.sim.backend import compiled_available

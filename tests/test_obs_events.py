@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.obs.events import (EventLog, ObsLogError, events_of, load_log)
-from repro.obs.schema import (EVENT_FIELDS, OBS_SCHEMA_VERSION,
+from repro.obs.schema import (EVENT_FIELDS, SCHEMA_VERSION,
                               check_obs_event, check_obs_log_text)
 
 #: One valid payload per event type -- doubles as living documentation of
@@ -33,7 +33,7 @@ VALID_EVENTS = {
 
 
 def make_event(ev, **overrides):
-    event = {"v": OBS_SCHEMA_VERSION, "t": 1.5, "ev": ev}
+    event = {"v": SCHEMA_VERSION, "t": 1.5, "ev": ev}
     event.update(VALID_EVENTS[ev])
     event.update(overrides)
     return event
@@ -59,7 +59,7 @@ class TestEventSchema:
         assert any("'t'" in p for p in check_obs_event(event))
 
     def test_unknown_event_type_rejected(self):
-        event = {"v": OBS_SCHEMA_VERSION, "t": 0.0, "ev": "frobnicate"}
+        event = {"v": SCHEMA_VERSION, "t": 0.0, "ev": "frobnicate"}
         assert any("unknown event type" in p
                    for p in check_obs_event(event))
 
@@ -110,7 +110,7 @@ class TestEventLog:
     def test_in_memory_log_needs_no_file(self):
         log = EventLog(now=lambda: 3.25)
         event = log.emit("worker_start", worker=7)
-        assert event == {"v": OBS_SCHEMA_VERSION, "t": 3.25,
+        assert event == {"v": SCHEMA_VERSION, "t": 3.25,
                          "ev": "worker_start", "worker": 7}
         assert log.events == [event]
         log.close()

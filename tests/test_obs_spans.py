@@ -1,11 +1,16 @@
-"""Tests for the campaign span tracer (repro.obs.spans) and the
-clock-confinement lint rules that keep wall-clock reads out of it."""
+"""Tests for the campaign span tracer (repro.obs.spans), the phase rows
+the campaign summary derives from its spans, and the clock-confinement
+lint rules that keep wall-clock reads out of the package."""
 
 import re
 from pathlib import Path
 
+from repro.experiments.parallel import RunRequest
+from repro.obs.events import summarize_events
+from repro.obs.schema import SCHEMA_VERSION
+from repro.obs.session import ObsSession
 from repro.obs.spans import (RECONCILE_SLACK_S, Span, SpanRecorder,
-                             phase_rows, reconcile_spans)
+                             reconcile_spans)
 
 
 class FakeClock:
@@ -180,28 +185,35 @@ class TestReconcileSpans:
 class TestPhaseRows:
     def test_rows_name_parent_and_skip_worker_phases(self):
         clock = FakeClock()
-        rec = SpanRecorder(now=clock)
-        with rec.span("campaign", "campaign"):
-            with rec.span("plan"):
-                clock.advance(1.0)
-            with rec.span("req:KM/baseline", "request"):
-                with rec.span("engine-run"):
-                    clock.advance(5.0)
-        rows = phase_rows(rec.spans)
-        assert ("campaign", "plan", 1.0) in rows
-        assert all(name != "engine-run" for __, name, __ in rows), \
+        session = ObsSession(now=clock)
+        session.campaign_begin(total=1, label="campaign")
+        with session.phase("plan"):
+            clock.advance(1.0)
+        with session.run_scope(RunRequest.make("KM", "baseline")):
+            with session.phase("engine-run"):
+                clock.advance(5.0)
+        rows = summarize_events(session.log.events)["phases"]
+        assert rows == [{"within": "campaign", "phase": "plan",
+                         "wall_s": 1.0}], \
             "request-parented worker phases stay out of the breakdown"
+        session.close()
 
     def test_unclosed_and_non_phase_spans_are_skipped(self):
-        rec = SpanRecorder(now=FakeClock())
-        rec.start("open-phase")
-        rec.start("req", "request")
-        assert phase_rows(rec.spans) == []
+        def event(ev, **fields):
+            return {"v": SCHEMA_VERSION, "t": 0.0, "ev": ev, **fields}
+
+        events = [
+            event("span_open", span=0, name="open-phase", kind="phase"),
+            event("span_open", span=1, name="req", kind="request"),
+            event("span_close", span=1, name="req", kind="request",
+                  t_start=0.0, dur_s=1.0),
+        ]
+        assert summarize_events(events)["phases"] == []
 
 
 class TestClockConfinement:
-    """The obs and telemetry packages read wall clocks only through
-    repro.obs.clock, and the determinism lint enforces that confinement."""
+    """The obs package reads wall clocks only through repro.obs.clock, and
+    the determinism lint enforces that confinement."""
 
     def test_shipped_clock_module_is_lint_clean_but_tags_are_real(self):
         from repro.analyze.lint import lint_file, lint_source
@@ -218,12 +230,9 @@ class TestClockConfinement:
     def test_no_other_obs_module_reads_the_clock_directly(self):
         from repro.analyze.lint import lint_file
         import repro.obs as obs_pkg
-        import repro.telemetry as telemetry_pkg
 
-        modules = [module
-                   for pkg in (obs_pkg, telemetry_pkg)
-                   for module in sorted(Path(pkg.__file__).parent
-                                        .glob("*.py"))]
+        modules = sorted(Path(obs_pkg.__file__).parent.glob("*.py"))
+        assert len(modules) > 1
         for module in modules:
             if module.name == "clock.py":
                 continue
@@ -254,8 +263,8 @@ class TestClockConfinement:
         for exempt in ("src/repro/obs/clock.py", "tools/calibrate.py"):
             assert lint_source(src, path=exempt) == [], exempt
         # Everywhere else a tagged read is flagged, including a second
-        # clock module beside the telemetry package.
-        findings = lint_source(src, path="src/repro/telemetry/selfprof.py")
+        # clock module inside the obs package.
+        findings = lint_source(src, path="src/repro/obs/selfprof.py")
         assert [f.tag for f in findings] == ["wall-clock-allowance"]
 
     def test_untagged_clock_read_still_fails_as_wall_clock(self):

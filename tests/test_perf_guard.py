@@ -65,8 +65,8 @@ def test_traced_run_overhead_within_budget():
     path against accidentally quadratic sampling or per-event allocation
     blowups.
     """
+    from repro.obs.telemetry import attach_telemetry
     from repro.sim.tracing import attach_tracer
-    from repro.telemetry.session import attach_telemetry
 
     runner = ExperimentRunner(scale=SMALL)
     instance = runner.workload("KM")

@@ -3,11 +3,13 @@
 import json
 
 from repro.config import TINY
-from repro.experiments.run_all import CAMPAIGN, run_campaign, write_report
+from repro.experiments.run_all import (CAMPAIGN, main, run_campaign,
+                                       write_report)
 from repro.experiments.runner import ExperimentRunner
+from repro.obs.events import load_log, summarize_events
+from repro.obs.rollup import render_rollup, rollup_results
 from repro.obs.session import ObsSession
-from repro.obs.spans import phase_rows
-from repro.telemetry.rollup import render_rollup, rollup_results
+from repro.obs.spans import reconcile_spans
 
 
 class TestCampaignDefinition:
@@ -33,7 +35,8 @@ class TestCampaignExecution:
         results = run_campaign(tiny_runner, modules=["fig03_cta_overhead"])
         assert len(results) == 1
         assert results[0].experiment == "fig03"
-        assert "_elapsed_s" in results[0].summary
+        assert not any(key.startswith("_") for key in results[0].summary), \
+            "host time stays out of the experiment summaries"
         report = tmp_path / "REPORT.md"
         write_report(results, report, "tiny")
         text = report.read_text()
@@ -46,8 +49,8 @@ class TestCampaignExecution:
         session = ObsSession()
         runner.attach_obs(session)
         results = run_campaign(runner, modules=["fig03_cta_overhead"])
-        phases = {name for __, name, __ in
-                  phase_rows(session.recorder.spans)}
+        phases = {row["phase"] for row in
+                  summarize_events(session.log.events)["phases"]}
         assert {"plan+prefetch", "render"} <= phases
         # Roll-up derives purely from the memoized SimResults (fig03 is
         # analytic, so simulate a pair of runs to have something to roll up).
@@ -64,33 +67,31 @@ class TestCampaignExecution:
         assert "stall p50" in text
         # ... so the BENCH payload round-trips through JSON.
         session.close()
-        payload = {"rollup": rollup, "obs": session.summary()}
+        payload = {"rollup": rollup,
+                   "obs": summarize_events(session.log.events)}
         assert json.loads(json.dumps(payload)) == payload
 
 
 class TestCampaignObservability:
     def test_observed_campaign_reports_phase_breakdown(self, tmp_path):
         """An obs-instrumented campaign produces reconciling spans and a
-        REPORT.md phase-breakdown section derived from them."""
-        from repro.config import TINY
-        from repro.experiments.runner import ExperimentRunner
-        from repro.obs.session import ObsSession
-        from repro.obs.spans import phase_rows, reconcile_spans
-
+        REPORT.md phase-breakdown section read from the log's summary --
+        while the campaign span is still open, as run_all writes it."""
         runner = ExperimentRunner(scale=TINY)
         session = ObsSession()
         runner.attach_obs(session)
         session.campaign_begin(total=0, jobs=2, label="run_all:tiny")
         results = run_campaign(runner, modules=["fig03_cta_overhead"])
-        session.campaign_end()
 
-        assert reconcile_spans(session.recorder.spans) == []
-        breakdown = phase_rows(session.recorder.spans)
-        names = {name for __, name, __ in breakdown}
-        assert {"plan+prefetch", "render", "render:fig03_cta_overhead"} \
-            <= names
+        breakdown = summarize_events(session.log.events)["phases"]
+        # Span start order, not span_close order: render closes after
+        # its render:<name> children.
+        assert [row["phase"] for row in breakdown] == \
+            ["plan+prefetch", "cache-lookup", "render",
+             "render:fig03_cta_overhead"]
         # render:fig03 nests under render, which nests under the campaign.
-        parents = {name: within for within, name, __ in breakdown}
+        parents = {row["phase"]: row["within"] for row in breakdown}
+        assert parents["cache-lookup"] == "plan+prefetch"
         assert parents["render:fig03_cta_overhead"] == "render"
         assert parents["render"] == "run_all:tiny"
 
@@ -100,6 +101,7 @@ class TestCampaignObservability:
         assert "## Campaign phase breakdown" in text
         assert "render:fig03_cta_overhead" in text
         session.close()
+        assert reconcile_spans(session.recorder.spans) == []
 
     def test_report_omits_breakdown_without_observability(self, tmp_path,
                                                           tiny_runner):
@@ -107,3 +109,20 @@ class TestCampaignObservability:
         report = tmp_path / "REPORT.md"
         write_report(results, report, "tiny")
         assert "## Campaign phase breakdown" not in report.read_text()
+
+
+class TestCampaignLedger:
+    def test_bench_obs_is_the_log_summary(self, tmp_path):
+        """BENCH_campaign.json's obs block is summarize_events of the
+        campaign's own event log: one ledger, one summary."""
+        out = tmp_path / "out"
+        log = tmp_path / "obs.jsonl"
+        assert main(["--scale", "tiny", "--only", "fig03_cta_overhead",
+                     "--out", str(out), "--obs-log", str(log)]) == 0
+        bench = json.loads((out / "BENCH_campaign.json").read_text())
+        summary = summarize_events(load_log(str(log)))
+        assert bench["obs"] == summary
+        assert summary["campaign"]["label"] == "run_all:tiny"
+        assert [row["phase"] for row in summary["phases"]][-1] == "report"
+        assert "## Campaign phase breakdown" in \
+            (out / "REPORT.md").read_text()

@@ -10,13 +10,14 @@ import pytest
 
 from repro.config import GPUConfig, TINY
 from repro.experiments.report import percentile
+from repro.obs import timeline as timeline_module
+from repro.obs.registry import RESERVOIR_CAP, MetricsRegistry
+from repro.obs.rollup import render_rollup, rollup_results
+from repro.obs.telemetry import attach_telemetry
 from repro.policies.baseline import BaselinePolicy
 from repro.policies.finereg import FineRegPolicy
 from repro.sim.gpu import GPU
 from repro.sim.tracing import attach_tracer
-from repro.telemetry.registry import RESERVOIR_CAP, MetricsRegistry
-from repro.telemetry.rollup import render_rollup, rollup_results
-from repro.telemetry.session import TelemetryConfig, attach_telemetry
 from repro.workloads.generator import build_workload
 from repro.workloads.suite import get_spec
 
@@ -35,8 +36,7 @@ def telemetry_run(app="KM", policy=FineRegPolicy, num_sms=1, interval=1,
     gpu = build_gpu(app, policy, num_sms)
     if traced:
         attach_tracer(gpu, level="warp")
-    session = attach_telemetry(
-        gpu, TelemetryConfig(timeline_interval=interval))
+    session = attach_telemetry(gpu, interval=interval)
     result = gpu.run(max_cycles=TINY.max_cycles)
     return gpu, session, result
 
@@ -130,14 +130,6 @@ class TestSessionWiring:
         assert set(payload) >= {"schema", "end_cycle", "metrics", "timeline"}
         json.dumps(payload)  # must be JSON-serializable
 
-    def test_metrics_can_be_disabled(self):
-        gpu = build_gpu()
-        session = attach_telemetry(
-            gpu, TelemetryConfig(metrics=False, timeline=True))
-        gpu.run(max_cycles=TINY.max_cycles)
-        assert session.registry is None
-        assert session.timeline is not None
-
 
 # ----------------------------------------------------------------------
 # Timeline sampling: reconciliation against SMStats integrals
@@ -188,10 +180,10 @@ class TestTimelineReconciliation:
         assert series["rf_depletion_cycles"][-1] == \
             sm.stats.rf_depletion_cycles
 
-    def test_max_samples_truncates_flagged(self):
+    def test_max_samples_truncates_flagged(self, monkeypatch):
+        monkeypatch.setattr(timeline_module, "MAX_SAMPLES", 16)
         gpu = build_gpu()
-        session = attach_telemetry(
-            gpu, TelemetryConfig(timeline_interval=1, max_samples=16))
+        session = attach_telemetry(gpu)
         gpu.run(max_cycles=TINY.max_cycles)
         assert session.timeline.truncated
         assert session.timeline.num_samples <= 16

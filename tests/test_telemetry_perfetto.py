@@ -7,21 +7,21 @@ import json
 import pytest
 
 from repro.config import GPUConfig, TINY
-from repro.policies.baseline import BaselinePolicy
-from repro.policies.finereg import FineRegPolicy
-from repro.sim.gpu import GPU
-from repro.sim.tracing import EventKind, EventTracer, attach_tracer
-from repro.telemetry.perfetto import (
+from repro.obs.perfetto import (
     MAX_COUNTER_POINTS,
     perfetto_trace,
     write_perfetto,
 )
-from repro.telemetry.schema import (
+from repro.obs.schema import (
     check_timeline_payload,
     check_trace_payload,
     switch_phase_durations,
 )
-from repro.telemetry.session import TelemetryConfig, attach_telemetry
+from repro.obs.telemetry import attach_telemetry
+from repro.policies.baseline import BaselinePolicy
+from repro.policies.finereg import FineRegPolicy
+from repro.sim.gpu import GPU
+from repro.sim.tracing import EventKind, EventTracer, attach_tracer
 from repro.workloads.generator import build_workload
 from repro.workloads.suite import get_spec
 
@@ -33,8 +33,7 @@ def traced_run(app="KM", policy=FineRegPolicy, with_timeline=True):
               instance.trace_provider, instance.address_model,
               liveness=instance.liveness)
     tracer = attach_tracer(gpu, level="warp")
-    session = attach_telemetry(gpu, TelemetryConfig(timeline_interval=1)) \
-        if with_timeline else None
+    session = attach_telemetry(gpu) if with_timeline else None
     result = gpu.run(max_cycles=TINY.max_cycles)
     timeline = session.timeline if session else None
     return tracer, timeline, result
@@ -107,7 +106,7 @@ class TestTraceStructure:
     def test_write_round_trips_through_json(self, km_trace, tmp_path):
         tracer, timeline, __, __ = km_trace
         path = tmp_path / "trace.json"
-        write_perfetto(str(path), tracer, timeline=timeline)
+        write_perfetto(str(path), perfetto_trace(tracer, timeline=timeline))
         loaded = json.loads(path.read_text())
         assert check_trace_payload(loaded) == []
 
