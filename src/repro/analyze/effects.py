@@ -3,7 +3,7 @@
 The compiled backend (``run_compiled``, the ``_ckernel`` C core) is only
 sound because hand-maintained gates route every instrumented or
 specialised run back to the reference engine: ``compiled_refusal``,
-``policy_inert`` / ``_INERT_POLICY_ATTRS`` and ``_BYPASSED_SM_ATTRS``.
+``policy_refusal`` / ``_INERT_POLICY_ATTRS`` and ``_BYPASSED_SM_ATTRS``.
 Nothing used to *verify* those lists — a new hook read on the reference
 path, or a new policy override outside the checked surface, silently
 diverged the C core instead of disabling it.
@@ -32,7 +32,7 @@ conditions — then closes them over the call graph and audits the gates:
   compiled driver never serves (the issue hook, the idle attribution
   inside ``accumulate``, ...), and every policy body the C source marks
   ``transcribes <PolicyClass>.<name>``.  Each derived name must be
-  checked by ``policy_inert`` (via ``_INERT_POLICY_ATTRS`` or its direct
+  checked by ``policy_refusal`` (via ``_INERT_POLICY_ATTRS`` or its direct
   attribute reads); stale or never-overridden entries are reported.  The
   markers are checked both ways against the bodies the gate admits (the
   base body of every checked name plus ``_CORE_POLICY_BODIES``): an
@@ -107,8 +107,8 @@ MODULE_FILES = {**SIM_MODULE_FILES, **POLICY_MODULE_FILES}
 CORE_C_FILE = "sim/_ckernel.c"
 _TRANSCRIBES = re.compile(r"transcribes\s+(\w+)\.(\w+)")
 #: The compiled driver's gate functions (refusal checks, not served ops).
-_GATE_FUNCTIONS = ("policy_refusal", "policy_inert", "compiled_refusal",
-                   "compiled_run_eligible", "core_bodies", "runs_core_body")
+_GATE_FUNCTIONS = ("policy_refusal", "compiled_refusal", "core_bodies",
+                   "runs_core_body")
 
 #: Receiver namespaces with a backing class.
 _NAMESPACE_CLASSES = {
@@ -750,7 +750,7 @@ def _audit_inert(index: _CodeIndex) -> List[Finding]:
         findings.append(_finding(
             "inert-gate-missing", HIGH,
             f"policy attribute {name!r} is part of the surface the "
-            f"C core runs itself ({origin}) but policy_inert does not "
+            f"C core runs itself ({origin}) but policy_refusal does not "
             f"check it; a subclass overriding {name!r} would be silently "
             f"ignored on the compiled core — add it to "
             f"_INERT_POLICY_ATTRS", comp_path, line))

@@ -88,7 +88,7 @@ def _dropped_compiled_entry() -> EffectsConfig:
 
 def _dropped_inert_entry() -> EffectsConfig:
     """``classify_idle`` removed from ``_INERT_POLICY_ATTRS``: a policy
-    overriding it would pass ``policy_inert`` while the C core keeps
+    overriding it would pass ``policy_refusal`` while the C core keeps
     attributing idle cycles with the base body."""
     config = default_effects_config()
     return replace(config, inert_policy_attrs=tuple(
@@ -99,8 +99,8 @@ def _dropped_inert_entry() -> EffectsConfig:
 def _unordered_dispatch_iteration() -> EffectsConfig:
     """Arbiter dispatch order routed through a set: iteration order then
     depends on PYTHONHASHSEED, so co-launched grids race."""
-    anchor = "        for launch in self.dispatch_order():\n"
-    broken = "        for launch in set(self.dispatch_order()):\n"
+    anchor = "        for launch in self._order:\n"
+    broken = "        for launch in set(self._order):\n"
     return _inject(default_effects_config(), "sim.launch", anchor, broken)
 
 

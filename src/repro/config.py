@@ -53,12 +53,6 @@ class GPUConfig:
     l2_hit_latency: int = 340          # incl. interconnect round trip
     dram_latency: int = 600            # incl. controller queueing
 
-    # Register-file banking (operand-collector conflicts). Off by default:
-    # the paper's evaluation does not model bank conflicts, but the knob
-    # lets sensitivity studies include them.
-    model_rf_banks: bool = False
-    rf_banks: int = 8
-
     # FineReg-specific structure sizes (paper IV/V).
     pcrf_bytes: int = 128 * KB          # half of the baseline RF by default
     max_resident_ctas: int = 128        # FineReg supports up to 128 CTAs

@@ -66,8 +66,9 @@ class PendingTracker:
         ready.remove(cta)
         return cta
 
-    def has_ready(self, now: int) -> bool:
-        """``bool(ready_ctas(now))`` without rebuilding the ready list.
+    def has_ready(self, now: int, launches=None) -> bool:
+        """``bool(ready_ctas(now))`` without rebuilding the ready list;
+        with ``launches``, whether a ready CTA of one of them exists.
 
         Every reader of ``_ready`` filters it first, so leaving entries
         that left PENDING for the next ``ready_ctas`` to drop changes no
@@ -78,7 +79,8 @@ class PendingTracker:
         if heap and heap[0][0] <= now:
             self.drain_ready(now)
         for cta in self._ready:
-            if cta.state is CTAState.PENDING:
+            if cta.state is CTAState.PENDING and (
+                    launches is None or cta.launch in launches):
                 return True
         return False
 
@@ -101,31 +103,24 @@ class RegisterFilePolicy:
     def __init__(self, sm: "StreamingMultiprocessor") -> None:
         self.sm = sm
         self.config = sm.config
-        self.kernel = sm.kernel
         self.rf_capacity_entries = sm.config.rf_warp_registers
         self.rf_used_entries = 0
-        self._cta_regs = self.kernel.warp_registers_per_cta
         # Set when the policy wanted to switch but storage was depleted;
         # consumed by classify_idle for Fig 14 attribution.
         self._blocked_on_rf = False
         self._next_idle_check = 0
 
     # ------------------------------------------------------------------
-    # Launching
+    # Launching.  Every check takes the launch whose CTA it is about: the
+    # SM's Table-I limits and register file are budgets shared by every
+    # resident grid, and a one-launch run is the one-element case.
     # ------------------------------------------------------------------
-    def can_launch(self) -> bool:
-        """May one more CTA start right now?"""
-        return (self.sm.scheduler_slots_free()
-                and self.sm.shmem_free(self.kernel.shmem_per_cta)
-                and self.register_space_for_launch())
+    def can_launch(self, launch) -> bool:
+        """May one more CTA of ``launch`` start right now?"""
+        return (self.sm.scheduler_slots_free(launch)
+                and self.sm.shmem_free(launch.shmem_per_cta)
+                and self.register_space_for(self._launch_regs(launch)))
 
-    def register_space_for_launch(self) -> bool:
-        return self.rf_used_entries + self._cta_regs <= self.rf_capacity_entries
-
-    # ------------------------------------------------------------------
-    # Concurrent-kernel support.  Single-kernel runs never call these
-    # (the arbiter is None), so the classic code paths are untouched.
-    # ------------------------------------------------------------------
     def _launch_regs(self, launch) -> int:
         """Register footprint of one CTA of ``launch`` under this policy."""
         return launch.cta_regs
@@ -133,47 +128,42 @@ class RegisterFilePolicy:
     def register_space_for(self, regs: int) -> bool:
         return self.rf_used_entries + regs <= self.rf_capacity_entries
 
-    def can_launch_for(self, launch) -> bool:
-        """Per-launch :meth:`can_launch` against the shared SM budgets."""
-        return (self.sm.scheduler_slots_free(launch)
-                and self.sm.shmem_free(launch.shmem_per_cta)
-                and self.register_space_for(self._launch_regs(launch)))
+    def _pop_lowest_ready(self, tracker: PendingTracker, now: int,
+                          fitting) -> Optional[CTASim]:
+        """Take the lowest-id ready CTA of ``tracker`` whose launch is in
+        ``fitting``, the launches whose next CTA fits (each asked once).
+
+        Callers skip the call when ``fitting`` is empty: a blocked check
+        then touches no tracker and costs one fit per launch.
+        """
+        ready = [cta for cta in tracker.ready_ctas(now)
+                 if cta.launch in fitting]
+        if not ready:
+            return None
+        return tracker.pop_ready(now, min(ready, key=lambda c: c.cta_id))
 
     def _pop_ready_swap(self, tracker: PendingTracker, outgoing: CTASim,
                         now: int) -> Optional[CTASim]:
         """A ready pending CTA that may legally replace ``outgoing``."""
-        if self.sm.gpu.arbiter is None:
-            if not self.sm.swap_slots_free(outgoing):
-                return None
-            return tracker.pop_ready(now)
-        ready = tracker.ready_ctas(now)
-        for cand in sorted(ready, key=lambda c: c.cta_id):
-            if self.sm.swap_slots_free(outgoing, cand.launch):
-                return tracker.pop_ready(now, cand)
-        return None
+        sm = self.sm
+        fitting = [launch for launch in sm.gpu.launches
+                   if sm.swap_slots_free(outgoing, launch)]
+        return self._pop_lowest_ready(tracker, now, fitting) \
+            if fitting else None
 
     def _pop_ready_fitting(self, tracker: PendingTracker, now: int
                            ) -> Optional[CTASim]:
         """A ready pending CTA whose footprint fits free scheduler slots."""
-        if self.sm.gpu.arbiter is None:
-            if not self.sm.scheduler_slots_free():
-                return None
-            return tracker.pop_ready(now)
-        ready = tracker.ready_ctas(now)
-        for cand in sorted(ready, key=lambda c: c.cta_id):
-            if self.sm.scheduler_slots_free(cand.launch):
-                return tracker.pop_ready(now, cand)
-        return None
+        sm = self.sm
+        fitting = [launch for launch in sm.gpu.launches
+                   if sm.scheduler_slots_free(launch)]
+        return self._pop_lowest_ready(tracker, now, fitting) \
+            if fitting else None
 
     def _new_cta_feasible(self) -> bool:
         """Could a brand-new CTA of *some* launch start (given registers
         and shared memory; scheduler slots are the caller's concern)?"""
-        arbiter = self.sm.gpu.arbiter
-        if arbiter is None:
-            return (self.sm.gpu.ctas_remaining > 0
-                    and self.register_space_for_launch()
-                    and self.sm.shmem_free(self.kernel.shmem_per_cta))
-        return arbiter.next_fitting(
+        return self.sm.gpu.arbiter.next_fitting(
             lambda l: (self.register_space_for(self._launch_regs(l))
                        and self.sm.shmem_free(l.shmem_per_cta))) is not None
 
@@ -181,22 +171,11 @@ class RegisterFilePolicy:
         """Launch CTAs until a limit binds; returns how many started."""
         launched = 0
         arbiter = self.sm.gpu.arbiter
-        if arbiter is None:
-            while self.can_launch():
-                cta = self.sm.launch_new_cta(now)
-                if cta is None:
-                    break
-                self.rf_used_entries += self._cta_regs
-                self.note_launched(cta, now)
-                launched += 1
-            return launched
         while True:
-            launch = arbiter.next_fitting(self.can_launch_for)
+            launch = arbiter.next_fitting(self.can_launch)
             if launch is None:
                 break
             cta = self.sm.launch_new_cta(now, launch)
-            if cta is None:
-                break
             self.rf_used_entries += self._launch_regs(launch)
             self.note_launched(cta, now)
             arbiter.note_dispatched(launch)

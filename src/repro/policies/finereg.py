@@ -72,9 +72,8 @@ class FineRegPolicy(RegisterFilePolicy):
             )
             for launch in sm.gpu.launches)
         self._resident_cap = min(config.max_resident_ctas, 3 * active_cap)
-        # Declared warps of launched-but-unretired CTAs.  With one kernel
-        # this is resident_ctas * warps_per_cta; with concurrent kernels
-        # the per-launch footprints differ, so it is tracked directly.
+        # Declared warps of launched-but-unretired CTAs (the launches'
+        # per-CTA footprints may differ, so the sum is tracked directly).
         self._decl_warps = 0
         #: New-CTA launches pause while the DRAM backlog exceeds this.
         self.bus_backlog_threshold = config.dram_latency
@@ -82,28 +81,16 @@ class FineRegPolicy(RegisterFilePolicy):
     # ------------------------------------------------------------------
     # Launching: bounded by ACRF + scheduler slots + residency caps.
     # ------------------------------------------------------------------
-    def can_launch(self) -> bool:
-        return (self.sm.scheduler_slots_free()
-                and self.sm.shmem_free(self.kernel.shmem_per_cta)
-                and self.acrf.can_allocate(self._cta_regs)
-                and self._residency_headroom())
-
-    def register_space_for_launch(self) -> bool:
-        return self.acrf.can_allocate(self._cta_regs)
+    def can_launch(self, launch) -> bool:
+        return (self.sm.scheduler_slots_free(launch)
+                and self.sm.shmem_free(launch.shmem_per_cta)
+                and self.acrf.can_allocate(self._launch_regs(launch))
+                and self._residency_headroom(launch))
 
     def register_space_for(self, regs: int) -> bool:
         return self.acrf.can_allocate(regs)
 
-    def can_launch_for(self, launch) -> bool:
-        return (self.sm.scheduler_slots_free(launch)
-                and self.sm.shmem_free(launch.shmem_per_cta)
-                and self.acrf.can_allocate(self._launch_regs(launch))
-                and self._residency_headroom_for(launch))
-
-    def _residency_headroom(self) -> bool:
-        return self._residency_headroom_for(self.sm.gpu.launches[0])
-
-    def _residency_headroom_for(self, launch) -> bool:
+    def _residency_headroom(self, launch) -> bool:
         resident = self.sm.resident_ctas
         return (resident < self._resident_cap
                 and self._decl_warps + launch.warps_per_cta
@@ -131,23 +118,16 @@ class FineRegPolicy(RegisterFilePolicy):
         warp_pcs = self._stalled_warp_pcs(cta)
         if not warp_pcs:
             return False
-        candidate = self._peek_ready(now)
+        sm = self.sm
+        candidate = self._peek_ready(now, sm.gpu.launches)
         # Launch brand-new CTAs only while the off-chip bus has headroom:
         # on a saturated channel extra residents add compulsory traffic and
         # queueing delay without any latency left to hide.
-        bus_ok = self.sm.gpu.hierarchy.dram.backlog(now) \
-            < self.bus_backlog_threshold
-        arbiter = self.sm.gpu.arbiter
-        if arbiter is None:
-            can_host_new = (bus_ok
-                            and self.sm.gpu.ctas_remaining > 0
-                            and self._residency_headroom()
-                            and self.sm.shmem_free(self.kernel.shmem_per_cta))
-        else:
-            can_host_new = bus_ok and arbiter.next_fitting(
-                lambda l: (self._residency_headroom_for(l)
-                           and self.sm.shmem_free(l.shmem_per_cta))
-            ) is not None
+        can_host_new = (
+            sm.gpu.hierarchy.dram.backlog(now) < self.bus_backlog_threshold
+            and sm.gpu.arbiter.next_fitting(
+                lambda l: (self._residency_headroom(l)
+                           and sm.shmem_free(l.shmem_per_cta))) is not None)
         if candidate is None and not can_host_new:
             return False  # parking buys nothing; wake up in place
 
@@ -162,14 +142,13 @@ class FineRegPolicy(RegisterFilePolicy):
             self._set_rf_blocked(False, now, cta.cta_id)
             return True
 
-        # Mixed-kernel swaps must also fit: the incoming CTA's scheduler
-        # footprint and ACRF allocation may exceed what the outgoing one
-        # frees (both trivially hold in a single-kernel run).
-        fits_swap = candidate is not None and (
-            arbiter is None
-            or (self.sm.swap_slots_free(cta, candidate.launch)
-                and self.acrf.free + self._launch_regs(cta.launch)
-                >= self._launch_regs(candidate.launch)))
+        # The swap must fit: a partially-retired outgoing CTA frees fewer
+        # scheduler slots than a full incoming one takes, and a CTA of
+        # another launch may need more ACRF than the outgoing one frees.
+        fits_swap = (candidate is not None
+                     and sm.swap_slots_free(cta, candidate.launch)
+                     and self.acrf.free + self._launch_regs(cta.launch)
+                     >= self._launch_regs(candidate.launch))
         if fits_swap and self.rmu.can_spill(live_count, candidate.cta_id):
             # PCRF full, but the swap-out credit covers us (paper V-E):
             # restore the candidate's chain out while the stalled CTA's
@@ -236,22 +215,17 @@ class FineRegPolicy(RegisterFilePolicy):
             tracer.record(now, self.sm.sm_id, EventKind.PCRF_FILL,
                           cta.cta_id, dur=latency, value=restored)
 
-    def _peek_ready(self, now: int) -> Optional[CTASim]:
-        """The pending CTA the status monitor would pick, without removal."""
-        ready = self.pending.ready_ctas(now)
-        if not ready:
+    def _peek_ready(self, now: int, launches) -> Optional[CTASim]:
+        """The pending CTA the status monitor would pick among the ready
+        CTAs of ``launches``, without removal."""
+        by_id = {cta.cta_id: cta for cta in self.pending.ready_ctas(now)
+                 if cta.launch in launches}
+        if not by_id:
             return None
-        by_id = {cta.cta_id: cta for cta in ready}
         choice = self.monitor.select_switch_candidate(by_id)
         if choice is None:
             choice = min(by_id)
         return by_id[choice]
-
-    def _select_ready(self, now: int) -> Optional[CTASim]:
-        cta = self._peek_ready(now)
-        if cta is None:
-            return None
-        return self.pending.pop_ready(now, cta)
 
     def _stalled_warp_pcs(self, cta: CTASim) -> List[Tuple[int, int]]:
         """(warp_id, stalled PC) for each unfinished warp of the CTA."""
@@ -280,37 +254,31 @@ class FineRegPolicy(RegisterFilePolicy):
             self._restore_ready(now)
 
     def _restore_ready(self, now: int) -> None:
-        if self.sm.gpu.arbiter is None:
-            while (self.sm.scheduler_slots_free()
-                   and self.acrf.can_allocate(self._cta_regs)):
-                candidate = self._select_ready(now)
-                if candidate is None:
-                    break
-                self._restore(candidate, now)
-                self._set_rf_blocked(False, now, candidate.cta_id)
-            if (self.pending.has_ready(now) and self.sm.scheduler_slots_free()
-                    and not self.acrf.can_allocate(self._cta_regs)):
-                # A ready CTA is waiting on ACRF space (adaptive signal).
-                self.blocked_restores += 1
-            return
-        # Concurrent kernels: fitness is per-candidate, so the monitor's
-        # pick is overridden by the first (lowest-id) CTA that fits.
+        """Restore the status monitor's picks while the ACRF and scheduler
+        slots have room for them.
+
+        Whether a launch's CTA fits is asked once per launch and round:
+        launches with free slots split into those the ACRF can host
+        (``fitting``) and those it cannot (``blocked``), and only ready
+        CTAs of a fitting launch are candidates.
+        """
+        sm = self.sm
         while True:
-            candidate = None
-            for cand in sorted(self.pending.ready_ctas(now),
-                               key=lambda c: c.cta_id):
-                if (self.sm.scheduler_slots_free(cand.launch)
-                        and self.acrf.can_allocate(
-                            self._launch_regs(cand.launch))):
-                    candidate = self.pending.pop_ready(now, cand)
-                    break
+            fitting, blocked = [], []
+            for launch in sm.gpu.launches:
+                if sm.scheduler_slots_free(launch):
+                    if self.acrf.can_allocate(self._launch_regs(launch)):
+                        fitting.append(launch)
+                    else:
+                        blocked.append(launch)
+            candidate = self._peek_ready(now, fitting) if fitting else None
             if candidate is None:
                 break
-            self._restore(candidate, now)
+            self._restore(self.pending.pop_ready(now, candidate), now)
             self._set_rf_blocked(False, now, candidate.cta_id)
-        if any(self.sm.scheduler_slots_free(c.launch)
-               and not self.acrf.can_allocate(self._launch_regs(c.launch))
-               for c in self.pending.ready_ctas(now)):
+        # Asked even when nothing is blocked: has_ready drains the
+        # readiness heap, whose top next_event reports to the idle jump.
+        if self.pending.has_ready(now, blocked):
             # A ready CTA is waiting on ACRF space (adaptive signal).
             self.blocked_restores += 1
 

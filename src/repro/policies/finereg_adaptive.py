@@ -48,15 +48,10 @@ class AdaptiveFineRegPolicy(FineRegPolicy):
     # ------------------------------------------------------------------
     # Pressure signals
     # ------------------------------------------------------------------
-    def can_launch(self) -> bool:
-        ok = super().can_launch()
-        if not ok and self.sm.scheduler_slots_free() \
-                and not self.acrf.can_allocate(self._cta_regs):
-            self._epoch_acrf_blocked += 1
-        return ok
-
-    def can_launch_for(self, launch) -> bool:
-        ok = super().can_launch_for(launch)
+    def can_launch(self, launch) -> bool:
+        # Counts every ACRF refusal, the grid's state aside: the dispatch
+        # arbiter asks before it looks at the grid.
+        ok = super().can_launch(launch)
         if not ok and self.sm.scheduler_slots_free(launch) \
                 and not self.acrf.can_allocate(self._launch_regs(launch)):
             self._epoch_acrf_blocked += 1

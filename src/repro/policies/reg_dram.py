@@ -18,7 +18,7 @@ from typing import Optional
 
 from repro.policies.base import PendingTracker
 from repro.policies.virtual_thread import VirtualThreadPolicy
-from repro.sim.cta import CTASim, CTAState
+from repro.sim.cta import CTASim
 
 #: Default cap on CTAs parked in DRAM (per SM).
 DEFAULT_DRAM_PENDING_LIMIT = 8
@@ -35,8 +35,8 @@ class RegDRAMPolicy(VirtualThreadPolicy):
         self.dram_pending_limit = dram_pending_limit
         self.dram_pending = PendingTracker()
         self._dram_count = 0
-        # Register entries of DRAM-parked CTAs (equals _dram_count *
-        # _cta_regs single-kernel; tracked directly for mixed footprints).
+        # Register entries of DRAM-parked CTAs (their launches' footprints
+        # may differ, so the sum is tracked directly).
         self._dram_regs = 0
         self.context_spills = 0
         self.context_restores = 0
@@ -114,44 +114,38 @@ class RegDRAMPolicy(VirtualThreadPolicy):
         self._dram_count += 1  # net zero with the spill above
         regs = self._launch_regs(stalled.launch)
         self._dram_regs += regs
-        self.rf_used_entries -= regs  # net zero with restore (single-kernel)
+        self.rf_used_entries -= regs
         self.sm.activate_cta(incoming, now, restore_done - now)
 
     def _pop_dram_swap(self, outgoing: CTASim, now: int) -> Optional[CTASim]:
         """A ready DRAM-parked CTA that may replace ``outgoing``.
 
         Unlike an on-chip swap (register delta zero by construction), a
-        DRAM swap exchanges the two footprints in the RF, so with mixed
-        kernels the incoming allocation must fit what the outgoing one
-        frees plus the current headroom.
+        DRAM swap exchanges the two footprints in the RF, so the incoming
+        allocation must fit what the outgoing one frees plus the current
+        headroom (always true when both CTAs belong to one launch).
         """
-        if self.sm.gpu.arbiter is None:
-            if not self.sm.swap_slots_free(outgoing):
-                return None
-            return self.dram_pending.pop_ready(now)
+        sm = self.sm
         headroom = self.rf_capacity_entries - self.rf_used_entries \
             + self._launch_regs(outgoing.launch)
-        ready = self.dram_pending.ready_ctas(now)
-        for cand in sorted(ready, key=lambda c: c.cta_id):
-            if self.sm.swap_slots_free(outgoing, cand.launch) \
-                    and self._launch_regs(cand.launch) <= headroom:
-                return self.dram_pending.pop_ready(now, cand)
-        return None
+        fitting = [launch for launch in sm.gpu.launches
+                   if sm.swap_slots_free(outgoing, launch)
+                   and self._launch_regs(launch) <= headroom]
+        return self._pop_lowest_ready(self.dram_pending, now, fitting) \
+            if fitting else None
 
     def _pop_dram_fitting(self, now: int) -> Optional[CTASim]:
-        """A ready DRAM-parked CTA whose slots AND registers both fit."""
-        if self.sm.gpu.arbiter is None:
-            if not (self.sm.scheduler_slots_free()
-                    and self.register_space_for_launch()):
-                return None
-            return self.dram_pending.pop_ready(now)
-        ready = self.dram_pending.ready_ctas(now)
-        for cand in sorted(ready, key=lambda c: c.cta_id):
-            if self.sm.scheduler_slots_free(cand.launch) \
-                    and self.register_space_for(
-                        self._launch_regs(cand.launch)):
-                return self.dram_pending.pop_ready(now, cand)
-        return None
+        """A ready DRAM-parked CTA whose registers AND slots both fit.
+
+        Registers are asked first: a parked CTA waiting here is almost
+        always waiting for register space.
+        """
+        sm = self.sm
+        fitting = [launch for launch in sm.gpu.launches
+                   if self.register_space_for(self._launch_regs(launch))
+                   and sm.scheduler_slots_free(launch)]
+        return self._pop_lowest_ready(self.dram_pending, now, fitting) \
+            if fitting else None
 
     # ------------------------------------------------------------------
     def on_cta_finished(self, cta: CTASim, now: int) -> None:

@@ -64,8 +64,6 @@ class RegMutexPolicy(VirtualThreadPolicy):
         self._brs_by_index = tuple(
             max(1, math.ceil(l.regs_per_thread * brs_ratio))
             for l in launches)
-        self.brs_regs = self._brs_by_index[0]
-        self._cta_regs = self.kernel.warps_per_cta * self.brs_regs
         self.rf_capacity_entries = self.brs_capacity
         self.srp_free = self.srp_capacity
         self._leases: Dict[int, int] = {}   # global_warp_id -> held registers

@@ -11,7 +11,7 @@ no register data moves.
 from __future__ import annotations
 
 from repro.policies.base import PendingTracker, RegisterFilePolicy
-from repro.sim.cta import CTASim, CTAState
+from repro.sim.cta import CTASim
 
 #: Pipeline-context save/restore latency via shared memory (cycles).
 VT_SWITCH_LATENCY = 36
@@ -26,14 +26,6 @@ class VirtualThreadPolicy(RegisterFilePolicy):
         super().__init__(sm)
         self.pending = PendingTracker()
         self.switch_latency = VT_SWITCH_LATENCY
-
-    # ------------------------------------------------------------------
-    # Launching: registers bound residency, scheduler slots bound activity.
-    # ------------------------------------------------------------------
-    def can_launch(self) -> bool:
-        return (self.sm.scheduler_slots_free()
-                and self.sm.shmem_free(self.kernel.shmem_per_cta)
-                and self.register_space_for_launch())
 
     # ------------------------------------------------------------------
     def _act_on_idle(self, now: int, stalled) -> bool:
@@ -86,10 +78,6 @@ class VirtualThreadPolicy(RegisterFilePolicy):
         return self.pending.next_ready_time()
 
     # ------------------------------------------------------------------
-    def worth_parking(self, cta: CTASim, now: int) -> bool:
-        """Park only for stalls long enough to amortize the switch."""
-        return cta.earliest_resume(now) - now >= self.config.min_park_cycles
-
     def _park(self, cta: CTASim, now: int) -> None:
         """Deactivate a stalled CTA and track its exact wake-up time."""
         self.sm.deactivate_cta(cta, now, self.switch_latency)

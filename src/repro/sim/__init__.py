@@ -6,7 +6,7 @@ from repro.sim.warp import WarpSim, WarpState
 from repro.sim.cta import CTASim, CTAState
 from repro.sim.scheduler import GTOScheduler
 from repro.sim.sm import StreamingMultiprocessor
-from repro.sim.gpu import GPU, run_kernel
+from repro.sim.gpu import GPU
 
 __all__ = [
     "CTASim",
@@ -18,5 +18,4 @@ __all__ = [
     "StreamingMultiprocessor",
     "WarpSim",
     "WarpState",
-    "run_kernel",
 ]

@@ -70,11 +70,11 @@
  *                 issues, which advances pos, so a matching position means
  *                 the memo is still exact.
  *   counters      the core counts no issued instructions, RF reads and
- *                 writes, bank conflicts or shared-memory accesses:
- *                 run_compiled sets sm._defer_stats, so the EXIT op's
- *                 _finish_warp credits the warp's whole trace from
- *                 sm._packed_vec and _finish_run the issued prefix of any
- *                 warp a timeout leaves unfinished.  The totals are exact
+ *                 writes or shared-memory accesses: run_compiled sets
+ *                 sm._defer_stats, so the EXIT op's _finish_warp credits
+ *                 the warp's whole trace from sm._packed_vec and
+ *                 _finish_run the issued prefix of any warp a timeout
+ *                 leaves unfinished.  The totals are exact
  *                 because every trace entry issues exactly once.
  *   no peek       after an issue, _try_issue peeks the next instruction's
  *                 operands and, for a stall shorter than the CTA-switch

@@ -49,7 +49,7 @@ skipped calls are provably exact:
   ``RegMutexPolicy.on_issue``, the per-instruction SRP lease, which the
   core runs where ``_try_issue`` calls it.
 
-The surfaces of the last two points are what ``policy_inert`` checks
+The surfaces of the last two points are what ``policy_refusal`` checks
 (``_INERT_POLICY_ATTRS``): the policy surface the core runs itself, each
 attribute pinned to the base body or to a body in ``_CORE_POLICY_BODIES``.
 
@@ -83,7 +83,7 @@ Eligibility is run-level (``compiled_refusal``): no tracer, sanitizer or
 telemetry surface, a single launch, the stock memory hierarchy with no
 instance-level override (``hierarchy_refusal``), the stock address model,
 and on every SM no Fig 5 usage sampling, GTO schedulers, an issue hook
-only where the core runs it, a policy that passes ``policy_inert``, and
+only where the core runs it, a policy ``policy_refusal`` admits, and
 no instance-level override on the SM or stats surface the core inlines.
 Each check names its own refusal reason.  A refused run takes the
 reference event engine, and ``gpu.engine_refusal`` names the first check
@@ -241,19 +241,14 @@ def hierarchy_refusal(hierarchy) -> Optional[str]:
     return None
 
 
-def policy_inert(policy) -> bool:
-    """True when the surface the C core runs itself is the base policy's."""
-    return policy_refusal(policy) is None
-
-
 def compiled_refusal(gpu) -> Optional[str]:
     """The first check that refuses the whole run on the C core, or None.
 
     The sanitizer, telemetry and the tracers observe per-cycle, per-warp
-    or per-step events the core does not emit, concurrent kernels need
-    the dispatch arbiter, and the core transcribes only the stock address
-    model, GTO's scan and the issue hooks it runs itself; each routes the
-    run to the reference event engine -- never an error.
+    or per-step events the core does not emit, the core lowers one
+    launch's metadata, and it transcribes only the stock address model,
+    GTO's scan and the issue hooks it runs itself; each routes the run
+    to the reference event engine -- never an error.
     """
     # Imported here: repro.workloads imports repro.analyze, whose effects
     # auditor imports this module's gate tuples.
@@ -299,11 +294,6 @@ def compiled_refusal(gpu) -> Optional[str]:
         if instance_overrides(sm.stats, _BYPASSED_STATS_ATTRS):
             return "stats-override:accumulate"
     return None
-
-
-def compiled_run_eligible(gpu) -> bool:
-    """True when the whole run can execute on the C core."""
-    return compiled_refusal(gpu) is None
 
 
 def run_compiled(gpu, max_cycles):
@@ -413,20 +403,20 @@ class _Run:
         """``sm._meta`` in the core's encoding, one ``(nsrc, dest or -1,
         address pattern id or -1, collapsed kind, fixed latency, srcs)``
         per static instruction.  The fixed latency is the one
-        ``_try_issue`` charges: the ALU latency plus the bank penalty, the
-        SFU latency or the shared-memory latency.  ``_meta`` is identical
+        ``_try_issue`` charges: the ALU, SFU or shared-memory latency.
+        ``_meta`` is identical
         across SMs for a single-launch run (the only kind admitted), so
         SM 0's table is lowered once."""
         latency = {_K_ALU: sm._alu_lat, _K_SFU: sm._sfu_lat,
                    _K_LDS: sm._shmem_lat}
         table = []
-        for srcs, dest, kind, penalty, __, instr, nsrc in sm._meta:
+        for srcs, dest, kind, __, instr, nsrc in sm._meta:
             pattern = -1
             if kind == _K_LDG or kind == _K_STG:
                 pattern = _CORE_PATTERNS.get(instr.pattern, 2)
-            fixed = latency.get(kind, 0) + (penalty if kind == _K_ALU else 0)
             table.append((nsrc, -1 if dest is None else dest, pattern,
-                          _CORE_KINDS[kind], fixed, tuple(srcs)))
+                          _CORE_KINDS[kind], latency.get(kind, 0),
+                          tuple(srcs)))
         return table
 
     def _lower_new(self, sm) -> None:

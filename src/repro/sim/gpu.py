@@ -24,11 +24,10 @@ from __future__ import annotations
 
 import gc
 import os
-from collections import deque
 from typing import Callable, Dict, List, Optional
 
 from repro.config import GPUConfig
-from repro.core.liveness import LivenessAnalysis, LivenessTable
+from repro.core.liveness import LivenessTable
 from repro.isa.kernel import Kernel
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.sim.backend import requested_engine, select_backend
@@ -46,11 +45,13 @@ PolicyFactory = Callable[[StreamingMultiprocessor], "object"]
 class GPU:
     """A simulated GPU executing one or more co-resident kernel launches.
 
-    The classic single-kernel construction is unchanged.  Concurrent runs
-    pass ``launches`` (a sequence of :class:`~repro.sim.launch.LaunchSpec`)
-    — usually via :meth:`GPU.concurrent` — and CTA dispatch then goes
-    through a :class:`~repro.sim.launch.DispatchArbiter` with Table-I
-    limits enforced as per-SM *shared* budgets across the resident grids.
+    ``GPU(config, kernel, policy_factory, trace_provider, address_model)``
+    is a one-launch run: the kernel arguments become one
+    :class:`~repro.sim.launch.LaunchSpec`.  Concurrent runs pass
+    ``launches`` (a sequence of specs), usually via :meth:`GPU.concurrent`.
+    Either way CTA dispatch goes through a
+    :class:`~repro.sim.launch.DispatchArbiter`, with the Table-I limits
+    enforced as per-SM budgets shared by the resident grids.
     """
 
     def __init__(self, config: GPUConfig, kernel: Optional[Kernel] = None,
@@ -61,38 +62,25 @@ class GPU:
                  launches=None, arbitration: str = "priority") -> None:
         if policy_factory is None:
             raise TypeError("policy_factory is required")
-        self.config = config
-        if launches is not None:
-            specs = list(launches)
-            built = build_launches(specs)
-            self.launches = built
-            self.kernel = built[0].kernel
-            self.trace_provider = built[0].trace_provider
-            self.address_model = (address_model if address_model is not None
-                                  else shared_address_model(specs))
-            self.liveness = combined_liveness(built)
-            if len(built) > 1:
-                self.arbiter = DispatchArbiter(built, arbitration)
-                self._grid = GridView(built)
-            else:
-                self.arbiter = None
-                self._grid = built[0].grid
-        else:
+        if launches is None:
             if kernel is None or trace_provider is None \
                     or address_model is None:
                 raise TypeError("kernel, trace_provider and address_model "
                                 "are required without launches")
-            self.kernel = kernel
-            self.trace_provider = trace_provider
-            self.address_model = address_model
-            self.liveness = liveness if liveness is not None else \
-                LivenessAnalysis(kernel.cfg).run(kernel.regs_per_thread)
-            self._grid = deque(range(kernel.geometry.grid_ctas))
-            # The single launch's queue IS the GPU grid deque, so the
-            # single-kernel dispatch path is byte-for-byte unchanged.
-            self.launches = [KernelLaunch(0, kernel, trace_provider,
-                                          self.liveness, grid=self._grid)]
-            self.arbiter = None
+            launches = [LaunchSpec(kernel, trace_provider, address_model,
+                                   liveness)]
+        self.config = config
+        specs = list(launches)
+        self.launches = build_launches(specs)
+        self.kernel = self.launches[0].kernel
+        self.address_model = (address_model if address_model is not None
+                              else shared_address_model(specs))
+        self.liveness = combined_liveness(self.launches)
+        self.arbiter = DispatchArbiter(self.launches, arbitration)
+        # The engine loops test ``if not grid`` on every executed cycle, so
+        # a one-launch run drains the launch's own deque directly.
+        self._grid = (self.launches[0].grid if len(self.launches) == 1
+                      else GridView(self.launches))
         self.hierarchy = MemoryHierarchy(config)
         self.tracer = None  # set by sim.tracing.attach_tracer
         self.warp_tracer = None  # set by attach_tracer(level="warp")
@@ -129,11 +117,6 @@ class GPU:
     # ------------------------------------------------------------------
     # Grid dispatch
     # ------------------------------------------------------------------
-    def next_cta(self) -> Optional[int]:
-        if not self._grid:
-            return None
-        return self._grid.popleft()
-
     @property
     def ctas_remaining(self) -> int:
         return len(self._grid)
@@ -446,19 +429,3 @@ class GPU:
                 sm.stats.switch_in_overhead_cycles for sm in self.sms),
             per_kernel=per_kernel,
         )
-
-
-def run_kernel(config: GPUConfig, kernel: Kernel,
-               policy_factory: PolicyFactory, trace_provider, address_model,
-               liveness: Optional[LivenessTable] = None,
-               sample_usage: bool = False,
-               max_cycles: int = 10_000_000,
-               post_setup: Optional[Callable[[GPU], None]] = None,
-               engine: Optional[str] = None) -> SimResult:
-    """Convenience wrapper: build a GPU, optionally tweak it, and run."""
-    gpu = GPU(config, kernel, policy_factory, trace_provider, address_model,
-              liveness=liveness, sample_usage=sample_usage)
-    if post_setup is not None:
-        post_setup(gpu)
-    return gpu.run(max_cycles=max_cycles, engine=engine)
-

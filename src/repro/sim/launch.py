@@ -1,16 +1,16 @@
-"""Concurrent-kernel launch bookkeeping.
+"""Kernel launch bookkeeping and CTA dispatch.
 
-A :class:`KernelLaunch` is one grid resident on the GPU.  Single-kernel
-runs build exactly one (whose CTA queue *is* the GPU's grid deque, so the
-hot path is unchanged); concurrent runs build one per stream and route
-CTA dispatch through a :class:`DispatchArbiter`.
+A :class:`KernelLaunch` is one grid resident on the GPU.  Every run builds
+one per :class:`LaunchSpec` -- a single-kernel run is a one-launch run --
+and every CTA dispatch goes through the run's :class:`DispatchArbiter`.
 
 Id spaces are partitioned, never per-launch: CTA ids, global warp ids and
 static-instruction indices each get a contiguous block per launch
 (``cta_base`` / ``warp_base`` / ``index_base``), so the SM's concatenated
 metadata tables, the address model's stream/reuse regions, and the
-combined liveness table all index by the same globals the single-kernel
-path already uses.
+combined liveness table all index by the same globals.  The first launch
+has every base at 0, so a one-launch run indexes exactly as its kernel
+does.
 """
 
 from __future__ import annotations
@@ -68,8 +68,8 @@ class KernelLaunch:
                  liveness: Optional[LivenessTable] = None, *,
                  stream: int = 0, priority: int = 0,
                  label: Optional[str] = None,
-                 cta_base: int = 0, warp_base: int = 0, index_base: int = 0,
-                 grid: Optional[Deque[int]] = None) -> None:
+                 cta_base: int = 0, warp_base: int = 0,
+                 index_base: int = 0) -> None:
         self.index = index
         self.stream = stream
         self.priority = priority
@@ -83,9 +83,8 @@ class KernelLaunch:
         self.warp_base = warp_base
         self.index_base = index_base
         self.grid_ctas = kernel.geometry.grid_ctas
-        if grid is None:
-            grid = deque(range(cta_base, cta_base + self.grid_ctas))
-        self.grid = grid
+        self.grid: Deque[int] = deque(
+            range(cta_base, cta_base + self.grid_ctas))
         # Table-I footprint of one CTA of this launch.
         self.cta_regs = kernel.warp_registers_per_cta
         self.warps_per_cta = kernel.warps_per_cta
@@ -115,8 +114,8 @@ class KernelLaunch:
         """The warp's trace, rebased by ``index_base``.
 
         The base-0 launch returns the provider's memoized list *object*
-        unchanged — identity the compiled backend's trace interning relies
-        on — so single-kernel behaviour is untouched.
+        unchanged: identity the compiled backend's trace interning relies
+        on.
         """
         trace: Sequence[int] = self.trace_provider.trace_for(
             local_cta, warp_id)
@@ -135,10 +134,9 @@ class KernelLaunch:
 class GridView:
     """Deque-like facade over several launches' CTA queues.
 
-    Installed as ``gpu._grid`` for concurrent runs so the engine loops'
-    ``if not grid`` / ``len`` / drain checks work unchanged.  ``popleft``
-    services launches in index order (only ``gpu.next_cta`` compatibility
-    uses it; policy fills go through the arbiter instead).
+    Installed as ``gpu._grid`` for runs with more than one launch, so the
+    engine loops' ``if not grid`` / ``len`` drain checks work unchanged (a
+    one-launch run installs the launch's own deque).
     """
 
     __slots__ = ("_launches",)
@@ -155,12 +153,6 @@ class GridView:
     def __len__(self) -> int:
         return sum(len(launch.grid) for launch in self._launches)
 
-    def popleft(self) -> int:
-        for launch in self._launches:
-            if launch.grid:
-                return launch.grid.popleft()
-        raise IndexError("pop from empty grid view")
-
 
 class DispatchArbiter:
     """Chooses which resident grid supplies the next CTA for an SM slot.
@@ -168,11 +160,11 @@ class DispatchArbiter:
     ``priority``: static order — higher ``priority`` first, ties broken by
     stream id then launch index.  ``round_robin``: rotate the starting
     launch after every successful dispatch, so co-equal grids interleave.
-    Both skip drained launches and launches the caller's fit predicate
-    rejects (insufficient shared budget for *that* kernel's footprint).
+    Both skip launches the caller's fit predicate rejects (insufficient
+    shared budget for *that* kernel's footprint) and drained launches.
     """
 
-    __slots__ = ("policy", "launches", "_order", "_rr")
+    __slots__ = ("policy", "launches", "_order")
 
     def __init__(self, launches: Sequence[KernelLaunch],
                  policy: str = "priority") -> None:
@@ -182,31 +174,36 @@ class DispatchArbiter:
                 f"expected one of {ARBITRATION_POLICIES}")
         self.policy = policy
         self.launches = list(launches)
-        self._order = sorted(
-            self.launches,
-            key=lambda l: (-l.priority, l.stream, l.index))
-        self._rr = 0
+        # The current dispatch order: static under ``priority``, rotated
+        # by every dispatch under ``round_robin``.
+        self._order = (sorted(self.launches,
+                              key=lambda l: (-l.priority, l.stream, l.index))
+                       if policy == "priority" else list(self.launches))
 
     def dispatch_order(self) -> List[KernelLaunch]:
-        if self.policy == "priority":
-            return self._order
-        launches = self.launches
-        n = len(launches)
-        start = self._rr % n
-        return [launches[(start + i) % n] for i in range(n)]
+        return self._order
 
     def next_fitting(self, fit: Callable[[KernelLaunch], bool]
                      ) -> Optional[KernelLaunch]:
-        """First launch (in dispatch order) with CTAs left that ``fit``."""
-        for launch in self.dispatch_order():
-            if launch.grid and fit(launch):
+        """First launch (in dispatch order) that ``fit`` admits and that
+        has CTAs left.
+
+        ``fit`` is asked before the grid, drained launches included: a fit
+        predicate may count a refusal as a side effect
+        (``AdaptiveFineRegPolicy.can_launch`` counts ACRF pressure), and
+        that count must not depend on whether the grid has drained.
+        """
+        for launch in self._order:
+            if fit(launch) and launch.grid:
                 return launch
         return None
 
     def note_dispatched(self, launch: KernelLaunch) -> None:
-        """Advance round-robin state after a successful dispatch."""
+        """Rotate the round-robin order past a successful dispatch."""
         if self.policy == "round_robin":
-            self._rr = (self.launches.index(launch) + 1) % len(self.launches)
+            launches = self.launches
+            start = (launches.index(launch) + 1) % len(launches)
+            self._order = launches[start:] + launches[:start]
 
 
 # ----------------------------------------------------------------------

@@ -115,29 +115,21 @@ class StreamingMultiprocessor:
         self._sfu_lat = config.sfu_latency
         self._shmem_lat = config.shared_mem_latency
         self._stall_threshold = config.cta_switch_threshold
-        self._rf_banks = config.rf_banks if config.model_rf_banks else 0
         # Per-static-instruction issue metadata, precomputed once:
-        # (srcs, dest, kind, bank_penalty, opcode_value, instr, nsrc).  The
-        # bank penalty depends only on the static source registers, so the
-        # per-issue set construction of the original hot path is static too.
-        banks = self._rf_banks
-        self._meta = []
-        for instr in self._instrs:
-            srcs = instr.srcs
-            penalty = 0
-            if banks and len(srcs) > 1:
-                penalty = len(srcs) - len({reg % banks for reg in srcs})
-            self._meta.append((srcs, instr.dest, _OPCODE_KIND[instr.opcode],
-                               penalty, instr.opcode.value, instr, len(srcs)))
+        # (srcs, dest, kind, opcode_value, instr, nsrc).
+        self._meta = [(instr.srcs, instr.dest, _OPCODE_KIND[instr.opcode],
+                       instr.opcode.value, instr, len(instr.srcs))
+                      for instr in self._instrs]
         # Per-static issue-counter increments packed into one integer
-        # (20 bits per field), so a whole warp's contribution to the issue
-        # counters is one C-level sum over its trace.  Compiled runs defer
-        # the per-issue counting to warp finish via these (``_defer_stats``,
-        # set by ``run_compiled``); the totals are exact because every trace
-        # entry issues exactly once.
+        # (RF reads, RF writes << 20, shared-memory accesses << 40), so a
+        # whole warp's contribution to the issue counters is one C-level
+        # sum over its trace.  Compiled runs defer the per-issue counting
+        # to warp finish via these (``_defer_stats``, set by
+        # ``run_compiled``); the totals are exact because every trace entry
+        # issues exactly once.
         self._packed_vec = [
-            m[6] + ((0 if m[1] is None else 1) << 20) + (m[3] << 40)
-            + ((1 if m[2] == _K_LDS or m[2] == _K_STS else 0) << 60)
+            m[5] + ((0 if m[1] is None else 1) << 20)
+            + ((1 if m[2] == _K_LDS or m[2] == _K_STS else 0) << 40)
             for m in self._meta
         ]
         self._defer_stats = False
@@ -192,16 +184,13 @@ class StreamingMultiprocessor:
         return (len(self.active_ctas) + len(self.pending_ctas)
                 + len(self.transit_ctas))
 
-    def scheduler_slots_free(self, launch=None) -> bool:
+    def scheduler_slots_free(self, launch) -> bool:
         """Can one more CTA of ``launch`` become active under the Table-I
         limits?  The limits are *shared* budgets: active and incoming
         footprints are summed across every resident kernel.
 
-        CTAs in transit toward ACTIVE already own their slots.  ``launch``
-        defaults to the (single-kernel) primary launch.
+        CTAs in transit toward ACTIVE already own their slots.
         """
-        if launch is None:
-            launch = self.gpu.launches[0]
         config = self.config
         ctas = len(self.active_ctas) + self._incoming_ctas
         warps = self._active_warps + self._incoming_warps
@@ -211,7 +200,7 @@ class StreamingMultiprocessor:
                 and threads + launch.threads_per_cta
                 <= config.max_threads_per_sm)
 
-    def swap_slots_free(self, outgoing: CTASim, launch=None) -> bool:
+    def swap_slots_free(self, outgoing: CTASim, launch) -> bool:
         """Would one full incoming CTA of ``launch`` fit after parking
         ``outgoing``?
 
@@ -221,8 +210,6 @@ class StreamingMultiprocessor:
         concurrent kernels the two CTAs may belong to different launches
         with different footprints.
         """
-        if launch is None:
-            launch = self.gpu.launches[0]
         config = self.config
         out_warps = outgoing.unfinished_warps()
         ctas = len(self.active_ctas) - 1 + self._incoming_ctas
@@ -274,14 +261,9 @@ class StreamingMultiprocessor:
     # ------------------------------------------------------------------
     # CTA lifecycle (mechanics; policies decide when)
     # ------------------------------------------------------------------
-    def launch_new_cta(self, now: int, launch=None) -> Optional[CTASim]:
-        """Pull the next CTA off a launch's grid and start it as active.
-
-        ``launch`` defaults to the primary launch (single-kernel runs);
-        concurrent fills pass the launch the dispatch arbiter picked.
-        """
-        if launch is None:
-            launch = self.gpu.launches[0]
+    def launch_new_cta(self, now: int, launch) -> Optional[CTASim]:
+        """Pull the next CTA off ``launch``'s grid (the launch the dispatch
+        arbiter picked) and start it as active."""
         cta_id = launch.pop_cta()
         if cta_id is None:
             return None
@@ -435,8 +417,7 @@ class StreamingMultiprocessor:
                             len(prefix)
                     stats.rf_reads += packed & 0xFFFFF
                     stats.rf_writes += (packed >> 20) & 0xFFFFF
-                    stats.rf_bank_conflicts += (packed >> 40) & 0xFFFFF
-                    stats.shmem_accesses += packed >> 60
+                    stats.shmem_accesses += packed >> 40
 
     def _settle_transits(self, now: int) -> None:
         remaining = []
@@ -494,12 +475,12 @@ class StreamingMultiprocessor:
         stats.instructions += 1
         if self._kstats is not None:
             self._kstats[cta.launch.index].instructions += 1
-        stats.rf_reads += meta[6]
+        stats.rf_reads += meta[5]
         dest = meta[1]
         if dest is not None:
             stats.rf_writes += 1
         if self.telemetry is not None:
-            self.telemetry.issue_counts[meta[4]] += 1
+            self.telemetry.issue_counts[meta[3]] += 1
         wt = self._wt
         if wt is not None:
             if static_index in self._div_forks:
@@ -508,29 +489,23 @@ class StreamingMultiprocessor:
             elif static_index in self._div_joins:
                 wt.record(now, self.sm_id, EventKind.DIVERGE_JOIN,
                           cta.cta_id, warp=warp.warp_id)
-
-        # Operand-collector serialization: sources mapping to the same bank
-        # are read over extra cycles (penalty precomputed per instruction).
-        bank_penalty = meta[3]
-        if bank_penalty:
-            stats.rf_bank_conflicts += bank_penalty
         if self._sample_usage:
-            self._sample_window(warp, meta[5])
+            self._sample_window(warp, meta[4])
 
         kind = meta[2]
         if kind == _K_ALU:
-            t = now + self._alu_lat + bank_penalty
+            t = now + self._alu_lat
             warp.ready_at[dest] = t
             if t > warp.peak_ready:
                 warp.peak_ready = t
         elif kind == _K_LDG:
-            address = self.gpu.address_model.address_for(warp, meta[5])
+            address = self.gpu.address_model.address_for(warp, meta[4])
             done = self.gpu.hierarchy.load(self.sm_id, address, now)
             warp.ready_at[dest] = done
             if done > warp.peak_ready:
                 warp.peak_ready = done
         elif kind == _K_STG:
-            address = self.gpu.address_model.address_for(warp, meta[5])
+            address = self.gpu.address_model.address_for(warp, meta[4])
             self.gpu.hierarchy.store(self.sm_id, address, now)
         elif kind == _K_LDS:
             t = now + self._shmem_lat
@@ -597,8 +572,7 @@ class StreamingMultiprocessor:
             stats.instructions += len(tr)
             stats.rf_reads += packed & 0xFFFFF
             stats.rf_writes += (packed >> 20) & 0xFFFFF
-            stats.rf_bank_conflicts += (packed >> 40) & 0xFFFFF
-            stats.shmem_accesses += packed >> 60
+            stats.shmem_accesses += packed >> 40
             if self._kstats is not None:
                 self._kstats[warp.cta.launch.index].instructions += len(tr)
         warp.finish()

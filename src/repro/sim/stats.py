@@ -65,7 +65,6 @@ class SMStats:
     # Register-file event counts (energy model inputs).
     rf_reads: int = 0
     rf_writes: int = 0
-    rf_bank_conflicts: int = 0
     pcrf_reads: int = 0
     pcrf_writes: int = 0
     shmem_accesses: int = 0

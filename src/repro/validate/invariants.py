@@ -41,7 +41,6 @@ MONOTONIC_FIELDS = (
     "cta_switch_events",
     "rf_reads",
     "rf_writes",
-    "rf_bank_conflicts",
     "pcrf_reads",
     "pcrf_writes",
     "shmem_accesses",
@@ -59,7 +58,6 @@ def check_sm(sm, now: int) -> List[Violation]:
     """CTA-list/state agreement, slot limits, warp/shmem conservation."""
     out: List[Violation] = []
     config = sm.config
-    kernel = sm.kernel
 
     for cta in sm.active_ctas:
         if cta.state is not CTAState.ACTIVE:
@@ -81,12 +79,8 @@ def check_sm(sm, now: int) -> List[Violation]:
                         f"{cta.state.value}"))
         elif cta.transit_target is CTAState.ACTIVE:
             incoming += 1
-            if cta.launch is not None:
-                incoming_warps += cta.launch.warps_per_cta
-                incoming_threads += cta.launch.threads_per_cta
-            else:
-                incoming_warps += kernel.warps_per_cta
-                incoming_threads += kernel.geometry.threads_per_cta
+            incoming_warps += cta.launch.warps_per_cta
+            incoming_threads += cta.launch.threads_per_cta
     if sm._incoming_ctas != incoming:
         out.append(("transit",
                     f"incoming-CTA counter {sm._incoming_ctas} != "
@@ -223,15 +217,12 @@ def check_policy(policy, sm, now: int) -> List[Violation]:
         out.append(("register-conservation",
                     f"rf_used_entries {policy.rf_used_entries} outside "
                     f"[0, {policy.rf_capacity_entries}]"))
-    # Expected RF usage is the per-CTA declared footprint summed over the
-    # resident set (mixed footprints under concurrent kernels; the sum
-    # degenerates to resident * _cta_regs in a single-kernel run).
+    # Expected RF usage is the per-CTA declared footprint of each CTA's
+    # launch, summed over the resident set.
     resident = sm.active_ctas + sm.pending_ctas + sm.transit_ctas
 
     def declared(cta):
-        if cta.launch is not None:
-            return policy._launch_regs(cta.launch)
-        return policy._cta_regs
+        return policy._launch_regs(cta.launch)
 
     if hasattr(policy, "acrf"):                 # FineReg family
         out += check_finereg(policy, sm)
@@ -284,9 +275,9 @@ def check_finereg(policy, sm) -> List[Violation]:
              sm.active_ctas + sm.pending_ctas + sm.transit_ctas}
     for cta_id, entries in allocations.items():
         cta = by_id.get(cta_id)
-        static = (policy._launch_regs(cta.launch)
-                  if cta is not None and cta.launch is not None
-                  else policy._cta_regs)
+        if cta is None:
+            continue  # reported by the set comparison above
+        static = policy._launch_regs(cta.launch)
         if entries != static:
             out.append(("register-conservation",
                         f"ACRF allocation for CTA {cta_id} is {entries} "

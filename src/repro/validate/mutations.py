@@ -114,7 +114,7 @@ def _double_retire(gpu: GPU) -> None:
 def _budget_overshoot(gpu: GPU) -> None:
     """Per-SM shared budgets stop binding: every slot check passes."""
     for sm in gpu.sms:
-        sm.scheduler_slots_free = lambda launch=None: True
+        sm.scheduler_slots_free = lambda launch: True
 
 
 def _double_dispatch(gpu: GPU) -> None:

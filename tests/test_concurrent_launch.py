@@ -148,21 +148,6 @@ class TestGridView:
         assert not view
         assert len(view) == 0
 
-    def test_popleft_services_index_order(self, km, lb):
-        launches, view = self._view(km, lb)
-        drained = [view.popleft() for __ in range(len(view))]
-        # launch 0 drains fully before launch 1 is touched
-        expected = [cta for launch in launches for cta in
-                    range(launch.cta_base, launch.cta_base + launch.grid_ctas)]
-        assert drained == expected
-
-    def test_popleft_empty_raises(self, km, lb):
-        launches, view = self._view(km, lb)
-        for launch in launches:
-            launch.grid.clear()
-        with pytest.raises(IndexError):
-            view.popleft()
-
 
 # ----------------------------------------------------------------------
 # DispatchArbiter
@@ -222,6 +207,17 @@ class TestDispatchArbiter:
         a.grid.clear()
         arb = DispatchArbiter([a, b], policy="priority")
         assert arb.next_fitting(lambda l: True) is b
+
+    def test_next_fitting_asks_fit_of_a_drained_launch(self):
+        """``fit`` is asked before the grid: a predicate that counts its
+        refusals (``AdaptiveFineRegPolicy.can_launch``) sees every launch,
+        drained or not."""
+        drained = make_launch(0)
+        drained.grid.clear()
+        arb = DispatchArbiter([drained], policy="priority")
+        asked = []
+        assert arb.next_fitting(lambda l: asked.append(l) or True) is None
+        assert asked == [drained]
 
     def test_next_fitting_honors_fit_predicate(self):
         a, b = make_launch(0, priority=1), make_launch(1)

@@ -17,7 +17,9 @@ from repro.config import TINY, default_config
 from repro.experiments import fig12_concurrent_kernels
 from repro.experiments.runner import POLICIES
 from repro.obs.telemetry import attach_telemetry
+from repro.sim.cta import CTASim, CTAState
 from repro.sim.gpu import GPU
+from repro.sim.launch import DispatchArbiter
 from repro.workloads.apps import APP_POOLS, AppPool, StreamSpec, build_app
 from repro.workloads.generator import build_workload
 from repro.workloads.suite import get_spec
@@ -120,6 +122,17 @@ class TestDispatchBookkeeping:
         with pytest.raises(ValueError, match="outside"):
             gpu.launch_for_cta(total)
 
+    def test_one_launch_run_dispatches_through_the_arbiter(self):
+        instance = build_workload(get_spec("KM"), CONFIG, TINY)
+        gpu = GPU(CONFIG, instance.kernel, POLICIES["baseline"](),
+                  instance.trace_provider, instance.address_model,
+                  liveness=instance.liveness)
+        (launch,) = gpu.launches
+        assert isinstance(gpu.arbiter, DispatchArbiter)
+        assert gpu.arbiter.launches == [launch]
+        # The engine loops drain the launch's own deque, not a GridView.
+        assert gpu._grid is launch.grid
+
     def test_concurrent_requires_shared_address_model_type(self):
         km = build_workload(get_spec("KM"), CONFIG, TINY)
         from repro.sim.launch import LaunchSpec
@@ -136,6 +149,60 @@ class TestDispatchBookkeeping:
         with pytest.raises(ValueError, match="arbitration"):
             GPU.concurrent(CONFIG, specs, POLICIES["baseline"](),
                            arbitration="fifo")
+
+
+# ----------------------------------------------------------------------
+# Ready-CTA selection with mixed footprints
+# ----------------------------------------------------------------------
+class TestMixedFootprintSelection:
+    """The ready-CTA pick is the lowest id among CTAs whose *launch* fits:
+    a lower-id CTA of a launch that does not fit is skipped, and the fit
+    is asked once per launch, not once per candidate."""
+
+    def _setup(self):
+        specs = build_app(APP_POOLS["hs+lb"], CONFIG, TINY)
+        gpu = GPU.concurrent(CONFIG, specs, POLICIES["virtual_thread"]())
+        big, small = gpu.launches
+        assert big.warps_per_cta > small.warps_per_cta
+        sm = gpu.sms[0]
+        # Exactly one small CTA's worth of warp slots is left.
+        sm._active_warps = CONFIG.max_warps_per_sm - small.warps_per_cta
+        sm._active_threads = 32 * sm._active_warps
+        assert sm.scheduler_slots_free(small)
+        assert not sm.scheduler_slots_free(big)
+        tracker = sm.policy.pending
+        ctas = {}
+        for launch in (big, small):
+            for offset in range(2):
+                cta = CTASim(launch.cta_base + offset, [])
+                cta.launch = launch
+                cta.state = CTAState.PENDING
+                tracker.add(cta, ready_time=0)
+                ctas[cta.cta_id] = cta
+        return gpu, sm.policy, ctas
+
+    def test_skips_lower_id_ready_cta_whose_launch_does_not_fit(self):
+        gpu, policy, ctas = self._setup()
+        big, small = gpu.launches
+        assert big.cta_base < small.cta_base
+        picked = policy._pop_ready_fitting(policy.pending, 0)
+        assert picked is ctas[small.cta_base]
+        left = sorted(c.cta_id for c in policy.pending.ready_ctas(0))
+        assert left == [big.cta_base, big.cta_base + 1, small.cta_base + 1]
+
+    def test_fit_is_asked_once_per_launch(self):
+        gpu, policy, __ = self._setup()
+        sm = gpu.sms[0]
+        asked = []
+        slots_free = sm.scheduler_slots_free
+
+        def counting(launch):
+            asked.append(launch)
+            return slots_free(launch)
+
+        sm.scheduler_slots_free = counting
+        assert policy._pop_ready_fitting(policy.pending, 0) is not None
+        assert asked == gpu.launches
 
 
 # ----------------------------------------------------------------------

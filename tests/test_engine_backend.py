@@ -16,7 +16,7 @@ contract itself:
   runs itself with a body it does not transcribe (a RegMutexPolicy
   subclass or instance wrapping its issue hook), a memory hierarchy
   other than the stock classes, and instance-level wrappers on the
-  surface the C core inlines must all fail ``compiled_run_eligible``, and
+  surface the C core inlines must all be refused, and
   ``compiled_refusal`` names the first check that refused; every
   registered policy -- hooks served as ops, RegMutex's lease and idle
   attribution run in the core -- must be admitted.  The gate is pure
@@ -46,8 +46,7 @@ from repro.sim import backend
 from repro.sim.backend import (EngineUnavailableError, parse_engine,
                                select_backend)
 from repro.sim.compiled import (_BYPASSED_SM_ATTRS, compiled_refusal,
-                                compiled_run_eligible, core_bodies,
-                                policy_inert)
+                                core_bodies, policy_refusal)
 from repro.sim.gpu import GPU
 from repro.workloads.generator import build_workload
 from repro.workloads.suite import get_spec
@@ -135,7 +134,7 @@ def test_run_consults_engine_env(monkeypatch):
 # ----------------------------------------------------------------------
 # Run-level compiled eligibility (pure Python: no extension needed)
 # ----------------------------------------------------------------------
-#: Why ``compiled_run_eligible`` refuses a run, and where an explicit
+#: Why ``compiled_refusal`` refuses a run, and where an explicit
 #: ``engine="compiled"`` request then lands.
 INELIGIBLE_RUNS = [
     ("sanitizer", "reference"),
@@ -188,7 +187,6 @@ def build_ineligible_gpu(reason: str) -> GPU:
 @pytest.mark.parametrize("reason", [r for r, __ in INELIGIBLE_RUNS])
 def test_compiled_gate_refuses_ineligible_runs(reason):
     gpu = build_ineligible_gpu(reason)
-    assert not compiled_run_eligible(gpu)
     assert compiled_refusal(gpu) == REFUSAL_REASONS[reason]
 
 
@@ -205,13 +203,12 @@ def test_compiled_gate_refuses_non_inert_policies(policy):
     attribution: a subclass or an instance wrapping either is refused."""
     gpu = build_gpu(policy)
     regmutex = gpu.sms[0]._policy
-    assert policy_inert(regmutex)
+    assert policy_refusal(regmutex) is None
     for name in ("on_issue", "classify_idle"):
         body = getattr(RegMutexPolicy, name)
         regmutex.__class__ = type(f"Wrapped{name}", (RegMutexPolicy,), {
             name: lambda self, *args, body=body: body(self, *args)})
-        assert not policy_inert(regmutex)
-        assert not compiled_run_eligible(gpu)
+        assert policy_refusal(regmutex) == f"policy-hook:{name}"
         assert compiled_refusal(gpu) == f"policy-hook:{name}"
         regmutex.__class__ = RegMutexPolicy
         setattr(regmutex, name, getattr(regmutex, name))
@@ -265,18 +262,16 @@ def test_compiled_gate_admits_served_policies(policy):
     hook and idle attribution itself, so every registered policy
     qualifies."""
     gpu = build_gpu(policy)
-    assert policy_inert(gpu.sms[0]._policy)
-    assert compiled_run_eligible(gpu)
+    assert policy_refusal(gpu.sms[0]._policy) is None
     assert compiled_refusal(gpu) is None
 
 
 def test_instance_policy_override_defeats_inertness():
     gpu = build_gpu()
     policy = gpu.sms[0]._policy
-    assert policy_inert(policy)
+    assert policy_refusal(policy) is None
     policy.classify_idle = lambda dt: "other"
-    assert not policy_inert(policy)
-    assert not compiled_run_eligible(gpu)
+    assert policy_refusal(policy) == "policy-hook:classify_idle"
     assert compiled_refusal(gpu) == "policy-hook:classify_idle"
 
 
@@ -286,7 +281,7 @@ def test_instance_override_of_a_served_hook_stays_eligible():
     policy = gpu.sms[0]._policy
     original = policy.on_tick
     policy.on_tick = lambda now: original(now)
-    assert compiled_run_eligible(gpu)
+    assert compiled_refusal(gpu) is None
 
 
 def test_instance_sm_override_defeats_run_eligibility():
@@ -294,15 +289,14 @@ def test_instance_sm_override_defeats_run_eligibility():
     bypasses, or on the stats flush it inlines, must disqualify: the
     Python engines would honor them, the C core would not."""
     gpu = build_gpu()
-    assert compiled_run_eligible(gpu)
+    assert compiled_refusal(gpu) is None
     sm = gpu.sms[0]
     for name in _BYPASSED_SM_ATTRS:
         setattr(sm, name, getattr(sm, name))
-        assert not compiled_run_eligible(gpu), name
-        assert compiled_refusal(gpu) == f"sm-override:{name}"
+        assert compiled_refusal(gpu) == f"sm-override:{name}", name
         delattr(sm, name)
     sm.stats.accumulate = sm.stats.accumulate
-    assert not compiled_run_eligible(gpu)
+    assert compiled_refusal(gpu) == "stats-override:accumulate"
 
 
 #: A method of each hierarchy part, and where that part lives on the GPU.
@@ -446,7 +440,7 @@ needs_extension = pytest.mark.skipif(
 @needs_extension
 def test_compiled_runs_the_uninstrumented_baseline():
     gpu = build_gpu()
-    assert compiled_run_eligible(gpu)
+    assert compiled_refusal(gpu) is None
     gpu.run(max_cycles=TINY.max_cycles, engine="compiled")
     assert gpu.engine_used == "compiled"
     assert gpu.engine_refusal is None

@@ -223,12 +223,13 @@ def test_env_switch_selects_dense_engine():
 @needs_extension
 def test_uninstrumented_baseline_run_takes_the_compiled_path():
     """The C core must actually engage for a plain baseline run (guards
-    compiled_run_eligible drift)."""
+    compiled_refusal drift)."""
     gpu = build_micro_gpu("baseline", "KM", 0)
     gpu.run(max_cycles=TINY.max_cycles, engine="compiled")
     assert gpu.engine_used == "compiled", (
-        "compiled_run_eligible() stopped admitting a plain uninstrumented "
-        f"baseline run (engine_used={gpu.engine_used!r})")
+        "compiled_refusal() stopped admitting a plain uninstrumented "
+        f"baseline run (engine_used={gpu.engine_used!r}, "
+        f"engine_refusal={gpu.engine_refusal!r})")
 
 
 # ----------------------------------------------------------------------
@@ -263,12 +264,12 @@ def test_golden_case_bare_three_way_differential(case, engine):
 def test_run_eligible_rejects_concurrent_runs():
     """Multi-launch GPUs must be conservatively routed away from the C
     core (which models one grid per SM)."""
-    from repro.sim.compiled import compiled_run_eligible
+    from repro.sim.compiled import compiled_refusal
 
     single = build_micro_gpu("baseline", "KM", 0)
-    assert compiled_run_eligible(single)
+    assert compiled_refusal(single) is None
     concurrent = build_concurrent_gpu("st+km", "baseline")
-    assert not compiled_run_eligible(concurrent)
+    assert compiled_refusal(concurrent) == "concurrent-launches"
 
 
 @needs_extension

@@ -96,6 +96,28 @@ class TestAdaptivePolicy:
         assert "repartitions_to_acrf" in extras
         assert "repartitions_to_pcrf" in extras
 
+    def test_counts_an_acrf_refused_fill_on_a_drained_grid(self):
+        """The dispatch arbiter asks ``can_launch`` before it looks at the
+        grid, so an ACRF refusal counts as pressure after the grid has
+        drained too (the per-epoch signal the campaign's adaptive cells
+        were recorded with)."""
+        config = GPUConfig().with_num_sms(1)
+        instance = build_workload(get_spec("LB"), config, TINY)
+        gpu = GPU(config, instance.kernel, AdaptiveFineRegPolicy,
+                  instance.trace_provider, instance.address_model,
+                  liveness=instance.liveness)
+        sm = gpu.sms[0]
+        policy = sm.policy
+        (launch,) = gpu.launches
+        assert policy.fill(0) > 0
+        # ACRF-bound: slots are free, the next CTA's registers are not.
+        assert sm.scheduler_slots_free(launch)
+        assert not policy.acrf.can_allocate(launch.cta_regs)
+        launch.grid.clear()
+        before = policy._epoch_acrf_blocked
+        assert policy.fill(0) == 0
+        assert policy._epoch_acrf_blocked == before + 1
+
     def test_runner_integration(self, tiny_runner):
         result = tiny_runner.run("KM", "finereg_adaptive")
         base = tiny_runner.run("KM", "baseline")

@@ -55,7 +55,7 @@ class TestSpillRestoreCycle:
             pytest.skip("no switching occurred at this scale")
         mean_spill = (policy.rmu.stats.spilled_registers
                       / policy.rmu.stats.spills)
-        full = policy._cta_regs
+        full = gpu.launches[0].cta_regs
         assert mean_spill < 0.75 * full
 
 
@@ -94,7 +94,7 @@ class TestPCRFFullSwapPath:
         acrf_before = policy.acrf.used
         policy._spill(cta, warp_pcs, now=0)
         # ACRF freed, PCRF holds the live set, monitor flipped to pending.
-        assert policy.acrf.used == acrf_before - policy._cta_regs
+        assert policy.acrf.used == acrf_before - gpu.launches[0].cta_regs
         assert policy.pcrf.holds(cta.cta_id)
         status = policy.monitor.status_of(cta.cta_id)
         assert status.context is ContextLocation.SHARED_MEMORY

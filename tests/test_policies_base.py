@@ -23,7 +23,7 @@ class TestFill:
         policy = gpu.sms[0].policy
         launched = policy.fill(0)
         assert launched == 10
-        assert policy.rf_used_entries == 10 * policy._cta_regs
+        assert policy.rf_used_entries == 10 * gpu.launches[0].cta_regs
 
     def test_fill_stops_when_grid_empty(self):
         gpu = fresh_gpu("KM")
@@ -32,7 +32,7 @@ class TestFill:
         launched = policy.fill(0)
         assert launched <= total
         # Drain the whole grid manually.
-        while gpu.next_cta() is not None:
+        while gpu.launches[0].pop_cta() is not None:
             pass
         assert policy.fill(0) == 0
 

@@ -151,13 +151,12 @@ class TestSimResultRoundTrip:
 # ----------------------------------------------------------------------
 class TestConfigKeyCoversEveryField:
     """The old memo key hashed a hand-picked field subset; configs differing
-    only in the omitted knobs (warp scheduling, switch threshold, RF
-    banking, latencies) aliased to one cached result."""
+    only in the omitted knobs (warp scheduling, switch threshold,
+    latencies) aliased to one cached result."""
 
     @pytest.mark.parametrize("change", [
         {"warp_scheduling": "lrr"},
         {"cta_switch_threshold": 7},
-        {"model_rf_banks": True},
         {"alu_latency": 9},
         {"dram_latency": 1234},
         {"min_park_cycles": 3},

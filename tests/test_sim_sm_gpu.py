@@ -147,26 +147,3 @@ class TestUsageSampling:
     def test_sampling_off_by_default(self, loop_cfg):
         result = run_kernel_cfg(loop_cfg, grid_ctas=64, threads=128)
         assert result.window_usage_bounds is None
-
-
-class TestRunKernelWrapper:
-    def test_run_kernel_with_post_setup(self, linear_cfg):
-        from repro.isa.kernel import Kernel, LaunchGeometry
-        from repro.policies.baseline import BaselinePolicy
-        from repro.sim.gpu import run_kernel
-        from repro.workloads.traces import AddressModel, TraceProvider
-
-        seen = {}
-
-        def post_setup(gpu):
-            seen["gpu"] = gpu
-            gpu.hierarchy.l1s[0].resize(16 * 1024)
-
-        kernel = Kernel("wrap", linear_cfg, LaunchGeometry(64, 2),
-                        regs_per_thread=8)
-        result = run_kernel(
-            GPUConfig().with_num_sms(1), kernel, BaselinePolicy,
-            TraceProvider(linear_cfg, seed=1), AddressModel(),
-            post_setup=post_setup, max_cycles=100_000)
-        assert result.completed_ctas == 2
-        assert seen["gpu"].hierarchy.l1s[0].size_bytes == 16 * 1024

@@ -121,49 +121,3 @@ class TestVirtualThreadResidency:
         assert sm.shmem_used <= GPUConfig().shared_memory_bytes
         gpu.run(max_cycles=200_000)
         assert sm.stats.max_resident_ctas <= 6
-
-
-class TestRFBankConflicts:
-    def test_off_by_default(self, linear_cfg):
-        gpu = gpu_for(linear_cfg, grid=2)
-        gpu.run(max_cycles=100_000)
-        assert gpu.sms[0].stats.rf_bank_conflicts == 0
-
-    def test_same_bank_sources_conflict(self):
-        import dataclasses
-        cfg = ControlFlowGraph()
-        cfg.add_block([
-            Instruction(Opcode.IALU, 1, ()),
-            Instruction(Opcode.IALU, 9, ()),
-            # R1 and R9 share a bank with 8 banks (1 % 8 == 9 % 8).
-            Instruction(Opcode.FALU, 2, (1, 9)),
-        ], EdgeKind.FALLTHROUGH, successors=(1,))
-        cfg.add_block([Instruction(Opcode.EXIT)], EdgeKind.EXIT)
-        frozen = cfg.freeze()
-        config = dataclasses.replace(
-            GPUConfig().with_num_sms(1), model_rf_banks=True, rf_banks=8)
-        kernel = Kernel("bank", frozen, LaunchGeometry(32, 1),
-                        regs_per_thread=16)
-        gpu = GPU(config, kernel, BaselinePolicy,
-                  TraceProvider(frozen, seed=1), AddressModel())
-        gpu.run(max_cycles=10_000)
-        assert gpu.sms[0].stats.rf_bank_conflicts == 1
-
-    def test_distinct_banks_no_conflict(self):
-        import dataclasses
-        cfg = ControlFlowGraph()
-        cfg.add_block([
-            Instruction(Opcode.IALU, 1, ()),
-            Instruction(Opcode.IALU, 2, ()),
-            Instruction(Opcode.FALU, 3, (1, 2)),
-        ], EdgeKind.FALLTHROUGH, successors=(1,))
-        cfg.add_block([Instruction(Opcode.EXIT)], EdgeKind.EXIT)
-        frozen = cfg.freeze()
-        config = dataclasses.replace(
-            GPUConfig().with_num_sms(1), model_rf_banks=True, rf_banks=8)
-        kernel = Kernel("bank", frozen, LaunchGeometry(32, 1),
-                        regs_per_thread=8)
-        gpu = GPU(config, kernel, BaselinePolicy,
-                  TraceProvider(frozen, seed=1), AddressModel())
-        gpu.run(max_cycles=10_000)
-        assert gpu.sms[0].stats.rf_bank_conflicts == 0
