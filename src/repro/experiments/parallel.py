@@ -153,10 +153,14 @@ def simulate_request(scale: Scale, base_config: GPUConfig,
 
 def _tag_engine(span, gpu) -> None:
     """Tag an engine-run span (None when unobserved) with
-    ``gpu.engine_used`` and ``gpu.engine_refusal``."""
+    ``gpu.engine_used``, ``gpu.engine_refusal`` and, for a compiled run,
+    the ops it served by kind (``gpu.engine_ops``) as ``<kind>_ops``."""
     if span is not None:
         span.attrs.update(engine=gpu.engine_used,
                           refusal=gpu.engine_refusal)
+        if gpu.engine_ops is not None:
+            span.attrs.update((f"{kind}_ops", count)
+                              for kind, count in gpu.engine_ops.items())
 
 
 #: Directory for per-run telemetry artifacts (override via env).

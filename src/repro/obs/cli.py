@@ -13,8 +13,9 @@ runs.  It exports:
 ``repro obs`` (:func:`run_obs`) inspects a campaign JSONL log:
 
 * ``summarize <log>``: cache hit-rate, worker utilization, per-phase
-  wall-clock breakdown, the engine mix (requests and engine-run wall per
-  policy, engine and refusal) and reconciliation status;
+  wall-clock breakdown, the engine mix (requests, engine-run wall and,
+  for compiled runs, the ops served by kind, per policy, engine and
+  refusal) and reconciliation status;
 * ``tail <log>``: the last N events, one line each, with invalid lines
   marked rather than crashing (a live log may be mid-write);
 * ``perfetto <log> --out trace.json``: export the span tree to
@@ -150,11 +151,14 @@ def format_summary(summary: Dict) -> str:
                          f"{row['wall_s']:.3f}s")
     if summary["engines"]:
         lines.append("engines (policy, engine, refusal: requests, "
-                     "engine-run wall):")
+                     "engine-run wall, served ops):")
         for row in summary["engines"]:
+            ops = row.get("ops") or {}
             lines.append(f"  {row['policy']:<18} {row['engine']:<10} "
                          f"{row['refusal'] or '-':<24} "
-                         f"{row['requests']:>5}  {row['wall_s']:.3f}s")
+                         f"{row['requests']:>5}  {row['wall_s']:.3f}s"
+                         + "".join(f"  {kind} {count}"
+                                   for kind, count in ops.items()))
     problems = summary["reconcile"]
     lines.append("spans reconcile: "
                  + ("ok" if not problems

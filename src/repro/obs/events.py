@@ -152,14 +152,21 @@ def _phase_breakdown(events: Sequence[Dict],
     return rows
 
 
+#: Suffix of the span attrs that count a compiled run's served ops by kind
+#: (``tick_ops`` and so on).
+OPS_SUFFIX = "_ops"
+
+
 def engine_rows(span_dicts: Sequence[Dict],
                 completions: Sequence[Dict] = ()) -> List[Dict]:
-    """Requests and summed engine-run wall per (policy, engine, refusal).
+    """Requests, summed engine-run wall and summed served ops (``ops``,
+    by kind) per (policy, engine, refusal).
 
     Each tagged ``engine-run`` phase span is one simulated request, its
     policy read from the enclosing ``req:<app>/<policy>`` request span
     (serial and pooled runs alike); each ``run_complete`` marked
-    ``cached`` counts as engine ``cached``.
+    ``cached`` counts as engine ``cached``.  Only compiled runs carry op
+    counts, so other rows read ``ops`` empty.
     """
     by_id = {span["span"]: span for span in span_dicts}
     table: Dict[tuple, List] = {}
@@ -172,16 +179,22 @@ def engine_rows(span_dicts: Sequence[Dict],
                   if parent is not None and parent["kind"] == "request"
                   else "-")
         row = table.setdefault(
-            (policy, str(attrs["engine"]), attrs.get("refusal")), [0, 0.0])
+            (policy, str(attrs["engine"]), attrs.get("refusal")),
+            [0, 0.0, {}])
         row[0] += 1
         row[1] += float(span["dur_s"])
+        for key, value in attrs.items():
+            if key.endswith(OPS_SUFFIX):
+                kind = key[:-len(OPS_SUFFIX)]
+                row[2][kind] = row[2].get(kind, 0) + int(value)
     for event in completions:
         if event.get("cached"):
             table.setdefault((event["policy"], "cached", None),
-                             [0, 0.0])[0] += 1
+                             [0, 0.0, {}])[0] += 1
     rows = [{"policy": policy, "engine": engine, "refusal": refusal,
-             "requests": count, "wall_s": round(wall, 6)}
-            for (policy, engine, refusal), (count, wall) in table.items()]
+             "requests": count, "wall_s": round(wall, 6), "ops": ops}
+            for (policy, engine, refusal), (count, wall, ops)
+            in table.items()]
     rows.sort(key=lambda row: (row["policy"], row["engine"],
                                row["refusal"] or ""))
     return rows

@@ -6,7 +6,8 @@ register-capacity bookkeeping.  The SM calls into it at well-defined points:
 * ``fill(now)``       -- launch CTAs while resources allow (start / after retire)
 * ``on_cta_stalled``  -- an active CTA's warps are all blocked long-term
 * ``on_cta_finished`` -- a CTA retired; its registers are free
-* ``on_tick``         -- top of every SM step (must be O(1) in the common case)
+* ``on_tick``         -- top of an SM step (the dense oracle calls it at
+  every executed cycle; the event engines skip it until ``wake_time``)
 * ``on_issue``        -- optional per-instruction hook (only RegMutex uses it)
 
 ``PendingTracker`` implements the cheap-readiness machinery every switching
@@ -151,12 +152,17 @@ class RegisterFilePolicy:
         return self._pop_lowest_ready(tracker, now, fitting) \
             if fitting else None
 
+    def _slot_launches(self) -> list:
+        """The launches one more active CTA of which the scheduler slots
+        admit."""
+        sm = self.sm
+        return [launch for launch in sm.gpu.launches
+                if sm.scheduler_slots_free(launch)]
+
     def _pop_ready_fitting(self, tracker: PendingTracker, now: int
                            ) -> Optional[CTASim]:
         """A ready pending CTA whose footprint fits free scheduler slots."""
-        sm = self.sm
-        fitting = [launch for launch in sm.gpu.launches
-                   if sm.scheduler_slots_free(launch)]
+        fitting = self._slot_launches()
         return self._pop_lowest_ready(tracker, now, fitting) \
             if fitting else None
 
@@ -196,7 +202,7 @@ class RegisterFilePolicy:
         self.fill(now)
 
     def on_tick(self, now: int) -> None:
-        """Called at the top of every SM step; default does nothing."""
+        """Called at the top of an SM step; default does nothing."""
 
     def on_idle(self, now: int) -> None:
         """Called when this SM issued nothing this cycle.
@@ -297,18 +303,24 @@ class RegisterFilePolicy:
         return FOREVER
 
     def wake_time(self, now: int) -> int:
-        """Event engine: earliest executed cycle ``on_tick`` could act.
+        """Event engines: the earliest executed cycle at which ``on_tick``
+        can change policy or SM state, given the SM's frozen state.
 
-        Consulted (after ``on_tick`` already ran at ``now``, or after a
-        later hook of the same cycle) only for policies that override
-        ``on_tick``; returning ``now + 1`` disables skipping.  Must be
-        conservative: between ``now`` and the returned cycle, ``on_tick``
-        has to be an observable no-op given the SM's frozen state.
+        Consulted only for policies that override ``on_tick``, after any
+        hook at ``now``: a transit settle, which comes before the cycle's
+        tick slot, or ``on_tick`` and the hooks after it.  Returning
+        ``now`` asks for the next tick slot (this cycle's after a settle,
+        the next executed cycle's otherwise); a policy returns it only
+        while its tick would act.  Until the returned cycle ``on_tick``
+        must be an observable no-op, since every hook that can make it act
+        re-asks.  The value is never later than a readiness heap's top:
+        the tick there drains the heap whose top :meth:`next_event` hands
+        to the idle jump.
 
         The same two rules as :meth:`next_event` hold: the value changes
-        only inside a hook, and calling it after a hook never mutates
-        state -- a :class:`PendingTracker` drain at or below the heap top
-        the hook already drained pops nothing.
+        only inside a hook, and calling it never mutates state (a
+        :class:`PendingTracker` read while its heap top is later than
+        ``now`` drains nothing).
         """
         return FOREVER
 

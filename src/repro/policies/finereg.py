@@ -57,7 +57,10 @@ class FineRegPolicy(RegisterFilePolicy):
         self.rf_capacity_entries = config.acrf_entries
         self.failed_spills = 0
         self.switch_pairs = 0
-        self.blocked_restores = 0
+        # Blocked restores counted so far, and the executed-cycle count at
+        # the tick that opened the current blocked span (None: no span).
+        self._blocked_restores = 0
+        self._blocked_mark: Optional[int] = None
         # Residency throttle: beyond a few stall-periods' worth of pending
         # CTAs there is nothing left to hide, and every extra resident CTA
         # costs cold-start traffic.  The hardware caps at 128 CTAs / 512
@@ -249,28 +252,57 @@ class FineRegPolicy(RegisterFilePolicy):
         self._restore_ready(now)
         self.fill(now)
 
-    def on_tick(self, now: int) -> None:
-        if self.pending.has_ready(now):
-            self._restore_ready(now)
+    @property
+    def blocked_restores(self) -> int:
+        """Restores refused for ACRF space (the adaptive split's pressure
+        signal): one per restore round that leaves a ready CTA of an
+        ACRF-blocked launch waiting.
 
-    def _restore_ready(self, now: int) -> None:
-        """Restore the status monitor's picks while the ACRF and scheduler
-        slots have room for them.
-
-        Whether a launch's CTA fits is asked once per launch and round:
-        launches with free slots split into those the ACRF can host
-        (``fitting``) and those it cannot (``blocked``), and only ready
-        CTAs of a fitting launch are candidates.
+        The dense oracle ticks on every executed cycle, so while that
+        state holds it counts one per executed cycle.  The event engines
+        skip those ticks: the tick that leaves the state open marks the
+        executed-cycle count, and the cycles after it count in closed form
+        (the next tick folds them in).
         """
+        mark = self._blocked_mark
+        if mark is None:
+            return self._blocked_restores
+        return self._blocked_restores + self.sm.gpu.executed_cycles - mark
+
+    def on_tick(self, now: int) -> None:
+        executed = self.sm.gpu.executed_cycles
+        if self._blocked_mark is not None:
+            # Fold the span: the executed cycles after the opening tick,
+            # up to this one, whose own count follows.
+            self._blocked_restores += executed - 1 - self._blocked_mark
+            self._blocked_mark = None
+        if self.pending.has_ready(now) and self._restore_ready(now):
+            self._blocked_mark = executed
+
+    def _split_launches(self):
+        """Launches with free scheduler slots, split into those whose next
+        CTA the ACRF can host (``fitting``) and those it cannot
+        (``blocked``)."""
         sm = self.sm
+        fitting, blocked = [], []
+        for launch in sm.gpu.launches:
+            if sm.scheduler_slots_free(launch):
+                if self.acrf.can_allocate(self._launch_regs(launch)):
+                    fitting.append(launch)
+                else:
+                    blocked.append(launch)
+        return fitting, blocked
+
+    def _restore_ready(self, now: int) -> bool:
+        """Restore the status monitor's picks while the ACRF and scheduler
+        slots have room for them; True (a blocked restore, counted) when a
+        ready CTA of an ACRF-blocked launch is left waiting.
+
+        Whether a launch's CTA fits is asked once per launch and round,
+        and only ready CTAs of a fitting launch are candidates.
+        """
         while True:
-            fitting, blocked = [], []
-            for launch in sm.gpu.launches:
-                if sm.scheduler_slots_free(launch):
-                    if self.acrf.can_allocate(self._launch_regs(launch)):
-                        fitting.append(launch)
-                    else:
-                        blocked.append(launch)
+            fitting, blocked = self._split_launches()
             candidate = self._peek_ready(now, fitting) if fitting else None
             if candidate is None:
                 break
@@ -279,19 +311,27 @@ class FineRegPolicy(RegisterFilePolicy):
         # Asked even when nothing is blocked: has_ready drains the
         # readiness heap, whose top next_event reports to the idle jump.
         if self.pending.has_ready(now, blocked):
-            # A ready CTA is waiting on ACRF space (adaptive signal).
-            self.blocked_restores += 1
+            self._blocked_restores += 1
+            return True
+        return False
 
     def next_event(self, now: int) -> int:
         return self.pending.next_ready_time()
 
     def wake_time(self, now: int) -> int:
-        # While a ready CTA waits on ACRF space, _restore_ready counts a
-        # blocked restore every tick (the adaptive-split pressure signal),
-        # so ticking may not be skipped in that state.
-        if self.pending.has_ready(now):
-            return now + 1
-        return self.pending.next_ready_time()
+        # The tick acts when a ready CTA fits the scheduler slots and the
+        # ACRF, and it must also run when the blocked span it recorded no
+        # longer matches the state (a hook restored, freed or took space),
+        # so that it folds the span at the right cycle.
+        wake = self.pending.next_ready_time()
+        if wake > now:
+            fitting, blocked = self._split_launches()
+            if fitting and self.pending.has_ready(now, fitting):
+                return now
+            waiting = bool(blocked) and self.pending.has_ready(now, blocked)
+            if waiting != (self._blocked_mark is not None):
+                return now
+        return wake
 
     # ------------------------------------------------------------------
     def telemetry_levels(self) -> dict:

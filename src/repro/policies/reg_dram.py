@@ -176,11 +176,19 @@ class RegDRAMPolicy(VirtualThreadPolicy):
                    self.dram_pending.next_ready_time())
 
     def wake_time(self, now: int) -> int:
-        if (self.pending.has_ready(now)
-                or self.dram_pending.has_ready(now)):
-            return now + 1
-        return min(self.pending.next_ready_time(),
+        # Virtual Thread's rule, plus a ready DRAM-parked CTA whose launch
+        # has registers as well as scheduler slots free.
+        wake = min(self.pending.next_ready_time(),
                    self.dram_pending.next_ready_time())
+        if wake > now:
+            slots = self._slot_launches()
+            if slots and (self.pending.has_ready(now, slots)
+                          or self.dram_pending.has_ready(now, [
+                              launch for launch in slots
+                              if self.register_space_for(
+                                  self._launch_regs(launch))])):
+                return now
+        return wake
 
     def extras(self) -> dict:
         return {

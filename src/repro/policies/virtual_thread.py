@@ -70,12 +70,15 @@ class VirtualThreadPolicy(RegisterFilePolicy):
         return self.pending.next_ready_time()
 
     def wake_time(self, now: int) -> int:
-        # A ready CTA still parked after on_tick means the residency limits
-        # bind: on_tick must re-check every cycle.  Otherwise nothing can
-        # happen before the readiness heap's next expiry.
-        if self.pending.has_ready(now):
-            return now + 1
-        return self.pending.next_ready_time()
+        # on_tick acts only on a ready CTA whose launch has free scheduler
+        # slots.  A ready CTA that does not fit waits for the hook that
+        # frees them (a park, a finish, a settle), which re-asks.
+        wake = self.pending.next_ready_time()
+        if wake > now:
+            slots = self._slot_launches()
+            if slots and self.pending.has_ready(now, slots):
+                return now
+        return wake
 
     # ------------------------------------------------------------------
     def _park(self, cta: CTASim, now: int) -> None:

@@ -38,7 +38,10 @@
  * itself, exactly: on_tick is an observable no-op before wake_time, the
  * settle scan before the earliest transit, and the base on_idle without a
  * park candidate only arms its 16-cycle cooldown, which the core does on
- * its own state.
+ * its own state.  The core also counts the cycles it opens
+ * (executed_cycles()); the driver reads the count before serving each op,
+ * so a policy can fold a once-per-executed-cycle count (FineReg's blocked
+ * restores) over the ticks wake_time lets it skip.
  *
  * RegMutex's per-instruction SRP lease (srp_on_issue) runs in the issue
  * loop where SM._try_issue calls the policy's issue hook, and its SRP idle
@@ -340,8 +343,11 @@ typedef struct {
     int64_t srp_block;
     int64_t srp_retry;
     int64_t lease_seq;
-    /* The global clock. */
+    /* The global clock, and how many cycles it has opened: the executed
+     * cycles every engine counts (policies fold per-cycle counts over
+     * them in closed form). */
     int64_t now;
+    int64_t executed;
     int64_t grid_remaining;
     int32_t cur_sm;         /* SM being stepped this cycle */
     int32_t any_issued;
@@ -867,8 +873,7 @@ core_mirror(CoreObject *self, PyObject *args)
     if (dirty)
         sm->lvl_dirty = 1;
     sm->transit_min = transit_min;
-    if (wake_time >= 0)
-        sm->wake_time = wake_time;
+    sm->wake_time = wake_time;
     sm->next_event = next_event;
     if (next_idle >= 0)
         sm->next_idle = next_idle;
@@ -2553,6 +2558,12 @@ core_access(CoreObject *self, PyObject *args)
 }
 
 static PyObject *
+core_executed_cycles(CoreObject *self, PyObject *Py_UNUSED(ignored))
+{
+    return PyLong_FromLongLong(self->executed);
+}
+
+static PyObject *
 core_resume(CoreObject *self, PyObject *Py_UNUSED(ignored))
 {
     if (self->sms == NULL || self->status || !memory_lowered(self)
@@ -2600,6 +2611,7 @@ core_resume(CoreObject *self, PyObject *Py_UNUSED(ignored))
                 goto done;
             }
             self->cycle_open = 1;
+            self->executed++;
             self->cur_sm = 0;
             self->any_issued = 0;
             for (s = 0; s < self->num_sms; s++)
@@ -2710,7 +2722,7 @@ static PyMethodDef core_methods[] = {
      "sync(sm_id): re-import the SM's schedulers and active-CTA list."},
     {"mirror", (PyCFunction)core_mirror, METH_VARARGS,
      "mirror(sm_id, active, pending_and_transit, active_warps, dirty, "
-     "transit_min, wake_time (-1 keeps), next_event, next_idle_check "
+     "transit_min, wake_time, next_event, next_idle_check "
      "(-1 keeps), blocked_on_rf, grid_remaining)."},
     {"reimport_cta", (PyCFunction)core_reimport_cta, METH_O,
      "reimport_cta(cta): its barrier count and warp states."},
@@ -2755,6 +2767,9 @@ static PyMethodDef core_methods[] = {
      "MemoryHierarchy._access through the lowered hierarchy."},
     {"resume", (PyCFunction)core_resume, METH_NOARGS,
      "resume() -> (kind, cycle, sm_id, arg) op descriptor."},
+    {"executed_cycles", (PyCFunction)core_executed_cycles, METH_NOARGS,
+     "executed_cycles() -> how many cycles the clock has opened (the op "
+     "being served is in the last of them)."},
     {NULL, NULL, 0, NULL},
 };
 

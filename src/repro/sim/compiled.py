@@ -26,8 +26,9 @@ order ``(cycle, sm_id, program order)``:
   ``on_cta_finished`` -> ``fill`` chain (grid pulls included).
 * ``SETTLE`` -- ``now`` reached the SM's earliest ``transit_until``
   (``sm._transit_min``): the real ``sm._settle_transits``.
-* ``TICK`` -- ``now`` reached the cached ``policy.wake_time``: the real
-  ``policy.on_tick``.
+* ``TICK`` -- ``now`` reached the cached ``policy.wake_time``, the
+  earliest executed cycle at which the tick can change anything: the
+  real ``policy.on_tick``.
 * ``IDLE`` -- a busy SM issued nothing, is past its idle cooldown and has
   at least one park candidate: the real ``policy.on_idle``.
 
@@ -38,7 +39,12 @@ skipped calls are provably exact:
 * ``on_tick`` before ``wake_time`` and the settle scan before the earliest
   transit are no-ops (the event engine skips them on the same contract;
   ``wake_time`` and ``next_event`` change only inside a hook, and calling
-  them after an op never mutates state).
+  them after an op never mutates state).  ``wake_time`` is re-asked after
+  every op, a SETTLE included: a settle comes before its cycle's tick
+  slot and can free warp slots.  What a skipped tick would have counted
+  once per executed cycle (FineReg's blocked restores), the policy counts
+  in closed form over ``gpu.executed_cycles``, which the driver sets from
+  the core's count before serving each op.
 * The base ``on_idle`` computes ``stalled_active_ctas`` once and, with
   none, only arms its 16-cycle cooldown; the core evaluates that
   predicate on its own warp state and arms the cooldown itself.
@@ -77,7 +83,8 @@ what the op can have changed; before it, C's view is written onto the
 Python objects only where the op reads it (IDLE and EXIT: schedulers and
 active CTAs' warps; SETTLE: schedulers; TICK: nothing).  The level, idle
 and RF-depletion sums are int64 in C and merged into the float counters
-once at run end.
+once at run end.  ``gpu.engine_ops`` records how many ops of each kind
+the driver served (observation only, like ``engine_refusal``).
 
 Eligibility is run-level (``compiled_refusal``): no tracer, sanitizer or
 telemetry surface, a single launch, the stock memory hierarchy with no
@@ -144,6 +151,10 @@ _STATES = (WarpState.RUNNABLE, WarpState.AT_BARRIER, WarpState.FINISHED)
 
 #: ``Core.resume`` op kinds (part of the C ABI).
 _OP_DONE, _OP_EXIT, _OP_SETTLE, _OP_TICK, _OP_IDLE, _OP_DEADLOCK = range(6)
+
+#: The served op kinds, as ``gpu.engine_ops`` names them.
+_OP_NAMES = ((_OP_EXIT, "exit"), (_OP_SETTLE, "settle"), (_OP_TICK, "tick"),
+             (_OP_IDLE, "idle"))
 
 #: ``_meta`` dispatch kinds -> the core's collapsed kind (part of the C
 #: ABI): 0 writes the destination at ``now`` plus a fixed latency (ALU,
@@ -393,8 +404,7 @@ class _Run:
                     sm.sm_id, policy, policy._extra_demand if lease else None,
                     SRP_BLOCK, SRP_RETRY_INTERVAL)
             self.core.sync(sm.sm_id)
-            # Every SM is stepped at cycle 0, so on_tick is due at once.
-            self._push(sm, 0, 0, sm._policy._next_idle_check)
+            self._push(sm, 0, sm._policy._next_idle_check)
 
     # ------------------------------------------------------------------
     # Python -> C
@@ -437,25 +447,25 @@ class _Run:
                     trace_slots[id(trace)] = tslot
                 core.new_warp(warp, cslot, tslot, warp.global_warp_id)
 
-    def _push(self, sm, now, wake, idle=-1) -> None:
-        """Push the SM's mirrors after an op.
+    def _push(self, sm, now, idle=-1) -> None:
+        """Push the SM's mirrors after an op (or the initial fill).
 
-        ``wake`` is the cached ``wake_time``; None re-asks the policy, -1
-        keeps the cached value (a settle precedes the cycle's tick slot,
-        where the cache still holds).  ``idle`` is the idle cooldown, which
-        only ``on_idle`` changes on the Python side (-1 keeps the core's,
-        which it re-arms itself).  The C core owns the level-flush
+        ``wake_time`` is re-asked every time: every op can change what a
+        tick would do, a settle included (it precedes its cycle's tick
+        slot and can free warp slots).  ``idle`` is the idle cooldown,
+        which only ``on_idle`` changes on the Python side (-1 keeps the
+        core's, which it re-arms itself).  The C core owns the level-flush
         boundary from here on: it clears its dirty bit at its own
         end-of-cycle flush, where the dense engine's accumulate would.
         """
         policy = sm._policy
-        if wake is None:
-            wake = policy.wake_time(now) if sm._needs_tick else FOREVER
         self.core.mirror(
             sm.sm_id, len(sm.active_ctas),
             len(sm.pending_ctas) + len(sm.transit_ctas), sm._active_warps,
-            sm._lvl_dirty, sm._transit_min, wake, policy.next_event(now),
-            idle, policy._blocked_on_rf, self.gpu.ctas_remaining)
+            sm._lvl_dirty, sm._transit_min,
+            policy.wake_time(now) if sm._needs_tick else FOREVER,
+            policy.next_event(now), idle, policy._blocked_on_rf,
+            self.gpu.ctas_remaining)
         sm._lvl_dirty = False
 
     # ------------------------------------------------------------------
@@ -482,19 +492,19 @@ class _Run:
         # its count and its warps' states (the finished warp included).
         core.reimport_cta(warp.cta)
         core.sync(sm.sm_id)
-        self._push(sm, now, None)
+        self._push(sm, now)
 
     def _serve_settle(self, sm, now) -> None:
         self.core.export(sm.sm_id, False)
         sm._settle_transits(now)
         self.core.sync(sm.sm_id)
-        self._push(sm, now, -1)
+        self._push(sm, now)
 
     def _serve_tick(self, sm, now) -> None:
         # on_tick only activates parked CTAs (pending -> transit): no
         # scheduler or active-list change, nothing to exchange but mirrors.
         sm._policy.on_tick(now)
-        self._push(sm, now, None)
+        self._push(sm, now)
 
     def _serve_idle(self, sm, now, next_idle) -> None:
         policy = sm._policy
@@ -510,7 +520,7 @@ class _Run:
         if stats.cta_switch_events + stats.cta_launches != moves:
             self._lower_new(sm)
             self.core.sync(sm.sm_id)
-        self._push(sm, now, None, policy._next_idle_check)
+        self._push(sm, now, policy._next_idle_check)
 
     # ------------------------------------------------------------------
     def run(self):
@@ -518,8 +528,14 @@ class _Run:
         core = self.core
         sms = gpu.sms
         resume = core.resume
+        executed = core.executed_cycles
+        served = [0] * (_OP_DEADLOCK + 1)
         while True:
             kind, now, sm_id, arg = resume()
+            # The op runs in the core's last executed cycle, which a
+            # policy's closed forms count (FineReg's blocked restores).
+            gpu.executed_cycles = executed()
+            served[kind] += 1
             if kind == _OP_EXIT:
                 self._serve_exit(sms[sm_id], now, arg)
             elif kind == _OP_TICK:
@@ -534,6 +550,7 @@ class _Run:
             else:
                 gpu._raise_deadlock(now)
 
+        gpu.engine_ops = {name: served[kind] for kind, name in _OP_NAMES}
         write_back_memory(core, gpu.hierarchy)
         for sm in sms:
             # Final state export: _flush_deferred_stats reads warp.pos of

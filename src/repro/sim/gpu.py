@@ -94,6 +94,14 @@ class GPU:
         # when auto found no C core; None when it ran there or was not
         # asked.  Observation only: never part of SimResult.
         self.engine_refusal = None
+        # Ops the compiled core returned to Python in the last run(), by
+        # kind ("exit", "settle", "tick", "idle"); None when another engine
+        # ran it.  Observation only, like engine_refusal.
+        self.engine_ops = None
+        # Cycles the clock has executed so far (every engine counts them
+        # the same way), so a policy can fold a once-per-executed-cycle
+        # count over the ticks its wake_time skips.
+        self.executed_cycles = 0
         if hasattr(self.address_model, "warm_l2"):
             self.address_model.warm_l2(self.hierarchy.l2)
         self.completed_ctas = 0
@@ -149,6 +157,8 @@ class GPU:
         if was_enabled:
             gc.disable()
         self.engine_refusal = None
+        self.engine_ops = None
+        self.executed_cycles = 0
         try:
             if os.environ.get("REPRO_DENSE_STEP") == "1":
                 self.engine_used = "dense"
@@ -181,6 +191,7 @@ class GPU:
             if now >= max_cycles:
                 timed_out = True
                 break
+            self.executed_cycles += 1
             issued = 0
             for sm in sms:
                 sm_issued = sm.step(now)
@@ -241,6 +252,7 @@ class GPU:
             if now >= max_cycles:
                 timed_out = True
                 break
+            self.executed_cycles += 1
             issued = 0
             for index, sm in enumerate(sms):
                 if now < wake[index]:

@@ -28,6 +28,13 @@ channel, plus the unsorted result JSON (the key order of
 (``srp_state``): the free count, the lease table in dict order, the
 acquire/denial counters, the pending denial flag and the SRP stall
 cycles.
+
+The engines skip the policy hooks whose call cannot change anything
+(``wake_time``), and FineReg's ``blocked_restores`` counts skipped ticks
+in closed form, so the tests also compare every SM's policy end state
+(``policy_state``), which ``SimResult`` does not carry: the switching
+counters and flags, the live entries of every readiness heap, reg_dram's
+DRAM-parked footprint and finereg_adaptive's epoch state.
 """
 
 from __future__ import annotations
@@ -46,8 +53,10 @@ from repro.config import SCALES, GPUConfig, default_config
 from repro.experiments.common import SRP_RATIOS
 from repro.experiments.runner import POLICIES
 from repro.memory.hierarchy import MemoryHierarchy
+from repro.policies.base import PendingTracker
 from repro.policies.regmutex import SRP_BLOCK, SRP_RETRY_INTERVAL
 from repro.policies.unified_memory import apply_unified_memory
+from repro.sim.cta import CTAState
 from repro.sim.gpu import GPU
 from repro.sim.tracing import attach_tracer
 from repro.validate.golden import CORPUS, run_case
@@ -132,9 +141,50 @@ def srp_state(gpu) -> list:
             for sm in gpu.sms if hasattr(sm._policy, "srp_capacity")]
 
 
+#: Policy counters and flags beyond ``SimResult``, each compared on the
+#: SMs whose policy has it: the switching counters, reg_dram's DRAM-parked
+#: footprint and finereg_adaptive's epoch state.
+POLICY_FIELDS = ("rf_used_entries", "_blocked_on_rf", "blocked_restores",
+                 "failed_spills", "switch_pairs", "_dram_count",
+                 "_dram_regs", "_next_epoch", "_epoch_failed_spills",
+                 "_epoch_acrf_blocked", "_seen_blocked_restores")
+
+
+def tracker_state(tracker: PendingTracker) -> tuple:
+    """A readiness heap's live entries: sorted ``(ready_time, cta_id)`` of
+    heap entries still PENDING or TRANSIT, and the sorted ids of ready
+    CTAs still PENDING (entries that left those states are dropped lazily,
+    whenever a drain or a read gets to them)."""
+    live = (CTAState.PENDING, CTAState.TRANSIT)
+    return (sorted((ready, cta_id) for ready, cta_id, cta in tracker._heap
+                   if cta.state in live),
+            sorted(cta.cta_id for cta in tracker._ready
+                   if cta.state is CTAState.PENDING))
+
+
+def policy_state(gpu) -> list:
+    """Every SM's policy end state: ``POLICY_FIELDS``, every
+    ``PendingTracker`` and, where ``on_idle`` can act, the idle cooldown
+    (the base cooldown nothing reads is left to each engine)."""
+    states = []
+    for sm in gpu.sms:
+        policy = sm._policy
+        state = {name: getattr(policy, name) for name in POLICY_FIELDS
+                 if hasattr(policy, name)}
+        if sm._needs_idle:
+            state["_next_idle_check"] = policy._next_idle_check
+        state["trackers"] = {
+            name: tracker_state(value)
+            for name, value in vars(policy).items()
+            if isinstance(value, PendingTracker)}
+        states.append(state)
+    return states
+
+
 def assert_same_end_state(dense_gpu, dense, gpu, result, label: str):
     """Result bytes (unsorted: the key order counts too), the full memory
-    end state and the SRP state of ``gpu`` equal the dense oracle's."""
+    end state, the SRP state and the policy state of ``gpu`` equal the
+    dense oracle's."""
     assert json.dumps(dense.to_json()) == json.dumps(result.to_json()), (
         f"{label}: result diverged from the dense oracle")
     expected = memory_state(dense_gpu.hierarchy)
@@ -144,6 +194,12 @@ def assert_same_end_state(dense_gpu, dense, gpu, result, label: str):
             f"{label}: {key} diverged from the dense oracle")
     assert srp_state(gpu) == srp_state(dense_gpu), (
         f"{label}: SRP state diverged from the dense oracle")
+    expected = policy_state(dense_gpu)
+    for sm_id, (actual, wanted) in enumerate(zip(policy_state(gpu),
+                                                 expected)):
+        assert actual == wanted, (
+            f"{label}: SM {sm_id} policy state diverged from the dense "
+            f"oracle")
 
 
 def end_state_differential(build, max_cycles: int, label: str):
@@ -356,6 +412,48 @@ def test_four_sm_runs_bit_identical(policy, app):
     end_state_differential(
         lambda: build_micro_gpu(policy, app, 0, QUAD_CONFIG),
         TINY.max_cycles, f"{policy}, {app}, 4 SMs")
+
+
+# ----------------------------------------------------------------------
+# Policy timers: the ticks every engine but the dense oracle skips
+# ----------------------------------------------------------------------
+#: The policies that override ``on_tick``.
+TIMER_POLICIES = ("finereg", "finereg_adaptive", "reg_dram",
+                  "virtual_thread", "vt_regmutex")
+
+
+@pytest.mark.parametrize("app", APPS)
+@pytest.mark.parametrize("policy", TIMER_POLICIES)
+def test_timer_policy_end_state(policy, app):
+    """Seed 3 on 2 SMs: ready CTAs wait for scheduler slots, registers or
+    ACRF space, so the skipped ticks and the closed-form
+    ``blocked_restores`` must leave the oracle's policy state."""
+    dense, __, __ = end_state_differential(
+        lambda: build_micro_gpu(policy, app, 3), TINY.max_cycles,
+        f"{policy}, {app}, seed 3")
+    assert all(sm._needs_tick for sm in dense.sms)
+    if policy.startswith("finereg") and app == "HS":
+        assert dense.sms[0]._policy.blocked_restores > 0
+
+
+@pytest.mark.parametrize("app", ("HS", "LB"))
+@pytest.mark.parametrize("max_cycles", (1500, 2000))
+def test_blocked_span_open_at_a_timeout(app, max_cycles):
+    """A finereg run cut while ready CTAs wait on ACRF space: the span is
+    still open at the end, so ``blocked_restores`` reads ``count - mark``,
+    which must be the oracle's per-cycle count."""
+    dense, result, gpus = end_state_differential(
+        lambda: build_micro_gpu("finereg", app, 3), max_cycles,
+        f"finereg, {app}, seed 3, max_cycles={max_cycles}")
+    assert result.timed_out
+    for gpu in gpus.values():
+        assert any(sm._policy._blocked_mark is not None for sm in gpu.sms)
+    compiled = gpus.get("compiled")
+    if compiled is not None:
+        # The compiled engine skipped the ticks since the span opened.
+        assert any(sm._policy._blocked_mark is not None
+                   and sm._policy._blocked_mark < compiled.executed_cycles
+                   for sm in compiled.sms)
 
 
 # ----------------------------------------------------------------------

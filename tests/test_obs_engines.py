@@ -2,10 +2,12 @@
 
 ``simulate_request`` tags its ``engine-run`` phase span with the engine
 that ran (``gpu.engine_used``) and why a faster one was refused
-(``gpu.engine_refusal``); ``span_close`` events carry those attrs, and
-``repro obs summarize`` rolls them up into requests and engine-run wall
-per (policy, engine, refusal), serial and pooled alike, with persistent
-cache hits counted as engine ``cached``.  None of it enters a SimResult.
+(``gpu.engine_refusal``), and a compiled run's span with the ops the
+driver served by kind (``gpu.engine_ops``); ``span_close`` events carry
+those attrs, and ``repro obs summarize`` rolls them up into requests,
+engine-run wall and served ops per (policy, engine, refusal), serial and
+pooled alike, with persistent cache hits counted as engine ``cached``.
+None of it enters a SimResult.
 """
 
 import json
@@ -69,12 +71,17 @@ def test_engine_mix_reads_from_the_event_log(tmp_path, jobs):
         assert (rows["vt_regmutex"]["engine"],
                 rows["vt_regmutex"]["refusal"]) == ("compiled", None)
         assert rows["baseline"]["refusal"] == "telemetry"
+        ops = rows["vt_regmutex"]["ops"]
+        assert list(ops) == ["exit", "settle", "tick", "idle"]
+        assert ops["exit"] > 0 and ops["tick"] > 0
     else:
         # auto found no C core, so it never asked the gate.
         assert rows["vt_regmutex"]["refusal"] == "extension-missing"
         assert rows["baseline"]["refusal"] == "extension-missing"
     assert (rows["virtual_thread"]["engine"],
             rows["virtual_thread"]["refusal"]) == ("reference", None)
+    # Only compiled runs serve ops.
+    assert rows["baseline"]["ops"] == rows["virtual_thread"]["ops"] == {}
     # Observation-only: the results are the unobserved run's bytes.
     plain, __ = run_batch(tmp_path, jobs, observe=False)
     assert [json.dumps(r.to_json()) for r in results] == \
@@ -84,13 +91,17 @@ def test_engine_mix_reads_from_the_event_log(tmp_path, jobs):
 
 def test_summarize_prints_the_engine_table(tmp_path, capsys):
     run_batch(tmp_path, 1)
-    assert "engines (policy, engine, refusal" in format_summary(
+    text = format_summary(
         summarize_events(load_log(str(tmp_path / "obs-1.jsonl"))))
+    assert "engines (policy, engine, refusal" in text
     assert run_obs("summarize", str(tmp_path / "obs-1.jsonl"),
                    as_json=True) == 0
     engines = json.loads(capsys.readouterr().out)["engines"]
     assert [row["policy"] for row in engines] == \
         ["baseline", "virtual_thread", "vt_regmutex"]
+    if compiled_available():
+        ops = engines[2]["ops"]
+        assert f"tick {ops['tick']}  idle {ops['idle']}" in text
 
 
 def test_cache_hits_count_as_cached(tmp_path):
