@@ -3,8 +3,8 @@
 PYTHON ?= python
 SCALE ?= small
 
-.PHONY: install test bench bench-fast report calibrate analyze \
-	analyze-effects typecheck trace obs-report clean
+.PHONY: install test report analyze analyze-effects typecheck trace \
+	obs-report clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation || \
@@ -16,16 +16,7 @@ test:
 test-out:
 	$(PYTHON) -m pytest tests/ 2>&1 | tee test_output.txt
 
-bench:
-	REPRO_SCALE=$(SCALE) $(PYTHON) -m pytest benchmarks/ --benchmark-only -s
-
-bench-fast:
-	REPRO_SCALE=tiny $(PYTHON) -m pytest benchmarks/ --benchmark-only
-
-bench-out:
-	REPRO_SCALE=$(SCALE) $(PYTHON) -m pytest benchmarks/ --benchmark-only \
-		2>&1 | tee bench_output.txt
-
+# Every table and figure plus its shape claims (exit 1 if a claim fails).
 report:
 	$(PYTHON) -m repro.experiments.run_all --scale $(SCALE) --out results
 
@@ -68,9 +59,6 @@ obs-report:
 		--scale $(SCALE) --out results --progress
 	PYTHONPATH=src $(PYTHON) -m repro obs summarize results/obs.jsonl
 
-calibrate:
-	$(PYTHON) tools/calibrate.py $(SCALE)
-
 clean:
-	rm -rf .pytest_cache .benchmarks results/REPORT.md
+	rm -rf .pytest_cache results/REPORT.md
 	find . -name __pycache__ -type d -exec rm -rf {} +

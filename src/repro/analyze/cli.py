@@ -41,25 +41,6 @@ def _print_kernel_reports(reports: Sequence[AnalysisReport]) -> None:
             print(f"       {finding.format()}")
 
 
-def _figure_requests(figure: str, scale_name: str) -> List[object]:
-    """Collect the plan of one figure module (or all of them)."""
-    import importlib
-
-    from repro.cli import EXPERIMENT_MODULES
-    from repro.experiments.runner import ExperimentRunner
-
-    runner = ExperimentRunner(scale=SCALES[scale_name])
-    names = sorted(EXPERIMENT_MODULES) if figure == "all" else [figure]
-    requests: List[object] = []
-    for name in names:
-        module = importlib.import_module(
-            f"repro.experiments.{EXPERIMENT_MODULES[name]}")
-        plan = getattr(module, "plan", None)
-        if plan is not None:
-            requests.extend(plan(runner))
-    return requests
-
-
 def run_analyze(apps: Sequence[str] = (), suite: bool = False,
                 figure: Optional[str] = None, lint: bool = False,
                 effects: bool = False, self_test: bool = False,
@@ -81,8 +62,12 @@ def run_analyze(apps: Sequence[str] = (), suite: bool = False,
         config = default_config(scale)
         reports: List[AnalysisReport] = []
         if figure is not None:
-            reports.extend(verify_requests(
-                _figure_requests(figure, scale_name), config, scale))
+            from repro.experiments.run_all import campaign_plan
+            from repro.experiments.runner import ExperimentRunner
+
+            requests = campaign_plan(ExperimentRunner(scale=scale),
+                                     None if figure == "all" else [figure])
+            reports.extend(verify_requests(requests, config, scale))
         if suite or apps:
             reports.extend(verify_suite(
                 config, scale, abbrevs=[a.upper() for a in apps] or None))

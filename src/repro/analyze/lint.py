@@ -25,13 +25,12 @@ lint statically flags the code patterns that silently break that purity:
   function in the same module mutates.  Such state leaks across
   simulations within one ``experiments.parallel`` worker process.
 * ``wall-clock-allowance`` (error) — a *suppressed* wall-clock read in a
-  file outside the sanctioned clock modules
+  file outside the sanctioned clock module
   (:data:`_CLOCK_EXEMPT_SUFFIXES`).  Host-time reads are confined to
-  ``repro.obs.clock`` (plus the offline calibration script listed
-  there); everything else must route through it so the audit surface
-  stays one file.  This fires on the suppression itself, so sprinkling
-  ``# lint: allow[wall-clock]`` in new code fails the gate rather than
-  silently widening the exemption.
+  ``repro.obs.clock``; everything else must route through it so the
+  audit surface stays one file.  This fires on the suppression itself,
+  so sprinkling ``# lint: allow[wall-clock]`` in new code fails the gate
+  rather than silently widening the exemption.
 
 Suppression: append ``# lint: allow[<tag>]`` (or a bare ``# lint: allow``)
 to the offending line.  Suppressions are deliberate, reviewable markers —
@@ -72,11 +71,10 @@ _CLOCK_CALLS = {
 _SUPPRESS_RE = re.compile(r"#\s*lint:\s*allow(?:\[([a-z0-9_,\- ]+)\])?")
 
 #: Files whose audited ``# lint: allow[wall-clock]`` tags are sanctioned:
-#: the one host-clock module plus the host-calibration script.  A
-#: suppressed wall-clock read anywhere else raises ``wall-clock-allowance``.
+#: the one host-clock module.  A suppressed wall-clock read anywhere else
+#: raises ``wall-clock-allowance``.
 _CLOCK_EXEMPT_SUFFIXES: Tuple[str, ...] = (
     "repro/obs/clock.py",
-    "tools/calibrate.py",
 )
 
 _MUTATING_METHODS = {"add", "append", "extend", "update", "pop", "popitem",
@@ -148,7 +146,7 @@ class _ModuleLinter(ast.NodeVisitor):
                     tag="wall-clock-allowance", severity=Severity.ERROR,
                     message=(
                         "suppressed wall-clock read outside the sanctioned "
-                        "clock modules; route host timing through "
+                        "clock module; route host timing through "
                         "repro.obs.clock instead of widening the "
                         "exemption"),
                     source="determinism-lint", path=self.path, line=line))

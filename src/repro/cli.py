@@ -6,7 +6,7 @@ Usage examples::
     python -m repro run KM --policy finereg      # one simulation
     python -m repro trace KM --perfetto out.json # traced run + export
     python -m repro compare KM LB --scale tiny   # all five policies
-    python -m repro figure fig13 --apps KM,LB    # regenerate a figure
+    python -m repro figure fig13_performance     # one figure + its claims
     python -m repro figure all --jobs 8          # the whole evaluation
     python -m repro cache info                   # persistent result cache
     python -m repro cache clear
@@ -18,7 +18,6 @@ Usage examples::
 from __future__ import annotations
 
 import argparse
-import importlib
 import sys
 from typing import List, Optional, Sequence
 
@@ -27,25 +26,9 @@ from repro.core.overhead import finereg_overhead
 from repro.experiments.cache import ResultCache, cache_enabled
 from repro.experiments.common import main_config_results, plan_main_configs
 from repro.experiments.report import format_table
+from repro.experiments.run_all import CAMPAIGN, check_claims, run_campaign
 from repro.experiments.runner import ExperimentRunner, POLICIES
 from repro.workloads.suite import ALL_SPECS, get_spec
-
-#: Figure/table modules addressable from the CLI.
-EXPERIMENT_MODULES = {
-    "fig02": "fig02_resources",
-    "fig03": "fig03_cta_overhead",
-    "fig04": "fig04_case_study",
-    "fig05": "fig05_register_usage",
-    "table03": "table03_stall_time",
-    "fig12": "fig12_concurrent_ctas",
-    "fig13": "fig13_performance",
-    "fig14": "fig14_rf_stalls",
-    "fig15": "fig15_memory_traffic",
-    "fig16": "fig16_energy",
-    "fig17": "fig17_rf_sensitivity",
-    "fig18": "fig18_sm_scaling",
-    "fig19": "fig19_unified_memory",
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -76,12 +59,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="worker processes (default: all CPUs)")
     cmp_cmd.set_defaults(func=cmd_compare)
 
-    fig_cmd = sub.add_parser("figure", help="regenerate a paper figure")
-    fig_cmd.add_argument("figure",
-                         choices=sorted(EXPERIMENT_MODULES) + ["all"])
+    fig_cmd = sub.add_parser(
+        "figure", help="regenerate a paper figure and check its claims")
+    fig_cmd.add_argument("figure", choices=list(CAMPAIGN) + ["all"])
     fig_cmd.add_argument("--scale", default="small", choices=sorted(SCALES))
-    fig_cmd.add_argument("--apps", default=None,
-                         help="comma-separated subset, e.g. KM,LB")
     fig_cmd.add_argument("--jobs", type=int, default=None,
                          help="worker processes (default: all CPUs)")
     fig_cmd.set_defaults(func=cmd_figure)
@@ -141,8 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="Table II abbreviations to verify, e.g. KM LB")
     ana_cmd.add_argument("--suite", action="store_true",
                          help="verify every Table II workload")
-    ana_cmd.add_argument("--figure",
-                         choices=sorted(EXPERIMENT_MODULES) + ["all"],
+    ana_cmd.add_argument("--figure", choices=list(CAMPAIGN) + ["all"],
                          default=None,
                          help="verify the kernels of a campaign plan")
     ana_cmd.add_argument("--lint", action="store_true",
@@ -248,29 +228,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_figure(args: argparse.Namespace) -> int:
     runner = ExperimentRunner(scale=SCALES[args.scale])
-    names = (sorted(EXPERIMENT_MODULES) if args.figure == "all"
-             else [args.figure])
-    plans = []
-    for name in names:
-        module = importlib.import_module(
-            f"repro.experiments.{EXPERIMENT_MODULES[name]}")
-        kwargs = {}
-        if args.apps and name not in ("fig04",):
-            kwargs["apps"] = tuple(a.upper() for a in args.apps.split(","))
-        plan = getattr(module, "plan", None)
-        if plan is not None:
-            plans.append((module, kwargs, plan(runner, **kwargs)))
-        else:
-            plans.append((module, kwargs, []))
-    # Prefetch every figure's request set over the pool before the serial
-    # render loop; shared runs dedupe inside run_many.
-    runner.run_many([r for __, __, reqs in plans for r in reqs],
-                    jobs=args.jobs)
-    for module, kwargs, __ in plans:
-        result = module.run(runner, **kwargs)
+    modules = None if args.figure == "all" else [args.figure]
+    results = run_campaign(runner, modules, jobs=args.jobs)
+    for result in results:
         print(result.to_text())
         print()
-    return 0
+    rows, ok = check_claims(results, args.scale, modules)
+    print("\n".join(rows))
+    return 0 if ok else 1
 
 
 def cmd_trace(args: argparse.Namespace) -> int:

@@ -9,9 +9,9 @@ experiment behind that sentence.
 from __future__ import annotations
 
 import dataclasses
-from typing import Sequence
+from typing import Dict, List, Sequence
 
-from repro.experiments.common import ExperimentResult
+from repro.experiments.common import Claim, ExperimentResult
 from repro.experiments.parallel import RunRequest
 from repro.experiments.report import geomean
 from repro.experiments.runner import ExperimentRunner
@@ -65,9 +65,12 @@ def plan(runner: ExperimentRunner,
     return requests
 
 
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run(ExperimentRunner()).to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+def claims(s: Dict[str, float]) -> List[Claim]:
+    # Paper V-C: 32 entries suffice; hit rate saturates there.
+    return [
+        ('s["hit_rate_32"] >= s["hit_rate_1"]',
+         s["hit_rate_32"] >= s["hit_rate_1"]),
+        ('s["hit_rate_64"] - s["hit_rate_32"] < 0.05',
+         s["hit_rate_64"] - s["hit_rate_32"] < 0.05),
+        ('s["hit_rate_32"] > 0.80', s["hit_rate_32"] > 0.80),
+    ]

@@ -13,9 +13,9 @@ sensitivity sweeps here:
 from __future__ import annotations
 
 import dataclasses
-from typing import Sequence
+from typing import Dict, List, Sequence
 
-from repro.experiments.common import ExperimentResult
+from repro.experiments.common import Claim, ExperimentResult
 from repro.experiments.parallel import RunRequest
 from repro.experiments.report import geomean
 from repro.experiments.runner import ExperimentRunner
@@ -87,9 +87,10 @@ def plan(runner: ExperimentRunner,
     return requests
 
 
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run(ExperimentRunner()).to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+def claims(s: Dict[str, float]) -> List[Claim]:
+    # An absurdly high park threshold forfeits most of the benefit.
+    return [
+        ('s["speedup_park_160"] >= s["speedup_park_640"] - 0.05',
+         s["speedup_park_160"] >= s["speedup_park_640"] - 0.05),
+        ('s["speedup_gto"] > 0.9', s["speedup_gto"] > 0.9),
+    ]

@@ -26,6 +26,14 @@ TRAFFIC_APPS = ("FD", "NW", "ST")
 REG_DRAM_LIMITS = (0, 4)
 SRP_RATIOS = (0.2, 0.28, 0.35)
 
+#: One shape claim of an experiment module's ``claims(s)``: the asserted
+#: expression over its summary ``s``, as source text, and whether it holds.
+Claim = Tuple[str, bool]
+
+#: Suffix of a claim's text that EXPERIMENTS.md does not make at ``tiny``
+#: scale: a tiny run reports it but does not fail on it.
+NOT_AT_TINY = " (not claimed at tiny)"
+
 
 @dataclass
 class ExperimentResult:

@@ -10,9 +10,9 @@ knowing it in advance.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Dict, List, Sequence
 
-from repro.experiments.common import ALL_APPS, ExperimentResult
+from repro.experiments.common import ALL_APPS, Claim, ExperimentResult
 from repro.experiments.parallel import RunRequest
 from repro.experiments.report import geomean
 from repro.experiments.runner import ExperimentRunner
@@ -81,9 +81,11 @@ def plan(runner: ExperimentRunner,
     return requests
 
 
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run(ExperimentRunner()).to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+def claims(s: Dict[str, float]) -> List[Claim]:
+    # The adaptive boundary must not lose to the fixed default, and the
+    # per-app oracle bounds it from above.
+    return [
+        ('s["adaptive_vs_default"] > 0.95', s["adaptive_vs_default"] > 0.95),
+        ('s["adaptive_speedup"] <= s["best_static_speedup"] + 0.05',
+         s["adaptive_speedup"] <= s["best_static_speedup"] + 0.05),
+    ]

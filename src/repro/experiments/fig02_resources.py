@@ -8,12 +8,13 @@ little from memory, Type-R apps the opposite (~30-44%), and both gain most
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Dict, List, Sequence
 
 from repro.experiments.common import (
     ALL_APPS,
     TYPE_R_APPS,
     TYPE_S_APPS,
+    Claim,
     ExperimentResult,
 )
 from repro.experiments.parallel import RunRequest
@@ -88,9 +89,16 @@ def plan(runner: ExperimentRunner,
     return requests
 
 
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run(ExperimentRunner()).to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+def claims(s: Dict[str, float]) -> List[Claim]:
+    # Shape: Type-S apps respond to scheduling resources, Type-R to memory.
+    return [
+        ('s["type_s_sched_x2"] > s["type_s_mem_x2"] - 0.02',
+         s["type_s_sched_x2"] > s["type_s_mem_x2"] - 0.02),
+        ('s["type_r_mem_x2"] > s["type_r_sched_x2"] - 0.02',
+         s["type_r_mem_x2"] > s["type_r_sched_x2"] - 0.02),
+        # Scaling both dominates scaling either alone.
+        ('s["type_s_sched+mem_x2"] >= s["type_s_sched_x2"] - 0.02',
+         s["type_s_sched+mem_x2"] >= s["type_s_sched_x2"] - 0.02),
+        ('s["type_r_sched+mem_x2"] >= s["type_r_mem_x2"] - 0.02',
+         s["type_r_sched+mem_x2"] >= s["type_r_mem_x2"] - 0.02),
+    ]

@@ -7,9 +7,9 @@ kernels' resource envelopes, so no simulation is needed.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Dict, List, Sequence
 
-from repro.experiments.common import ALL_APPS, ExperimentResult
+from repro.experiments.common import ALL_APPS, Claim, ExperimentResult
 from repro.experiments.runner import ExperimentRunner
 from repro.workloads.suite import get_spec
 
@@ -51,9 +51,12 @@ def run(runner: ExperimentRunner,
     )
 
 
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run(ExperimentRunner()).to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+def claims(s: Dict[str, float]) -> List[Claim]:
+    # Paper: 6-37.3 KB per extra CTA, registers ~88.7% of the total.
+    return [
+        ('2.0 <= s["min_overhead_kb"] <= 10.0',
+         2.0 <= s["min_overhead_kb"] <= 10.0),
+        ('25.0 <= s["max_overhead_kb"] <= 40.0',
+         25.0 <= s["max_overhead_kb"] <= 40.0),
+        ('s["register_share"] >= 0.75', s["register_share"] >= 0.75),
+    ]

@@ -10,8 +10,11 @@ above -- the motivation gap FineReg targets.
 
 from __future__ import annotations
 
+from typing import Dict, List
+
 from repro.experiments.common import (
     REG_DRAM_LIMITS,
+    Claim,
     ExperimentResult,
     best_reg_dram,
 )
@@ -81,9 +84,12 @@ def plan(runner: ExperimentRunner, app: str = APP):
     return requests
 
 
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run(ExperimentRunner()).to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+def claims(s: Dict[str, float]) -> List[Claim]:
+    # Shape: Full RF beats baseline; DRAM adds little; Ideal tops everything.
+    return [
+        ('s["full_rf_speedup"] > 1.0', s["full_rf_speedup"] > 1.0),
+        ('s["full_rf_dram_speedup"] >= s["full_rf_speedup"] - 0.03',
+         s["full_rf_dram_speedup"] >= s["full_rf_speedup"] - 0.03),
+        ('s["ideal_speedup"] >= s["full_rf_dram_speedup"] - 0.03',
+         s["ideal_speedup"] >= s["full_rf_dram_speedup"] - 0.03),
+    ]

@@ -8,12 +8,13 @@ FineReg yet performs worse (Fig 13).
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Dict, List, Sequence
 
 from repro.experiments.common import (
     ALL_APPS,
     TYPE_R_APPS,
     TYPE_S_APPS,
+    Claim,
     ExperimentResult,
     main_config_results,
     plan_main_configs,
@@ -63,9 +64,16 @@ def run(runner: ExperimentRunner,
     )
 
 
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run(ExperimentRunner()).to_text(precision=1))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+def claims(s: Dict[str, float]) -> List[Claim]:
+    # Shape: FineReg runs more CTAs than the baseline and than Virtual
+    # Thread; Type-S apps gain more residency than Type-R (paper VI-B).
+    return [
+        ('s["finereg_cta_ratio"] > 1.2', s["finereg_cta_ratio"] > 1.2),
+        ('s["finereg_cta_ratio"] > s["virtual_thread_cta_ratio"]',
+         s["finereg_cta_ratio"] > s["virtual_thread_cta_ratio"]),
+        ('s["finereg_type_s_ratio"] > s["finereg_type_r_ratio"]',
+         s["finereg_type_s_ratio"] > s["finereg_type_r_ratio"]),
+        # Reg+DRAM residency sits at or above plain Virtual Thread.
+        ('s["reg_dram_cta_ratio"] >= s["virtual_thread_cta_ratio"] - 0.05',
+         s["reg_dram_cta_ratio"] >= s["virtual_thread_cta_ratio"] - 0.05),
+    ]

@@ -79,11 +79,3 @@ def run(runner: ExperimentRunner,
                "stalled-live-set reclamation hosts more CTAs of both "
                "kernels than the baseline's full static allocations."),
     )
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run(ExperimentRunner()).to_text(precision=2))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

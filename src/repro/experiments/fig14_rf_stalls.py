@@ -9,12 +9,13 @@ while FineReg stalls only 1.3% on PCRF depletion.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Dict, List, Sequence
 
 from repro.experiments.common import (
     ALL_APPS,
     MEMORY_INTENSIVE_APPS,
     SRP_RATIOS,
+    Claim,
     ExperimentResult,
     best_regmutex,
 )
@@ -75,9 +76,15 @@ def plan(runner: ExperimentRunner,
     return requests
 
 
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run(ExperimentRunner()).to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+def claims(s: Dict[str, float]) -> List[Claim]:
+    return [
+        # Best SRP ratios land in the paper's neighbourhood (~20-35%).
+        ('0.15 <= s["mean_srp_ratio_all"] <= 0.40',
+         0.15 <= s["mean_srp_ratio_all"] <= 0.40),
+        # FineReg's PCRF-depletion stalls stay small (paper: 1.3%).
+        ('s["finereg_stall_fraction"] <= 0.10',
+         s["finereg_stall_fraction"] <= 0.10),
+        # RegMutex's lease-across-stall pathology costs at least as much.
+        ('s["regmutex_stall_fraction"] >= s["finereg_stall_fraction"] - 0.01',
+         s["regmutex_stall_fraction"] >= s["finereg_stall_fraction"] - 0.01),
+    ]

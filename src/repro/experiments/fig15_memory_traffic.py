@@ -9,11 +9,12 @@ vectors).
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Dict, List, Sequence
 
 from repro.experiments.common import (
     SRP_RATIOS,
     TRAFFIC_APPS,
+    Claim,
     ExperimentResult,
     best_regmutex,
 )
@@ -75,9 +76,20 @@ def plan(runner: ExperimentRunner,
     return requests
 
 
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run(ExperimentRunner()).to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+def claims(s: Dict[str, float]) -> List[Claim]:
+    # Shape: Reg+DRAM's context switching costs by far the most extra
+    # traffic; FineReg's bit vectors cost almost nothing beyond VT.
+    return [
+        ('s["reg_dram_traffic_ratio"] >= s["finereg_traffic_ratio"] + 0.05',
+         s["reg_dram_traffic_ratio"] >= s["finereg_traffic_ratio"] + 0.05),
+        ('s["finereg_traffic_ratio"] '
+         '<= s["virtual_thread_traffic_ratio"] + 0.05',
+         s["finereg_traffic_ratio"]
+         <= s["virtual_thread_traffic_ratio"] + 0.05),
+        # On-chip schemes stay within a few percent of the baseline (paper
+        # <1%).
+        ('0.80 <= s["virtual_thread_traffic_ratio"] <= 1.10',
+         0.80 <= s["virtual_thread_traffic_ratio"] <= 1.10),
+        ('0.80 <= s["finereg_traffic_ratio"] <= 1.10',
+         0.80 <= s["finereg_traffic_ratio"] <= 1.10),
+    ]

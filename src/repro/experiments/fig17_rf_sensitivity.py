@@ -8,9 +8,9 @@ switching) despite maximizing the resident CTA count.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Dict, List, Sequence
 
-from repro.experiments.common import ALL_APPS, ExperimentResult
+from repro.experiments.common import ALL_APPS, Claim, ExperimentResult
 from repro.experiments.parallel import RunRequest
 from repro.experiments.report import geomean
 from repro.experiments.runner import ExperimentRunner
@@ -68,9 +68,12 @@ def plan(runner: ExperimentRunner,
     return requests
 
 
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run(ExperimentRunner()).to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+def claims(s: Dict[str, float]) -> List[Claim]:
+    # Shape: the balanced 128/128 split beats both extremes (paper:
+    # 64/192 loses 12.9%, 160/96 loses 5.4%).
+    return [
+        ('s["speedup_128_128"] >= s["speedup_64_192"]',
+         s["speedup_128_128"] >= s["speedup_64_192"]),
+        ('s["speedup_128_128"] >= s["speedup_192_64"] - 0.02',
+         s["speedup_128_128"] >= s["speedup_192_64"] - 0.02),
+    ]

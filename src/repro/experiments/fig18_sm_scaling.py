@@ -14,11 +14,11 @@ bandwidth scales along, which :meth:`GPUConfig.with_num_sms` ensures).
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Dict, List, Sequence
 
 from repro.config import KB
 from repro.core.overhead import finereg_overhead
-from repro.experiments.common import ALL_APPS, ExperimentResult
+from repro.experiments.common import ALL_APPS, Claim, ExperimentResult
 from repro.experiments.parallel import RunRequest
 from repro.experiments.report import geomean
 from repro.experiments.runner import ExperimentRunner
@@ -98,9 +98,18 @@ def plan(runner: ExperimentRunner,
     return requests
 
 
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run(ExperimentRunner()).to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+def claims(s: Dict[str, float]) -> List[Claim]:
+    # Shape: FineReg stays ahead of the baseline at every SM count, and
+    # matching its TLP with raw resources costs megabytes of SRAM (paper:
+    # 2.4-19.1 MB) versus FineReg's tens of kilobytes.
+    result: List[Claim] = []
+    for sms in (16, 32, 64, 128):
+        result += [
+            (f's["finereg_speedup_{sms}sm"] > 1.0',
+             s[f"finereg_speedup_{sms}sm"] > 1.0),
+            (f's["overhead_mb_{sms}sm"] > 0.5',
+             s[f"overhead_mb_{sms}sm"] > 0.5),
+        ]
+    result.append(('s["overhead_mb_128sm"] > s["overhead_mb_16sm"]',
+                   s["overhead_mb_128sm"] > s["overhead_mb_16sm"]))
+    return result

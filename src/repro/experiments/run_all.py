@@ -1,12 +1,17 @@
 """Full evaluation campaign: regenerate every table and figure in one pass.
 
 Writes a markdown report (default ``results/REPORT.md``) with every
-experiment's rendered table plus the headline summary numbers, reusing one
-memoizing runner so shared simulations (Figs 12/13/16) only run once.
+experiment's rendered table and summary, reusing one memoizing runner so
+shared simulations (Figs 12/13/16) only run once.
 
 Each module's ``plan()`` (its full request set) is collected up front and
 prefetched over a process pool (``--jobs``, default ``os.cpu_count()``),
 so the serial ``run()`` loop afterwards is pure memo/report work.
+
+After render, every module's ``claims()`` -- the paper's shape claims
+over its summary (EXPERIMENTS.md) -- is checked; the report lists one
+PASS/FAIL row per claim, and the exit status is 1 when a claim made at
+the run's scale fails.
 
 Run::
 
@@ -22,39 +27,47 @@ import json
 import os
 from contextlib import nullcontext
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from types import ModuleType
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.config import SCALES
+from repro.config import SCALES, TINY
+from repro.experiments.common import NOT_AT_TINY
 from repro.experiments.runner import ExperimentRunner
 from repro.obs import OBS_LOG_ENV, ObsSession, obs_enabled
 from repro.obs.events import summarize_events
 from repro.obs.rollup import render_rollup, rollup_results
 
-#: (module, headline summary keys) in paper order.
+#: The campaign's experiment modules (``repro.experiments.<name>``) in
+#: paper order: the one registry that ``run_all --only``, ``repro figure``
+#: and ``repro analyze --figure`` select from.
 CAMPAIGN = (
-    ("fig02_resources", ("type_s_sched_x2", "type_r_mem_x2")),
-    ("fig03_cta_overhead", ("register_share",)),
-    ("fig04_case_study", ("full_rf_speedup", "ideal_speedup")),
-    ("fig05_register_usage", ("mean_usage",)),
-    ("table03_stall_time", ("min_cycles", "max_cycles")),
-    ("fig12_concurrent_ctas", ("finereg_cta_ratio",)),
-    ("fig12_concurrent_kernels", ("finereg_concurrent_cta_ratio",
-                                  "finereg_concurrent_speedup")),
-    ("fig13_performance", ("finereg_speedup", "virtual_thread_speedup",
-                           "reg_dram_speedup", "vt_regmutex_speedup")),
-    ("fig14_rf_stalls", ("regmutex_stall_fraction",
-                         "finereg_stall_fraction")),
-    ("fig15_memory_traffic", ("reg_dram_traffic_ratio",
-                              "finereg_traffic_ratio")),
-    ("fig16_energy", ("finereg_energy_ratio",)),
-    ("fig17_rf_sensitivity", ("speedup_128_128", "speedup_64_192")),
-    ("fig18_sm_scaling", ("finereg_speedup_16sm",)),
-    ("fig19_unified_memory", ("um_speedup", "finereg_um_speedup")),
-    ("ablation_bitvector_cache", ("hit_rate_32",)),
-    ("ablation_switch_policy", ("speedup_gto",)),
-    ("ablation_pcrf_latency", ("speedup_lat_4",)),
-    ("ext_adaptive_split", ("adaptive_vs_default",)),
+    "fig02_resources",
+    "fig03_cta_overhead",
+    "fig04_case_study",
+    "fig05_register_usage",
+    "table03_stall_time",
+    "fig12_concurrent_ctas",
+    "fig12_concurrent_kernels",
+    "fig13_performance",
+    "fig14_rf_stalls",
+    "fig15_memory_traffic",
+    "fig16_energy",
+    "fig17_rf_sensitivity",
+    "fig18_sm_scaling",
+    "fig19_unified_memory",
+    "ablation_bitvector_cache",
+    "ablation_switch_policy",
+    "ablation_pcrf_latency",
+    "ext_adaptive_split",
 )
+
+
+def _selected(modules: Optional[Sequence[str]]
+              ) -> List[Tuple[str, ModuleType]]:
+    """``(name, module)`` of every selected campaign module, in paper
+    order (``None`` selects them all)."""
+    return [(name, importlib.import_module(f"repro.experiments.{name}"))
+            for name in CAMPAIGN if modules is None or name in modules]
 
 
 def campaign_plan(runner: ExperimentRunner,
@@ -65,10 +78,7 @@ def campaign_plan(runner: ExperimentRunner,
     fine: ``run_many`` dedupes before dispatch.
     """
     requests = []
-    for name, __ in CAMPAIGN:
-        if modules is not None and name not in modules:
-            continue
-        module = importlib.import_module(f"repro.experiments.{name}")
+    for __, module in _selected(modules):
         plan = getattr(module, "plan", None)
         if plan is not None:
             requests.extend(plan(runner))
@@ -99,16 +109,35 @@ def run_campaign(runner: ExperimentRunner,
             runner.run_many(campaign_plan(runner, modules), jobs=jobs)
     results = []
     with obs_phase("render"):
-        for name, __ in CAMPAIGN:
-            if modules is not None and name not in modules:
-                continue
-            module = importlib.import_module(f"repro.experiments.{name}")
+        for name, module in _selected(modules):
             with obs_phase(f"render:{name}"):
                 results.append(module.run(runner))
     return results
 
 
+def check_claims(results, scale_name: str,
+                 modules: Optional[Sequence[str]] = None
+                 ) -> Tuple[List[str], bool]:
+    """Check the shape claims of ``run_campaign(runner, modules)``'s
+    ``results``: one ``PASS``/``FAIL`` row per claim, and whether every
+    claim made at ``scale_name`` holds.  A claim whose text ends with
+    :data:`~repro.experiments.common.NOT_AT_TINY` is not made at tiny."""
+    rows: List[str] = []
+    ok = True
+    for (__, module), result in zip(_selected(modules), results):
+        claims = getattr(module, "claims", None)
+        if claims is None:
+            continue  # fig12ck reports occupancy with no paper claim
+        for text, holds in claims(result.summary):
+            ok = ok and (holds or (scale_name == TINY.name
+                                   and text.endswith(NOT_AT_TINY)))
+            rows.append(f"{'PASS' if holds else 'FAIL'}  "
+                        f"{result.experiment:<22} {text}")
+    return rows, ok
+
+
 def write_report(results, path: Path, scale_name: str,
+                 claim_rows: Sequence[str] = (),
                  rollup_text: Optional[str] = None,
                  phase_breakdown: Optional[Sequence[Dict]] = None) -> None:
     lines = [
@@ -123,6 +152,18 @@ def write_report(results, path: Path, scale_name: str,
         lines.append("")
         lines.append("```")
         lines.append(result.to_text())
+        lines.append("```")
+        lines.append("")
+    if claim_rows:
+        lines.append("## Shape claims")
+        lines.append("")
+        lines.append("Each experiment's claims about the paper's shapes "
+                     "(EXPERIMENTS.md), checked on the summaries above; "
+                     "a FAIL row fails the run unless the claim is not "
+                     "made at this scale.")
+        lines.append("")
+        lines.append("```")
+        lines.extend(claim_rows)
         lines.append("```")
         lines.append("")
     if rollup_text:
@@ -172,6 +213,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     runner = ExperimentRunner(scale=SCALES[args.scale])
     modules = args.only.split(",") if args.only else None
+    unknown = sorted(set(modules or ()) - set(CAMPAIGN))
+    if unknown:
+        # A mistyped name would render nothing and pass every claim.
+        parser.error(f"--only: unknown module(s) {', '.join(unknown)}; "
+                     f"choose from {', '.join(CAMPAIGN)}")
 
     # The observability session always runs in-memory (its event log feeds
     # the REPORT.md breakdown and BENCH_campaign.json); the JSONL file is
@@ -190,11 +236,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         label=f"run_all:{args.scale}")
 
     results = run_campaign(runner, modules, jobs=args.jobs)
+    rows, claims_ok = check_claims(results, args.scale, modules)
     rollup = rollup_results(runner.memoized_results())
     report = Path(args.out) / "REPORT.md"
     with session.phase("report"):
         phases = summarize_events(session.log.events)["phases"]
-        write_report(results, report, args.scale,
+        write_report(results, report, args.scale, claim_rows=rows,
                      rollup_text=render_rollup(rollup),
                      phase_breakdown=phases)
     session.close()
@@ -213,7 +260,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         keys = list(result.summary)[:3]
         brief = ", ".join(f"{k}={result.summary[k]:.3g}" for k in keys)
         print(f"  {result.experiment:22} {brief}")
-    return 0
+    print("\n".join(rows))
+    return 0 if claims_ok else 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -10,9 +10,9 @@ memory apps vs slow-stalling compute apps).
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Dict, List, Sequence
 
-from repro.experiments.common import ALL_APPS, ExperimentResult
+from repro.experiments.common import ALL_APPS, Claim, ExperimentResult
 from repro.experiments.parallel import RunRequest
 from repro.experiments.runner import ExperimentRunner
 
@@ -56,9 +56,10 @@ def plan(runner: ExperimentRunner,
     return [RunRequest.make(app, "baseline") for app in apps]
 
 
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run(ExperimentRunner()).to_text(precision=0))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+def claims(s: Dict[str, float]) -> List[Claim]:
+    # Every app's CTAs must reach a complete stall (the premise of CTA
+    # switching), within a few thousand cycles.
+    return [
+        ('s["apps_with_stalls"] == 18', s["apps_with_stalls"] == 18),
+        ('s["max_cycles"] <= 5000', s["max_cycles"] <= 5000),
+    ]

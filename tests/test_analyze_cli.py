@@ -77,6 +77,20 @@ class TestArgparseWiring:
         assert "KM" in capsys.readouterr().out
 
     def test_figure_mode_verifies_plan_kernels(self, capsys):
-        assert run_analyze(figure="fig13") == 0
+        assert run_analyze(figure="fig13_performance") == 0
         out = capsys.readouterr().out
         assert "static kernel verifier" in out and "FAIL" not in out
+
+    def test_figure_all_verifies_the_whole_campaign_plan(self, monkeypatch,
+                                                         capsys):
+        from repro.analyze import cli as analyze_cli
+        from repro.config import TINY
+        from repro.experiments.run_all import campaign_plan
+        from repro.experiments.runner import ExperimentRunner
+
+        planned = []
+        monkeypatch.setattr(
+            analyze_cli, "verify_requests",
+            lambda requests, config, scale: planned.extend(requests) or [])
+        assert main(["analyze", "--figure", "all"]) == 0
+        assert planned == campaign_plan(ExperimentRunner(scale=TINY))

@@ -267,7 +267,7 @@ class TestSuppression:
 
     def test_wall_clock_allow_is_audited_by_path(self):
         """A suppressed wall-clock read is only truly allowed inside the
-        sanctioned clock modules; elsewhere the suppression itself is the
+        sanctioned clock module; elsewhere the suppression itself is the
         finding (wall-clock-allowance, see tests/test_obs_spans.py)."""
         code = textwrap.dedent("""
             import time

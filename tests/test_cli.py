@@ -4,7 +4,8 @@ import re
 
 import pytest
 
-from repro.cli import EXPERIMENT_MODULES, build_parser, main
+from repro.cli import build_parser, main
+from repro.experiments.run_all import CAMPAIGN
 
 
 class TestParser:
@@ -18,10 +19,13 @@ class TestParser:
         assert args.scale == "tiny"
 
     def test_figure_choices_cover_the_evaluation(self):
-        expected = {"fig02", "fig03", "fig04", "fig05", "table03", "fig12",
-                    "fig13", "fig14", "fig15", "fig16", "fig17", "fig18",
-                    "fig19"}
-        assert set(EXPERIMENT_MODULES) == expected
+        parser = build_parser()
+        for figure in CAMPAIGN + ("all",):
+            assert parser.parse_args(["figure", figure]).figure == figure
+            assert parser.parse_args(
+                ["analyze", "--figure", figure]).figure == figure
+        with pytest.raises(SystemExit):
+            parser.parse_args(["figure", "fig13"])
 
     def test_bad_policy_rejected(self):
         with pytest.raises(SystemExit):
@@ -73,11 +77,14 @@ class TestCommands:
         assert "finereg" in out
         assert "NW" in out
 
-    def test_figure_with_app_subset(self, capsys):
-        assert main(["figure", "fig03", "--scale", "tiny",
-                     "--apps", "KM,LB"]) == 0
+    def test_figure_prints_its_claim_rows(self, capsys):
+        assert main(["figure", "fig03_cta_overhead", "--scale", "tiny"]) == 0
         out = capsys.readouterr().out
-        assert "fig03" in out
+        assert "fig03: Per-CTA on-chip overhead" in out
+        rows = [line for line in out.splitlines()
+                if line.startswith(("PASS", "FAIL"))]
+        assert len(rows) == 3
+        assert all(row.startswith("PASS  fig03 ") for row in rows)
 
     def test_run_sanitized(self, capsys, monkeypatch):
         # monkeypatch snapshots these before cmd_run overwrites them.

@@ -152,12 +152,41 @@ class TestFigurePlans:
 
     def test_every_campaign_module_has_a_wellformed_plan(self):
         import importlib
+        import zlib
 
+        from repro.experiments.common import NOT_AT_TINY
         from repro.experiments.run_all import CAMPAIGN, campaign_plan
 
+        class Summary(dict):
+            """Any key reads a fixed value in [0, 2), drawn by ``salt``:
+            enough to evaluate every claim both as code and as its text."""
+
+            def __init__(self, salt):
+                super().__init__()
+                self.salt = salt
+
+            def __missing__(self, key):
+                digest = zlib.crc32(f"{self.salt}:{key}".encode())
+                return self.setdefault(key, digest % 2000 / 1000)
+
         runner = ExperimentRunner(scale=TINY)
-        for name, __ in CAMPAIGN:
+        claim_count = 0
+        for name in CAMPAIGN:
             module = importlib.import_module(f"repro.experiments.{name}")
+            # Every module states the paper's shapes except fig12ck, a
+            # concurrent-kernel companion with no paper figure.
+            claims = getattr(module, "claims", None)
+            assert (claims is None) == (name == "fig12_concurrent_kernels")
+            if claims is not None:
+                claim_count += len(claims(Summary(0)))
+            for salt in range(20) if claims else ():
+                summary = Summary(salt)
+                for text, holds in claims(summary):
+                    # A claim's text is its expression, so a report row
+                    # says what was checked.
+                    expression = text[:-len(NOT_AT_TINY)] \
+                        if text.endswith(NOT_AT_TINY) else text
+                    assert eval(expression, {"s": summary}) == holds, text
             plan = getattr(module, "plan", None)
             if plan is None:
                 continue  # fig03 is analytic; fig18 documents its exception
@@ -165,3 +194,4 @@ class TestFigurePlans:
             assert requests, f"{name} plan is empty"
             assert all(isinstance(r, RunRequest) for r in requests)
         assert len(campaign_plan(runner)) > 100
+        assert claim_count == 57

@@ -2,7 +2,11 @@
 
 import json
 
+import pytest
+
 from repro.config import TINY
+from repro.experiments import fig03_cta_overhead
+from repro.experiments.common import NOT_AT_TINY
 from repro.experiments.run_all import (CAMPAIGN, main, run_campaign,
                                        write_report)
 from repro.experiments.runner import ExperimentRunner
@@ -14,7 +18,7 @@ from repro.obs.spans import reconcile_spans
 
 class TestCampaignDefinition:
     def test_covers_every_paper_experiment(self):
-        names = {name for name, __ in CAMPAIGN}
+        names = set(CAMPAIGN)
         for required in ("fig02_resources", "fig03_cta_overhead",
                          "fig04_case_study", "fig05_register_usage",
                          "table03_stall_time", "fig12_concurrent_ctas",
@@ -25,9 +29,17 @@ class TestCampaignDefinition:
             assert required in names
 
     def test_includes_ablations(self):
-        names = {name for name, __ in CAMPAIGN}
+        names = set(CAMPAIGN)
         assert "ablation_bitvector_cache" in names
         assert "ablation_switch_policy" in names
+
+    def test_only_rejects_unknown_modules(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--scale", "tiny", "--only", "fig03_cta_overhead,fig13",
+                  "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unknown module(s) fig13" in capsys.readouterr().err
+        assert not (tmp_path / "REPORT.md").exists()
 
 
 class TestCampaignExecution:
@@ -126,3 +138,47 @@ class TestCampaignLedger:
         assert [row["phase"] for row in summary["phases"]][-1] == "report"
         assert "## Campaign phase breakdown" in \
             (out / "REPORT.md").read_text()
+
+
+def _claim_rows(report_text):
+    """The rows of REPORT.md's "Shape claims" section."""
+    section = report_text.split("## Shape claims", 1)[1]
+    return section.split("```")[1].strip().splitlines()
+
+
+class TestShapeClaims:
+    """run_all checks every module's claims() after render: REPORT.md
+    lists one row per claim, and a failed claim sets the exit status."""
+
+    def _main(self, out, scale="tiny"):
+        return main(["--scale", scale, "--only", "fig03_cta_overhead",
+                     "--out", str(out), "--jobs", "1"])
+
+    def test_holding_claims_pass(self, tmp_path, capsys):
+        assert self._main(tmp_path) == 0
+        rows = _claim_rows((tmp_path / "REPORT.md").read_text())
+        assert len(rows) == 3
+        assert all(row.startswith("PASS  fig03 ") for row in rows), rows
+        assert 's["register_share"] >= 0.75' in rows[2]
+        assert rows[2] in capsys.readouterr().out
+
+    def test_failing_claim_fails_the_run(self, tmp_path, monkeypatch,
+                                         capsys):
+        monkeypatch.setattr(fig03_cta_overhead, "claims",
+                            lambda s: [('s["register_share"] > 2.0',
+                                        s["register_share"] > 2.0)])
+        assert self._main(tmp_path) == 1
+        (row,) = _claim_rows((tmp_path / "REPORT.md").read_text())
+        assert row.startswith("FAIL  fig03 ")
+        assert row.endswith(' s["register_share"] > 2.0')
+        assert row in capsys.readouterr().out
+
+    def test_claim_not_made_at_tiny_gates_only_above_tiny(
+            self, tmp_path, monkeypatch):
+        text = 's["register_share"] > 2.0' + NOT_AT_TINY
+        monkeypatch.setattr(fig03_cta_overhead, "claims",
+                            lambda s: [(text, s["register_share"] > 2.0)])
+        assert self._main(tmp_path / "tiny") == 0
+        rows = _claim_rows((tmp_path / "tiny" / "REPORT.md").read_text())
+        assert rows[0].startswith("FAIL") and rows[0].endswith(NOT_AT_TINY)
+        assert self._main(tmp_path / "small", scale="small") == 1
