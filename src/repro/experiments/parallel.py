@@ -154,13 +154,18 @@ def simulate_request(scale: Scale, base_config: GPUConfig,
 def _tag_engine(span, gpu) -> None:
     """Tag an engine-run span (None when unobserved) with
     ``gpu.engine_used``, ``gpu.engine_refusal`` and, for a compiled run,
-    the ops it served by kind (``gpu.engine_ops``) as ``<kind>_ops``."""
+    the ops it served by kind (``gpu.engine_ops``) as ``<kind>_ops`` and
+    the host seconds inside ``Core.resume`` and serving each kind
+    (``gpu.engine_op_s``) as ``<part>_s``."""
     if span is not None:
         span.attrs.update(engine=gpu.engine_used,
                           refusal=gpu.engine_refusal)
         if gpu.engine_ops is not None:
             span.attrs.update((f"{kind}_ops", count)
                               for kind, count in gpu.engine_ops.items())
+        if gpu.engine_op_s is not None:
+            span.attrs.update((f"{part}_s", round(seconds, 6))
+                              for part, seconds in gpu.engine_op_s.items())
 
 
 #: Directory for per-run telemetry artifacts (override via env).

@@ -14,8 +14,10 @@ runs.  It exports:
 
 * ``summarize <log>``: cache hit-rate, worker utilization, per-phase
   wall-clock breakdown, the engine mix (requests, engine-run wall and,
-  for compiled runs, the ops served by kind, per policy, engine and
-  refusal) and reconciliation status;
+  for compiled runs, the ops served by kind and the host seconds inside
+  ``Core.resume`` and serving each kind, per policy, engine and refusal)
+  and reconciliation status (``--strict`` fails on a problem, an engine
+  row whose op walls exceed its engine-run wall included);
 * ``tail <log>``: the last N events, one line each, with invalid lines
   marked rather than crashing (a live log may be mid-write);
 * ``perfetto <log> --out trace.json``: export the span tree to
@@ -151,7 +153,7 @@ def format_summary(summary: Dict) -> str:
                          f"{row['wall_s']:.3f}s")
     if summary["engines"]:
         lines.append("engines (policy, engine, refusal: requests, "
-                     "engine-run wall, served ops):")
+                     "engine-run wall, served ops; op walls):")
         for row in summary["engines"]:
             ops = row.get("ops") or {}
             lines.append(f"  {row['policy']:<18} {row['engine']:<10} "
@@ -159,6 +161,11 @@ def format_summary(summary: Dict) -> str:
                          f"{row['requests']:>5}  {row['wall_s']:.3f}s"
                          + "".join(f"  {kind} {count}"
                                    for kind, count in ops.items()))
+            parts = row.get("op_s") or {}
+            if parts:
+                lines.append(" " * 4 + "  ".join(
+                    f"{part} {seconds:.3f}s"
+                    for part, seconds in parts.items()))
     problems = summary["reconcile"]
     lines.append("spans reconcile: "
                  + ("ok" if not problems

@@ -23,7 +23,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.obs import clock
 from repro.obs.schema import SCHEMA_VERSION, check_obs_log_text
-from repro.obs.spans import Span, reconcile_spans
+from repro.obs.spans import RECONCILE_SLACK_S, Span, reconcile_spans
 
 
 class ObsLogError(ValueError):
@@ -155,18 +155,23 @@ def _phase_breakdown(events: Sequence[Dict],
 #: Suffix of the span attrs that count a compiled run's served ops by kind
 #: (``tick_ops`` and so on).
 OPS_SUFFIX = "_ops"
+#: Suffix of the span attrs that hold a compiled run's host seconds inside
+#: ``Core.resume`` and serving each op kind (``resume_s``, ``tick_s`` and
+#: so on).
+PART_SUFFIX = "_s"
 
 
 def engine_rows(span_dicts: Sequence[Dict],
                 completions: Sequence[Dict] = ()) -> List[Dict]:
-    """Requests, summed engine-run wall and summed served ops (``ops``,
-    by kind) per (policy, engine, refusal).
+    """Requests, summed engine-run wall, summed served ops (``ops``, by
+    kind) and summed op walls (``op_s``: ``resume`` and each served kind)
+    per (policy, engine, refusal).
 
     Each tagged ``engine-run`` phase span is one simulated request, its
     policy read from the enclosing ``req:<app>/<policy>`` request span
     (serial and pooled runs alike); each ``run_complete`` marked
     ``cached`` counts as engine ``cached``.  Only compiled runs carry op
-    counts, so other rows read ``ops`` empty.
+    counts and walls, so other rows read ``ops`` and ``op_s`` empty.
     """
     by_id = {span["span"]: span for span in span_dicts}
     table: Dict[tuple, List] = {}
@@ -180,24 +185,46 @@ def engine_rows(span_dicts: Sequence[Dict],
                   else "-")
         row = table.setdefault(
             (policy, str(attrs["engine"]), attrs.get("refusal")),
-            [0, 0.0, {}])
+            [0, 0.0, {}, {}])
         row[0] += 1
         row[1] += float(span["dur_s"])
         for key, value in attrs.items():
             if key.endswith(OPS_SUFFIX):
                 kind = key[:-len(OPS_SUFFIX)]
                 row[2][kind] = row[2].get(kind, 0) + int(value)
+            elif key.endswith(PART_SUFFIX):
+                part = key[:-len(PART_SUFFIX)]
+                row[3][part] = row[3].get(part, 0.0) + float(value)
     for event in completions:
         if event.get("cached"):
             table.setdefault((event["policy"], "cached", None),
-                             [0, 0.0, {}])[0] += 1
+                             [0, 0.0, {}, {}])[0] += 1
     rows = [{"policy": policy, "engine": engine, "refusal": refusal,
-             "requests": count, "wall_s": round(wall, 6), "ops": ops}
-            for (policy, engine, refusal), (count, wall, ops)
+             "requests": count, "wall_s": round(wall, 6), "ops": ops,
+             "op_s": {part: round(seconds, 6)
+                      for part, seconds in parts.items()}}
+            for (policy, engine, refusal), (count, wall, ops, parts)
             in table.items()]
     rows.sort(key=lambda row: (row["policy"], row["engine"],
                                row["refusal"] or ""))
     return rows
+
+
+def reconcile_engine_rows(rows: Sequence[Dict],
+                          slack_s: float = RECONCILE_SLACK_S) -> List[str]:
+    """Engine rows whose op walls add up to more than their engine-run
+    wall: the parts are timed inside each span, so they cannot, beyond
+    ``slack_s`` per request (the rounding ``reconcile_spans`` allows a
+    span's phase children)."""
+    problems: List[str] = []
+    for row in rows:
+        total = sum(row["op_s"].values())
+        if total > row["wall_s"] + slack_s * row["requests"]:
+            problems.append(
+                f"engine row {row['policy']}/{row['engine']}/"
+                f"{row['refusal'] or '-'}: op walls sum to {total:.6f}s > "
+                f"engine-run wall {row['wall_s']:.6f}s")
+    return problems
 
 
 def summarize_events(events: Sequence[Dict]) -> Dict:
@@ -232,6 +259,7 @@ def summarize_events(events: Sequence[Dict]) -> Dict:
     jobs = int(starts[0]["jobs"]) if starts else 1
     utilization = round(busy / (jobs * wall), 6) if wall > 0 else None
 
+    engines = engine_rows(span_dicts, completions)
     return {
         "campaign": {
             "label": starts[0]["label"] if starts else None,
@@ -262,6 +290,6 @@ def summarize_events(events: Sequence[Dict]) -> Dict:
             "stall_events": len(stalls),
         },
         "phases": _phase_breakdown(events, span_dicts),
-        "engines": engine_rows(span_dicts, completions),
-        "reconcile": reconcile_spans(spans),
+        "engines": engines,
+        "reconcile": reconcile_spans(spans) + reconcile_engine_rows(engines),
     }

@@ -8,6 +8,9 @@ register-capacity bookkeeping.  The SM calls into it at well-defined points:
 * ``on_cta_finished`` -- a CTA retired; its registers are free
 * ``on_tick``         -- top of an SM step (the dense oracle calls it at
   every executed cycle; the event engines skip it until ``wake_time``)
+* ``on_idle``         -- the SM issued nothing (the dense oracle calls it at
+  every idle cycle; the event engines skip the calls that cannot act,
+  ``idle_wake``)
 * ``on_issue``        -- optional per-instruction hook (only RegMutex uses it)
 
 ``PendingTracker`` implements the cheap-readiness machinery every switching
@@ -26,6 +29,11 @@ from repro.sim.warp import FOREVER, WarpState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.sm import StreamingMultiprocessor
+
+#: Cycles ``on_idle`` waits after an idle check that moved nothing.  The
+#: event engines and the C core read it from here when a run starts, so
+#: one assignment moves every engine.
+IDLE_COOLDOWN = 16
 
 
 class PendingTracker:
@@ -209,25 +217,70 @@ class RegisterFilePolicy:
 
         This is where switching policies act: every CTA that could issue has
         already done so, so any fully stalled CTA can be parked with zero
-        opportunity cost.  A short cooldown bounds the rescan cost while one
-        SM idles and another keeps the global clock ticking cycle by cycle.
+        opportunity cost.  A short cooldown (``IDLE_COOLDOWN``) bounds the
+        rescan cost while one SM idles and another keeps the global clock
+        ticking cycle by cycle.
 
         The stalled set is computed once here: with none to park, the
         cooldown is armed without calling the subclass (which could only
         have found nothing to do), so the compiled core can make the same
-        decision from its own warp state and skip the call.
+        decision from its own warp state and skip the call.  The event
+        engines skip the call as well while :meth:`idle_wake` is later
+        than ``now`` (when :func:`idle_wake_trusted`): the subclass would
+        move nothing, so they arm the cooldown themselves.  The dense
+        oracle calls this on every idle cycle of a busy SM.
         """
         if now < self._next_idle_check:
             return
         stalled = self.stalled_active_ctas(now)
         if not stalled or not self._act_on_idle(now, stalled):
-            self._next_idle_check = now + 16
+            self._next_idle_check = now + IDLE_COOLDOWN
 
     def _act_on_idle(self, now: int, stalled) -> bool:
         """Subclass hook: try to switch out the ``stalled`` CTAs (a
         non-empty list from :meth:`stalled_active_ctas`); return True if
         anything moved."""
         return False
+
+    def idle_wake(self, now: int) -> int:
+        """Event engines: the earliest executed cycle at which
+        ``_act_on_idle`` can change policy or SM state, given the SM's
+        frozen state.
+
+        Before it ``_act_on_idle`` must return False and change nothing,
+        so the engines arm the idle cooldown in place of ``on_idle``.  A
+        switching policy parks a stalled CTA only so that something else
+        can use its space: it returns ``now`` while a ready pending CTA
+        exists or a new CTA could start, and otherwise its earliest
+        readiness-heap top, where a parked CTA comes due.  The base
+        returns ``now``, which keeps the gate open.
+
+        The same two rules as :meth:`wake_time` hold: the value changes
+        only inside a hook (the engines re-ask after every one), and
+        computing it never mutates state.  So a policy looks at a heap top
+        before it calls :meth:`PendingTracker.has_ready`, and asks only
+        side-effect-free predicates, never ``can_launch``
+        (finereg_adaptive counts ACRF refusals there).  Across SMs the
+        grid only drains, which can only close the gate; a stale open gate
+        costs one call that moves nothing, since the real hook decides.
+
+        A subclass that widens ``_act_on_idle`` or ``_try_switch_out``
+        must restate ``idle_wake``: the engines trust it only next to the
+        ``_act_on_idle`` it bounds (:func:`idle_wake_trusted`).
+        """
+        return now
+
+    def idle_backlog_limit(self) -> float:
+        """A DRAM backlog, in cycles, under which ``_act_on_idle`` can act
+        even before :meth:`idle_wake`.
+
+        For a test that also reads ``DRAM.backlog`` (FineReg's new-CTA
+        launch): the policy returns the test's threshold when the rest of
+        it holds, and the engines compare the backlog live, since it moves
+        inside the C core between hooks.  The base returns 0.0, which no
+        backlog is under.
+        """
+        return 0.0
 
     def stalled_active_ctas(self, now: int):
         """Active CTAs that are completely stalled and worth parking.
@@ -330,3 +383,30 @@ class RegisterFilePolicy:
     def extras(self) -> dict:
         """Policy-specific numbers merged into the SimResult assembly."""
         return {}
+
+
+def idle_wake_trusted(policy) -> bool:
+    """Whether the event engines may skip ``policy.on_idle`` before
+    ``policy.idle_wake``.
+
+    Only when ``on_idle`` is the base body, whose cooldown the engines arm
+    in its place, and the class that defines ``idle_wake`` is the class
+    that defines ``_act_on_idle`` or a subclass of it: a subclass that
+    widens ``_act_on_idle`` and inherits ``idle_wake`` would be gated by a
+    bound written for another body.  None of the three may be shadowed in
+    the instance dict.  Keyed off the class objects, never the policy's
+    name.  Otherwise the engines call ``on_idle`` as the dense oracle
+    does.
+    """
+    names = ("on_idle", "idle_wake", "_act_on_idle")
+    instance_dict = getattr(policy, "__dict__", {})
+    if any(name in instance_dict for name in names):
+        return False
+    cls = type(policy)
+    if cls.on_idle is not RegisterFilePolicy.on_idle:
+        return False
+    mro = cls.__mro__
+
+    def owner(name):
+        return next(klass for klass in mro if name in vars(klass))
+    return issubclass(owner("idle_wake"), owner("_act_on_idle"))

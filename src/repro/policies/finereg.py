@@ -128,9 +128,7 @@ class FineRegPolicy(RegisterFilePolicy):
         # queueing delay without any latency left to hide.
         can_host_new = (
             sm.gpu.hierarchy.dram.backlog(now) < self.bus_backlog_threshold
-            and sm.gpu.arbiter.next_fitting(
-                lambda l: (self._residency_headroom(l)
-                           and sm.shmem_free(l.shmem_per_cta))) is not None)
+            and self._could_host_new())
         if candidate is None and not can_host_new:
             return False  # parking buys nothing; wake up in place
 
@@ -169,6 +167,26 @@ class FineRegPolicy(RegisterFilePolicy):
         self.rmu.stats.rejected_switches += 1
         self._set_rf_blocked(True, now, cta.cta_id)
         return False
+
+    def _could_host_new(self) -> bool:
+        """Would a brand-new CTA of some launch pass the residency caps and
+        shared memory (the bus backlog aside)?"""
+        sm = self.sm
+        return sm.gpu.arbiter.next_fitting(
+            lambda l: (self._residency_headroom(l)
+                       and sm.shmem_free(l.shmem_per_cta))) is not None
+
+    def idle_wake(self, now: int) -> int:
+        # _try_switch_out parks only for a ready pending CTA or a new CTA
+        # (idle_backlog_limit); with neither, "parking buys nothing".
+        wake = self.pending.next_ready_time()
+        if wake > now and self.pending.has_ready(now):
+            return now
+        return wake
+
+    def idle_backlog_limit(self) -> float:
+        # The new-CTA path's bus test, compared with the live backlog.
+        return self.bus_backlog_threshold if self._could_host_new() else 0.0
 
     # ------------------------------------------------------------------
     def _spill(self, cta: CTASim, warp_pcs: List[Tuple[int, int]],

@@ -190,6 +190,20 @@ class RegDRAMPolicy(VirtualThreadPolicy):
                 return now
         return wake
 
+    def idle_wake(self, now: int) -> int:
+        # Virtual Thread's rule, plus the DRAM path: a ready DRAM-parked
+        # CTA, or room to park one more in DRAM while the grid has CTAs.
+        wake = min(self.pending.next_ready_time(),
+                   self.dram_pending.next_ready_time())
+        if wake > now and (
+                self.pending.has_ready(now)
+                or self.dram_pending.has_ready(now)
+                or self._new_cta_feasible()
+                or (self._dram_count < self.dram_pending_limit
+                    and self._grid_remaining())):
+            return now
+        return wake
+
     def extras(self) -> dict:
         return {
             "context_spills": self.context_spills,

@@ -80,6 +80,15 @@ class VirtualThreadPolicy(RegisterFilePolicy):
                 return now
         return wake
 
+    def idle_wake(self, now: int) -> int:
+        # _act_on_idle parks a stalled CTA only for a ready pending CTA or
+        # a new CTA that fits; with neither it breaks at the first one.
+        wake = self.pending.next_ready_time()
+        if wake > now and (self.pending.has_ready(now)
+                           or self._new_cta_feasible()):
+            return now
+        return wake
+
     # ------------------------------------------------------------------
     def _park(self, cta: CTASim, now: int) -> None:
         """Deactivate a stalled CTA and track its exact wake-up time."""

@@ -22,8 +22,10 @@
  *   EXIT          a warp EXIT: the _finish_warp -> retire -> policy chain;
  *   SETTLE        now reached the SM's earliest transit_until;
  *   TICK          now reached the policy's cached wake_time;
- *   IDLE          a busy SM issued nothing, is past its idle cooldown and
- *                 has at least one CTA stalled_active_ctas would return.
+ *   IDLE          a busy SM issued nothing, is past its idle cooldown, has
+ *                 at least one CTA stalled_active_ctas would return, and
+ *                 its policy can act: now reached the cached idle_wake, or
+ *                 the DRAM backlog is under the cached idle_backlog_limit.
  *
  * This works without coroutines because the control flow after every op
  * is fixed: each SM step is a small phase machine (settle, tick, issue,
@@ -32,13 +34,19 @@
  * scheduler".
  *
  * After each policy op the driver pushes the SM's mirrors (levels, dirty
- * flag, earliest transit, wake_time, next_event, idle cooldown, RF-blocked
- * flag, grid remaining) and, where the op changed them, the scheduler
- * membership and active-CTA list.  The core decides the skipped calls
- * itself, exactly: on_tick is an observable no-op before wake_time, the
- * settle scan before the earliest transit, and the base on_idle without a
- * park candidate only arms its 16-cycle cooldown, which the core does on
- * its own state.  The core also counts the cycles it opens
+ * flag, earliest transit, wake_time, next_event, idle_wake and
+ * idle_backlog_limit, idle cooldown, RF-blocked flag, grid remaining)
+ * and, where the op changed them, the scheduler membership and active-CTA
+ * list.  The core decides the skipped calls itself, exactly: on_tick is an
+ * observable no-op before wake_time, the settle scan before the earliest
+ * transit, and the base on_idle only arms its cooldown (the policy's
+ * IDLE_COOLDOWN, passed to Core()) when there is no park candidate or
+ * _act_on_idle cannot act: before the cached idle_wake, unless the DRAM
+ * backlog, which moves here between ops, is under the cached
+ * idle_backlog_limit (compared live, as DRAM.backlog computes it).  Across
+ * SMs the grid only drains, which can only close a gate, and a stale open
+ * gate costs one op that moves nothing.  The core also counts the cycles
+ * it opens
  * (executed_cycles()); the driver reads the count before serving each op,
  * so a policy can fold a once-per-executed-cycle count (FineReg's blocked
  * restores) over the ticks wake_time lets it skip.
@@ -133,9 +141,6 @@
 #define PH_IDLE 4
 #define PH_END 5
 
-/* The base on_idle cooldown after an idle scan found nothing to do. */
-#define IDLE_COOLDOWN 16
-
 typedef struct {
     int32_t nsrc;
     int32_t dest;      /* -1 when the instruction writes no register */
@@ -216,6 +221,8 @@ typedef struct {
     int64_t transit_min;    /* sm._transit_min */
     int64_t wake_time;      /* policy.wake_time, cached after a hook */
     int64_t next_event;     /* policy.next_event, cached after a hook */
+    int64_t idle_wake;      /* policy.idle_wake, cached after a hook */
+    double idle_backlog;    /* policy.idle_backlog_limit, likewise */
     int64_t next_idle;      /* policy._next_idle_check */
     /* Accounting (int64, merged into SMStats once at the end). */
     int64_t seg_start;
@@ -314,6 +321,7 @@ typedef struct {
     int64_t shared_base;
     int64_t max_cycles;
     int64_t min_park;
+    int64_t idle_cooldown;  /* policies.base.IDLE_COOLDOWN */
     CMeta *meta;
     int32_t nmeta;
     int32_t *srcs;
@@ -458,17 +466,18 @@ core_init(CoreObject *self, PyObject *args, PyObject *kwds)
 {
     PyObject *meta_list, *states;
     long long thresh, reuse_spatial, reuse_lines, shared_lines;
-    long long shared_base, max_cycles, min_park;
+    long long shared_base, max_cycles, min_park, idle_cooldown;
     int num_sms, nsched, nregs;
     if (self->meta != NULL) {
         PyErr_SetString(PyExc_RuntimeError, "Core already initialized");
         return -1;
     }
-    if (!PyArg_ParseTuple(args, "iiiLLLLLLLOO!",
+    if (!PyArg_ParseTuple(args, "iiiLLLLLLLLOO!",
                           &num_sms, &nsched, &nregs, &thresh,
                           &reuse_spatial, &reuse_lines, &shared_lines,
-                          &shared_base, &max_cycles, &min_park, &meta_list,
-                          &PyTuple_Type, &states))
+                          &shared_base, &max_cycles, &min_park,
+                          &idle_cooldown, &meta_list, &PyTuple_Type,
+                          &states))
         return -1;
     if (PyTuple_GET_SIZE(states) != 3) {
         PyErr_SetString(PyExc_ValueError, "states must have 3 members");
@@ -495,6 +504,7 @@ core_init(CoreObject *self, PyObject *args, PyObject *kwds)
     self->shared_base = shared_base;
     self->max_cycles = max_cycles;
     self->min_park = min_park;
+    self->idle_cooldown = idle_cooldown;
 
     PyObject *seq = PySequence_Fast(meta_list, "meta must be a sequence");
     if (seq == NULL)
@@ -859,10 +869,12 @@ core_mirror(CoreObject *self, PyObject *args)
 {
     int sm_id, dirty, blocked;
     long long active, pend, warps, transit_min, wake_time, next_event;
-    long long next_idle, grid;
-    if (!PyArg_ParseTuple(args, "iLLLpLLLLpL", &sm_id, &active, &pend,
+    long long idle_wake, next_idle, grid;
+    double idle_backlog;
+    if (!PyArg_ParseTuple(args, "iLLLpLLLLdLpL", &sm_id, &active, &pend,
                           &warps, &dirty, &transit_min, &wake_time,
-                          &next_event, &next_idle, &blocked, &grid))
+                          &next_event, &idle_wake, &idle_backlog,
+                          &next_idle, &blocked, &grid))
         return NULL;
     CSm *sm = sm_arg(self, sm_id);
     if (sm == NULL)
@@ -875,6 +887,8 @@ core_mirror(CoreObject *self, PyObject *args)
     sm->transit_min = transit_min;
     sm->wake_time = wake_time;
     sm->next_event = next_event;
+    sm->idle_wake = idle_wake;
+    sm->idle_backlog = idle_backlog;
     if (next_idle >= 0)
         sm->next_idle = next_idle;
     sm->blocked_on_rf = blocked;
@@ -1121,6 +1135,20 @@ has_park_candidate(CoreObject *core, CSm *sm, int64_t now)
             return 1;
     }
     return 0;
+}
+
+/* GPU._run_event's idle gate: _act_on_idle can act once now reaches the
+ * cached policy.idle_wake, or while the DRAM backlog (DRAM.backlog, in
+ * doubles: max(0.0, channel_free - now)) is under the cached
+ * policy.idle_backlog_limit.  The driver pushes now for a policy whose
+ * idle_wake it does not trust, which keeps the gate open. */
+static int
+idle_gate_open(CoreObject *core, CSm *sm, int64_t now)
+{
+    if (now >= sm->idle_wake)
+        return 1;
+    double backlog = core->mem.channel_free - (double)now;
+    return (backlog > 0.0 ? backlog : 0.0) < sm->idle_backlog;
 }
 
 /* ------------------------------------------------------------------ */
@@ -2458,12 +2486,14 @@ step_sm(CoreObject *self, int32_t sm_id, CSm *sm, CSched *scheds)
         sm->phase = PH_END;
         /* GPU._run_event: a non-issuing busy SM calls on_idle, which
          * transcribes RegisterFilePolicy.on_idle: it returns before the
-         * cooldown and, with no park candidate, only re-arms it. */
+         * cooldown and, with no park candidate, only re-arms it; nor is it
+         * called while the policy cannot act (the engine's idle gate). */
         if (sm->needs_idle && (sm->active_count || sm->pend_count)
                 && now >= sm->next_idle) {
-            if (has_park_candidate(self, sm, now))
+            if (idle_gate_open(self, sm, now)
+                    && has_park_candidate(self, sm, now))
                 return OP_IDLE;
-            sm->next_idle = now + IDLE_COOLDOWN;
+            sm->next_idle = now + self->idle_cooldown;
         }
         return 0;
     default:
@@ -2722,8 +2752,8 @@ static PyMethodDef core_methods[] = {
      "sync(sm_id): re-import the SM's schedulers and active-CTA list."},
     {"mirror", (PyCFunction)core_mirror, METH_VARARGS,
      "mirror(sm_id, active, pending_and_transit, active_warps, dirty, "
-     "transit_min, wake_time, next_event, next_idle_check "
-     "(-1 keeps), blocked_on_rf, grid_remaining)."},
+     "transit_min, wake_time, next_event, idle_wake, idle_backlog_limit, "
+     "next_idle_check (-1 keeps), blocked_on_rf, grid_remaining)."},
     {"reimport_cta", (PyCFunction)core_reimport_cta, METH_O,
      "reimport_cta(cta): its barrier count and warp states."},
     {"export", (PyCFunction)core_export, METH_VARARGS,

@@ -29,8 +29,10 @@ order ``(cycle, sm_id, program order)``:
 * ``TICK`` -- ``now`` reached the cached ``policy.wake_time``, the
   earliest executed cycle at which the tick can change anything: the
   real ``policy.on_tick``.
-* ``IDLE`` -- a busy SM issued nothing, is past its idle cooldown and has
-  at least one park candidate: the real ``policy.on_idle``.
+* ``IDLE`` -- a busy SM issued nothing, is past its idle cooldown, has
+  at least one park candidate, and its policy can act: ``now`` reached the
+  cached ``policy.idle_wake``, or the DRAM backlog is under the cached
+  ``policy.idle_backlog_limit``.  The real ``policy.on_idle``.
 
 Every served hook runs through the real objects, so the ACRF/PCRF/RMU
 models, pending trackers, fills and bulk transfers stay Python.  The
@@ -46,8 +48,20 @@ skipped calls are provably exact:
   in closed form over ``gpu.executed_cycles``, which the driver sets from
   the core's count before serving each op.
 * The base ``on_idle`` computes ``stalled_active_ctas`` once and, with
-  none, only arms its 16-cycle cooldown; the core evaluates that
-  predicate on its own warp state and arms the cooldown itself.
+  none, only arms its cooldown (``IDLE_COOLDOWN``, which the core takes
+  from ``policies.base`` at lowering); the core evaluates that predicate
+  on its own warp state and arms the cooldown itself.  It does the same
+  while ``_act_on_idle`` cannot act, before ``idle_wake`` (the reference
+  engine applies the same gate): the value changes only inside a hook,
+  computing it never mutates state, and it is re-asked after every op.
+  Across SMs the grid only drains, which can only close a gate, and a
+  stale open gate costs one op that moves nothing.  FineReg's new-CTA
+  test also reads the DRAM backlog, which moves inside the core between
+  ops, so the policy hands over the rest of that test as
+  ``idle_backlog_limit`` and the core compares the backlog live.  The
+  gate is trusted only next to the ``_act_on_idle`` it bounds
+  (``idle_wake_trusted``); otherwise the driver pushes ``now``, an open
+  gate.
 * ``classify_idle`` is the base body, which the core runs from the
   mirrored ``_blocked_on_rf`` flag, or ``RegMutexPolicy``'s, which the
   core runs on its own copy of the shared register pool (SRP);
@@ -78,13 +92,16 @@ order is the Python engines'.
 
 After each policy op the driver pushes the SM's mirrors in one call
 (levels and dirty flag, earliest transit, ``wake_time``, ``next_event``,
-``_next_idle_check``, ``_blocked_on_rf``, grid remaining) and re-imports
-what the op can have changed; before it, C's view is written onto the
-Python objects only where the op reads it (IDLE and EXIT: schedulers and
-active CTAs' warps; SETTLE: schedulers; TICK: nothing).  The level, idle
-and RF-depletion sums are int64 in C and merged into the float counters
-once at run end.  ``gpu.engine_ops`` records how many ops of each kind
-the driver served (observation only, like ``engine_refusal``).
+``idle_wake`` and ``idle_backlog_limit``, ``_next_idle_check``,
+``_blocked_on_rf``, grid remaining) and re-imports what the op can have
+changed; before it, C's view is written onto the Python objects only
+where the op reads it (IDLE and EXIT: schedulers and active CTAs' warps;
+SETTLE: schedulers; TICK: nothing).  The level, idle and RF-depletion
+sums are int64 in C and merged into the float counters once at run end.  ``gpu.engine_ops`` records how many ops of each kind
+the driver served, and ``gpu.engine_op_s`` the host seconds spent inside
+``Core.resume`` (the C loop and the memory hierarchy) and serving each op
+kind, read from ``repro.obs.clock`` twice per op (observation only, like
+``engine_refusal``; never part of ``SimResult``).
 
 Eligibility is run-level (``compiled_refusal``): no tracer, sanitizer or
 telemetry surface, a single launch, the stock memory hierarchy with no
@@ -106,7 +123,9 @@ from repro.isa.instructions import AccessPattern
 from repro.memory.cache import Cache
 from repro.memory.dram import DRAM
 from repro.memory.hierarchy import MemoryHierarchy
-from repro.policies.base import RegisterFilePolicy
+from repro.obs import clock
+from repro.policies import base as policy_base
+from repro.policies.base import RegisterFilePolicy, idle_wake_trusted
 from repro.policies.regmutex import (SRP_BLOCK, SRP_RETRY_INTERVAL,
                                      RegMutexPolicy)
 from repro.sim.scheduler import GTOScheduler
@@ -386,13 +405,16 @@ class _Run:
             len(sms), len(sm.schedulers), sm._nregs, sm._stall_threshold,
             model.reuse_spatial, model.reuse_lines, model.shared_lines,
             model.SHARED_BASE, max_cycles, gpu.config.min_park_cycles,
-            self._core_meta(sm), _STATES)
+            policy_base.IDLE_COOLDOWN, self._core_meta(sm), _STATES)
         lower_memory(self.core, gpu.hierarchy)
         # The core holds references to the lowered warps and CTAs (which
         # pins these ids: a warp references its trace), and maps them back
         # to their records; traces are interned once, by identity.
         self._lowered = set()   # id(cta) of every lowered CTA
         self._trace_slots = {}  # id(trace) -> trace slot
+        # SMs whose IDLE ops the core gates on the policy's idle_wake.
+        self._idle_gated = [sm._needs_idle and idle_wake_trusted(sm._policy)
+                            for sm in sms]
         for sm in sms:
             policy = sm._policy
             lease, idle = core_bodies(policy)
@@ -452,20 +474,28 @@ class _Run:
 
         ``wake_time`` is re-asked every time: every op can change what a
         tick would do, a settle included (it precedes its cycle's tick
-        slot and can free warp slots).  ``idle`` is the idle cooldown,
-        which only ``on_idle`` changes on the Python side (-1 keeps the
-        core's, which it re-arms itself).  The C core owns the level-flush
-        boundary from here on: it clears its dirty bit at its own
-        end-of-cycle flush, where the dense engine's accumulate would.
+        slot and can free warp slots).  So are ``idle_wake`` and
+        ``idle_backlog_limit``, for a gated SM only (``now`` keeps an
+        ungated SM's gate open, and baseline has no idle hook to ask).
+        ``idle`` is the idle cooldown, which only ``on_idle`` changes on
+        the Python side (-1 keeps the core's, which it re-arms itself).
+        The C core owns the level-flush boundary from here on: it clears
+        its dirty bit at its own end-of-cycle flush, where the dense
+        engine's accumulate would.
         """
         policy = sm._policy
+        if self._idle_gated[sm.sm_id]:
+            idle_wake = policy.idle_wake(now)
+            backlog = policy.idle_backlog_limit()
+        else:
+            idle_wake, backlog = now, 0.0
         self.core.mirror(
             sm.sm_id, len(sm.active_ctas),
             len(sm.pending_ctas) + len(sm.transit_ctas), sm._active_warps,
             sm._lvl_dirty, sm._transit_min,
             policy.wake_time(now) if sm._needs_tick else FOREVER,
-            policy.next_event(now), idle, policy._blocked_on_rf,
-            self.gpu.ctas_remaining)
+            policy.next_event(now), idle_wake, backlog, idle,
+            policy._blocked_on_rf, self.gpu.ctas_remaining)
         sm._lvl_dirty = False
 
     # ------------------------------------------------------------------
@@ -529,9 +559,17 @@ class _Run:
         sms = gpu.sms
         resume = core.resume
         executed = core.executed_cycles
+        monotonic = clock.monotonic
         served = [0] * (_OP_DEADLOCK + 1)
+        # Host seconds inside resume() and serving each op kind: two
+        # clock reads per op, observation only.
+        spent = [0.0] * (_OP_DEADLOCK + 1)
+        resumed = 0.0
+        mark = monotonic()
         while True:
             kind, now, sm_id, arg = resume()
+            start = monotonic()
+            resumed += start - mark
             # The op runs in the core's last executed cycle, which a
             # policy's closed forms count (FineReg's blocked restores).
             gpu.executed_cycles = executed()
@@ -549,8 +587,13 @@ class _Run:
                 break
             else:
                 gpu._raise_deadlock(now)
+            mark = monotonic()
+            spent[kind] += mark - start
 
         gpu.engine_ops = {name: served[kind] for kind, name in _OP_NAMES}
+        gpu.engine_op_s = {"resume": resumed}
+        gpu.engine_op_s.update((name, spent[kind])
+                               for kind, name in _OP_NAMES)
         write_back_memory(core, gpu.hierarchy)
         for sm in sms:
             # Final state export: _flush_deferred_stats reads warp.pos of

@@ -30,6 +30,7 @@ from repro.config import GPUConfig
 from repro.core.liveness import LivenessTable
 from repro.isa.kernel import Kernel
 from repro.memory.hierarchy import MemoryHierarchy
+from repro.policies import base as policy_base
 from repro.sim.backend import requested_engine, select_backend
 from repro.sim.launch import (DispatchArbiter, GridView, KernelLaunch,
                               LaunchSpec, build_launches, combined_liveness,
@@ -98,6 +99,10 @@ class GPU:
         # kind ("exit", "settle", "tick", "idle"); None when another engine
         # ran it.  Observation only, like engine_refusal.
         self.engine_ops = None
+        # Host seconds of that run inside Core.resume ("resume") and
+        # serving each op kind; None like engine_ops, and never part of
+        # SimResult.
+        self.engine_op_s = None
         # Cycles the clock has executed so far (every engine counts them
         # the same way), so a policy can fold a once-per-executed-cycle
         # count over the ticks its wake_time skips.
@@ -158,6 +163,7 @@ class GPU:
             gc.disable()
         self.engine_refusal = None
         self.engine_ops = None
+        self.engine_op_s = None
         self.executed_cycles = 0
         try:
             if os.environ.get("REPRO_DENSE_STEP") == "1":
@@ -229,7 +235,14 @@ class GPU:
         ``on_idle`` — the idle-check cooldown has not expired.  A skipped
         SM's state is frozen (nothing cross-SM mutates it), so its
         ``next_event``/``accumulate``/telemetry observables are exactly the
-        dense engine's.  This loop is also the spec the compiled core's
+        dense engine's.
+
+        A stepped SM that idles past its cooldown calls ``on_idle`` only
+        when the policy can act (``idle_wake`` has come, or the DRAM
+        backlog is under ``idle_backlog_limit``); otherwise it arms the
+        cooldown itself, which is all ``on_idle`` would have done.  Policies
+        whose ``idle_wake`` is not trusted (``idle_wake_trusted``) are
+        called every time.  This loop is also the spec the compiled core's
         global clock transcribes (``repro/sim/_ckernel.c``).
         """
         self.engine_used = "reference"
@@ -242,6 +255,10 @@ class GPU:
         telemetry = self.telemetry
         grid = self._grid
         wake = [0] * len(sms)
+        gated = [sm._needs_idle and policy_base.idle_wake_trusted(sm._policy)
+                 for sm in sms]
+        dram = self.hierarchy.dram
+        cooldown = policy_base.IDLE_COOLDOWN
         while True:
             if not grid:
                 for sm in sms:
@@ -271,8 +288,16 @@ class GPU:
                 if busy and sm._needs_idle:
                     # Policies without an _act_on_idle override get no call:
                     # the base on_idle only arms its own cooldown, which
-                    # nothing else reads.
-                    sm._policy.on_idle(now)
+                    # nothing else reads.  Before idle_wake the call would
+                    # move nothing, so the cooldown is armed in its place.
+                    policy = sm._policy
+                    if (gated[index] and now >= policy._next_idle_check
+                            and now < policy.idle_wake(now)
+                            and dram.backlog(now)
+                            >= policy.idle_backlog_limit()):
+                        policy._next_idle_check = now + cooldown
+                    else:
+                        policy.on_idle(now)
                 # Earliest cycle at which stepping this SM could matter
                 # again, from post-step/post-on_idle state.
                 w = sm._sched_sleep

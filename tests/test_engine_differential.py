@@ -30,10 +30,11 @@ acquire/denial counters, the pending denial flag and the SRP stall
 cycles.
 
 The engines skip the policy hooks whose call cannot change anything
-(``wake_time``), and FineReg's ``blocked_restores`` counts skipped ticks
-in closed form, so the tests also compare every SM's policy end state
-(``policy_state``), which ``SimResult`` does not carry: the switching
-counters and flags, the live entries of every readiness heap, reg_dram's
+(``wake_time`` for ticks, ``idle_wake`` for idle checks), and FineReg's
+``blocked_restores`` counts skipped ticks in closed form, so the tests
+also compare every SM's policy end state (``policy_state``), which
+``SimResult`` does not carry: the switching counters and flags, the idle
+cooldown, the live entries of every readiness heap, reg_dram's
 DRAM-parked footprint and finereg_adaptive's epoch state.
 """
 
@@ -53,9 +54,12 @@ from repro.config import SCALES, GPUConfig, default_config
 from repro.experiments.common import SRP_RATIOS
 from repro.experiments.runner import POLICIES
 from repro.memory.hierarchy import MemoryHierarchy
-from repro.policies.base import PendingTracker
+from repro.policies import base as policy_base
+from repro.policies.base import (IDLE_COOLDOWN, PendingTracker,
+                                 idle_wake_trusted)
 from repro.policies.regmutex import SRP_BLOCK, SRP_RETRY_INTERVAL
 from repro.policies.unified_memory import apply_unified_memory
+from repro.policies.virtual_thread import VirtualThreadPolicy
 from repro.sim.cta import CTAState
 from repro.sim.gpu import GPU
 from repro.sim.tracing import attach_tracer
@@ -436,6 +440,78 @@ def test_timer_policy_end_state(policy, app):
         assert dense.sms[0]._policy.blocked_restores > 0
 
 
+# ----------------------------------------------------------------------
+# The idle gate: on_idle calls every engine but the dense oracle skips
+# ----------------------------------------------------------------------
+def park_anyway_policy():
+    """A Virtual Thread subclass that also parks a stalled CTA when nothing
+    can take its place: it widens ``_act_on_idle`` and inherits the
+    ``idle_wake`` written for the narrower body, so the engines must not
+    trust it.  Built per test, like the other test-only policy classes,
+    so that the registered family a module import sees stays the six."""
+
+    class ParkAnywayPolicy(VirtualThreadPolicy):
+        name = "vt_park_anyway"
+
+        def _act_on_idle(self, now: int, stalled) -> bool:
+            if super()._act_on_idle(now, stalled):
+                return True
+            self._park(stalled[0], now)
+            return True
+    return ParkAnywayPolicy
+
+
+@pytest.mark.parametrize("app", ("KM", "HS", "LB", "SR"))
+def test_widened_idle_hook_is_not_gated(app):
+    """A subclass that widens ``_act_on_idle`` but inherits ``idle_wake``
+    acts where the inherited bound says nothing can: its gate stays open,
+    so every engine, the C core included, matches the dense oracle."""
+    policy = park_anyway_policy()
+    instance = build_workload(replace(get_spec(app), seed=3), MICRO_CONFIG,
+                              TINY)
+
+    def build():
+        return GPU(MICRO_CONFIG, instance.kernel, policy,
+                   instance.trace_provider, instance.address_model,
+                   liveness=instance.liveness)
+    __, __, gpus = end_state_differential(
+        build, TINY.max_cycles, f"{policy.name}, {app}, seed 3")
+    compiled = gpus.get("compiled")
+    if compiled is not None:
+        assert compiled.engine_refusal is None
+        assert compiled.engine_used == "compiled"
+
+
+def test_idle_wake_is_trusted_only_beside_its_act_on_idle():
+    """Every registered policy's gate is trusted; a widened subclass's is
+    not, nor one whose ``on_idle``, ``idle_wake`` or ``_act_on_idle`` the
+    instance dict shadows."""
+    gpu = build_micro_gpu("reg_dram", "KM", 0)
+    for name, factory in POLICIES.items():
+        assert idle_wake_trusted(factory()(gpu.sms[0])), name
+    assert not idle_wake_trusted(park_anyway_policy()(gpu.sms[0]))
+    for name in ("on_idle", "idle_wake", "_act_on_idle"):
+        policy = VirtualThreadPolicy(gpu.sms[0])
+        setattr(policy, name, getattr(policy, name))
+        assert not idle_wake_trusted(policy), name
+
+
+@pytest.mark.parametrize("policy", ("finereg", "reg_dram"))
+def test_idle_cooldown_is_one_constant(policy, monkeypatch):
+    """The engines and the C core take the cooldown from
+    ``policies.base.IDLE_COOLDOWN`` at run time: patched, every engine
+    still matches the oracle, whose cooldown moved with it."""
+    def build():
+        return build_micro_gpu(policy, "KM", 3)
+    with dense_engine():
+        default = build()
+        default.run(max_cycles=TINY.max_cycles)
+    monkeypatch.setattr(policy_base, "IDLE_COOLDOWN", 5)
+    dense, __, __ = end_state_differential(
+        build, TINY.max_cycles, f"{policy}, KM, seed 3, cooldown 5")
+    assert policy_state(dense) != policy_state(default)
+
+
 @pytest.mark.parametrize("app", ("HS", "LB"))
 @pytest.mark.parametrize("max_cycles", (1500, 2000))
 def test_blocked_span_open_at_a_timeout(app, max_cycles):
@@ -615,7 +691,7 @@ def test_core_srp_lease_replays_on_issue(demand, capacity, calls):
         policy._extra_demand = tuple(demand)
         policy.srp_capacity = policy.srp_free = capacity
     noop = (0, -1, -1, 5, 0, ())
-    core = _ckernel.Core(1, 1, 1, 1, 1, 1, 1, 0, 1, 0,
+    core = _ckernel.Core(1, 1, 1, 1, 1, 1, 1, 0, 1, 0, IDLE_COOLDOWN,
                          [noop] * len(demand), _STATES)
     core.set_policy(0, object(), [object()], False, False, True, True)
     cslot = core.new_cta(object(), 0, 0)
@@ -648,7 +724,7 @@ def test_core_srp_lowering_refuses_held_leases():
     from repro.sim.compiled import _STATES
 
     policy = build_micro_gpu("vt_regmutex", "KM", 0).sms[0]._policy
-    core = _ckernel.Core(1, 1, 1, 1, 1, 1, 1, 0, 1, 0,
+    core = _ckernel.Core(1, 1, 1, 1, 1, 1, 1, 0, 1, 0, IDLE_COOLDOWN,
                          [(0, -1, -1, 5, 0, ())] * len(policy._extra_demand),
                          _STATES)
     core.set_policy(0, object(), [object()], False, False, True, True)
@@ -701,7 +777,7 @@ def core_replay_differential(warm, ops, spec):
         apply_op(spec, op, now)
         apply_op(lowered, op, now)
     core = _ckernel.Core(spec._config.num_sms, 1, 1, 1, 1, 1, 1, 0, 1, 0,
-                         [], _STATES)
+                         IDLE_COOLDOWN, [], _STATES)
     lower_memory(core, lowered)
     for step, op in enumerate(ops):
         now += op[2]

@@ -3,11 +3,12 @@
 ``simulate_request`` tags its ``engine-run`` phase span with the engine
 that ran (``gpu.engine_used``) and why a faster one was refused
 (``gpu.engine_refusal``), and a compiled run's span with the ops the
-driver served by kind (``gpu.engine_ops``); ``span_close`` events carry
-those attrs, and ``repro obs summarize`` rolls them up into requests,
-engine-run wall and served ops per (policy, engine, refusal), serial and
-pooled alike, with persistent cache hits counted as engine ``cached``.
-None of it enters a SimResult.
+driver served by kind (``gpu.engine_ops``) and the host seconds inside
+``Core.resume`` and serving each kind (``gpu.engine_op_s``);
+``span_close`` events carry those attrs, and ``repro obs summarize`` rolls
+them up into requests, engine-run wall, served ops and op walls per
+(policy, engine, refusal), serial and pooled alike, with persistent cache
+hits counted as engine ``cached``.  None of it enters a SimResult.
 """
 
 import json
@@ -102,6 +103,40 @@ def test_summarize_prints_the_engine_table(tmp_path, capsys):
     if compiled_available():
         ops = engines[2]["ops"]
         assert f"tick {ops['tick']}  idle {ops['idle']}" in text
+
+
+def test_op_walls_read_from_the_event_log(tmp_path, capsys):
+    """A compiled run's span carries ``resume_s`` and ``<kind>_s``;
+    summarize sums them per row, within the row's engine-run wall, and
+    ``--strict`` fails a row whose parts add up to more than that wall.
+    (The observed and unobserved runs' result bytes are compared above,
+    so these host seconds stay out of SimResult.)"""
+    run_batch(tmp_path, 1)
+    path = tmp_path / "obs-1.jsonl"
+    rows = rows_by_policy(load_log(str(path)))
+    if compiled_available():
+        parts = rows["vt_regmutex"]["op_s"]
+        assert list(parts) == ["resume", "exit", "settle", "tick", "idle"]
+        assert parts["resume"] > 0 and parts["exit"] > 0
+    assert rows["baseline"]["op_s"] == rows["virtual_thread"]["op_s"] == {}
+    assert run_obs("summarize", str(path), strict=True) == 0
+    text = capsys.readouterr().out
+    assert "spans reconcile: ok" in text
+    if compiled_available():
+        assert f"resume {parts['resume']:.3f}s" in text
+
+    # One engine-run span whose op walls exceed its own wall.
+    lines = []
+    for line in path.read_text().splitlines():
+        event = json.loads(line)
+        if event.get("name") == "engine-run" and event["ev"] == "span_close":
+            event["attrs"]["idle_s"] = event["dur_s"] + 1.0
+        lines.append(json.dumps(event))
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    assert run_obs("summarize", str(bad)) == 0
+    assert run_obs("summarize", str(bad), strict=True) == 1
+    assert "op walls sum to" in capsys.readouterr().out
 
 
 def test_cache_hits_count_as_cached(tmp_path):

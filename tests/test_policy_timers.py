@@ -11,9 +11,21 @@ finereg_adaptive's epochs.  A policy that ticks on every executed cycle
 while any ready CTA exists, fitting or not, serves about three times that
 bound on this cell.
 
-The skipped ticks change nothing the dense oracle would compute: the
-differential suite (``tests/test_engine_differential.py``) compares
-``SimResult`` bytes and every policy's end state.
+Idle checks follow the same rule.  A switching policy parks a stalled CTA
+only so that something else can use its space, and ``idle_wake`` names the
+earliest executed cycle at which that can happen, so the event engines
+call it (the compiled core serves an IDLE op) only when the policy can
+act.  The idle calls that reach the policy are then bounded by the ones
+that moved a CTA or counted a failed spill, plus a small slack
+(``IDLE_SLACK``).  An engine that calls it at every idle check past the
+cooldown with a park candidate makes about three times that bound on KM,
+and on HS, where Virtual Thread never acts, over a hundred calls that
+move nothing.
+
+The skipped ticks and idle checks change nothing the dense oracle would
+compute: the differential suite (``tests/test_engine_differential.py``)
+compares ``SimResult`` bytes and every policy's end state, idle cooldown
+included.
 """
 
 import heapq
@@ -101,6 +113,54 @@ def test_tick_ops_are_bounded_by_their_causes(policy, monkeypatch):
         f"({pushes[0]} heap pushes, {ops['settle']} SETTLE, "
         f"{ops['exit']} EXIT, {moved[0]} IDLE/TICK ops that moved a CTA, "
         f"{epochs[0]} epochs)")
+
+
+#: Idle calls a run may make beyond the ones that act: the gate is open
+#: while any ready pending CTA exists, also one the stalled CTA's slots
+#: cannot take (a partly retired CTA frees fewer warp slots), and a gate
+#: opened while the grid had CTAs stays open when another SM drains it.
+IDLE_SLACK = 2
+
+
+@pytest.mark.parametrize("engine", ("reference",) + (
+    ("compiled",) if compiled_available() else ()))
+@pytest.mark.parametrize("app", ("KM", "HS"))
+@pytest.mark.parametrize("policy", TIMER_POLICIES)
+def test_idle_ops_are_bounded_by_the_ones_that_act(policy, app, engine,
+                                                   monkeypatch):
+    """The idle calls that reach ``_act_on_idle`` (past the cooldown, with
+    a park candidate) are bounded by the ones that moved a CTA or counted
+    a failed spill, on the reference engine and on the C core, where they
+    are its IDLE ops."""
+    # Counted through the base on_idle at class level: an instance-level
+    # wrapper would make the engines distrust idle_wake and open the gate.
+    due, acted = [0], [0]
+    on_idle = base.RegisterFilePolicy.on_idle
+
+    def counting(hooks, now):
+        stats = hooks.sm.stats
+
+        def moves():
+            return (stats.cta_switch_events, stats.cta_launches,
+                    getattr(hooks, "failed_spills", 0))
+        reaches = (now >= hooks._next_idle_check
+                   and bool(hooks.stalled_active_ctas(now)))
+        before = moves()
+        on_idle(hooks, now)
+        if reaches:
+            due[0] += 1
+            acted[0] += moves() != before
+    monkeypatch.setattr(base.RegisterFilePolicy, "on_idle", counting)
+    gpu = build_gpu(policy, app)
+    result = gpu.run(max_cycles=TINY.max_cycles, engine=engine)
+    assert gpu.engine_used == engine, gpu.engine_refusal
+    assert not result.timed_out
+    if engine == "compiled":
+        assert gpu.engine_ops["idle"] == due[0]
+    assert due[0] <= acted[0] + IDLE_SLACK, (
+        f"{policy}, {app}, {engine}: {due[0]} idle calls reached "
+        f"_act_on_idle, {acted[0]} of them moved a CTA or counted a failed "
+        f"spill")
 
 
 @needs_extension
