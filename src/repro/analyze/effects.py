@@ -27,6 +27,9 @@ conditions — then closes them over the call graph and audits the gates:
   the bodies the C core transcribes) but the compiled driver never calls
   must all appear in ``_BYPASSED_SM_ATTRS`` (or be reachable only under a
   gate-checked guard), so an instance-level wrapper can never be skipped.
+  So must every SM method the C source marks ``transcribes
+  StreamingMultiprocessor.<name>``, even where the driver still calls it
+  for some of its calls (the core runs the rest itself).
 * **Policy gate derivation** — the policy surface the C core runs itself
   is derived from two sources: hooks the Python engines reach that the
   compiled driver never serves (the issue hook, the idle attribution
@@ -106,6 +109,8 @@ MODULE_FILES = {**SIM_MODULE_FILES, **POLICY_MODULE_FILES}
 #: The C core, scanned for its policy transcription markers.
 CORE_C_FILE = "sim/_ckernel.c"
 _TRANSCRIBES = re.compile(r"transcribes\s+(\w+)\.(\w+)")
+#: The class whose methods the C core's SM markers name.
+_SM_CLASS = "StreamingMultiprocessor"
 #: The compiled driver's gate functions (refusal checks, not served ops).
 _GATE_FUNCTIONS = ("policy_refusal", "compiled_refusal", "core_bodies",
                    "runs_core_body")
@@ -507,6 +512,19 @@ def _finding(tag: str, severity: Severity, message: str, path: str,
                    source="effects-audit", path=path, line=line)
 
 
+def _core_markers(source: str, owners: Iterable[str]
+                  ) -> Dict[Tuple[str, str], int]:
+    """``transcribes <Class>.<name>`` markers in the C source for the
+    classes in ``owners``, each with the line of its first mention."""
+    wanted = set(owners)
+    markers: Dict[Tuple[str, str], int] = {}
+    for match in _TRANSCRIBES.finditer(source):
+        if match.group(1) in wanted:
+            markers.setdefault((match.group(1), match.group(2)),
+                               source.count("\n", 0, match.start()) + 1)
+    return markers
+
+
 def _tuple_lineno(index: _CodeIndex, name: str) -> Optional[int]:
     for node in index.modules["sim.compiled"].tree.body:
         if isinstance(node, ast.Assign):
@@ -594,7 +612,14 @@ def _audit_compiled(index: _CodeIndex) -> List[Finding]:
     SM.  Every such method the compiled driver never calls must appear in
     ``_BYPASSED_SM_ATTRS`` so ``compiled_refusal``'s instance-dict scan
     routes instrumented SMs back to the reference engine instead of
-    letting the C core silently ignore the override."""
+    letting the C core silently ignore the override.
+
+    A method the C source marks ``transcribes
+    StreamingMultiprocessor.<name>`` counts as bypassed even where the
+    driver calls it: the core runs it itself for the calls it does not
+    return as ops (``_finish_warp`` for a non-final EXIT), and skips a
+    wrapper there.  Both ways: a marked method missing from the gate is
+    HIGH, and a marker naming no method the engines dispatch is MEDIUM."""
     findings: List[Finding] = []
     config = index.config
     comp = index.modules["sim.compiled"]
@@ -622,18 +647,30 @@ def _audit_compiled(index: _CodeIndex) -> List[Finding]:
                 sites.setdefault(name, f"SM.{body}")
                 guards.setdefault(name, set()).update(effects[("sm", name)])
     compiled = _compiled_closure(index, frozenset({"gpu", "comp"}))
-    bypassed = set(sites) - sm_refs(compiled)
+    markers = {name: lineno for (__, name), lineno in _core_markers(
+        config.core_source, (_SM_CLASS,)).items()}
+    transcribed = set(markers) & set(sites)
+    bypassed = (set(sites) - sm_refs(compiled)) | transcribed
     gate = _gate_mentions(index, "comp", "compiled_refusal")
 
     for name in sorted(bypassed):
         if _covered(name, guards[name], gate, config.bypassed_sm_attrs):
             continue
+        why = (f"the C core transcribes it ({CORE_C_FILE} marks "
+               f"'transcribes {_SM_CLASS}.{name}')" if name in transcribed
+               else "the compiled driver never calls it")
         findings.append(_finding(
             "compiled-gate-missing", HIGH,
-            f"{sites[name]} dispatches SM.{name} dynamically but the "
-            f"compiled driver never calls it (the C core would silently "
-            f"ignore an instance-level wrapper) — add {name!r} to "
-            f"_BYPASSED_SM_ATTRS", comp.path, line))
+            f"{sites[name]} dispatches SM.{name} dynamically but {why}, so "
+            f"the C core would silently ignore an instance-level wrapper "
+            f"— add {name!r} to _BYPASSED_SM_ATTRS", comp.path, line))
+    for name in sorted(set(markers) - transcribed):
+        findings.append(_finding(
+            "core-transcription-unadmitted", MEDIUM,
+            f"{CORE_C_FILE} marks 'transcribes {_SM_CLASS}.{name}' but the "
+            f"engines dispatch no SM method {name!r}: the marker is stale "
+            f"and gates nothing", f"src/repro/{CORE_C_FILE}",
+            markers[name]))
     for name in config.bypassed_sm_attrs:
         if name not in sm_methods:
             findings.append(_finding(
@@ -731,12 +768,7 @@ def _audit_inert(index: _CodeIndex) -> List[Finding]:
     # methods (an override may route through further base hooks) short of
     # what the served ops run in Python anyway.
     served = _served_policy_refs(index, family)
-    markers: Dict[Tuple[str, str], int] = {}
-    for match in _TRANSCRIBES.finditer(config.core_source):
-        if match.group(1) in family:
-            markers.setdefault(
-                (match.group(1), match.group(2)),
-                config.core_source.count("\n", 0, match.start()) + 1)
+    markers = _core_markers(config.core_source, family)
     transcribed = {name for _, name in markers}
     required = ((_engine_policy_refs(index) - served) | transcribed) \
         & base_names

@@ -52,7 +52,7 @@ def _inject(config: EffectsConfig, key: str, anchor: str,
 
 
 # ----------------------------------------------------------------------
-# The ten injections
+# The eleven injections
 # ----------------------------------------------------------------------
 def _phantom_issue_hook() -> EffectsConfig:
     """A new hook read in ``_try_issue`` that ``compiled_refusal`` never
@@ -84,6 +84,18 @@ def _dropped_compiled_entry() -> EffectsConfig:
     return replace(config, bypassed_sm_attrs=tuple(
         name for name in config.bypassed_sm_attrs
         if name != "_on_long_block"))
+
+
+def _phantom_sm_transcription() -> EffectsConfig:
+    """The C core starts settling transits itself (marked ``transcribes
+    StreamingMultiprocessor._settle_transits``) while the driver still
+    serves SETTLE ops: an instance wrapper on ``SM._settle_transits``
+    would be skipped for the settles the core ran, and the gate does not
+    refuse it."""
+    config = default_effects_config()
+    return replace(config, core_source=(
+        config.core_source
+        + "\n/* transcribes StreamingMultiprocessor._settle_transits */\n"))
 
 
 def _dropped_inert_entry() -> EffectsConfig:
@@ -182,6 +194,10 @@ SEEDED_FAULTS: Tuple[SeededFault, ...] = (
                 Severity.ERROR,
                 "_on_long_block removed from _BYPASSED_SM_ATTRS",
                 _dropped_compiled_entry),
+    SeededFault("phantom_sm_transcription", "compiled-gate-missing",
+                Severity.ERROR,
+                "C core marks an SM method transcribed that "
+                "_BYPASSED_SM_ATTRS does not list", _phantom_sm_transcription),
     SeededFault("dropped_inert_entry", "inert-gate-missing", Severity.ERROR,
                 "classify_idle removed from _INERT_POLICY_ATTRS",
                 _dropped_inert_entry),

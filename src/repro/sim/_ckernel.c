@@ -1,8 +1,9 @@
 /* Compiled simulation core for the "compiled" engine backend.
  *
  * One Core object holds the lowered state of every SM of one run: the
- * static per-instruction metadata table, the dynamic traces (deduplicated
- * by identity), flat per-warp / per-CTA / per-scheduler records, the
+ * static per-instruction metadata table, the dynamic traces (one per warp,
+ * each with its packed issue-counter sum), flat per-warp / per-CTA /
+ * per-scheduler records, the
  * memory hierarchy (every L1's and the L2's tag arrays, the per-SM merge
  * tables and the DRAM channel), RegMutex's shared register pool (the
  * per-SM counters, a lease per warp and the demand table) and one
@@ -19,7 +20,10 @@
  * come out in the dense engine's global order (cycle, sm_id, program
  * order):
  *
- *   EXIT          a warp EXIT: the _finish_warp -> retire -> policy chain;
+ *   EXIT          a warp EXIT that retires its CTA, or any EXIT on an SM
+ *                 whose policy has a tick or idle hook: the _finish_warp
+ *                 -> retire -> policy chain (every other EXIT finishes in
+ *                 the core: finish_warp, below);
  *   SETTLE        now reached the SM's earliest transit_until;
  *   TICK          now reached the policy's cached wake_time;
  *   IDLE          a busy SM issued nothing, is past its idle cooldown, has
@@ -31,7 +35,7 @@
  * is fixed: each SM step is a small phase machine (settle, tick, issue,
  * idle) and the issue loop's continuation after an EXIT is always
  * "promote a scan-path warp to current, count the issue, move to the next
- * scheduler".
+ * scheduler", whether the EXIT was an op or finished in the core.
  *
  * After each policy op the driver pushes the SM's mirrors (levels, dirty
  * flag, earliest transit, wake_time, next_event, idle_wake and
@@ -81,12 +85,16 @@
  *                 issues, which advances pos, so a matching position means
  *                 the memo is still exact.
  *   counters      the core counts no issued instructions, RF reads and
- *                 writes or shared-memory accesses: run_compiled sets
- *                 sm._defer_stats, so the EXIT op's _finish_warp credits
- *                 the warp's whole trace from sm._packed_vec and
- *                 _finish_run the issued prefix of any warp a timeout
- *                 leaves unfinished.  The totals are exact
- *                 because every trace entry issues exactly once.
+ *                 writes or shared-memory accesses per issue: run_compiled
+ *                 sets sm._defer_stats, so a warp's finish credits its
+ *                 whole trace -- finish_warp from the trace's packed sum
+ *                 (CTrace.packed, summed at lowering from the meta
+ *                 table's sm._packed_vec entries, decoded per warp into
+ *                 int64 sums that finish() hands to the driver), an EXIT
+ *                 op's _finish_warp from sm._packed_vec -- and _finish_run
+ *                 the issued prefix of any warp a timeout leaves
+ *                 unfinished.  The totals are exact because every trace
+ *                 entry issues exactly once.
  *   no peek       after an issue, _try_issue peeks the next instruction's
  *                 operands and, for a stall shorter than the CTA-switch
  *                 threshold, writes the blocked_until the warp's next
@@ -148,12 +156,14 @@ typedef struct {
     int32_t fkind;     /* collapsed kind (compiled._CORE_KINDS): 0 fixed
                           latency, 1 LDG, 2 STG, 3 BAR, 4 EXIT, 5 no-op */
     int64_t flat;      /* total fixed latency for fkind 0 */
+    int64_t packed;    /* sm._packed_vec entry: the issue-counter increments */
     int32_t src_off;   /* offset into Core.srcs */
 } CMeta;
 
 typedef struct {
     int32_t *idx;
     Py_ssize_t len;
+    int64_t packed;         /* sum of its entries' CMeta.packed */
 } CTrace;
 
 typedef struct {
@@ -193,6 +203,7 @@ typedef struct {
     int32_t cap;
     int64_t sleep_until;
     int32_t current;        /* wslot or -1 */
+    int32_t members_dirty;  /* a local finish removed a member since export */
     PyObject *obj;          /* the GTOScheduler */
 } CSched;
 
@@ -213,6 +224,7 @@ typedef struct {
     /* Mirrors of Python state, pushed after every policy op. */
     int32_t needs_tick;
     int32_t needs_idle;
+    int32_t exit_local;     /* non-final EXITs finish in the core */
     int32_t lvl_dirty;
     int32_t blocked_on_rf;
     int64_t active_count;   /* len(sm.active_ctas) */
@@ -235,6 +247,14 @@ typedef struct {
     int64_t max_resident;
     int64_t idle;
     int64_t rf;
+    /* The issue counters of the warps finished in the core (merged into
+     * SMStats at the end), and how many finished since the last export
+     * (which lowers _active_warps / _active_threads by as many). */
+    int64_t insts;
+    int64_t rf_reads;
+    int64_t rf_writes;
+    int64_t shmem;
+    int64_t local_finishes;
     int64_t *stalls;        /* ordered stall latencies */
     int32_t nstalls;
     int32_t stallcap;
@@ -538,6 +558,7 @@ core_init(CoreObject *self, PyObject *args, PyObject *kwds)
         m->pat = (int32_t)PyLong_AsLong(PyTuple_GetItem(ent, 2));
         m->fkind = (int32_t)PyLong_AsLong(PyTuple_GetItem(ent, 3));
         m->flat = PyLong_AsLongLong(PyTuple_GetItem(ent, 4));
+        m->packed = PyLong_AsLongLong(PyTuple_GetItem(ent, 6));
         m->src_off = off;
         PyObject *srcs = PyTuple_GetItem(ent, 5);
         Py_ssize_t nsrc = PySequence_Size(srcs), j;
@@ -554,7 +575,7 @@ core_init(CoreObject *self, PyObject *args, PyObject *kwds)
             }
             self->srcs[off++] = (int32_t)r;
         }
-        if (m->nsrc != (int32_t)nsrc
+        if (m->nsrc != (int32_t)nsrc || m->packed < 0
                 || (m->dest >= nregs) || (m->dest < 0 && m->fkind <= 1)) {
             if (!PyErr_Occurred())
                 PyErr_SetString(PyExc_ValueError, "malformed meta entry");
@@ -597,40 +618,50 @@ sm_arg(CoreObject *self, int sm_id)
 /* ------------------------------------------------------------------ */
 /* Lowering (Python -> C)                                              */
 
-static PyObject *
-core_add_trace(CoreObject *self, PyObject *arg)
+/* Lower one dynamic trace (a sequence of static indices) -> its slot, or
+ * -1 on error.  Its packed sum is what the core credits when the warp
+ * finishes in C (StreamingMultiprocessor._finish_warp's deferred issue
+ * counters). */
+static int32_t
+add_trace(CoreObject *self, PyObject *trace)
 {
-    PyObject *seq = PySequence_Fast(arg, "trace must be a sequence");
+    PyObject *seq = PySequence_Fast(trace, "trace must be a sequence");
     if (seq == NULL)
-        return NULL;
+        return -1;
     Py_ssize_t len = PySequence_Fast_GET_SIZE(seq), i;
     int32_t *idx = PyMem_Malloc((len ? (size_t)len : 1) * sizeof(int32_t));
     if (idx == NULL) {
         Py_DECREF(seq);
-        return PyErr_NoMemory();
+        PyErr_NoMemory();
+        return -1;
     }
+    int64_t packed = 0;
     for (i = 0; i < len; i++) {
         long v = PyLong_AsLong(PySequence_Fast_GET_ITEM(seq, i));
-        if (v < 0 || v >= self->nmeta) {
+        if (v < 0 || v >= self->nmeta
+                || packed > INT64_MAX - self->meta[v].packed) {
             if (!PyErr_Occurred())
                 PyErr_SetString(PyExc_ValueError,
-                                "trace index out of meta range");
+                                "trace index out of meta range or packed "
+                                "sum overflow");
             PyMem_Free(idx);
             Py_DECREF(seq);
-            return NULL;
+            return -1;
         }
         idx[i] = (int32_t)v;
+        packed += self->meta[v].packed;
     }
     Py_DECREF(seq);
     if (grow((void **)&self->traces, &self->tracecap, self->ntraces + 1,
              sizeof(CTrace))) {
         PyMem_Free(idx);
-        return NULL;
+        return -1;
     }
     CTrace *t = &self->traces[self->ntraces];
     t->idx = idx;
     t->len = len;
-    return PyLong_FromLong(self->ntraces++);
+    t->packed = packed;
+    return self->ntraces++;
 }
 
 /* Interned attribute names of the Python objects the core reads and
@@ -639,7 +670,8 @@ static PyObject *s_pos, *s_state, *s_blocked_until, *s_barrier_arrived,
     *s_first_issue_cycle, *s_stall_recorded, *s_sleep_until, *s_current,
     *s_dirty, *s_sched_sleep, *s_warps, *s_active_ctas, *s_channel_free,
     *s_srp_free, *s_srp_capacity, *s_srp_acquires, *s_srp_denials,
-    *s_srp_blocked, *s_leases;
+    *s_srp_blocked, *s_leases, *s_cta_id, *s_trace, *s_global_warp_id,
+    *s_active_warps, *s_active_threads;
 
 static int
 remember(PyObject *dict, PyObject ***objs, int32_t *cap, int32_t slot,
@@ -670,104 +702,6 @@ slot_of(PyObject *dict, PyObject *obj, const char *what)
     return (int32_t)PyLong_AsLong(v);
 }
 
-static PyObject *
-core_new_cta(CoreObject *self, PyObject *args)
-{
-    PyObject *obj;
-    long long cta_id;
-    int sm_id;
-    if (!PyArg_ParseTuple(args, "OLi", &obj, &cta_id, &sm_id))
-        return NULL;
-    if (sm_arg(self, sm_id) == NULL)
-        return NULL;
-    if (grow((void **)&self->ctas, &self->ctacap, self->nctas + 1,
-             sizeof(CCta))
-            || remember(self->cta_slots, &self->cta_objs, &self->ctaobjcap,
-                        self->nctas, obj))
-        return NULL;
-    CCta *c = &self->ctas[self->nctas];
-    memset(c, 0, sizeof(*c));
-    c->cta_id = cta_id;
-    c->first_issue = -1;
-    c->sm = sm_id;
-    return PyLong_FromLong(self->nctas++);
-}
-
-static PyObject *
-core_new_warp(CoreObject *self, PyObject *args)
-{
-    PyObject *obj;
-    int cslot, trace;
-    long long gid;
-    if (!PyArg_ParseTuple(args, "OiiL", &obj, &cslot, &trace, &gid))
-        return NULL;
-    if (cslot < 0 || cslot >= self->nctas
-            || trace < 0 || trace >= self->ntraces) {
-        PyErr_SetString(PyExc_ValueError, "bad cta/trace slot");
-        return NULL;
-    }
-    if (grow((void **)&self->warps, &self->warpcap, self->nwarps + 1,
-             sizeof(CWarp)))
-        return NULL;
-    CCta *c = &self->ctas[cslot];
-    if (grow((void **)&c->warps, &c->cap, c->nwarps + 1, sizeof(int32_t)))
-        return NULL;
-    CWarp *w = &self->warps[self->nwarps];
-    memset(w, 0, sizeof(*w));
-    w->ready_at = PyMem_Calloc((size_t)self->nregs, sizeof(int64_t));
-    if (w->ready_at == NULL)
-        return PyErr_NoMemory();
-    if (remember(self->warp_slots, &self->warp_objs, &self->warpobjcap,
-                 self->nwarps, obj)) {
-        PyMem_Free(w->ready_at);
-        w->ready_at = NULL;
-        return NULL;
-    }
-    w->trace = trace;
-    w->cta = cslot;
-    w->state = W_RUNNABLE;
-    w->chk_pos = -1;
-    w->global_warp_id = gid;
-    w->stream_base = (gid & 0xFFFF) << 26;
-    w->reuse_base = ((c->cta_id & 0xFFFF) << 18) | (1LL << 42);
-    c->warps[c->nwarps++] = self->nwarps;
-    return PyLong_FromLong(self->nwarps++);
-}
-
-static PyObject *
-core_set_policy(CoreObject *self, PyObject *args)
-{
-    /* Bind one SM: its Python object, its schedulers, the policy's hook
-     * flags and which of RegMutexPolicy's bodies it runs. */
-    int sm_id, needs_tick, needs_idle, srp_issue, srp_classify;
-    PyObject *obj, *scheds;
-    if (!PyArg_ParseTuple(args, "iOO!pppp", &sm_id, &obj, &PyList_Type,
-                          &scheds, &needs_tick, &needs_idle, &srp_issue,
-                          &srp_classify))
-        return NULL;
-    CSm *sm = sm_arg(self, sm_id);
-    if (sm == NULL)
-        return NULL;
-    if (PyList_GET_SIZE(scheds) != self->nsched) {
-        PyErr_SetString(PyExc_ValueError, "wrong scheduler count");
-        return NULL;
-    }
-    int k;
-    for (k = 0; k < self->nsched; k++) {
-        CSched *sc = &self->scheds[(size_t)sm_id * self->nsched + k];
-        PyObject *o = PyList_GET_ITEM(scheds, k);
-        Py_INCREF(o);
-        Py_XSETREF(sc->obj, o);
-    }
-    Py_INCREF(obj);
-    Py_XSETREF(sm->obj, obj);
-    sm->needs_tick = needs_tick;
-    sm->needs_idle = needs_idle;
-    sm->srp_issue = srp_issue;
-    sm->srp_classify = srp_classify;
-    Py_RETURN_NONE;
-}
-
 static int
 get_ll(PyObject *obj, PyObject *name, int64_t *out)
 {
@@ -791,6 +725,167 @@ set_ll(PyObject *obj, PyObject *name, int64_t value)
     int r = PyObject_SetAttr(obj, name, v);
     Py_DECREF(v);
     return r;
+}
+
+/* Lower one CTA object -> its slot, or -1 on error. */
+static int32_t
+new_cta(CoreObject *self, PyObject *obj, int64_t cta_id, int32_t sm_id)
+{
+    if (grow((void **)&self->ctas, &self->ctacap, self->nctas + 1,
+             sizeof(CCta))
+            || remember(self->cta_slots, &self->cta_objs, &self->ctaobjcap,
+                        self->nctas, obj))
+        return -1;
+    CCta *c = &self->ctas[self->nctas];
+    memset(c, 0, sizeof(*c));
+    c->cta_id = cta_id;
+    c->first_issue = -1;
+    c->sm = sm_id;
+    return self->nctas++;
+}
+
+/* Lower one pristine warp object of CTA slot cslot; 0 or -1 on error. */
+static int
+new_warp(CoreObject *self, PyObject *obj, int32_t cslot, int32_t trace,
+         int64_t gid)
+{
+    if (grow((void **)&self->warps, &self->warpcap, self->nwarps + 1,
+             sizeof(CWarp)))
+        return -1;
+    CCta *c = &self->ctas[cslot];
+    if (grow((void **)&c->warps, &c->cap, c->nwarps + 1, sizeof(int32_t)))
+        return -1;
+    CWarp *w = &self->warps[self->nwarps];
+    memset(w, 0, sizeof(*w));
+    w->ready_at = PyMem_Calloc((size_t)self->nregs, sizeof(int64_t));
+    if (w->ready_at == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    if (remember(self->warp_slots, &self->warp_objs, &self->warpobjcap,
+                 self->nwarps, obj)) {
+        PyMem_Free(w->ready_at);
+        w->ready_at = NULL;
+        return -1;
+    }
+    w->trace = trace;
+    w->cta = cslot;
+    w->state = W_RUNNABLE;
+    w->chk_pos = -1;
+    w->global_warp_id = gid;
+    w->stream_base = (gid & 0xFFFF) << 26;
+    w->reuse_base = ((c->cta_id & 0xFFFF) << 18) | (1LL << 42);
+    c->warps[c->nwarps++] = self->nwarps++;
+    return 0;
+}
+
+/* Lower one CTA object of SM sm_id with its warps and their traces. */
+static int
+lower_cta(CoreObject *self, PyObject *cta, int32_t sm_id)
+{
+    int64_t cta_id;
+    if (get_ll(cta, s_cta_id, &cta_id))
+        return -1;
+    int32_t cslot = new_cta(self, cta, cta_id, sm_id);
+    if (cslot < 0)
+        return -1;
+    PyObject *warps = PyObject_GetAttr(cta, s_warps);
+    if (warps == NULL)
+        return -1;
+    PyObject *seq = PySequence_Fast(warps, "CTA warps must be a sequence");
+    Py_DECREF(warps);
+    if (seq == NULL)
+        return -1;
+    Py_ssize_t i;
+    for (i = 0; i < PySequence_Fast_GET_SIZE(seq); i++) {
+        PyObject *warp = PySequence_Fast_GET_ITEM(seq, i);
+        int64_t gid;
+        int32_t tslot = -1;
+        PyObject *trace = PyObject_GetAttr(warp, s_trace);
+        if (trace != NULL) {
+            tslot = add_trace(self, trace);
+            Py_DECREF(trace);
+        }
+        if (tslot < 0 || get_ll(warp, s_global_warp_id, &gid)
+                || new_warp(self, warp, cslot, tslot, gid)) {
+            Py_DECREF(seq);
+            return -1;
+        }
+    }
+    Py_DECREF(seq);
+    return 0;
+}
+
+static PyObject *
+core_lower_new(CoreObject *self, PyObject *arg)
+{
+    /* Lower every CTA of the SM's active_ctas not lowered yet (the ones an
+     * op or the initial fill launched, their warps pristine), in list
+     * order, each with its warps and one trace per warp. */
+    long sm_id = PyLong_AsLong(arg);
+    if (sm_id == -1 && PyErr_Occurred())
+        return NULL;
+    CSm *sm = sm_arg(self, (int)sm_id);
+    if (sm == NULL)
+        return NULL;
+    if (sm->obj == NULL) {
+        PyErr_SetString(PyExc_RuntimeError, "SM not bound");
+        return NULL;
+    }
+    PyObject *list = PyObject_GetAttr(sm->obj, s_active_ctas);
+    if (list == NULL)
+        return NULL;
+    PyObject *seq = PySequence_Fast(list, "active_ctas must be a sequence");
+    Py_DECREF(list);
+    if (seq == NULL)
+        return NULL;
+    Py_ssize_t i;
+    for (i = 0; i < PySequence_Fast_GET_SIZE(seq); i++) {
+        PyObject *cta = PySequence_Fast_GET_ITEM(seq, i);
+        int known = PyDict_Contains(self->cta_slots, cta);
+        if (known < 0 || (!known && lower_cta(self, cta, (int32_t)sm_id))) {
+            Py_DECREF(seq);
+            return NULL;
+        }
+    }
+    Py_DECREF(seq);
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+core_set_policy(CoreObject *self, PyObject *args)
+{
+    /* Bind one SM: its Python object, its schedulers, the policy's hook
+     * flags, whether its non-final EXITs finish in the core and which of
+     * RegMutexPolicy's bodies it runs. */
+    int sm_id, needs_tick, needs_idle, exit_local, srp_issue, srp_classify;
+    PyObject *obj, *scheds;
+    if (!PyArg_ParseTuple(args, "iOO!ppppp", &sm_id, &obj, &PyList_Type,
+                          &scheds, &needs_tick, &needs_idle, &exit_local,
+                          &srp_issue, &srp_classify))
+        return NULL;
+    CSm *sm = sm_arg(self, sm_id);
+    if (sm == NULL)
+        return NULL;
+    if (PyList_GET_SIZE(scheds) != self->nsched) {
+        PyErr_SetString(PyExc_ValueError, "wrong scheduler count");
+        return NULL;
+    }
+    int k;
+    for (k = 0; k < self->nsched; k++) {
+        CSched *sc = &self->scheds[(size_t)sm_id * self->nsched + k];
+        PyObject *o = PyList_GET_ITEM(scheds, k);
+        Py_INCREF(o);
+        Py_XSETREF(sc->obj, o);
+    }
+    Py_INCREF(obj);
+    Py_XSETREF(sm->obj, obj);
+    sm->needs_tick = needs_tick;
+    sm->needs_idle = needs_idle;
+    sm->exit_local = exit_local;
+    sm->srp_issue = srp_issue;
+    sm->srp_classify = srp_classify;
+    Py_RETURN_NONE;
 }
 
 /* Fill a slot array from a list attribute of lowered objects. */
@@ -852,6 +947,7 @@ core_sync(CoreObject *self, PyObject *arg)
                          &sc->cap, &sc->nmembers, "scheduler warp")
                 || get_ll(sc->obj, s_sleep_until, &sc->sleep_until))
             return NULL;
+        sc->members_dirty = 0;
         PyObject *cur = PyObject_GetAttr(sc->obj, s_current);
         if (cur == NULL)
             return NULL;
@@ -940,10 +1036,11 @@ core_reimport_cta(CoreObject *self, PyObject *obj)
 static PyObject *
 core_export(CoreObject *self, PyObject *args)
 {
-    /* Write C's view onto the Python objects: the SM's sleep cache and
-     * schedulers (sleep, current, buckets marked dirty), and with
-     * ``with_warps`` its active CTAs (barrier count, first issue, stall
-     * marker) and their warps (pos, state, blocked_until). */
+    /* Write C's view onto the Python objects: the SM's sleep cache, the
+     * warp and thread counts the local finishes lowered, its schedulers
+     * (sleep, current, the members a local finish removed, buckets marked
+     * dirty), and with ``with_warps`` its active CTAs (barrier count, first
+     * issue, stall marker) and their warps (pos, state, blocked_until). */
     int sm_id, with_warps;
     if (!PyArg_ParseTuple(args, "ip", &sm_id, &with_warps))
         return NULL;
@@ -958,10 +1055,36 @@ core_export(CoreObject *self, PyObject *args)
     int32_t a, i;
     if (set_ll(sm->obj, s_sched_sleep, sm->sched_sleep))
         return NULL;
+    if (sm->local_finishes) {
+        int64_t warps, threads;
+        if (get_ll(sm->obj, s_active_warps, &warps)
+                || get_ll(sm->obj, s_active_threads, &threads)
+                || set_ll(sm->obj, s_active_warps,
+                          warps - sm->local_finishes)
+                || set_ll(sm->obj, s_active_threads,
+                          threads - 32 * sm->local_finishes))
+            return NULL;
+        sm->local_finishes = 0;
+    }
     for (i = 0; i < self->nsched; i++) {
         CSched *sc = &scheds[i];
         PyObject *cur = sc->current < 0 ? Py_None
                                         : self->warp_objs[sc->current];
+        if (sc->members_dirty) {
+            PyObject *members = PyList_New(sc->nmembers);
+            if (members == NULL)
+                return NULL;
+            for (a = 0; a < sc->nmembers; a++) {
+                PyObject *wobj = self->warp_objs[sc->members[a]];
+                Py_INCREF(wobj);
+                PyList_SET_ITEM(members, a, wobj);
+            }
+            int r = PyObject_SetAttr(sc->obj, s_warps, members);
+            Py_DECREF(members);
+            if (r)
+                return NULL;
+            sc->members_dirty = 0;
+        }
         if (set_ll(sc->obj, s_sleep_until, sc->sleep_until)
                 || PyObject_SetAttr(sc->obj, s_current, cur)
                 || PyObject_SetAttr(sc->obj, s_dirty, Py_True))
@@ -1002,8 +1125,9 @@ static PyObject *
 core_finish(CoreObject *self, PyObject *arg)
 {
     /* (cta_sum, pending_sum, warp_sum, max_resident, idle, rf_depletion,
-     *  srp_stall, next_idle_check, stall latencies); drains the stall
-     * log. */
+     *  srp_stall, next_idle_check, stall latencies, instructions, rf_reads,
+     *  rf_writes, shmem_accesses); drains the stall log.  The last four
+     * credit the warps that finished in the core. */
     long sm_id = PyLong_AsLong(arg);
     if (sm_id == -1 && PyErr_Occurred())
         return NULL;
@@ -1023,11 +1147,15 @@ core_finish(CoreObject *self, PyObject *arg)
         PyList_SET_ITEM(stalls, i, v);
     }
     sm->nstalls = 0;
-    return Py_BuildValue("LLLLLLLLN", (long long)sm->cta_sum,
-                         (long long)sm->pend_sum, (long long)sm->warp_sum,
-                         (long long)sm->max_resident, (long long)sm->idle,
-                         (long long)sm->rf, (long long)sm->srp_stall,
-                         (long long)sm->next_idle, stalls);
+    PyObject *out = Py_BuildValue(
+        "LLLLLLLLNLLLL", (long long)sm->cta_sum, (long long)sm->pend_sum,
+        (long long)sm->warp_sum, (long long)sm->max_resident,
+        (long long)sm->idle, (long long)sm->rf, (long long)sm->srp_stall,
+        (long long)sm->next_idle, stalls, (long long)sm->insts,
+        (long long)sm->rf_reads, (long long)sm->rf_writes,
+        (long long)sm->shmem);
+    sm->insts = sm->rf_reads = sm->rf_writes = sm->shmem = 0;
+    return out;
 }
 
 /* ------------------------------------------------------------------ */
@@ -1081,14 +1209,11 @@ on_long_block(CoreObject *core, CSm *sm, CWarp *w, int64_t now)
     return 0;
 }
 
-/* Returns 1 when the barrier released (caller wakes the schedulers). */
+/* CTASim.maybe_release_barrier: returns 1 when the barrier released
+ * (the caller wakes the schedulers). */
 static int
-arrive_at_barrier(CoreObject *core, CWarp *w, int64_t now)
+maybe_release_barrier(CoreObject *core, CCta *c, int64_t now)
 {
-    CCta *c = &core->ctas[w->cta];
-    w->state = W_BARRIER;
-    w->blocked_until = CK_FOREVER;
-    c->barrier_arrived += 1;
     if (c->barrier_arrived
             && c->barrier_arrived >= cta_unfinished(core, c)) {
         int32_t i;
@@ -1103,6 +1228,16 @@ arrive_at_barrier(CoreObject *core, CWarp *w, int64_t now)
         return 1;
     }
     return 0;
+}
+
+static int
+arrive_at_barrier(CoreObject *core, CWarp *w, int64_t now)
+{
+    CCta *c = &core->ctas[w->cta];
+    w->state = W_BARRIER;
+    w->blocked_until = CK_FOREVER;
+    c->barrier_arrived += 1;
+    return maybe_release_barrier(core, c, now);
 }
 
 /* transcribes RegisterFilePolicy.stalled_active_ctas: the list is
@@ -2260,6 +2395,61 @@ park_exit(CSm *sm, int32_t ws, int from_scan, int s)
     return OP_EXIT;
 }
 
+/* transcribes StreamingMultiprocessor._finish_warp for a warp that is not
+ * its CTA's last unfinished one, on an SM with exit_local (its policy has
+ * no tick or idle hook): such a finish retires nothing and reaches no
+ * policy code, so it completes here, in _finish_warp's order.  Credit the
+ * deferred issue counters from the trace's packed sum; mark the warp
+ * finished and take it off active_warps; remove it from the first
+ * scheduler holding it (GTOScheduler.remove_warp, whose _resleep
+ * recomputes the sleep cache); release the barrier the finish may
+ * complete.  Returns 1 when the EXIT finished here, 0 when it stays an
+ * op. */
+static int
+finish_warp(CoreObject *self, CSm *sm, CSched *scheds, int32_t ws,
+            int64_t now)
+{
+    CWarp *W = self->warps;
+    CWarp *w = &W[ws];
+    CCta *c = &self->ctas[w->cta];
+    if (!sm->exit_local || cta_unfinished(self, c) < 2)
+        return 0;
+    const CTrace *t = &self->traces[w->trace];
+    sm->insts += t->len;
+    sm->rf_reads += t->packed & 0xFFFFF;
+    sm->rf_writes += (t->packed >> 20) & 0xFFFFF;
+    sm->shmem += t->packed >> 40;
+    w->state = W_FINISHED;
+    w->blocked_until = CK_FOREVER;
+    sm->active_warps -= 1;
+    sm->local_finishes += 1;
+    sm->lvl_dirty = 1;
+    int k;
+    for (k = 0; k < self->nsched; k++) {
+        CSched *sc = &scheds[k];
+        int32_t i, n = sc->nmembers;
+        for (i = 0; i < n && sc->members[i] != ws; i++)
+            ;
+        if (i == n)
+            continue;
+        memmove(&sc->members[i], &sc->members[i + 1],
+                (size_t)(n - i - 1) * sizeof(int32_t));
+        sc->nmembers = --n;
+        sc->members_dirty = 1;
+        if (sc->current == ws)
+            sc->current = -1;
+        int64_t earliest = CK_FOREVER;
+        for (i = 0; i < n; i++)
+            if (W[sc->members[i]].blocked_until < earliest)
+                earliest = W[sc->members[i]].blocked_until;
+        sc->sleep_until = earliest;
+        break;
+    }
+    if (maybe_release_barrier(self, c, now))
+        wake_schedulers(sm, scheds, self->nsched);
+    return 1;
+}
+
 /* An LDG / STG: the inlined AddressModel.address_for, then the access
  * through the hierarchy (a load's completion becomes its destination's
  * ready cycle).  Returns -1 on error. */
@@ -2346,7 +2536,8 @@ issue_loop(CoreObject *self, int32_t sm_id, CSm *sm, CSched *scheds,
                         else if (w->blocked_until == CK_FOREVER
                                  && on_long_block(self, sm, w, now))
                             return -1;
-                    } else if (fk == 4) {
+                    } else if (fk == 4
+                               && !finish_warp(self, sm, scheds, cur, now)) {
                         return park_exit(sm, cur, 0, s);
                     }
                     /* fk == 5: BRA / STS, no timing effect */
@@ -2406,7 +2597,7 @@ issue_loop(CoreObject *self, int32_t sm_id, CSm *sm, CSched *scheds,
                 else if (w->blocked_until == CK_FOREVER
                          && on_long_block(self, sm, w, now))
                     return -1;
-            } else if (fk == 4) {
+            } else if (fk == 4 && !finish_warp(self, sm, scheds, ws, now)) {
                 return park_exit(sm, ws, 1, s);
             }
             /* fk == 5: no timing effect */
@@ -2738,16 +2929,14 @@ done:
 
 /* ------------------------------------------------------------------ */
 static PyMethodDef core_methods[] = {
-    {"add_trace", (PyCFunction)core_add_trace, METH_O,
-     "Lower one dynamic trace (sequence of static indices) -> index."},
-    {"new_cta", (PyCFunction)core_new_cta, METH_VARARGS,
-     "new_cta(cta, cta_id, sm_id) -> cta slot."},
-    {"new_warp", (PyCFunction)core_new_warp, METH_VARARGS,
-     "new_warp(warp, cta_slot, trace_idx, global_warp_id) -> warp slot."},
     {"set_policy", (PyCFunction)core_set_policy, METH_VARARGS,
      "set_policy(sm_id, sm, schedulers, needs_tick, needs_idle, "
-     "srp_issue, srp_classify): bind one SM and say which RegMutexPolicy "
-     "bodies it runs."},
+     "exit_local, srp_issue, srp_classify): bind one SM, say whether its "
+     "non-final EXITs finish in the core and which RegMutexPolicy bodies "
+     "it runs."},
+    {"lower_new", (PyCFunction)core_lower_new, METH_O,
+     "lower_new(sm_id): lower the SM's active CTAs not lowered yet, with "
+     "their warps and traces."},
     {"sync", (PyCFunction)core_sync, METH_O,
      "sync(sm_id): re-import the SM's schedulers and active-CTA list."},
     {"mirror", (PyCFunction)core_mirror, METH_VARARGS,
@@ -2761,7 +2950,8 @@ static PyMethodDef core_methods[] = {
      "CTA / warp) state onto the Python objects."},
     {"finish", (PyCFunction)core_finish, METH_O,
      "finish(sm_id) -> (cta_sum, pending_sum, warp_sum, max_resident, "
-     "idle, rf_depletion, srp_stall, next_idle_check, stall_latencies)."},
+     "idle, rf_depletion, srp_stall, next_idle_check, stall_latencies, "
+     "instructions, rf_reads, rf_writes, shmem_accesses)."},
     {"lower_srp", (PyCFunction)core_lower_srp, METH_VARARGS,
      "lower_srp(sm_id, policy, demand_or_None, srp_block, retry_interval):"
      " lower the SM's shared register pool (its _leases must be empty)."},
@@ -2839,6 +3029,10 @@ PyInit__ckernel(void)
         {&s_srp_free, "srp_free"}, {&s_srp_capacity, "srp_capacity"},
         {&s_srp_acquires, "srp_acquires"}, {&s_srp_denials, "srp_denials"},
         {&s_srp_blocked, "_srp_blocked"}, {&s_leases, "_leases"},
+        {&s_cta_id, "cta_id"}, {&s_trace, "trace"},
+        {&s_global_warp_id, "global_warp_id"},
+        {&s_active_warps, "_active_warps"},
+        {&s_active_threads, "_active_threads"},
         {&s_demand[DEMAND_READ], "demand_read"},
         {&s_demand[DEMAND_WRITE], "demand_write"},
     };

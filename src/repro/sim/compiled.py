@@ -22,8 +22,9 @@ LDG/STG completes inside the issue loop through a C transcription of
 The core returns to Python only at **ops**, in the dense engine's global
 order ``(cycle, sm_id, program order)``:
 
-* ``EXIT`` -- a warp EXIT: the real ``sm._finish_warp`` -> retire ->
-  ``on_cta_finished`` -> ``fill`` chain (grid pulls included).
+* ``EXIT`` -- a warp EXIT that retires its CTA, or any EXIT on an SM whose
+  policy has a tick or idle hook: the real ``sm._finish_warp`` -> retire
+  -> ``on_cta_finished`` -> ``fill`` chain (grid pulls included).
 * ``SETTLE`` -- ``now`` reached the SM's earliest ``transit_until``
   (``sm._transit_min``): the real ``sm._settle_transits``.
 * ``TICK`` -- ``now`` reached the cached ``policy.wake_time``, the
@@ -38,6 +39,16 @@ Every served hook runs through the real objects, so the ACRF/PCRF/RMU
 models, pending trackers, fills and bulk transfers stay Python.  The
 skipped calls are provably exact:
 
+* A warp EXIT that leaves an unfinished sibling retires nothing, so
+  ``_finish_warp`` calls no policy code: the core runs its transcription
+  (the packed issue-counter credit, the scheduler removal and re-sleep,
+  the barrier release) and the EXIT is no op.  It does so only on an SM
+  whose policy has no tick or idle hook (``exit_local``): a finish frees a
+  warp slot, which ``VirtualThreadPolicy.wake_time`` reads through
+  ``_slot_launches`` and relies on an op to re-ask.  ``export`` writes the
+  finished warps back: ``_active_warps`` and ``_active_threads``, the
+  schedulers' ``warps`` lists, and with the warps their state; the
+  counters are merged at run end.
 * ``on_tick`` before ``wake_time`` and the settle scan before the earliest
   transit are no-ops (the event engine skips them on the same contract;
   ``wake_time`` and ``next_event`` change only inside a hook, and calling
@@ -97,18 +108,22 @@ After each policy op the driver pushes the SM's mirrors in one call
 changed; before it, C's view is written onto the Python objects only
 where the op reads it (IDLE and EXIT: schedulers and active CTAs' warps;
 SETTLE: schedulers; TICK: nothing).  The level, idle and RF-depletion
-sums are int64 in C and merged into the float counters once at run end.  ``gpu.engine_ops`` records how many ops of each kind
-the driver served, and ``gpu.engine_op_s`` the host seconds spent inside
-``Core.resume`` (the C loop and the memory hierarchy) and serving each op
-kind, read from ``repro.obs.clock`` twice per op (observation only, like
-``engine_refusal``; never part of ``SimResult``).
+sums are int64 in C and merged into the float counters once at run end.
+``gpu.engine_ops`` records how many ops of each kind the driver served,
+and ``gpu.engine_op_s`` the host seconds of the run's parts, read from
+``repro.obs.clock`` (observation only, like ``engine_refusal``; never part
+of ``SimResult``): ``lower`` (the initial fill and lowering), ``resume``
+(inside ``Core.resume``: the C loop, the memory hierarchy and the warp
+finishes the core serves itself), each served op kind (two clock reads
+per op) and ``write_back`` (the end-of-run write-back).
 
 Eligibility is run-level (``compiled_refusal``): no tracer, sanitizer or
 telemetry surface, a single launch, the stock memory hierarchy with no
 instance-level override (``hierarchy_refusal``), the stock address model,
 and on every SM no Fig 5 usage sampling, GTO schedulers, an issue hook
 only where the core runs it, a policy ``policy_refusal`` admits, and
-no instance-level override on the SM or stats surface the core inlines.
+no instance-level override on the SM or stats surface the core inlines
+(``_finish_warp`` included, which it runs for non-final EXITs).
 Each check names its own refusal reason.  A refused run takes the
 reference event engine, and ``gpu.engine_refusal`` names the first check
 that refused it.  The gate tuples below are machine-checked by the
@@ -154,12 +169,14 @@ _CORE_POLICY_BODIES = ((RegMutexPolicy, "on_issue"),
 
 #: SM methods the event engine dispatches dynamically but the C core
 #: inlines or replaces: the event loop's step / next-event / accumulate
-#: calls, the issue attempt ``step`` hands to the schedulers, and the
-#: long-block check and barrier scheduler wake inside ``_try_issue``.  An
+#: calls, the issue attempt ``step`` hands to the schedulers, the
+#: long-block check and barrier scheduler wake inside ``_try_issue``, and
+#: the warp finish it runs itself for a non-final EXIT (marked
+#: ``transcribes StreamingMultiprocessor._finish_warp``).  An
 #: instance-level wrapper on any of these would be silently skipped, so
 #: its presence routes the run to the reference engine, which honors it.
 _BYPASSED_SM_ATTRS = ("accumulate", "next_event", "step", "_try_issue",
-                      "_on_long_block", "_wake_schedulers")
+                      "_on_long_block", "_wake_schedulers", "_finish_warp")
 
 #: Stats surface inlined: the per-segment level flush runs in C as int64
 #: sums (merged once at run end).
@@ -334,16 +351,18 @@ def run_compiled(gpu, max_cycles):
     if reason is not None:
         return gpu._run_event(max_cycles)
     gpu.engine_used = "compiled"
+    started = clock.monotonic()
     sms = gpu.sms
     for sm in sms:
-        # The core does not count issues: _finish_warp credits each
-        # warp's whole trace at its EXIT, and _finish_run the issued
-        # prefix of any warp a timeout leaves unfinished.
+        # The core does not count issues: a warp's finish credits its
+        # whole trace (in the core or at an EXIT op's _finish_warp), and
+        # _finish_run the issued prefix of any warp a timeout leaves
+        # unfinished.
         sm._defer_stats = True
     # Initial fill in SM order (exactly the dense prologue), then lower.
     for sm in sms:
         sm.policy.fill(0)
-    return _Run(gpu, max_cycles).run()
+    return _Run(gpu, max_cycles).run(started)
 
 
 def lower_memory(core, hier) -> None:
@@ -392,7 +411,7 @@ def write_back_memory(core, hier) -> None:
 
 
 class _Run:
-    """One lowered run: the Core object plus the trace interning map."""
+    """One lowered run: the Core object and the SMs' mirror pushes."""
 
     def __init__(self, gpu, max_cycles) -> None:
         from repro.sim import _ckernel
@@ -407,20 +426,21 @@ class _Run:
             model.SHARED_BASE, max_cycles, gpu.config.min_park_cycles,
             policy_base.IDLE_COOLDOWN, self._core_meta(sm), _STATES)
         lower_memory(self.core, gpu.hierarchy)
-        # The core holds references to the lowered warps and CTAs (which
-        # pins these ids: a warp references its trace), and maps them back
-        # to their records; traces are interned once, by identity.
-        self._lowered = set()   # id(cta) of every lowered CTA
-        self._trace_slots = {}  # id(trace) -> trace slot
         # SMs whose IDLE ops the core gates on the policy's idle_wake.
         self._idle_gated = [sm._needs_idle and idle_wake_trusted(sm._policy)
                             for sm in sms]
         for sm in sms:
             policy = sm._policy
             lease, idle = core_bodies(policy)
+            # A non-final EXIT reaches no policy code, so the core finishes
+            # it itself, unless a tick or idle hook could read the warp
+            # slot it frees (virtual_thread's wake_time counts free slots
+            # and relies on an op to re-ask it).
             self.core.set_policy(sm.sm_id, sm, sm.schedulers, sm._needs_tick,
-                                 sm._needs_idle, lease, idle)
-            self._lower_new(sm)
+                                 sm._needs_idle,
+                                 not (sm._needs_tick or sm._needs_idle),
+                                 lease, idle)
+            self.core.lower_new(sm.sm_id)
             if lease or idle:
                 self.core.lower_srp(
                     sm.sm_id, policy, policy._extra_demand if lease else None,
@@ -433,41 +453,26 @@ class _Run:
     # ------------------------------------------------------------------
     def _core_meta(self, sm):
         """``sm._meta`` in the core's encoding, one ``(nsrc, dest or -1,
-        address pattern id or -1, collapsed kind, fixed latency, srcs)``
-        per static instruction.  The fixed latency is the one
+        address pattern id or -1, collapsed kind, fixed latency, srcs,
+        packed)`` per static instruction.  The fixed latency is the one
         ``_try_issue`` charges: the ALU, SFU or shared-memory latency.
-        ``_meta`` is identical
-        across SMs for a single-launch run (the only kind admitted), so
-        SM 0's table is lowered once."""
+        The last field is the instruction's ``sm._packed_vec`` entry: the
+        core sums it per trace at lowering and credits the sum when a warp
+        finishes in the core.  ``_meta`` is identical across SMs for a
+        single-launch run (the only kind admitted), so SM 0's table is
+        lowered once."""
         latency = {_K_ALU: sm._alu_lat, _K_SFU: sm._sfu_lat,
                    _K_LDS: sm._shmem_lat}
         table = []
-        for srcs, dest, kind, __, instr, nsrc in sm._meta:
+        for (srcs, dest, kind, __, instr, nsrc), packed in zip(
+                sm._meta, sm._packed_vec):
             pattern = -1
             if kind == _K_LDG or kind == _K_STG:
                 pattern = _CORE_PATTERNS.get(instr.pattern, 2)
             table.append((nsrc, -1 if dest is None else dest, pattern,
                           _CORE_KINDS[kind], latency.get(kind, 0),
-                          tuple(srcs)))
+                          tuple(srcs), packed))
         return table
-
-    def _lower_new(self, sm) -> None:
-        """Lower every freshly launched CTA (all warps in pristine state)."""
-        core = self.core
-        lowered = self._lowered
-        trace_slots = self._trace_slots
-        for cta in sm.active_ctas:
-            if id(cta) in lowered:
-                continue
-            lowered.add(id(cta))
-            cslot = core.new_cta(cta, cta.cta_id, sm.sm_id)
-            for warp in cta.warps:
-                trace = warp.trace
-                tslot = trace_slots.get(id(trace))
-                if tslot is None:
-                    tslot = core.add_trace(trace)
-                    trace_slots[id(trace)] = tslot
-                core.new_warp(warp, cslot, tslot, warp.global_warp_id)
 
     def _push(self, sm, now, idle=-1) -> None:
         """Push the SM's mirrors after an op (or the initial fill).
@@ -509,15 +514,15 @@ class _Run:
     # schedulers and the active-CTA list where the op can change them.
     # ------------------------------------------------------------------
     def _serve_exit(self, sm, now, warp) -> None:
-        """C already advanced the warp past its EXIT; the finish itself
-        (packed stat credit, scheduler removal, barrier release, CTA
-        retire -> policy fill -> grid pull) runs through the real SM and
-        policy methods, so instance-level wrappers stay honored and grid
-        races revalidate naturally."""
+        """C already advanced the warp past its EXIT, the last of its CTA
+        or one on an SM whose policy has a tick or idle hook; the finish
+        itself (packed stat credit, scheduler removal, barrier release,
+        CTA retire -> policy fill -> grid pull) runs through the real SM
+        and policy methods, so grid races revalidate naturally."""
         core = self.core
         core.export(sm.sm_id, True)
         sm._finish_warp(warp, now)
-        self._lower_new(sm)
+        core.lower_new(sm.sm_id)
         # The chain may have released the exiting CTA's barrier: re-import
         # its count and its warps' states (the finished warp included).
         core.reimport_cta(warp.cta)
@@ -533,6 +538,8 @@ class _Run:
     def _serve_tick(self, sm, now) -> None:
         # on_tick only activates parked CTAs (pending -> transit): no
         # scheduler or active-list change, nothing to exchange but mirrors.
+        # A tick SM finishes no warp in the core, so its _active_warps is
+        # current without an export.
         sm._policy.on_tick(now)
         self._push(sm, now)
 
@@ -548,12 +555,14 @@ class _Run:
         moves = stats.cta_switch_events + stats.cta_launches
         policy.on_idle(now)
         if stats.cta_switch_events + stats.cta_launches != moves:
-            self._lower_new(sm)
+            self.core.lower_new(sm.sm_id)
             self.core.sync(sm.sm_id)
         self._push(sm, now, policy._next_idle_check)
 
     # ------------------------------------------------------------------
-    def run(self):
+    def run(self, started):
+        """Run the lowered core to the end, serving its ops; ``started``
+        is the clock reading before the initial fill."""
         gpu = self.gpu
         core = self.core
         sms = gpu.sms
@@ -566,6 +575,7 @@ class _Run:
         spent = [0.0] * (_OP_DEADLOCK + 1)
         resumed = 0.0
         mark = monotonic()
+        lowered = mark - started
         while True:
             kind, now, sm_id, arg = resume()
             start = monotonic()
@@ -591,9 +601,8 @@ class _Run:
             spent[kind] += mark - start
 
         gpu.engine_ops = {name: served[kind] for kind, name in _OP_NAMES}
-        gpu.engine_op_s = {"resume": resumed}
-        gpu.engine_op_s.update((name, spent[kind])
-                               for kind, name in _OP_NAMES)
+        op_s = gpu.engine_op_s = {"lower": lowered, "resume": resumed}
+        op_s.update((name, spent[kind]) for kind, name in _OP_NAMES)
         write_back_memory(core, gpu.hierarchy)
         for sm in sms:
             # Final state export: _flush_deferred_stats reads warp.pos of
@@ -604,7 +613,14 @@ class _Run:
             core.write_back_srp(sm.sm_id)
             stats = sm.stats
             (cta_sum, pend_sum, warp_sum, max_res, idle, rf, srp,
-             next_idle, stalls) = core.finish(sm.sm_id)
+             next_idle, stalls, insts, rf_reads, rf_writes,
+             shmem) = core.finish(sm.sm_id)
+            # What the warps the core finished would have credited at
+            # their _finish_warp (exact integers).
+            stats.instructions += insts
+            stats.rf_reads += rf_reads
+            stats.rf_writes += rf_writes
+            stats.shmem_accesses += shmem
             # The closed segments were accumulated in C as exact integer
             # sums; one float add of each total is bit-identical to the
             # dense per-segment float adds (every partial sum < 2**53).
@@ -622,4 +638,6 @@ class _Run:
             if stalls:
                 stats.stall_latencies.extend(stalls)
             sm._policy._next_idle_check = next_idle
+        # Write-back: everything since DONE came back (at ``start``).
+        op_s["write_back"] = monotonic() - start
         return gpu._finish_run(now, timed_out)

@@ -11,7 +11,9 @@ The acceptance contract of the auditor (docs/ANALYZE.md):
   rot into allowlists of dead names;
 * every seeded fault of the self-test is detected at its severity;
 * the ``transcribes <PolicyClass>.<name>`` markers of the C core match
-  the bodies the gate admits in both directions;
+  the bodies the gate admits in both directions, and an SM method it
+  marks ``transcribes StreamingMultiprocessor.<name>`` must be in
+  ``_BYPASSED_SM_ATTRS`` even though the driver still calls it;
 * the gate admits every shipped policy: the only checked surface one
   overrides (vt_regmutex's issue hook and idle attribution) is exactly
   the bodies the core transcribes, and every other hook is served.
@@ -162,6 +164,37 @@ class TestCoreMarkers:
         hits = [f for f in report.by_tag("inert-gate-stale")
                 if "RegMutexPolicy.on_cta_finished" in f.message]
         assert hits, report.format("stale core body not reported")
+
+
+class TestSmMarkers:
+    """An SM method the core runs for some of its calls is gated like one
+    it replaces, and a marker must name a method the engines dispatch."""
+
+    def test_dropping_the_marker_leaves_the_entry_a_candidate(self):
+        """The driver still calls ``_finish_warp`` for the EXIT ops, so
+        only its marker derives the entry (deleting the entry is HIGH,
+        ``TestGateDeletions``); without the marker the entry is wider than
+        the derived gate."""
+        config = default_effects_config()
+        marker = "transcribes StreamingMultiprocessor._finish_warp"
+        assert marker in config.core_source
+        report = audit_effects(replace(config, core_source=(
+            config.core_source.replace(marker, "mirrors"))))
+        assert not report.errors and not report.warnings
+        hits = [f for f in report.by_tag("compiled-gate-candidate")
+                if "'_finish_warp'" in f.message]
+        assert hits, report.format("no advisory for the unmarked entry")
+
+    def test_marker_naming_no_dispatched_method_is_stale(self):
+        config = default_effects_config()
+        report = audit_effects(replace(config, core_source=(
+            config.core_source
+            + "\n/* transcribes StreamingMultiprocessor.retired_hook */\n")))
+        hits = [f for f in report.by_tag("core-transcription-unadmitted")
+                if f.severity == Severity.WARNING
+                and "StreamingMultiprocessor.retired_hook" in f.message]
+        assert hits, report.format("no MEDIUM for the stale SM marker")
+        assert hits[0].line and hits[0].path.endswith("_ckernel.c")
 
 
 class TestStaleEntries:

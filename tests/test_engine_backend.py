@@ -353,6 +353,30 @@ def test_wrapped_hierarchy_load_runs_on_reference(engine):
     assert result.to_json() == plain.to_json()
 
 
+@pytest.mark.parametrize("engine", ["reference"] + (
+    ["compiled"] if backend.compiled_available() else []))
+def test_wrapped_finish_warp_runs_on_reference(engine):
+    """The C core finishes a warp whose EXIT does not retire its CTA
+    itself, so a counting wrapper on ``sm._finish_warp`` refuses the
+    compiled run; the reference step calls it for every warp EXIT."""
+    gpu = build_gpu()
+    finished = []
+    for sm in gpu.sms:
+        def counting_finish(warp, now, _inner=sm._finish_warp):
+            finished.append(warp.global_warp_id)
+            _inner(warp, now)
+        sm._finish_warp = counting_finish
+    result = gpu.run(max_cycles=TINY.max_cycles, engine=engine)
+    assert gpu.engine_used == "reference"
+    assert gpu.engine_refusal == (
+        "sm-override:_finish_warp" if engine == "compiled" else None)
+    launched = sum(sm.stats.cta_launches for sm in gpu.sms)
+    assert len(set(finished)) == len(finished) \
+        == launched * gpu.launches[0].warps_per_cta
+    plain = build_gpu().run(max_cycles=TINY.max_cycles, engine=engine)
+    assert result.to_json() == plain.to_json()
+
+
 def test_auto_without_extension_records_extension_missing(monkeypatch):
     monkeypatch.setattr(backend, "_COMPILED_AVAILABLE", False)
     monkeypatch.delenv(backend.ENGINE_ENV, raising=False)

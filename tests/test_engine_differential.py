@@ -36,6 +36,17 @@ also compare every SM's policy end state (``policy_state``), which
 ``SimResult`` does not carry: the switching counters and flags, the idle
 cooldown, the live entries of every readiness heap, reg_dram's
 DRAM-parked footprint and finereg_adaptive's epoch state.
+
+The C core finishes a warp whose EXIT does not retire its CTA itself (on
+an SM whose policy has no tick or idle hook) and writes the warp, CTA and
+scheduler state back, so the tests compare that end state too
+(``sm_state``): the warp and thread counts, shared memory, the active,
+pending and transit CTAs, every scheduler's members in attach order,
+sleep cache and current warp, and each resident warp's state and trace
+position.  A warp's ``blocked_until`` is left out: the core makes the
+attempt where ``_try_issue`` peeks ahead, so a run cut by its cycle limit
+can leave a short stall unrecorded that the Python engines recorded one
+attempt early.
 """
 
 from __future__ import annotations
@@ -53,6 +64,8 @@ from hypothesis import strategies as st
 from repro.config import SCALES, GPUConfig, default_config
 from repro.experiments.common import SRP_RATIOS
 from repro.experiments.runner import POLICIES
+from repro.isa.assembler import assemble
+from repro.isa.kernel import Kernel, LaunchGeometry
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.policies import base as policy_base
 from repro.policies.base import (IDLE_COOLDOWN, PendingTracker,
@@ -69,6 +82,7 @@ from repro.validate.sanitizer import attach_sanitizer
 from repro.workloads.apps import APP_POOLS, AppPool, StreamSpec, build_app
 from repro.workloads.generator import build_workload
 from repro.workloads.suite import get_spec
+from repro.workloads.traces import AddressModel
 
 TINY = SCALES["tiny"]
 SMALL = SCALES["small"]
@@ -185,10 +199,35 @@ def policy_state(gpu) -> list:
     return states
 
 
+def sm_state(gpu) -> list:
+    """Every SM's warp, CTA and scheduler end state: the counts the warp
+    finishes lower, the CTA lists, each scheduler's members (global warp
+    ids in attach order), sleep cache and current warp, and each resident
+    warp's ``(state, pos)``."""
+    states = []
+    for sm in gpu.sms:
+        lists = (sm.active_ctas, sm.pending_ctas, sm.transit_ctas)
+        states.append({
+            "active_warps": sm._active_warps,
+            "active_threads": sm._active_threads,
+            "shmem_used": sm.shmem_used,
+            "ctas": [[cta.cta_id for cta in ctas] for ctas in lists],
+            "schedulers": [([warp.global_warp_id for warp in sched.warps],
+                            sched._sleep_until,
+                            getattr(sched._current, "global_warp_id", None))
+                           for sched in sm.schedulers],
+            "sched_sleep": sm._sched_sleep,
+            "warps": [(warp.global_warp_id, warp.state, warp.pos)
+                      for ctas in lists for cta in ctas
+                      for warp in cta.warps],
+        })
+    return states
+
+
 def assert_same_end_state(dense_gpu, dense, gpu, result, label: str):
     """Result bytes (unsorted: the key order counts too), the full memory
-    end state, the SRP state and the policy state of ``gpu`` equal the
-    dense oracle's."""
+    end state, the SRP state, the policy state and the warp, CTA and
+    scheduler state of ``gpu`` equal the dense oracle's."""
     assert json.dumps(dense.to_json()) == json.dumps(result.to_json()), (
         f"{label}: result diverged from the dense oracle")
     expected = memory_state(dense_gpu.hierarchy)
@@ -204,6 +243,11 @@ def assert_same_end_state(dense_gpu, dense, gpu, result, label: str):
         assert actual == wanted, (
             f"{label}: SM {sm_id} policy state diverged from the dense "
             f"oracle")
+    for sm_id, (actual, wanted) in enumerate(zip(sm_state(gpu),
+                                                 sm_state(dense_gpu))):
+        for key, value in wanted.items():
+            assert actual[key] == value, (
+                f"{label}: SM {sm_id} {key} diverged from the dense oracle")
 
 
 def end_state_differential(build, max_cycles: int, label: str):
@@ -533,6 +577,91 @@ def test_blocked_span_open_at_a_timeout(app, max_cycles):
 
 
 # ----------------------------------------------------------------------
+# Warp EXITs the C core finishes itself
+# ----------------------------------------------------------------------
+def mixed_ctas(gpu) -> int:
+    """Resident CTAs with both finished and unfinished warps."""
+    return sum(1 for sm in gpu.sms
+               for ctas in (sm.active_ctas, sm.pending_ctas, sm.transit_ctas)
+               for cta in ctas
+               if 0 < cta.unfinished_warps() < len(cta.warps))
+
+
+@pytest.mark.parametrize("app, max_cycles", [
+    ("KM", 3000), ("KM", 5100), ("SR", 4300)])
+def test_baseline_end_state_of_a_timed_out_run(app, max_cycles):
+    """A baseline run cut mid-grid: warps the core finished sit beside
+    unfinished siblings, and the timeout credits only the issued prefix of
+    the unfinished ones (``SimResult``'s counters), with the counts,
+    scheduler members and warp states written back (``sm_state``)."""
+    dense, result, gpus = end_state_differential(
+        lambda: build_micro_gpu("baseline", app, 3), max_cycles,
+        f"baseline, {app}, seed 3, max_cycles={max_cycles}")
+    assert result.timed_out
+    assert mixed_ctas(dense) > 0
+    compiled = gpus.get("compiled")
+    if compiled is not None:
+        assert compiled.engine_ops["exit"] == result.completed_ctas
+
+
+#: Warp 0 loads, waits on the load and exits; its siblings go straight to
+#: the barrier, so warp 0's EXIT completes it and releases them.
+BARRIER_EXIT_KERNEL = """
+.block entry
+    ldg   R1, R0 @stream
+    ialu  R2, R1
+    bar
+    ialu  R3, R2
+    exit
+.endblock
+"""
+
+
+class ExitBesideBarrier:
+    """Traces for ``BARRIER_EXIT_KERNEL``: warp 0 skips the barrier."""
+
+    def trace_for(self, cta_id: int, warp_id: int) -> list:
+        return [0, 1, 4] if warp_id == 0 else [2, 3, 4]
+
+
+def build_barrier_exit_gpu(policy: str) -> GPU:
+    kernel = Kernel("barrier_exit", assemble(BARRIER_EXIT_KERNEL),
+                    LaunchGeometry(threads_per_cta=128, grid_ctas=64),
+                    regs_per_thread=8)
+    return GPU(MICRO_CONFIG, kernel, POLICIES[policy](), ExitBesideBarrier(),
+               AddressModel())
+
+
+@pytest.mark.parametrize("policy", ("baseline", "virtual_thread"))
+def test_exit_that_releases_a_barrier(policy):
+    """No suite app has an EXIT that completes a barrier.  Here every CTA
+    has one: the core releases the barrier in its own finish on baseline,
+    and virtual_thread serves it as an op; both match the oracle."""
+    releases = [0]
+
+    def build():
+        gpu = build_barrier_exit_gpu(policy)
+        if os.environ.get("REPRO_DENSE_STEP") == "1":
+            for sm in gpu.sms:
+                def counting_finish(warp, now, _inner=sm._finish_warp):
+                    waiting = warp.cta.barrier_arrived
+                    _inner(warp, now)
+                    if waiting and not warp.cta.barrier_arrived:
+                        releases[0] += 1
+                sm._finish_warp = counting_finish
+        return gpu
+    dense, result, gpus = end_state_differential(
+        build, TINY.max_cycles, f"{policy}, an EXIT releases a barrier")
+    assert not result.timed_out
+    assert releases[0] == result.completed_ctas == 64
+    compiled = gpus.get("compiled")
+    if compiled is not None:
+        assert compiled.engine_used == "compiled"
+        assert compiled.engine_ops["exit"] == (
+            64 if policy == "baseline" else 64 * 4)
+
+
+# ----------------------------------------------------------------------
 # Full end state of the memory hierarchy the C core owns during a run
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("policy", sorted(POLICIES))
@@ -673,6 +802,14 @@ SRP_BRANCHES = dict(
            (2, 6, 25), (1, 3, 1), (1, 9, 3)])
 
 
+class Lowerable:
+    """A stand-in SM, CTA or warp for ``Core.lower_new``: the attributes
+    it reads, keyed by identity like the real objects."""
+
+    def __init__(self, **attrs) -> None:
+        vars(self).update(attrs)
+
+
 @needs_extension
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @example(**SRP_BRANCHES)
@@ -690,18 +827,16 @@ def test_core_srp_lease_replays_on_issue(demand, capacity, calls):
     for policy in (spec, lowered):
         policy._extra_demand = tuple(demand)
         policy.srp_capacity = policy.srp_free = capacity
-    noop = (0, -1, -1, 5, 0, ())
+    noop = (0, -1, -1, 5, 0, (), 0)
     core = _ckernel.Core(1, 1, 1, 1, 1, 1, 1, 0, 1, 0, IDLE_COOLDOWN,
                          [noop] * len(demand), _STATES)
-    core.set_policy(0, object(), [object()], False, False, True, True)
-    cslot = core.new_cta(object(), 0, 0)
-    tslot = core.add_trace([0])
-    spec_warps, core_warps = [], []
-    for gid in range(6):
-        spec_warps.append(SimpleNamespace(global_warp_id=gid,
-                                          blocked_until=0))
-        core_warps.append(object())
-        core.new_warp(core_warps[-1], cslot, tslot, gid)
+    spec_warps = [SimpleNamespace(global_warp_id=gid, blocked_until=0)
+                  for gid in range(6)]
+    core_warps = [Lowerable(global_warp_id=gid, trace=[0])
+                  for gid in range(6)]
+    sm = Lowerable(active_ctas=[Lowerable(cta_id=0, warps=core_warps)])
+    core.set_policy(0, sm, [object()], False, False, False, True, True)
+    core.lower_new(0)
     core.lower_srp(0, lowered, lowered._extra_demand, SRP_BLOCK,
                    SRP_RETRY_INTERVAL)
     now = 0
@@ -725,9 +860,10 @@ def test_core_srp_lowering_refuses_held_leases():
 
     policy = build_micro_gpu("vt_regmutex", "KM", 0).sms[0]._policy
     core = _ckernel.Core(1, 1, 1, 1, 1, 1, 1, 0, 1, 0, IDLE_COOLDOWN,
-                         [(0, -1, -1, 5, 0, ())] * len(policy._extra_demand),
-                         _STATES)
-    core.set_policy(0, object(), [object()], False, False, True, True)
+                         [(0, -1, -1, 5, 0, (), 0)]
+                         * len(policy._extra_demand), _STATES)
+    core.set_policy(0, object(), [object()], False, False, False, True,
+                    True)
     policy._leases[0] = SRP_BLOCK
     with pytest.raises(ValueError, match="empty _leases"):
         core.lower_srp(0, policy, policy._extra_demand, SRP_BLOCK,

@@ -3,8 +3,9 @@
 ``simulate_request`` tags its ``engine-run`` phase span with the engine
 that ran (``gpu.engine_used``) and why a faster one was refused
 (``gpu.engine_refusal``), and a compiled run's span with the ops the
-driver served by kind (``gpu.engine_ops``) and the host seconds inside
-``Core.resume`` and serving each kind (``gpu.engine_op_s``);
+driver served by kind (``gpu.engine_ops``) and the host seconds spent
+lowering, inside ``Core.resume``, serving each kind and writing back
+(``gpu.engine_op_s``);
 ``span_close`` events carry those attrs, and ``repro obs summarize`` rolls
 them up into requests, engine-run wall, served ops and op walls per
 (policy, engine, refusal), serial and pooled alike, with persistent cache
@@ -116,7 +117,8 @@ def test_op_walls_read_from_the_event_log(tmp_path, capsys):
     rows = rows_by_policy(load_log(str(path)))
     if compiled_available():
         parts = rows["vt_regmutex"]["op_s"]
-        assert list(parts) == ["resume", "exit", "settle", "tick", "idle"]
+        assert list(parts) == ["lower", "resume", "exit", "settle", "tick",
+                               "idle", "write_back"]
         assert parts["resume"] > 0 and parts["exit"] > 0
     assert rows["baseline"]["op_s"] == rows["virtual_thread"]["op_s"] == {}
     assert run_obs("summarize", str(path), strict=True) == 0
@@ -137,6 +139,35 @@ def test_op_walls_read_from_the_event_log(tmp_path, capsys):
     assert run_obs("summarize", str(bad)) == 0
     assert run_obs("summarize", str(bad), strict=True) == 1
     assert "op walls sum to" in capsys.readouterr().out
+
+
+@pytest.mark.skipif(not compiled_available(),
+                    reason="repro.sim._ckernel extension not built")
+def test_lowering_and_write_back_walls_read_from_the_event_log(tmp_path):
+    """A compiled run's span also carries ``lower_s`` (the initial fill
+    and lowering) and ``write_back_s`` (the end-of-run write-back), so
+    its parts account for the engine-run wall outside the C loop and the
+    served ops too; summarize sums them per row and ``--strict`` still
+    reconciles the row."""
+    run_batch(tmp_path, 1)
+    path = tmp_path / "obs-1.jsonl"
+    events = load_log(str(path))
+    spans = [event for event in events
+             if event.get("name") == "engine-run"
+             and event["ev"] == "span_close"
+             and event["attrs"].get("engine") == "compiled"]
+    assert spans
+    for span in spans:
+        attrs = span["attrs"]
+        assert attrs["lower_s"] > 0 and attrs["write_back_s"] > 0
+        parts = sum(value for key, value in attrs.items()
+                    if key.endswith("_s"))
+        assert parts <= span["dur_s"] + 1e-5
+    row = rows_by_policy(events)["vt_regmutex"]
+    assert row["op_s"]["lower"] == pytest.approx(
+        sum(span["attrs"]["lower_s"] for span in spans), abs=1e-5)
+    assert row["op_s"]["write_back"] > 0
+    assert run_obs("summarize", str(path), strict=True) == 0
 
 
 def test_cache_hits_count_as_cached(tmp_path):

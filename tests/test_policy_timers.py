@@ -178,6 +178,23 @@ def test_engine_ops_count_every_served_op():
     assert reference.engine_ops is None
 
 
+@needs_extension
+@pytest.mark.parametrize("app", ("KM", "HS", "LB", "SR"))
+@pytest.mark.parametrize("policy", ("baseline",) + TIMER_POLICIES)
+def test_exit_ops_are_the_ones_python_must_serve(policy, app):
+    """A warp EXIT that does not retire its CTA reaches no policy code, so
+    the core finishes it itself and serves one EXIT op per retired CTA;
+    on a timer policy's SM a finish frees a warp slot its tick or idle
+    hook may read, so every EXIT stays an op."""
+    gpu = build_gpu(policy, app)
+    result = gpu.run(max_cycles=TINY.max_cycles, engine="compiled")
+    assert not result.timed_out
+    warps = sum(sm.stats.cta_launches for sm in gpu.sms) \
+        * gpu.launches[0].warps_per_cta
+    assert gpu.engine_ops["exit"] == (
+        result.completed_ctas if policy == "baseline" else warps)
+
+
 @pytest.mark.parametrize("engine", ("reference",) + (
     ("compiled",) if compiled_available() else ()))
 def test_every_engine_counts_the_same_executed_cycles(engine, monkeypatch):
