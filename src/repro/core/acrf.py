@@ -23,6 +23,8 @@ class ACRFAllocator:
             raise ValueError("ACRF capacity must be positive")
         self._capacity = capacity_entries
         self._allocated: Dict[int, int] = {}
+        # Sum of ``_allocated``, kept as allocations come and go.
+        self._used = 0
         #: MetricsRegistry installed by repro.obs.telemetry (None = off).
         self.telemetry: Optional["MetricsRegistry"] = None
         #: Test-only fault injection (mutation self-test): when non-zero,
@@ -35,11 +37,11 @@ class ACRFAllocator:
 
     @property
     def used(self) -> int:
-        return sum(self._allocated.values())
+        return self._used
 
     @property
     def free(self) -> int:
-        return self._capacity - self.used
+        return self._capacity - self._used
 
     @property
     def resident_ctas(self) -> int:
@@ -62,6 +64,7 @@ class ACRFAllocator:
                 f"ACRF overflow: need {entries}, have {self.free} free"
             )
         self._allocated[cta_id] = entries
+        self._used += entries
         if self.telemetry is not None:
             self.telemetry.inc("acrf.allocations")
             self.telemetry.gauge_set("acrf.free_entries", self.free)
@@ -71,9 +74,13 @@ class ACRFAllocator:
         if cta_id not in self._allocated:
             raise KeyError(f"CTA {cta_id} holds no ACRF space")
         freed = self._allocated.pop(cta_id)
+        self._used -= freed
         if self.fault_leak_on_release:
             # Deliberate accounting leak, keyed off the real ID space.
-            self._allocated[-(cta_id + 1)] = self.fault_leak_on_release
+            phantom = -(cta_id + 1)
+            self._used += (self.fault_leak_on_release
+                           - self._allocated.get(phantom, 0))
+            self._allocated[phantom] = self.fault_leak_on_release
         if self.telemetry is not None:
             self.telemetry.inc("acrf.releases")
             self.telemetry.gauge_set("acrf.free_entries", self.free)

@@ -19,7 +19,7 @@ a second pass adds no new facts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from repro.core.bitvector import BITVECTOR_STORAGE_BYTES, EMPTY, LiveBitVector
@@ -37,6 +37,9 @@ class LivenessTable:
 
     vectors: Tuple[LiveBitVector, ...]
     num_registers: int
+    #: Decoded live registers by PC, filled by :meth:`registers_at_pc`.
+    _decoded: Dict[int, Tuple[int, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def live_at_index(self, index: int) -> LiveBitVector:
         return self.vectors[index]
@@ -45,6 +48,14 @@ class LivenessTable:
         if pc % 4 or not 0 <= pc // 4 < len(self.vectors):
             raise ValueError(f"invalid pc 0x{pc:04x}")
         return self.vectors[pc // 4]
+
+    def registers_at_pc(self, pc: int) -> Tuple[int, ...]:
+        """The live register numbers at ``pc`` in ascending order (the RMU's
+        register index decoder output), decoded once per table."""
+        registers = self._decoded.get(pc)
+        if registers is None:
+            registers = self._decoded[pc] = self.live_at_pc(pc).registers()
+        return registers
 
     def live_count_at_index(self, index: int) -> int:
         return self.vectors[index].count()

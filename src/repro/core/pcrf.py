@@ -9,12 +9,32 @@ The live registers of a pending CTA form a singly linked chain through the
 ``next`` pointers; the PCRF pointer table in the RMU holds the head index per
 CTA.  Restores traverse the chain until the ``end`` bit; spills claim free
 slots in ascending index order (what the free-space monitor bitmap yields).
+
+Representation.  The model keeps what the tags encode, not one tag object
+per entry: each pending CTA's chain is its slot list in link order plus the
+``(warp_id, register_index)`` pairs those slots hold, beside the free-space
+monitor (one occupancy byte per slot) and the free slots in ascending order.
+The tag of a chained slot follows from its position in the list: valid is
+set, the next pointer is the following slot, the last slot carries the end
+bit (and points at itself), and the warp ID and register index are that
+position's pair.  :meth:`PCRF.tag_at` builds the :class:`PCRFEntryTag` from
+the chain when asked; a spill checks every field width before it claims a
+slot, so a rejected spill leaves the PCRF as it was.
+
+Slot positions.  A spill takes the lowest free slots, the ones a scan of the
+occupancy bitmap from slot 0 finds first, so every chain lands in the slots
+the per-entry model chose and each chain's slot list is ascending.  That is
+what keeps the top of the array draining first: finereg_adaptive may shrink
+the PCRF only when the surrendered top slots are free, so the slots chosen
+decide when a repartition happens, and with it the simulated results.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Dict, List, Optional, Sequence, Set,
+                    Tuple)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.registry import MetricsRegistry
@@ -25,6 +45,9 @@ REGISTER_INDEX_BITS = 6
 TAG_BITS = 1 + 1 + NEXT_POINTER_BITS + WARP_ID_BITS + REGISTER_INDEX_BITS  # 23
 # The paper quotes 21 bits/tag; it packs valid+end with the pointer encoding.
 PAPER_TAG_BITS = 21
+
+_WARP_LIMIT = 1 << WARP_ID_BITS
+_REGISTER_LIMIT = 1 << REGISTER_INDEX_BITS
 
 
 @dataclass
@@ -40,9 +63,9 @@ class PCRFEntryTag:
     def __post_init__(self) -> None:
         if not 0 <= self.next_index < (1 << NEXT_POINTER_BITS):
             raise ValueError("next pointer exceeds 10 bits")
-        if not 0 <= self.warp_id < (1 << WARP_ID_BITS):
+        if not 0 <= self.warp_id < _WARP_LIMIT:
             raise ValueError("warp ID exceeds 5 bits")
-        if not 0 <= self.register_index < (1 << REGISTER_INDEX_BITS):
+        if not 0 <= self.register_index < _REGISTER_LIMIT:
             raise ValueError("register index exceeds 6 bits")
 
 
@@ -59,20 +82,18 @@ class PCRF:
     """The pending-CTA register region."""
 
     def __init__(self, capacity_entries: int) -> None:
-        if capacity_entries <= 0:
-            raise ValueError("PCRF capacity must be positive")
-        if capacity_entries > (1 << NEXT_POINTER_BITS):
-            raise ValueError(
-                f"PCRF capacity {capacity_entries} not addressable by a "
-                f"{NEXT_POINTER_BITS}-bit next pointer"
-            )
+        _check_capacity(capacity_entries)
         self._capacity = capacity_entries
-        self._tags: List[Optional[PCRFEntryTag]] = [None] * capacity_entries
-        # Free-space monitor: 1-bit occupancy flags (paper V-C).
-        self._occupied = [False] * capacity_entries
+        # Free-space monitor: one occupancy byte per slot (paper V-C), and
+        # the free slots in ascending order, so a spill takes the lowest
+        # without a scan.
+        self._occupied = bytearray(capacity_entries)
+        self._free_slots: List[int] = list(range(capacity_entries))
         self._free_count = capacity_entries
-        self._head_of_cta: Dict[int, int] = {}
-        self._count_of_cta: Dict[int, int] = {}
+        # Per pending CTA: its slots in link order and the
+        # (warp_id, register_index) pair each one holds.
+        self._chains: Dict[int, Tuple[List[int],
+                                      Tuple[Tuple[int, int], ...]]] = {}
         #: MetricsRegistry installed by repro.obs.telemetry (None = off).
         self.telemetry: Optional["MetricsRegistry"] = None
         #: Test-only fault injection (mutation self-test): when True, each
@@ -94,25 +115,25 @@ class PCRF:
 
     @property
     def resident_ctas(self) -> int:
-        return len(self._head_of_cta)
+        return len(self._chains)
 
     def holds(self, cta_id: int) -> bool:
-        return cta_id in self._head_of_cta
+        return cta_id in self._chains
 
     def live_count_of(self, cta_id: int) -> int:
-        return self._count_of_cta[cta_id]
+        return len(self._chains[cta_id][0])
 
     def occupancy_flags(self) -> Tuple[bool, ...]:
         """Free-space monitor contents (True = occupied)."""
-        return tuple(self._occupied)
+        return tuple(map(bool, self._occupied))
 
     def occupied_count(self) -> int:
         """Ground-truth occupied-slot count (recount, not the monitor)."""
-        return sum(1 for flag in self._occupied if flag)
+        return self._occupied.count(1)
 
-    def resident_cta_ids(self) -> set:
+    def resident_cta_ids(self) -> Set[int]:
         """IDs of all CTAs currently holding PCRF chains."""
-        return set(self._head_of_cta)
+        return set(self._chains)
 
     def free_entries_with_eviction_of(self, cta_id: Optional[int]) -> int:
         """Free slots available if ``cta_id`` were restored out first.
@@ -121,7 +142,8 @@ class PCRF:
         slots to the ones that would become available if the selected pending
         CTA moves out.
         """
-        extra = self._count_of_cta.get(cta_id, 0) if cta_id is not None else 0
+        chain = self._chains.get(cta_id) if cta_id is not None else None
+        extra = len(chain[0]) if chain is not None else 0
         return self._free_count + extra
 
     # ------------------------------------------------------------------
@@ -132,8 +154,9 @@ class PCRF:
         ``live_registers`` is a sequence of (warp_id, register_index) pairs,
         one per live warp-register.  Slots are claimed in ascending order and
         linked through the next pointers, last entry carrying the end bit.
+        Every check runs before a slot is claimed.
         """
-        if cta_id in self._head_of_cta:
+        if cta_id in self._chains:
             raise KeyError(f"CTA {cta_id} already resides in the PCRF")
         if not live_registers:
             raise ValueError("cannot spill an empty live set")
@@ -142,20 +165,20 @@ class PCRF:
             raise MemoryError(
                 f"PCRF overflow: need {needed}, have {self._free_count} free"
             )
-        slots = self._claim_slots(needed)
-        for position, (slot, (warp_id, reg_index)) in enumerate(
-                zip(slots, live_registers)):
-            is_last = position == needed - 1
-            next_index = slots[position + 1] if not is_last else slot
-            self._tags[slot] = PCRFEntryTag(
-                valid=True,
-                end=is_last,
-                next_index=next_index,
-                warp_id=warp_id,
-                register_index=reg_index,
-            )
-        self._head_of_cta[cta_id] = slots[0]
-        self._count_of_cta[cta_id] = needed
+        warp_ids, register_indices = zip(*live_registers)
+        if min(warp_ids) < 0 or max(warp_ids) >= _WARP_LIMIT:
+            raise ValueError("warp ID exceeds 5 bits")
+        if min(register_indices) < 0 \
+                or max(register_indices) >= _REGISTER_LIMIT:
+            raise ValueError("register index exceeds 6 bits")
+        free = self._free_slots
+        slots = free[:needed]
+        del free[:needed]
+        occupied = self._occupied
+        for slot in slots:
+            occupied[slot] = 1
+        self._free_count -= needed
+        self._chains[cta_id] = (slots, tuple(zip(warp_ids, register_indices)))
         if self.telemetry is not None:
             self.telemetry.inc("pcrf.spills")
             self.telemetry.observe("pcrf.spill_registers", needed)
@@ -166,56 +189,43 @@ class PCRF:
     def restore(self, cta_id: int) -> Tuple[Tuple[int, int], ...]:
         """Read back a pending CTA's live registers and free its entries.
 
-        Returns the (warp_id, register_index) pairs in chain order, obtained
-        by traversing the next pointers from the head entry to the end bit.
+        Returns the (warp_id, register_index) pairs in chain order, from the
+        head entry to the one carrying the end bit.
         """
-        if cta_id not in self._head_of_cta:
-            raise KeyError(f"CTA {cta_id} does not reside in the PCRF")
-        index = self._head_of_cta.pop(cta_id)
-        expected = self._count_of_cta.pop(cta_id)
-        registers: List[Tuple[int, int]] = []
-        for _ in range(expected):
-            tag = self._tags[index]
-            if tag is None or not tag.valid:
-                raise RuntimeError(f"broken PCRF chain at slot {index}")
-            registers.append((tag.warp_id, tag.register_index))
-            self._tags[index] = None
-            self._occupied[index] = False
-            self._free_count += 1
-            if tag.end:
-                break
-            index = tag.next_index
-        if len(registers) != expected:
-            raise RuntimeError(
-                f"PCRF chain for CTA {cta_id} yielded {len(registers)} "
-                f"entries, expected {expected}"
-            )
-        if self.fault_leak_on_restore and registers:
+        slots = self._chain_slots(cta_id)
+        registers = self._chains.pop(cta_id)[1]
+        occupied = self._occupied
+        for slot in slots:
+            occupied[slot] = 0
+        # Both lists are ascending, so the sort is one linear merge.
+        self._free_slots = sorted(self._free_slots + slots)
+        self._free_count += len(slots)
+        if self.fault_leak_on_restore:
             self._free_count -= 1
         if self.telemetry is not None:
             self.telemetry.inc("pcrf.restores")
             self.telemetry.observe("pcrf.restore_registers", len(registers))
             self.telemetry.gauge_set("pcrf.free_entries", self._free_count)
-        return tuple(registers)
+        return registers
 
     def peek_chain(self, cta_id: int) -> Tuple[int, ...]:
         """Slot indices of a pending CTA's chain, without freeing it."""
-        if cta_id not in self._head_of_cta:
-            raise KeyError(f"CTA {cta_id} does not reside in the PCRF")
-        index = self._head_of_cta[cta_id]
-        slots: List[int] = []
-        for _ in range(self._count_of_cta[cta_id]):
-            slots.append(index)
-            tag = self._tags[index]
-            if tag is None:
-                raise RuntimeError(f"broken PCRF chain at slot {index}")
-            if tag.end:
-                break
-            index = tag.next_index
-        return tuple(slots)
+        return tuple(self._chain_slots(cta_id))
 
     def tag_at(self, slot: int) -> Optional[PCRFEntryTag]:
-        return self._tags[slot]
+        """The tag of ``slot``, built from the chain that holds it (None for
+        a slot no chain holds)."""
+        slot = range(self._capacity)[slot]  # IndexError past the array
+        for slots, registers in self._chains.values():
+            if slot in slots:
+                position = slots.index(slot)
+                end = position == len(slots) - 1
+                warp_id, register_index = registers[position]
+                return PCRFEntryTag(
+                    valid=True, end=end,
+                    next_index=slot if end else slots[position + 1],
+                    warp_id=warp_id, register_index=register_index)
+        return None
 
     def resize(self, new_capacity: int) -> None:
         """Repartition support: grow or shrink the pending region.
@@ -224,36 +234,40 @@ class PCRF:
         array) to be empty; spills always claim the lowest free slots, so
         the top drains first under normal operation.
         """
-        if new_capacity <= 0:
-            raise ValueError("PCRF capacity must stay positive")
-        if new_capacity > (1 << NEXT_POINTER_BITS):
-            raise ValueError(
-                f"PCRF capacity {new_capacity} not addressable by a "
-                f"{NEXT_POINTER_BITS}-bit next pointer"
-            )
+        _check_capacity(new_capacity)
         if new_capacity < self._capacity:
             if any(self._occupied[new_capacity:]):
                 raise MemoryError(
                     "cannot shrink PCRF: surrendered slots are occupied"
                 )
-            self._tags = self._tags[:new_capacity]
-            self._occupied = self._occupied[:new_capacity]
+            del self._occupied[new_capacity:]
+            free = self._free_slots
+            del free[bisect_left(free, new_capacity):]
         else:
-            grow = new_capacity - self._capacity
-            self._tags.extend([None] * grow)
-            self._occupied.extend([False] * grow)
-        self._free_count = new_capacity - sum(self._occupied)
+            self._occupied.extend(bytes(new_capacity - self._capacity))
+            self._free_slots.extend(range(self._capacity, new_capacity))
+        self._free_count = new_capacity - self._occupied.count(1)
         self._capacity = new_capacity
 
     # ------------------------------------------------------------------
-    def _claim_slots(self, count: int) -> List[int]:
-        slots: List[int] = []
-        for index, occupied in enumerate(self._occupied):
-            if not occupied:
-                slots.append(index)
-                if len(slots) == count:
-                    break
+    def _chain_slots(self, cta_id: int) -> List[int]:
+        """A pending CTA's slot list, checked against the free-space
+        monitor: a chain slot the monitor marks free is a broken chain."""
+        if cta_id not in self._chains:
+            raise KeyError(f"CTA {cta_id} does not reside in the PCRF")
+        slots = self._chains[cta_id][0]
+        occupied = self._occupied
         for slot in slots:
-            self._occupied[slot] = True
-        self._free_count -= count
+            if not occupied[slot]:
+                raise RuntimeError(f"broken PCRF chain at slot {slot}")
         return slots
+
+
+def _check_capacity(capacity: int) -> None:
+    if capacity <= 0:
+        raise ValueError("PCRF capacity must be positive")
+    if capacity > (1 << NEXT_POINTER_BITS):
+        raise ValueError(
+            f"PCRF capacity {capacity} not addressable by a "
+            f"{NEXT_POINTER_BITS}-bit next pointer"
+        )

@@ -12,12 +12,22 @@ The RMU glues together the five components the paper enumerates:
 The RMU is purely a bookkeeping + timing model: actual schedulability state
 lives in the simulator's CTA objects; policies call into the RMU to decide
 whether a switch fits and what it costs.
+
+The register index decoder's output for a PC depends only on the kernel, so
+the liveness table decodes each static instruction's vector once
+(``LivenessTable.registers_at_pc``) and every later switch reuses it; the
+bit-vector cache still sees every lookup, so its hits, misses and the miss
+latency a switch pays are those of a decode per lookup.  A spill hands the
+decoded (warp_id, register_index) pairs to the PCRF, which keeps them with
+the chain's slot list and derives each entry's tag from its position in that
+list (``repro.core.pcrf``); the pointer table row records the head slot and
+the live count the spill returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.registry import MetricsRegistry
@@ -118,18 +128,19 @@ class RegisterManagementUnit:
         live: List[Tuple[int, int]] = []
         extra_latency = 0
         misses = 0
+        decode = self._liveness.registers_at_pc
         for warp_id, pc in warp_pcs:
-            vector, miss_latency = self.live_vector_at(pc)
+            __, miss_latency = self.live_vector_at(pc)
             if miss_latency:
                 misses += 1
                 extra_latency += miss_latency
-            for reg in vector.registers():
-                live.append((warp_id, reg))
+            live.extend([(warp_id, reg) for reg in decode(pc)])
         return live, extra_latency, misses
 
     def live_count_of(self, warp_pcs: Sequence[Tuple[int, int]]) -> int:
         """Live warp-register count without touching cache counters."""
-        return sum(self._liveness.live_at_pc(pc).count() for _, pc in warp_pcs)
+        decode = self._liveness.registers_at_pc
+        return sum(len(decode(pc)) for _, pc in warp_pcs)
 
     # ------------------------------------------------------------------
     # Switching feasibility (paper V-E free-entry rule)
@@ -190,7 +201,7 @@ class RegisterManagementUnit:
     def pending_live_count(self, cta_id: int) -> int:
         return self._pointer_table[cta_id].live_count
 
-    def pointer_table_ctas(self) -> set:
+    def pointer_table_ctas(self) -> Set[int]:
         """IDs of CTAs with pointer-table rows (sanitizer view)."""
         return set(self._pointer_table)
 

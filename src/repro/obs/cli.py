@@ -38,6 +38,7 @@ from repro.obs import clock
 from repro.obs.events import ObsLogError, load_log, summarize_events
 from repro.obs.perfetto import (perfetto_from_events, perfetto_trace,
                                 write_perfetto)
+from repro.obs.progress import runs_text
 from repro.obs.schema import check_obs_event, check_trace_payload
 from repro.obs.telemetry import attach_telemetry
 from repro.sim.gpu import GPU
@@ -129,9 +130,10 @@ def format_summary(summary: Dict) -> str:
     campaign = summary["campaign"]
     cache = summary["cache"]
     workers = summary["workers"]
+    runs = (runs_text(campaign["completed"], campaign["total"])
+            if campaign["total"] else f"{campaign['completed']}/? runs")
     lines = [
-        f"campaign: {campaign['label'] or '-'} "
-        f"({campaign['completed']}/{campaign['total'] or '?'} runs, "
+        f"campaign: {campaign['label'] or '-'} ({runs}, "
         f"jobs={campaign['jobs']}, wall {campaign['wall_s']:.3f}s)",
         f"cache: {cache['lookups']} lookups, {cache['hits']} hits, "
         f"{cache['misses']} misses"

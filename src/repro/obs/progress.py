@@ -6,7 +6,11 @@ drives them from :mod:`repro.obs.clock`.
 
 The ETA divides the remaining work by the observed mean per-run duration
 times the pool width: coarse, but it converges as completions arrive and
-needs no prior model of which (app, policy) runs are slow.
+needs no prior model of which (app, policy) runs are slow.  The total is
+the campaign's plan; runs a module makes past its plan (fig18's follow-up
+runs, whose scale factor is a measured ratio) are shown beside it as
+follow-up runs, never as more than 100%, and with no ETA, since the plan no
+longer says how much is left.
 
 Stall detection is heartbeat-based: every completion beats the finishing
 worker (and the pool pseudo-worker :data:`POOL`); a worker whose last beat
@@ -22,6 +26,15 @@ from typing import Dict, List, Optional, Set, Tuple
 #: Pseudo-worker id for pool-level liveness: beaten by *any* completion,
 #: so a campaign whose every worker hangs still raises a stall.
 POOL = -1
+
+
+def runs_text(completed: int, total: int) -> str:
+    """``completed/total runs``, with completions past the plan beside
+    it: ``591/591 planned + 29 follow-up runs``."""
+    if total and completed > total:
+        return (f"{total}/{total} planned + {completed - total} "
+                f"follow-up runs")
+    return f"{completed}/{total} runs"
 
 
 class ProgressTracker:
@@ -45,6 +58,11 @@ class ProgressTracker:
             return None
         return self._dur_sum / self._dur_count
 
+    @property
+    def followup(self) -> int:
+        """Completions past the planned total."""
+        return max(0, self.completed - self.total) if self.total else 0
+
     def eta_s(self) -> Optional[float]:
         """Seconds of pool work left, or ``None`` before the first finish."""
         mean = self.mean_duration_s
@@ -54,11 +72,12 @@ class ProgressTracker:
         return remaining * mean / self.jobs
 
     def render(self) -> str:
-        total = self.total if self.total else max(self.total, self.completed)
-        percent = (100.0 * self.completed / total) if total else 100.0
-        eta = self.eta_s()
+        total = self.total if self.total else self.completed
+        completed = min(self.completed, total)
+        percent = (100.0 * completed / total) if total else 100.0
+        eta = None if self.followup else self.eta_s()
         eta_text = f"eta ~{eta:.1f}s" if eta is not None else "eta ?"
-        return (f"{self.completed}/{total} runs ({percent:.0f}%), "
+        return (f"{runs_text(self.completed, total)} ({percent:.0f}%), "
                 f"{eta_text}")
 
 

@@ -75,7 +75,7 @@ EVENT_FIELDS: Dict[str, Tuple[Dict[str, str], Dict[str, str]]] = {
                       "dur_s": "float"},
                      {"worker": "int", "cached": "bool"}),
     "progress": ({"completed": "int", "total": "int"},
-                 {"eta_s": "float|null"}),
+                 {"eta_s": "float|null", "followup": "int"}),
 }
 
 

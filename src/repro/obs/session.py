@@ -285,11 +285,15 @@ class ObsSession:
             fields["worker"] = worker
         self.log.emit("run_complete", **fields)
         if self.progress is not None:
-            self.progress.on_complete(dur_s)
-            eta = self.progress.eta_s()
-            self.log.emit("progress", completed=self.progress.completed,
-                          total=self.progress.total,
-                          eta_s=round(eta, 3) if eta is not None else None)
+            progress = self.progress
+            progress.on_complete(dur_s)
+            eta = None if progress.followup else progress.eta_s()
+            extra: Dict[str, object] = (
+                {"followup": progress.followup} if progress.followup else {})
+            self.log.emit("progress", completed=progress.completed,
+                          total=progress.total,
+                          eta_s=round(eta, 3) if eta is not None else None,
+                          **extra)
         self._render_progress()
 
     def _render_progress(self) -> None:

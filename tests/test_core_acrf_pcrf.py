@@ -153,3 +153,43 @@ class TestFreeSpaceMonitor:
         result = pcrf.spill(1, [(0, 0), (0, 1)])
         assert pcrf.peek_chain(1) == result.slots
         assert pcrf.used_entries == 2
+
+
+class TestRejectedSpill:
+    """A spill that raises claims no slot: every check runs first."""
+
+    @staticmethod
+    def snapshot(pcrf):
+        return (pcrf.free_entries, pcrf.occupancy_flags(),
+                pcrf.resident_cta_ids(),
+                [pcrf.tag_at(slot) for slot in range(pcrf.capacity)])
+
+    @pytest.mark.parametrize("cta_id, live, error", [
+        (2, [(0, 1), (32, 2)], ValueError),
+        (2, [(-1, 1)], ValueError),
+        (2, [(0, 1), (1, 64)], ValueError),
+        (2, [(0, r) for r in range(7)], MemoryError),
+        (1, [(0, 1)], KeyError),
+        (2, [], ValueError),
+    ], ids=["warp-id", "negative-warp-id", "register-index", "overflow",
+            "duplicate-cta", "empty"])
+    def test_rejected_spill_leaves_pcrf_unchanged(self, cta_id, live,
+                                                  error):
+        pcrf = PCRF(8)
+        pcrf.spill(1, [(0, 0), (1, 5)])
+        before = self.snapshot(pcrf)
+        with pytest.raises(error):
+            pcrf.spill(cta_id, live)
+        assert self.snapshot(pcrf) == before
+        # The slots a rejected spill would have taken are still the next.
+        assert pcrf.spill(2, [(3, 3)]).slots == (2,)
+
+    def test_chain_slot_marked_free_is_a_broken_chain(self):
+        pcrf = PCRF(8)
+        pcrf.spill(1, [(0, 0), (0, 1), (0, 2)])
+        pcrf._occupied[1] = 0
+        with pytest.raises(RuntimeError):
+            pcrf.peek_chain(1)
+        with pytest.raises(RuntimeError):
+            pcrf.restore(1)
+

@@ -37,6 +37,15 @@ also compare every SM's policy end state (``policy_state``), which
 cooldown, the live entries of every readiness heap, reg_dram's
 DRAM-parked footprint and finereg_adaptive's epoch state.
 
+FineReg's register file is compared the same way on every FineReg SM
+(``register_file_state``): the ACRF's allocations and capacity, the PCRF's
+capacity, free count and free-space monitor, each resident chain with the
+tag of every slot, the RMU's pointer table and counters, the bit-vector
+cache's resident PCs and hit/miss counts and the CTA status monitor.  One
+leg runs it over the register-file parameters the campaign sweeps (Fig 17's
+end splits, the bit-vector cache ablation's end sizes, a PCRF latency and a
+finereg_adaptive run that repartitions).
+
 The C core finishes a warp whose EXIT does not retire its CTA itself (on
 an SM whose policy has no tick or idle hook) and writes the warp, CTA and
 scheduler state back, so the tests compare that end state too
@@ -62,7 +71,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.config import SCALES, GPUConfig, default_config
+from repro.experiments.ablation_bitvector_cache import \
+    SIZES as BITVECTOR_CACHE_SIZES
+from repro.experiments.ablation_pcrf_latency import LATENCIES
 from repro.experiments.common import SRP_RATIOS
+from repro.experiments.fig17_rf_sensitivity import SPLITS
 from repro.experiments.runner import POLICIES
 from repro.isa.assembler import assemble
 from repro.isa.kernel import Kernel, LaunchGeometry
@@ -165,7 +178,8 @@ def srp_state(gpu) -> list:
 POLICY_FIELDS = ("rf_used_entries", "_blocked_on_rf", "blocked_restores",
                  "failed_spills", "switch_pairs", "_dram_count",
                  "_dram_regs", "_next_epoch", "_epoch_failed_spills",
-                 "_epoch_acrf_blocked", "_seen_blocked_restores")
+                 "_epoch_acrf_blocked", "_seen_blocked_restores",
+                 "repartitions_to_acrf", "repartitions_to_pcrf")
 
 
 def tracker_state(tracker: PendingTracker) -> tuple:
@@ -180,10 +194,36 @@ def tracker_state(tracker: PendingTracker) -> tuple:
                    if cta.state is CTAState.PENDING))
 
 
+def register_file_state(policy) -> dict:
+    """A FineReg SM's register file: the ACRF's allocations and capacity,
+    the PCRF's capacity, free count and free-space monitor, each resident
+    chain as ``(slot, tag)`` in link order, the RMU's pointer-table rows
+    and counters, the bit-vector cache's resident PCs and counters and the
+    status monitor's statuses (in tracking order)."""
+    acrf, pcrf, rmu = policy.acrf, policy.pcrf, policy.rmu
+    cache = rmu.bitvector_cache
+    return {
+        "acrf": (acrf.allocations(), acrf.capacity),
+        "pcrf": (pcrf.capacity, pcrf.free_entries, pcrf.occupancy_flags()),
+        "chains": {cta_id: [(slot, pcrf.tag_at(slot))
+                            for slot in pcrf.peek_chain(cta_id)]
+                   for cta_id in sorted(pcrf.resident_cta_ids())},
+        "pointer_table": [(cta_id, row.head_slot, row.live_count)
+                          for cta_id, row in rmu._pointer_table.items()],
+        "rmu_stats": asdict(rmu.stats),
+        "bitvector_cache": ([None if line is None else line.pc
+                             for line in cache._lines],
+                            asdict(cache.stats)),
+        "statuses": [(cta_id, policy.monitor.status_of(cta_id))
+                     for cta_id in policy.monitor.tracked()],
+    }
+
+
 def policy_state(gpu) -> list:
     """Every SM's policy end state: ``POLICY_FIELDS``, every
-    ``PendingTracker`` and, where ``on_idle`` can act, the idle cooldown
-    (the base cooldown nothing reads is left to each engine)."""
+    ``PendingTracker``, where ``on_idle`` can act the idle cooldown (the
+    base cooldown nothing reads is left to each engine) and on a FineReg
+    SM its register file."""
     states = []
     for sm in gpu.sms:
         policy = sm._policy
@@ -195,6 +235,8 @@ def policy_state(gpu) -> list:
             name: tracker_state(value)
             for name, value in vars(policy).items()
             if isinstance(value, PendingTracker)}
+        if hasattr(policy, "pcrf"):
+            state["register_file"] = register_file_state(policy)
         states.append(state)
     return states
 
@@ -574,6 +616,70 @@ def test_blocked_span_open_at_a_timeout(app, max_cycles):
         assert any(sm._policy._blocked_mark is not None
                    and sm._policy._blocked_mark < compiled.executed_cycles
                    for sm in compiled.sms)
+
+
+# ----------------------------------------------------------------------
+# FineReg's register file over the parameters the campaign sweeps
+# ----------------------------------------------------------------------
+#: Fig 17's end splits, the bit-vector cache ablation's smallest and
+#: largest cache and the PCRF latency ablation's longest latency.
+RF_SWEEP = {
+    "rf_split=64/192": MICRO_CONFIG.with_rf_split(*SPLITS[0]),
+    "rf_split=192/64": MICRO_CONFIG.with_rf_split(*SPLITS[-1]),
+    f"bitvector_cache={BITVECTOR_CACHE_SIZES[0]}": replace(
+        MICRO_CONFIG, bitvector_cache_entries=BITVECTOR_CACHE_SIZES[0]),
+    f"bitvector_cache={BITVECTOR_CACHE_SIZES[-1]}": replace(
+        MICRO_CONFIG, bitvector_cache_entries=BITVECTOR_CACHE_SIZES[-1]),
+    f"pcrf_latency={LATENCIES[-1]}": replace(
+        MICRO_CONFIG, pcrf_access_latency=LATENCIES[-1]),
+}
+
+
+#: A cut at 2,000 cycles leaves chains in every swept PCRF on HS and LB
+#: (seed 3), so the chains, their slots and tags are compared mid-run too.
+RF_CUT = 2000
+
+
+def resident_chains(gpu) -> int:
+    return sum(sm._policy.pcrf.resident_ctas for sm in gpu.sms)
+
+
+@pytest.mark.parametrize("max_cycles", (RF_CUT, TINY.max_cycles))
+@pytest.mark.parametrize("app", ("HS", "LB"))
+@pytest.mark.parametrize("sweep", sorted(RF_SWEEP))
+def test_finereg_register_file_end_state_over_swept_parameters(
+        sweep, app, max_cycles):
+    """Every engine leaves the oracle's ACRF, PCRF chains and tags, RMU
+    and bit-vector cache at each swept register-file parameter, at the end
+    of the grid and cut mid-run."""
+    config = RF_SWEEP[sweep]
+    dense, result, __ = end_state_differential(
+        lambda: build_micro_gpu("finereg", app, 3, config), max_cycles,
+        f"finereg, {app}, seed 3, {sweep}, max_cycles={max_cycles}")
+    policies = [sm._policy for sm in dense.sms]
+    assert sum(p.rmu.stats.spills for p in policies) > 0
+    assert all(p.pcrf.capacity == min(config.pcrf_entries, 1024)
+               for p in policies)
+    assert all(p.rmu.bitvector_cache.num_entries
+               == config.bitvector_cache_entries for p in policies)
+    assert result.timed_out == (resident_chains(dense) > 0)
+
+
+@pytest.mark.parametrize("max_cycles", (2500, TINY.max_cycles))
+def test_finereg_adaptive_register_file_end_state_across_repartitions(
+        max_cycles):
+    """HS, seed 3: both SMs move the boundary toward the ACRF, so the PCRF
+    shrinks only while its top slots are free, which depends on which slots
+    each spill took.  Cut at 2,500 cycles, both have shrunk and still hold
+    chains."""
+    dense, result, __ = end_state_differential(
+        lambda: build_micro_gpu("finereg_adaptive", "HS", 3), max_cycles,
+        f"finereg_adaptive, HS, seed 3, max_cycles={max_cycles}")
+    for sm in dense.sms:
+        policy = sm._policy
+        assert policy.repartitions_to_acrf + policy.repartitions_to_pcrf > 0
+        assert policy.pcrf.capacity < MICRO_CONFIG.pcrf_entries
+    assert result.timed_out == (resident_chains(dense) > 0)
 
 
 # ----------------------------------------------------------------------

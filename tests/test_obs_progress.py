@@ -4,8 +4,10 @@ including the session-level straggler scenario with a slow fake worker."""
 import io
 
 from repro.experiments.parallel import RunRequest
+from repro.obs.cli import format_summary
 from repro.obs.events import events_of, summarize_events
 from repro.obs.progress import POOL, ProgressTracker, StallDetector
+from repro.obs.schema import check_obs_event
 from repro.obs.session import ObsSession, WorkerObs
 
 
@@ -53,6 +55,20 @@ class TestProgressTracker:
         tracker.on_complete(1.0)
         tracker.on_complete(1.0)
         assert tracker.eta_s() == 0.0
+
+    def test_runs_past_the_plan_show_as_follow_up(self):
+        """A module's follow-up runs complete past the planned total: the
+        line counts them beside the plan, stays at 100% and has no ETA."""
+        tracker = ProgressTracker(total=3)
+        for __ in range(3):
+            tracker.on_complete(1.0)
+        assert tracker.followup == 0
+        assert tracker.render() == "3/3 runs (100%), eta ~0.0s"
+        for __ in range(2):
+            tracker.on_complete(1.0)
+        assert tracker.followup == 2
+        assert tracker.render() == (
+            "3/3 planned + 2 follow-up runs (100%), eta ?")
 
 
 class TestStallDetector:
@@ -158,6 +174,28 @@ class TestSessionStallScenario:
         assert summary["workers"]["stall_events"] == 0
         assert summary["reconcile"] == []
         assert summary["runs"]["completed"] == 2
+        session.close()
+
+    def test_follow_up_runs_in_the_log_and_its_summary(self):
+        """Past the plan, progress events carry the follow-up count and no
+        ETA, and ``repro obs summarize`` shows them beside the total."""
+        clock = FakeClock()
+        stream = io.StringIO()
+        session = ObsSession(progress=True, stream=stream, now=clock)
+        session.campaign_begin(total=1, jobs=1, label="plan")
+        for index in range(3):
+            with session.run_scope(self._request(), index=index):
+                clock.advance(1.0)
+        session.campaign_end()
+        progress = events_of(session.log.events, "progress")
+        assert [e.get("followup") for e in progress] == [None, 1, 2]
+        assert [e["eta_s"] for e in progress] == [0.0, None, None]
+        assert all(check_obs_event(e) == [] for e in session.log.events)
+        lines = stream.getvalue().splitlines()
+        assert lines[-1] == (
+            "[obs] 1/1 planned + 2 follow-up runs (100%), eta ?")
+        text = format_summary(summarize_events(session.log.events))
+        assert "(1/1 planned + 2 follow-up runs, jobs=1" in text
         session.close()
 
     def test_progress_renders_to_stream_with_eta(self):

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.config import GPUConfig, TINY
+from repro.config import SMALL, GPUConfig, TINY, default_config
+from repro.core.pcrf import PCRF, PCRFEntryTag
+from repro.experiments.parallel import RunRequest, simulate_request
 
 
 class TestResidency:
@@ -45,6 +47,31 @@ class TestResidency:
         base = tiny_runner.run("KM", "baseline")
         fine = tiny_runner.run("KM", "finereg")
         assert fine.instructions == base.instructions
+
+
+class TestRegisterFileMechanism:
+    @pytest.mark.parametrize("policy", ("finereg", "finereg_adaptive"))
+    def test_a_round_builds_no_tag_objects(self, policy, monkeypatch):
+        """The PCRF keeps each chain as a slot list and builds a tag only
+        when asked: a seed-0 round over KM, HS, LB and SR at small scale
+        spills and restores thousands of registers and builds none."""
+        built = []
+        init = PCRFEntryTag.__init__
+
+        def counting_init(tag, *args, **kwargs):
+            built.append(tag)
+            init(tag, *args, **kwargs)
+        monkeypatch.setattr(PCRFEntryTag, "__init__", counting_init)
+        base = default_config(SMALL)
+        spilled = sum(
+            simulate_request(SMALL, base, RunRequest.make(app, policy))
+            .pcrf_writes for app in ("KM", "HS", "LB", "SR"))
+        assert spilled > 1000
+        assert built == []
+        pcrf = PCRF(4)
+        pcrf.spill(0, [(1, 2)])
+        assert pcrf.tag_at(0) == PCRFEntryTag(True, True, 0, 1, 2)
+        assert len(built) == 2, "the wrapper counts every tag built"
 
 
 class TestRFSplit:

@@ -16,7 +16,7 @@ from repro.core.acrf import ACRFAllocator
 from repro.core.bitvector import LiveBitVector
 from repro.core.bitvector_cache import BitVectorCache
 from repro.core.liveness import LivenessAnalysis
-from repro.core.pcrf import PCRF
+from repro.core.pcrf import PCRF, PCRFEntryTag, SpillResult
 from repro.isa.cfg import ControlFlowGraph, EdgeKind
 from repro.isa.instructions import Instruction, Opcode
 from repro.memory.cache import Cache
@@ -142,6 +142,143 @@ class TestPCRFProperties:
         assert pcrf.used_entries == len(b)
         occupied = sum(pcrf.occupancy_flags())
         assert occupied == pcrf.used_entries
+
+
+class PerEntryPCRF:
+    """The per-entry PCRF model the chain representation replaced: one tag
+    object per slot, slots claimed by a scan of the occupancy flags from
+    slot 0, and every check before the first slot is claimed."""
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self.tags = [None] * capacity
+        self.occupied = [False] * capacity
+        self.free_entries = capacity
+        self.head = {}
+        self.count = {}
+
+    @property
+    def used_entries(self) -> int:
+        return self.capacity - self.free_entries
+
+    def occupancy_flags(self):
+        return tuple(self.occupied)
+
+    def resident_cta_ids(self):
+        return set(self.head)
+
+    def tag_at(self, slot):
+        return self.tags[slot]
+
+    def spill(self, cta_id, live):
+        if cta_id in self.head:
+            raise KeyError(cta_id)
+        if not live:
+            raise ValueError("empty live set")
+        needed = len(live)
+        if needed > self.free_entries:
+            raise MemoryError(needed)
+        for warp_id, register_index in live:
+            if not (0 <= warp_id < 32 and 0 <= register_index < 64):
+                raise ValueError((warp_id, register_index))
+        slots = [slot for slot, taken in enumerate(self.occupied)
+                 if not taken][:needed]
+        for position, (slot, (warp_id, register_index)) in enumerate(
+                zip(slots, live)):
+            end = position == needed - 1
+            self.tags[slot] = PCRFEntryTag(
+                True, end, slot if end else slots[position + 1], warp_id,
+                register_index)
+            self.occupied[slot] = True
+        self.free_entries -= needed
+        self.head[cta_id] = slots[0]
+        self.count[cta_id] = needed
+        return SpillResult(slots[0], needed, tuple(slots))
+
+    def peek_chain(self, cta_id):
+        if cta_id not in self.head:
+            raise KeyError(cta_id)
+        index, slots = self.head[cta_id], []
+        for __ in range(self.count[cta_id]):
+            slots.append(index)
+            if self.tags[index].end:
+                break
+            index = self.tags[index].next_index
+        return tuple(slots)
+
+    def restore(self, cta_id):
+        slots = self.peek_chain(cta_id)
+        del self.head[cta_id], self.count[cta_id]
+        pairs = []
+        for slot in slots:
+            tag = self.tags[slot]
+            pairs.append((tag.warp_id, tag.register_index))
+            self.tags[slot] = None
+            self.occupied[slot] = False
+        self.free_entries += len(slots)
+        return tuple(pairs)
+
+    def resize(self, new_capacity):
+        if not 0 < new_capacity <= 1024:
+            raise ValueError(new_capacity)
+        if new_capacity < self.capacity:
+            if any(self.occupied[new_capacity:]):
+                raise MemoryError(new_capacity)
+            del self.tags[new_capacity:], self.occupied[new_capacity:]
+        else:
+            grow = new_capacity - self.capacity
+            self.tags += [None] * grow
+            self.occupied += [False] * grow
+        self.free_entries = new_capacity - sum(self.occupied)
+        self.capacity = new_capacity
+
+
+def pcrf_state(pcrf) -> tuple:
+    """Everything a PCRF shows: every slot's tag, the free-space monitor,
+    the counts, the resident CTAs and each one's chain."""
+    ids = pcrf.resident_cta_ids()
+    return ([pcrf.tag_at(slot) for slot in range(pcrf.capacity)],
+            pcrf.occupancy_flags(), pcrf.free_entries, pcrf.used_entries,
+            ids, {cta_id: pcrf.peek_chain(cta_id) for cta_id in ids})
+
+
+def outcome(call):
+    """What one operation returned, or the type of what it raised."""
+    try:
+        return "returned", call()
+    except Exception as exc:  # compared by type across both models
+        return "raised", type(exc)
+
+
+#: Mostly valid (warp_id, register_index) pairs, with the first values
+#: past each field's width and below zero mixed in.
+tag_fields = st.tuples(
+    st.one_of(st.integers(0, 31), st.sampled_from((-1, 32))),
+    st.one_of(st.integers(0, 63), st.sampled_from((-1, 64))))
+#: CTA ids 0-5, so restores of absent CTAs and duplicate spills occur;
+#: live sets up to 14 against capacities up to 40, so spills overflow;
+#: resizes include 0 and 1025, which no PCRF accepts.
+pcrf_ops = st.lists(st.one_of(
+    st.tuples(st.just("spill"), st.integers(0, 5),
+              st.lists(tag_fields, max_size=14)),
+    st.tuples(st.just("restore"), st.integers(0, 5)),
+    st.tuples(st.just("resize"),
+              st.one_of(st.integers(1, 40), st.sampled_from((0, 1025))))),
+    max_size=40)
+
+
+class TestPCRFAgainstPerEntryModel:
+    @given(st.integers(min_value=1, max_value=40), pcrf_ops)
+    @settings(max_examples=300, deadline=None)
+    def test_every_operation_matches_the_per_entry_model(self, capacity,
+                                                          ops):
+        pcrf, model = PCRF(capacity), PerEntryPCRF(capacity)
+        for step, (name, *args) in enumerate(ops):
+            got = outcome(lambda: getattr(pcrf, name)(*args))
+            want = outcome(lambda: getattr(model, name)(*args))
+            assert got == want, f"op {step} {name}{tuple(args)}"
+            assert pcrf_state(pcrf) == pcrf_state(model), (
+                f"state after op {step} {name}{tuple(args)}")
 
 
 # ----------------------------------------------------------------------
