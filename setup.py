@@ -7,9 +7,21 @@ here *best-effort*: ``optional=True`` plus the failure-tolerant build_ext
 below means a box without a working C toolchain still installs cleanly
 and ``auto`` resolution degrades to the reference backend at run time (see
 repro.sim.backend).
+
+The SHA-256 of ``_ckernel.c`` is compiled into the module as
+``_ckernel.SOURCE_SHA256``, so a build can be told from a stale one by
+its bytes alone (tests/conftest.py does so before importing it).
 """
+import hashlib
+from pathlib import Path
+
 from setuptools import Extension, setup
 from setuptools.command.build_ext import build_ext
+
+CKERNEL_SOURCE = "src/repro/sim/_ckernel.c"
+CKERNEL_SHA256 = hashlib.sha256(
+    (Path(__file__).resolve().parent / CKERNEL_SOURCE).read_bytes()
+).hexdigest()
 
 
 class OptionalBuildExt(build_ext):
@@ -44,7 +56,8 @@ setup(
     ext_modules=[
         Extension(
             "repro.sim._ckernel",
-            sources=["src/repro/sim/_ckernel.c"],
+            sources=[CKERNEL_SOURCE],
+            define_macros=[("CKERNEL_SOURCE_SHA256", f'"{CKERNEL_SHA256}"')],
             optional=True,
         ),
     ],

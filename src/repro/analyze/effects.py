@@ -617,9 +617,12 @@ def _audit_compiled(index: _CodeIndex) -> List[Finding]:
     A method the C source marks ``transcribes
     StreamingMultiprocessor.<name>`` counts as bypassed even where the
     driver calls it: the core runs it itself for the calls it does not
-    return as ops (``_finish_warp`` for a non-final EXIT), and skips a
-    wrapper there.  Both ways: a marked method missing from the gate is
-    HIGH, and a marker naming no method the engines dispatch is MEDIUM."""
+    return as ops (``_finish_warp`` for a non-final EXIT,
+    ``_settle_transits`` for a batch that does not flip the scheduler
+    slots), and skips a wrapper there.  So does a marked method such a
+    body calls on its SM (``_attach_warps``).  Both ways: a marked method
+    missing from the gate is HIGH, and a marker naming no method the
+    engines dispatch is MEDIUM."""
     findings: List[Finding] = []
     config = index.config
     comp = index.modules["sim.compiled"]
@@ -649,6 +652,15 @@ def _audit_compiled(index: _CodeIndex) -> List[Finding]:
     compiled = _compiled_closure(index, frozenset({"gpu", "comp"}))
     markers = {name: lineno for (__, name), lineno in _core_markers(
         config.core_source, (_SM_CLASS,)).items()}
+    # A transcribed body's own calls on its SM run in the core too where
+    # the C source marks them (the settle's _attach_warps); the unmarked
+    # ones stay with the ops (the final EXIT's retire_cta).
+    for body in sorted(set(markers) & set(sites)):
+        for node in index.lookup("sm", body):
+            effects = index.summarize(node, "sm")
+            for name in sorted(sm_refs(effects) & set(markers)):
+                sites.setdefault(name, f"SM.{body}")
+                guards.setdefault(name, set()).update(effects[("sm", name)])
     transcribed = set(markers) & set(sites)
     bypassed = (set(sites) - sm_refs(compiled)) | transcribed
     gate = _gate_mentions(index, "comp", "compiled_refusal")

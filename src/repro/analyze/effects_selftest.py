@@ -87,15 +87,15 @@ def _dropped_compiled_entry() -> EffectsConfig:
 
 
 def _phantom_sm_transcription() -> EffectsConfig:
-    """The C core starts settling transits itself (marked ``transcribes
-    StreamingMultiprocessor._settle_transits``) while the driver still
-    serves SETTLE ops: an instance wrapper on ``SM._settle_transits``
-    would be skipped for the settles the core ran, and the gate does not
-    refuse it."""
+    """The C core starts retiring CTAs inside its warp finish (marked
+    ``transcribes StreamingMultiprocessor.retire_cta``) while the driver
+    still serves the final EXITs: an instance wrapper on
+    ``SM.retire_cta`` would be skipped for the retires the core ran, and
+    the gate does not refuse it."""
     config = default_effects_config()
     return replace(config, core_source=(
         config.core_source
-        + "\n/* transcribes StreamingMultiprocessor._settle_transits */\n"))
+        + "\n/* transcribes StreamingMultiprocessor.retire_cta */\n"))
 
 
 def _dropped_inert_entry() -> EffectsConfig:

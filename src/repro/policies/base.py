@@ -260,9 +260,13 @@ class RegisterFilePolicy:
         computing it never mutates state.  So a policy looks at a heap top
         before it calls :meth:`PendingTracker.has_ready`, and asks only
         side-effect-free predicates, never ``can_launch``
-        (finereg_adaptive counts ACRF refusals there).  Across SMs the
-        grid only drains, which can only close the gate; a stale open gate
-        costs one call that moves nothing, since the real hook decides.
+        (finereg_adaptive counts ACRF refusals there).  It must not read
+        the scheduler slots (``scheduler_slots_free``): a warp finish or a
+        transit settle re-asks it only when it flips them, since the C
+        core finishes warps and settles transits itself otherwise.  Across
+        SMs the grid only drains, which can only close the gate; a stale
+        open gate costs one call that moves nothing, since the real hook
+        decides.
 
         A subclass that widens ``_act_on_idle`` or ``_try_switch_out``
         must restate ``idle_wake``: the engines trust it only next to the
@@ -373,7 +377,12 @@ class RegisterFilePolicy:
         The same two rules as :meth:`next_event` hold: the value changes
         only inside a hook, and calling it never mutates state (a
         :class:`PendingTracker` read while its heap top is later than
-        ``now`` drains nothing).
+        ``now`` drains nothing).  A warp finish or a transit settle is not
+        a hook, but both free scheduler slots, which this value may read
+        (``_slot_launches``): the engines re-ask it after one only when it
+        flips ``scheduler_slots_free`` for the launch (the C core finishes
+        warps and settles transits itself otherwise), so it must read the
+        warp and thread counts through that test alone.
         """
         return FOREVER
 

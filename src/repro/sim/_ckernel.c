@@ -20,11 +20,15 @@
  * come out in the dense engine's global order (cycle, sm_id, program
  * order):
  *
- *   EXIT          a warp EXIT that retires its CTA, or any EXIT on an SM
- *                 whose policy has a tick or idle hook: the _finish_warp
- *                 -> retire -> policy chain (every other EXIT finishes in
- *                 the core: finish_warp, below);
- *   SETTLE        now reached the SM's earliest transit_until;
+ *   EXIT          a warp EXIT that retires its CTA, or one whose finish
+ *                 makes scheduler_slots_free true on an SM whose policy
+ *                 has a tick or idle hook: the _finish_warp -> retire ->
+ *                 policy chain (every other EXIT finishes in the core:
+ *                 finish_warp, below);
+ *   SETTLE        now reached the SM's earliest transit_until and the
+ *                 batch of due transits makes scheduler_slots_free true on
+ *                 such an SM (every other batch settles in the core:
+ *                 settle_transits, below);
  *   TICK          now reached the policy's cached wake_time;
  *   IDLE          a busy SM issued nothing, is past its idle cooldown, has
  *                 at least one CTA stalled_active_ctas would return, and
@@ -37,23 +41,35 @@
  * "promote a scan-path warp to current, count the issue, move to the next
  * scheduler", whether the EXIT was an op or finished in the core.
  *
- * After each policy op the driver pushes the SM's mirrors (levels, dirty
- * flag, earliest transit, wake_time, next_event, idle_wake and
- * idle_backlog_limit, idle cooldown, RF-blocked flag, grid remaining)
- * and, where the op changed them, the scheduler membership and active-CTA
- * list.  The core decides the skipped calls itself, exactly: on_tick is an
- * observable no-op before wake_time, the settle scan before the earliest
- * transit, and the base on_idle only arms its cooldown (the policy's
- * IDLE_COOLDOWN, passed to Core()) when there is no park candidate or
- * _act_on_idle cannot act: before the cached idle_wake, unless the DRAM
- * backlog, which moves here between ops, is under the cached
- * idle_backlog_limit (compared live, as DRAM.backlog computes it).  Across
- * SMs the grid only drains, which can only close a gate, and a stale open
- * gate costs one op that moves nothing.  The core also counts the cycles
- * it opens
- * (executed_cycles()); the driver reads the count before serving each op,
- * so a policy can fold a once-per-executed-cycle count (FineReg's blocked
- * restores) over the ticks wake_time lets it skip.
+ * After each policy op the driver pushes the SM's mirrors (levels, warp,
+ * thread and incoming counts, dirty flag, earliest transit, wake_time,
+ * next_event, idle_wake and idle_backlog_limit, idle cooldown, RF-blocked
+ * flag, grid remaining) and, where the op changed them, the scheduler
+ * membership, the active-CTA list and the transit list.  The core decides
+ * the skipped calls itself, exactly: on_tick is an observable no-op before
+ * wake_time, the settle scan before the earliest transit, a finish or a
+ * settle moves no cached policy value unless it flips
+ * scheduler_slots_free (slots_flip says why), and the base on_idle only
+ * arms its cooldown (the policy's IDLE_COOLDOWN, passed to Core()) when
+ * there is no park candidate or _act_on_idle cannot act: before the
+ * cached idle_wake, unless the DRAM backlog, which moves here between
+ * ops, is under the cached idle_backlog_limit (compared live, as
+ * DRAM.backlog computes it).  Across SMs the grid only drains, which can
+ * only close a gate, and a stale open gate costs one op that moves
+ * nothing.  The core also counts the cycles
+ * it opens (executed_cycles()); the driver reads the count before serving
+ * each op, so a policy can fold a once-per-executed-cycle count (FineReg's
+ * blocked restores) over the ticks wake_time lets it skip.
+ *
+ * The Python objects are current at every op and at run end.  A settle
+ * in the core writes what it changes through as it runs (each CTA's
+ * state, transit_target and pending_since, the three CTA lists in order,
+ * the incoming counts, _transit_min, _next_sched, each attached warp's
+ * sched_seq and its scheduler's _seq); export() writes the rest (the warp
+ * and thread counts, the scheduler members, sleep caches and current
+ * warps, and the active warps' positions and states) before every op.
+ * The core lowers warps and CTAs as they stand, so lowering a run's state
+ * and writing it straight back is the identity.
  *
  * RegMutex's per-instruction SRP lease (srp_on_issue) runs in the issue
  * loop where SM._try_issue calls the policy's issue hook, and its SRP idle
@@ -128,6 +144,13 @@
 
 #define CK_FOREVER (1LL << 60)
 
+/* The SHA-256 of this file, which setup.py passes in (the module's
+ * SOURCE_SHA256; tests/conftest.py finds it in the built file's bytes to
+ * tell a stale in-place build). */
+#ifndef CKERNEL_SOURCE_SHA256
+#define CKERNEL_SOURCE_SHA256 ""
+#endif
+
 /* Warp states (match repro.sim.warp.WarpState order used by the driver). */
 #define W_RUNNABLE 0
 #define W_BARRIER 1
@@ -186,6 +209,11 @@ typedef struct {
     int64_t *ready_at;      /* Core.nregs entries */
 } CWarp;
 
+/* Where a CTA in transit goes (CTASim.transit_target), indexing
+ * Core.cta_states. */
+#define TO_ACTIVE 0
+#define TO_PENDING 1
+
 typedef struct {
     int32_t *warps;         /* member wslots (construction order) */
     int32_t nwarps;
@@ -195,6 +223,9 @@ typedef struct {
     int64_t first_issue;    /* -1 == None */
     int32_t stall_recorded;
     int32_t sm;             /* the SM that launched it */
+    /* While in the SM's transit list (imported by import_transit). */
+    int64_t transit_until;
+    int32_t target;         /* TO_ACTIVE / TO_PENDING */
 } CCta;
 
 typedef struct {
@@ -202,8 +233,9 @@ typedef struct {
     int32_t nmembers;
     int32_t cap;
     int64_t sleep_until;
+    int64_t seq;            /* GTOScheduler._seq: the next sched_seq */
     int32_t current;        /* wslot or -1 */
-    int32_t members_dirty;  /* a local finish removed a member since export */
+    int32_t members_dirty;  /* members changed in the core since export */
     PyObject *obj;          /* the GTOScheduler */
 } CSched;
 
@@ -217,19 +249,28 @@ typedef struct {
     int32_t pend_warp;
     int32_t pend_from_scan;
     int32_t pend_sched;
-    /* Active CTA slots, in sm.active_ctas order (set at sync points). */
+    /* Active CTA slots, in sm.active_ctas order, and transit CTA slots, in
+     * sm.transit_ctas order (set at sync points, kept by settles). */
     int32_t *active;
     int32_t nactive;
     int32_t activecap;
+    int32_t *transit;
+    int32_t ntransit;
+    int32_t transitcap;
+    int32_t next_sched;     /* sm._next_sched */
     /* Mirrors of Python state, pushed after every policy op. */
     int32_t needs_tick;
     int32_t needs_idle;
-    int32_t exit_local;     /* non-final EXITs finish in the core */
+    int32_t hooked;         /* needs_tick || needs_idle: the flip test */
     int32_t lvl_dirty;
     int32_t blocked_on_rf;
     int64_t active_count;   /* len(sm.active_ctas) */
     int64_t pend_count;     /* len(pending_ctas) + len(transit_ctas) */
     int64_t active_warps;   /* sm._active_warps */
+    int64_t active_threads; /* sm._active_threads */
+    int64_t incoming_ctas;  /* sm._incoming_ctas */
+    int64_t incoming_warps; /* sm._incoming_warps */
+    int64_t incoming_threads; /* sm._incoming_threads */
     int64_t transit_min;    /* sm._transit_min */
     int64_t wake_time;      /* policy.wake_time, cached after a hook */
     int64_t next_event;     /* policy.next_event, cached after a hook */
@@ -248,13 +289,11 @@ typedef struct {
     int64_t idle;
     int64_t rf;
     /* The issue counters of the warps finished in the core (merged into
-     * SMStats at the end), and how many finished since the last export
-     * (which lowers _active_warps / _active_threads by as many). */
+     * SMStats at the end). */
     int64_t insts;
     int64_t rf_reads;
     int64_t rf_writes;
     int64_t shmem;
-    int64_t local_finishes;
     int64_t *stalls;        /* ordered stall latencies */
     int32_t nstalls;
     int32_t stallcap;
@@ -342,6 +381,15 @@ typedef struct {
     int64_t max_cycles;
     int64_t min_park;
     int64_t idle_cooldown;  /* policies.base.IDLE_COOLDOWN */
+    /* The run's single launch and the Table-I limits its
+     * scheduler_slots_free reads (set_launch), and the CTAState members a
+     * settle writes, by TO_ACTIVE / TO_PENDING. */
+    int64_t warps_per_cta;
+    int64_t threads_per_cta;
+    int64_t max_ctas;
+    int64_t max_warps;
+    int64_t max_threads;
+    PyObject *cta_states;
     CMeta *meta;
     int32_t nmeta;
     int32_t *srcs;
@@ -467,6 +515,7 @@ core_dealloc(CoreObject *self)
         for (i = 0; i < self->num_sms; i++) {
             PyMem_Free(self->sms[i].stalls);
             PyMem_Free(self->sms[i].active);
+            PyMem_Free(self->sms[i].transit);
             Py_XDECREF(self->sms[i].policy);
             Py_XDECREF(self->sms[i].obj);
         }
@@ -475,6 +524,7 @@ core_dealloc(CoreObject *self)
     Py_XDECREF(self->warp_slots);
     Py_XDECREF(self->cta_slots);
     Py_XDECREF(self->states);
+    Py_XDECREF(self->cta_states);
     PyMem_Free(self->meta);
     PyMem_Free(self->srcs);
     PyMem_Free(self->srp_demand);
@@ -671,7 +721,12 @@ static PyObject *s_pos, *s_state, *s_blocked_until, *s_barrier_arrived,
     *s_dirty, *s_sched_sleep, *s_warps, *s_active_ctas, *s_channel_free,
     *s_srp_free, *s_srp_capacity, *s_srp_acquires, *s_srp_denials,
     *s_srp_blocked, *s_leases, *s_cta_id, *s_trace, *s_global_warp_id,
-    *s_active_warps, *s_active_threads;
+    *s_active_warps, *s_active_threads, *s_peak_ready, *s_ready_at,
+    *s_stream_counter, *s_reuse_counter, *s_shared_counter,
+    *s_pending_ctas, *s_transit_ctas, *s_transit_until, *s_transit_target,
+    *s_pending_since, *s_incoming_ctas, *s_incoming_warps,
+    *s_incoming_threads, *s_transit_min, *s_next_sched, *s_seq,
+    *s_sched_seq;
 
 static int
 remember(PyObject *dict, PyObject ***objs, int32_t *cap, int32_t slot,
@@ -727,10 +782,41 @@ set_ll(PyObject *obj, PyObject *name, int64_t value)
     return r;
 }
 
-/* Lower one CTA object -> its slot, or -1 on error. */
+static int
+state_id(CoreObject *self, PyObject *state)
+{
+    int i;
+    for (i = 0; i < 3; i++)
+        if (PyTuple_GET_ITEM(self->states, i) == state)
+            return i;
+    PyErr_SetString(PyExc_ValueError, "unknown warp state");
+    return -1;
+}
+
+/* Lower one CTA object -> its slot, or -1 on error: its barrier count,
+ * first issue and stall marker as they stand (a CTA lowered mid-run is
+ * not pristine). */
 static int32_t
 new_cta(CoreObject *self, PyObject *obj, int64_t cta_id, int32_t sm_id)
 {
+    int64_t arrived;
+    if (get_ll(obj, s_barrier_arrived, &arrived))
+        return -1;
+    PyObject *first = PyObject_GetAttr(obj, s_first_issue_cycle);
+    if (first == NULL)
+        return -1;
+    long long first_issue = first == Py_None ? -1
+        : PyLong_AsLongLong(first);
+    Py_DECREF(first);
+    if (first_issue == -1 && PyErr_Occurred())
+        return -1;
+    PyObject *stall = PyObject_GetAttr(obj, s_stall_recorded);
+    if (stall == NULL)
+        return -1;
+    int recorded = PyObject_IsTrue(stall);
+    Py_DECREF(stall);
+    if (recorded < 0)
+        return -1;
     if (grow((void **)&self->ctas, &self->ctacap, self->nctas + 1,
              sizeof(CCta))
             || remember(self->cta_slots, &self->cta_objs, &self->ctaobjcap,
@@ -739,12 +825,59 @@ new_cta(CoreObject *self, PyObject *obj, int64_t cta_id, int32_t sm_id)
     CCta *c = &self->ctas[self->nctas];
     memset(c, 0, sizeof(*c));
     c->cta_id = cta_id;
-    c->first_issue = -1;
+    c->barrier_arrived = arrived;
+    c->first_issue = first_issue;
+    c->stall_recorded = recorded;
     c->sm = sm_id;
     return self->nctas++;
 }
 
-/* Lower one pristine warp object of CTA slot cslot; 0 or -1 on error. */
+/* A warp's timing state as it stands: position, state, blocked_until,
+ * the scoreboard (Core.nregs entries) and its bound, and the address
+ * counters; 0 or -1 on error. */
+static int
+read_warp(CoreObject *self, CWarp *w, PyObject *obj)
+{
+    PyObject *st = PyObject_GetAttr(obj, s_state);
+    if (st == NULL)
+        return -1;
+    int id = state_id(self, st);
+    Py_DECREF(st);
+    if (id < 0 || get_ll(obj, s_pos, &w->pos)
+            || get_ll(obj, s_blocked_until, &w->blocked_until)
+            || get_ll(obj, s_peak_ready, &w->peak_ready)
+            || get_ll(obj, s_stream_counter, &w->stream_counter)
+            || get_ll(obj, s_reuse_counter, &w->reuse_counter)
+            || get_ll(obj, s_shared_counter, &w->shared_counter))
+        return -1;
+    w->state = id;
+    PyObject *ready = PyObject_GetAttr(obj, s_ready_at);
+    if (ready == NULL)
+        return -1;
+    PyObject *seq = PySequence_Fast(ready, "ready_at must be a sequence");
+    Py_DECREF(ready);
+    if (seq == NULL)
+        return -1;
+    if (PySequence_Fast_GET_SIZE(seq) != self->nregs) {
+        Py_DECREF(seq);
+        PyErr_SetString(PyExc_ValueError,
+                        "ready_at length differs from the core's nregs");
+        return -1;
+    }
+    int32_t r;
+    for (r = 0; r < self->nregs; r++) {
+        long long t = PyLong_AsLongLong(PySequence_Fast_GET_ITEM(seq, r));
+        if (t == -1 && PyErr_Occurred()) {
+            Py_DECREF(seq);
+            return -1;
+        }
+        w->ready_at[r] = t;
+    }
+    Py_DECREF(seq);
+    return 0;
+}
+
+/* Lower one warp object of CTA slot cslot; 0 or -1 on error. */
 static int
 new_warp(CoreObject *self, PyObject *obj, int32_t cslot, int32_t trace,
          int64_t gid)
@@ -762,15 +895,15 @@ new_warp(CoreObject *self, PyObject *obj, int32_t cslot, int32_t trace,
         PyErr_NoMemory();
         return -1;
     }
-    if (remember(self->warp_slots, &self->warp_objs, &self->warpobjcap,
-                 self->nwarps, obj)) {
+    if (read_warp(self, w, obj)
+            || remember(self->warp_slots, &self->warp_objs,
+                        &self->warpobjcap, self->nwarps, obj)) {
         PyMem_Free(w->ready_at);
         w->ready_at = NULL;
         return -1;
     }
     w->trace = trace;
     w->cta = cslot;
-    w->state = W_RUNNABLE;
     w->chk_pos = -1;
     w->global_warp_id = gid;
     w->stream_base = (gid & 0xFFFF) << 26;
@@ -819,9 +952,12 @@ lower_cta(CoreObject *self, PyObject *cta, int32_t sm_id)
 static PyObject *
 core_lower_new(CoreObject *self, PyObject *arg)
 {
-    /* Lower every CTA of the SM's active_ctas not lowered yet (the ones an
-     * op or the initial fill launched, their warps pristine), in list
-     * order, each with its warps and one trace per warp. */
+    /* Lower every resident CTA of the SM not lowered yet, in the order of
+     * its active, pending and transit lists, each with its warps (as they
+     * stand) and one trace per warp: after an op, the CTAs it launched;
+     * when a run starts, every resident CTA. */
+    PyObject *const names[3] = {s_active_ctas, s_pending_ctas,
+                                s_transit_ctas};
     long sm_id = PyLong_AsLong(arg);
     if (sm_id == -1 && PyErr_Occurred())
         return NULL;
@@ -832,23 +968,55 @@ core_lower_new(CoreObject *self, PyObject *arg)
         PyErr_SetString(PyExc_RuntimeError, "SM not bound");
         return NULL;
     }
-    PyObject *list = PyObject_GetAttr(sm->obj, s_active_ctas);
-    if (list == NULL)
-        return NULL;
-    PyObject *seq = PySequence_Fast(list, "active_ctas must be a sequence");
-    Py_DECREF(list);
-    if (seq == NULL)
-        return NULL;
-    Py_ssize_t i;
-    for (i = 0; i < PySequence_Fast_GET_SIZE(seq); i++) {
-        PyObject *cta = PySequence_Fast_GET_ITEM(seq, i);
-        int known = PyDict_Contains(self->cta_slots, cta);
-        if (known < 0 || (!known && lower_cta(self, cta, (int32_t)sm_id))) {
-            Py_DECREF(seq);
+    int k;
+    for (k = 0; k < 3; k++) {
+        PyObject *list = PyObject_GetAttr(sm->obj, names[k]);
+        if (list == NULL)
             return NULL;
+        PyObject *seq = PySequence_Fast(list, "CTA lists must be sequences");
+        Py_DECREF(list);
+        if (seq == NULL)
+            return NULL;
+        Py_ssize_t i;
+        for (i = 0; i < PySequence_Fast_GET_SIZE(seq); i++) {
+            PyObject *cta = PySequence_Fast_GET_ITEM(seq, i);
+            int known = PyDict_Contains(self->cta_slots, cta);
+            if (known < 0
+                    || (!known && lower_cta(self, cta, (int32_t)sm_id))) {
+                Py_DECREF(seq);
+                return NULL;
+            }
         }
+        Py_DECREF(seq);
     }
-    Py_DECREF(seq);
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+core_set_launch(CoreObject *self, PyObject *args)
+{
+    /* The run's single launch (warps and threads per CTA), the Table-I
+     * limits scheduler_slots_free compares them with, and the CTAState
+     * members (ACTIVE, PENDING) a settle writes. */
+    long long wpc, tpc, max_ctas, max_warps, max_threads;
+    PyObject *cta_states;
+    if (!PyArg_ParseTuple(args, "LLLLLO!", &wpc, &tpc, &max_ctas,
+                          &max_warps, &max_threads, &PyTuple_Type,
+                          &cta_states))
+        return NULL;
+    if (PyTuple_GET_SIZE(cta_states) != 2 || wpc <= 0 || tpc <= 0) {
+        PyErr_SetString(PyExc_ValueError,
+                        "set_launch needs positive per-CTA footprints and "
+                        "(ACTIVE, PENDING)");
+        return NULL;
+    }
+    self->warps_per_cta = wpc;
+    self->threads_per_cta = tpc;
+    self->max_ctas = max_ctas;
+    self->max_warps = max_warps;
+    self->max_threads = max_threads;
+    Py_INCREF(cta_states);
+    Py_XSETREF(self->cta_states, cta_states);
     Py_RETURN_NONE;
 }
 
@@ -856,13 +1024,14 @@ static PyObject *
 core_set_policy(CoreObject *self, PyObject *args)
 {
     /* Bind one SM: its Python object, its schedulers, the policy's hook
-     * flags, whether its non-final EXITs finish in the core and which of
-     * RegMutexPolicy's bodies it runs. */
-    int sm_id, needs_tick, needs_idle, exit_local, srp_issue, srp_classify;
+     * flags (an SM with either runs the flip test before finishing a warp
+     * or settling a transit itself) and which of RegMutexPolicy's bodies
+     * it runs. */
+    int sm_id, needs_tick, needs_idle, srp_issue, srp_classify;
     PyObject *obj, *scheds;
-    if (!PyArg_ParseTuple(args, "iOO!ppppp", &sm_id, &obj, &PyList_Type,
-                          &scheds, &needs_tick, &needs_idle, &exit_local,
-                          &srp_issue, &srp_classify))
+    if (!PyArg_ParseTuple(args, "iOO!pppp", &sm_id, &obj, &PyList_Type,
+                          &scheds, &needs_tick, &needs_idle, &srp_issue,
+                          &srp_classify))
         return NULL;
     CSm *sm = sm_arg(self, sm_id);
     if (sm == NULL)
@@ -882,7 +1051,7 @@ core_set_policy(CoreObject *self, PyObject *args)
     Py_XSETREF(sm->obj, obj);
     sm->needs_tick = needs_tick;
     sm->needs_idle = needs_idle;
-    sm->exit_local = exit_local;
+    sm->hooked = needs_tick || needs_idle;
     sm->srp_issue = srp_issue;
     sm->srp_classify = srp_classify;
     Py_RETURN_NONE;
@@ -919,12 +1088,52 @@ import_slots(PyObject *owner, PyObject *name, PyObject *dict,
     return 0;
 }
 
+/* The SM's transit list and each member's transit_until and target. */
+static int
+import_transit(CoreObject *self, CSm *sm)
+{
+    if (self->cta_states == NULL) {
+        PyErr_SetString(PyExc_RuntimeError, "set_launch() was not called");
+        return -1;
+    }
+    if (import_slots(sm->obj, s_transit_ctas, self->cta_slots, &sm->transit,
+                     &sm->transitcap, &sm->ntransit, "transit CTA"))
+        return -1;
+    int32_t i;
+    for (i = 0; i < sm->ntransit; i++) {
+        CCta *c = &self->ctas[sm->transit[i]];
+        PyObject *cobj = self->cta_objs[sm->transit[i]];
+        if (get_ll(cobj, s_transit_until, &c->transit_until))
+            return -1;
+        PyObject *target = PyObject_GetAttr(cobj, s_transit_target);
+        if (target == NULL)
+            return -1;
+        int to_active =
+            target == PyTuple_GET_ITEM(self->cta_states, TO_ACTIVE);
+        int to_pending =
+            target == PyTuple_GET_ITEM(self->cta_states, TO_PENDING);
+        Py_DECREF(target);
+        if (to_active)
+            c->target = TO_ACTIVE;
+        else if (to_pending)
+            c->target = TO_PENDING;
+        else {
+            PyErr_SetString(PyExc_ValueError,
+                            "a transit CTA's target is neither ACTIVE nor "
+                            "PENDING");
+            return -1;
+        }
+    }
+    return 0;
+}
+
 static PyObject *
 core_sync(CoreObject *self, PyObject *arg)
 {
     /* Re-import one SM's scheduler state (members in attach order, sleep
-     * caches, current warps) and active-CTA list from the Python objects
-     * after an op changed them. */
+     * caches, current warps, sequence counters and the round-robin
+     * cursor), its active-CTA list and its transit list from the Python
+     * objects after an op changed them. */
     long sm_id = PyLong_AsLong(arg);
     if (sm_id == -1 && PyErr_Occurred())
         return NULL;
@@ -935,17 +1144,26 @@ core_sync(CoreObject *self, PyObject *arg)
         PyErr_SetString(PyExc_RuntimeError, "SM not bound");
         return NULL;
     }
+    int64_t next_sched;
     if (get_ll(sm->obj, s_sched_sleep, &sm->sched_sleep)
+            || get_ll(sm->obj, s_next_sched, &next_sched)
             || import_slots(sm->obj, s_active_ctas, self->cta_slots,
                             &sm->active, &sm->activecap, &sm->nactive,
-                            "active CTA"))
+                            "active CTA")
+            || import_transit(self, sm))
         return NULL;
+    if (next_sched < 0 || next_sched >= self->nsched) {
+        PyErr_SetString(PyExc_ValueError, "_next_sched out of range");
+        return NULL;
+    }
+    sm->next_sched = (int32_t)next_sched;
     int k;
     for (k = 0; k < self->nsched; k++) {
         CSched *sc = &self->scheds[(size_t)sm_id * self->nsched + k];
         if (import_slots(sc->obj, s_warps, self->warp_slots, &sc->members,
                          &sc->cap, &sc->nmembers, "scheduler warp")
-                || get_ll(sc->obj, s_sleep_until, &sc->sleep_until))
+                || get_ll(sc->obj, s_sleep_until, &sc->sleep_until)
+                || get_ll(sc->obj, s_seq, &sc->seq))
             return NULL;
         sc->members_dirty = 0;
         PyObject *cur = PyObject_GetAttr(sc->obj, s_current);
@@ -964,13 +1182,14 @@ static PyObject *
 core_mirror(CoreObject *self, PyObject *args)
 {
     int sm_id, dirty, blocked;
-    long long active, pend, warps, transit_min, wake_time, next_event;
-    long long idle_wake, next_idle, grid;
+    long long active, pend, warps, threads, in_ctas, in_warps, in_threads;
+    long long transit_min, wake_time, next_event, idle_wake, next_idle, grid;
     double idle_backlog;
-    if (!PyArg_ParseTuple(args, "iLLLpLLLLdLpL", &sm_id, &active, &pend,
-                          &warps, &dirty, &transit_min, &wake_time,
-                          &next_event, &idle_wake, &idle_backlog,
-                          &next_idle, &blocked, &grid))
+    if (!PyArg_ParseTuple(args, "iLLLLLLLpLLLLdLpL", &sm_id, &active, &pend,
+                          &warps, &threads, &in_ctas, &in_warps, &in_threads,
+                          &dirty, &transit_min, &wake_time, &next_event,
+                          &idle_wake, &idle_backlog, &next_idle, &blocked,
+                          &grid))
         return NULL;
     CSm *sm = sm_arg(self, sm_id);
     if (sm == NULL)
@@ -978,6 +1197,10 @@ core_mirror(CoreObject *self, PyObject *args)
     sm->active_count = active;
     sm->pend_count = pend;
     sm->active_warps = warps;
+    sm->active_threads = threads;
+    sm->incoming_ctas = in_ctas;
+    sm->incoming_warps = in_warps;
+    sm->incoming_threads = in_threads;
     if (dirty)
         sm->lvl_dirty = 1;
     sm->transit_min = transit_min;
@@ -990,17 +1213,6 @@ core_mirror(CoreObject *self, PyObject *args)
     sm->blocked_on_rf = blocked;
     self->grid_remaining = grid;
     Py_RETURN_NONE;
-}
-
-static int
-state_id(CoreObject *self, PyObject *state)
-{
-    int i;
-    for (i = 0; i < 3; i++)
-        if (PyTuple_GET_ITEM(self->states, i) == state)
-            return i;
-    PyErr_SetString(PyExc_ValueError, "unknown warp state");
-    return -1;
 }
 
 static PyObject *
@@ -1036,11 +1248,13 @@ core_reimport_cta(CoreObject *self, PyObject *obj)
 static PyObject *
 core_export(CoreObject *self, PyObject *args)
 {
-    /* Write C's view onto the Python objects: the SM's sleep cache, the
-     * warp and thread counts the local finishes lowered, its schedulers
-     * (sleep, current, the members a local finish removed, buckets marked
-     * dirty), and with ``with_warps`` its active CTAs (barrier count, first
-     * issue, stall marker) and their warps (pos, state, blocked_until). */
+    /* Write C's view onto the Python objects: the SM's sleep cache and
+     * its warp and thread counts (which the core's finishes lower and its
+     * settles raise), its schedulers (sleep, current, the members a finish
+     * removed or a settle attached, buckets marked dirty), and with
+     * ``with_warps`` its active CTAs (barrier count, first issue, stall
+     * marker) and their warps (pos, state, blocked_until).  A settle
+     * writes the rest of what it changes through as it runs. */
     int sm_id, with_warps;
     if (!PyArg_ParseTuple(args, "ip", &sm_id, &with_warps))
         return NULL;
@@ -1053,19 +1267,10 @@ core_export(CoreObject *self, PyObject *args)
     }
     CSched *scheds = &self->scheds[(size_t)sm_id * self->nsched];
     int32_t a, i;
-    if (set_ll(sm->obj, s_sched_sleep, sm->sched_sleep))
+    if (set_ll(sm->obj, s_sched_sleep, sm->sched_sleep)
+            || set_ll(sm->obj, s_active_warps, sm->active_warps)
+            || set_ll(sm->obj, s_active_threads, sm->active_threads))
         return NULL;
-    if (sm->local_finishes) {
-        int64_t warps, threads;
-        if (get_ll(sm->obj, s_active_warps, &warps)
-                || get_ll(sm->obj, s_active_threads, &threads)
-                || set_ll(sm->obj, s_active_warps,
-                          warps - sm->local_finishes)
-                || set_ll(sm->obj, s_active_threads,
-                          threads - 32 * sm->local_finishes))
-            return NULL;
-        sm->local_finishes = 0;
-    }
     for (i = 0; i < self->nsched; i++) {
         CSched *sc = &scheds[i];
         PyObject *cur = sc->current < 0 ? Py_None
@@ -1169,7 +1374,7 @@ core_finish(CoreObject *self, PyObject *arg)
  * _CORE_POLICY_BODIES in repro.sim.compiled). */
 
 static int
-cta_unfinished(CoreObject *core, CCta *c)
+cta_unfinished(CoreObject *core, const CCta *c)
 {
     int n = 0;
     int32_t i;
@@ -2395,16 +2600,48 @@ park_exit(CSm *sm, int32_t ws, int from_scan, int s)
     return OP_EXIT;
 }
 
+/* StreamingMultiprocessor.scheduler_slots_free for the run's single
+ * launch, given the SM's active-plus-incoming CTA, warp and thread
+ * counts. */
+static inline int
+slots_free(const CoreObject *core, int64_t ctas, int64_t warps,
+           int64_t threads)
+{
+    return ctas < core->max_ctas
+        && warps + core->warps_per_cta <= core->max_warps
+        && threads + core->threads_per_cta <= core->max_threads;
+}
+
+/* The flip test.  Of the values the core caches from the policy, only
+ * wake_time reads warp slots, through scheduler_slots_free (the policies'
+ * _slot_launches and _split_launches); idle_wake, idle_backlog_limit and
+ * next_event read none.  A warp finish or a transit settle only frees
+ * slots (the CTA count stays: a settling CTA leaves the incoming count
+ * for the active list), so on an SM whose policy has a tick or idle hook
+ * it can move a cached value only when it makes scheduler_slots_free
+ * true.  Returns 1 when freeing dwarps warps and dthreads threads does
+ * that: the finish or settle batch is then an op, after which the driver
+ * re-asks the policy. */
+static inline int
+slots_flip(const CoreObject *core, const CSm *sm, int64_t dwarps,
+           int64_t dthreads)
+{
+    int64_t ctas = sm->active_count + sm->incoming_ctas;
+    int64_t warps = sm->active_warps + sm->incoming_warps;
+    int64_t threads = sm->active_threads + sm->incoming_threads;
+    return sm->hooked && !slots_free(core, ctas, warps, threads)
+        && slots_free(core, ctas, warps - dwarps, threads - dthreads);
+}
+
 /* transcribes StreamingMultiprocessor._finish_warp for a warp that is not
- * its CTA's last unfinished one, on an SM with exit_local (its policy has
- * no tick or idle hook): such a finish retires nothing and reaches no
- * policy code, so it completes here, in _finish_warp's order.  Credit the
- * deferred issue counters from the trace's packed sum; mark the warp
- * finished and take it off active_warps; remove it from the first
- * scheduler holding it (GTOScheduler.remove_warp, whose _resleep
- * recomputes the sleep cache); release the barrier the finish may
- * complete.  Returns 1 when the EXIT finished here, 0 when it stays an
- * op. */
+ * its CTA's last unfinished one: such a finish retires nothing and reaches
+ * no policy code, so it completes here, in _finish_warp's order, unless it
+ * flips scheduler_slots_free (slots_flip).  Credit the deferred issue
+ * counters from the trace's packed sum; mark the warp finished and take it
+ * off the warp and thread counts; remove it from the first scheduler
+ * holding it (GTOScheduler.remove_warp, whose _resleep recomputes the
+ * sleep cache); release the barrier the finish may complete.  Returns 1
+ * when the EXIT finished here, 0 when it stays an op. */
 static int
 finish_warp(CoreObject *self, CSm *sm, CSched *scheds, int32_t ws,
             int64_t now)
@@ -2412,7 +2649,7 @@ finish_warp(CoreObject *self, CSm *sm, CSched *scheds, int32_t ws,
     CWarp *W = self->warps;
     CWarp *w = &W[ws];
     CCta *c = &self->ctas[w->cta];
-    if (!sm->exit_local || cta_unfinished(self, c) < 2)
+    if (cta_unfinished(self, c) < 2 || slots_flip(self, sm, 1, 32))
         return 0;
     const CTrace *t = &self->traces[w->trace];
     sm->insts += t->len;
@@ -2422,7 +2659,7 @@ finish_warp(CoreObject *self, CSm *sm, CSched *scheds, int32_t ws,
     w->state = W_FINISHED;
     w->blocked_until = CK_FOREVER;
     sm->active_warps -= 1;
-    sm->local_finishes += 1;
+    sm->active_threads -= 32;
     sm->lvl_dirty = 1;
     int k;
     for (k = 0; k < self->nsched; k++) {
@@ -2448,6 +2685,138 @@ finish_warp(CoreObject *self, CSm *sm, CSched *scheds, int32_t ws,
     if (maybe_release_barrier(self, c, now))
         wake_schedulers(sm, scheds, self->nsched);
     return 1;
+}
+
+/* transcribes StreamingMultiprocessor._attach_warps for a CTA a settle
+ * activates: each unfinished warp, in construction order, joins the
+ * scheduler at the round-robin cursor (GTOScheduler.add_warp: the warp's
+ * sched_seq is the scheduler's _seq, both written through, and the
+ * scheduler's sleep cache resets), then the SM-level sleep resets and the
+ * warp and thread counts rise.  0, or -1 on error. */
+static int
+attach_warps(CoreObject *self, CSm *sm, CSched *scheds, const CCta *c)
+{
+    int32_t i, n = 0;
+    for (i = 0; i < c->nwarps; i++) {
+        int32_t ws = c->warps[i];
+        if (self->warps[ws].state == W_FINISHED)
+            continue;
+        CSched *sc = &scheds[sm->next_sched];
+        if (grow((void **)&sc->members, &sc->cap, sc->nmembers + 1,
+                 sizeof(int32_t))
+                || set_ll(self->warp_objs[ws], s_sched_seq, sc->seq)
+                || set_ll(sc->obj, s_seq, sc->seq + 1))
+            return -1;
+        sc->seq += 1;
+        sc->members[sc->nmembers++] = ws;
+        sc->sleep_until = 0;
+        sc->members_dirty = 1;
+        sm->next_sched = (sm->next_sched + 1) % self->nsched;
+        n++;
+    }
+    sm->sched_sleep = 0;
+    sm->active_warps += n;
+    sm->active_threads += 32 * n;
+    return set_ll(sm->obj, s_next_sched, sm->next_sched);
+}
+
+/* transcribes StreamingMultiprocessor._settle_transits, run when now
+ * reached transit_min: every transit CTA whose transit_until has come
+ * settles, in transit-list order (CTASim.settle_transit: its state becomes
+ * its target, transit_target None, and a CTA bound for PENDING records
+ * pending_since), joining the pending list, or the active list with its
+ * warps attached and the incoming footprint released; the rest stay in a
+ * new transit list, whose earliest transit_until is the new transit_min.
+ * Each change is written through to the Python objects as it is made (the
+ * warp and thread counts and the scheduler members follow at export);
+ * the level-flush flag is the core's own.  On an SM with a tick or idle
+ * hook a batch that flips scheduler_slots_free settles nothing here.
+ * Returns 1 when the batch settled here, 0 when it stays an op, -1 on
+ * error. */
+static int
+settle_transits(CoreObject *self, CSm *sm, CSched *scheds, int64_t now)
+{
+    int32_t i, kept = 0;
+    if (sm->hooked) {
+        /* Warps and threads the batch frees: an activated CTA's declared
+         * footprint leaves the incoming count, its unfinished warps join
+         * the active count. */
+        int64_t dwarps = 0, dthreads = 0;
+        for (i = 0; i < sm->ntransit; i++) {
+            const CCta *c = &self->ctas[sm->transit[i]];
+            if (now >= c->transit_until && c->target == TO_ACTIVE) {
+                int64_t unfinished = cta_unfinished(self, c);
+                dwarps += self->warps_per_cta - unfinished;
+                dthreads += self->threads_per_cta - 32 * unfinished;
+            }
+        }
+        if (slots_flip(self, sm, dwarps, dthreads))
+            return 0;
+    }
+    PyObject *smobj = sm->obj;
+    PyObject *remaining = PyList_New(0);
+    PyObject *active = PyObject_GetAttr(smobj, s_active_ctas);
+    PyObject *pending = PyObject_GetAttr(smobj, s_pending_ctas);
+    if (remaining == NULL || active == NULL || pending == NULL)
+        goto fail;
+    int activated = 0;
+    int64_t earliest = CK_FOREVER;
+    for (i = 0; i < sm->ntransit; i++) {
+        int32_t cslot = sm->transit[i];
+        CCta *c = &self->ctas[cslot];
+        PyObject *cobj = self->cta_objs[cslot];
+        if (now < c->transit_until) {
+            sm->transit[kept++] = cslot;
+            if (PyList_Append(remaining, cobj) < 0)
+                goto fail;
+            if (c->transit_until < earliest)
+                earliest = c->transit_until;
+            continue;
+        }
+        if (PyObject_SetAttr(cobj, s_state,
+                             PyTuple_GET_ITEM(self->cta_states, c->target))
+                || PyObject_SetAttr(cobj, s_transit_target, Py_None))
+            goto fail;
+        if (c->target == TO_PENDING) {
+            if (set_ll(cobj, s_pending_since, now)
+                    || PyList_Append(pending, cobj) < 0)
+                goto fail;
+            continue;
+        }
+        sm->incoming_ctas -= 1;
+        sm->incoming_warps -= self->warps_per_cta;
+        sm->incoming_threads -= self->threads_per_cta;
+        if (PyList_Append(active, cobj) < 0
+                || grow((void **)&sm->active, &sm->activecap,
+                        sm->nactive + 1, sizeof(int32_t)))
+            goto fail;
+        sm->active[sm->nactive++] = cslot;
+        sm->active_count += 1;
+        sm->pend_count -= 1;
+        if (attach_warps(self, sm, scheds, c))
+            goto fail;
+        activated = 1;
+    }
+    sm->ntransit = kept;
+    sm->transit_min = earliest;
+    sm->lvl_dirty = 1;
+    if (PyObject_SetAttr(smobj, s_transit_ctas, remaining)
+            || set_ll(smobj, s_transit_min, earliest)
+            || (activated
+                && (set_ll(smobj, s_incoming_ctas, sm->incoming_ctas)
+                    || set_ll(smobj, s_incoming_warps, sm->incoming_warps)
+                    || set_ll(smobj, s_incoming_threads,
+                              sm->incoming_threads))))
+        goto fail;
+    Py_DECREF(remaining);
+    Py_DECREF(active);
+    Py_DECREF(pending);
+    return 1;
+fail:
+    Py_XDECREF(remaining);
+    Py_XDECREF(active);
+    Py_XDECREF(pending);
+    return -1;
 }
 
 /* An LDG / STG: the inlined AddressModel.address_for, then the access
@@ -2637,8 +3006,11 @@ step_sm(CoreObject *self, int32_t sm_id, CSm *sm, CSched *scheds)
     switch (sm->phase) {
     case PH_SETTLE:
         sm->phase = PH_TICK;
-        if (now >= sm->transit_min)
-            return OP_SETTLE;
+        if (now >= sm->transit_min) {
+            op = settle_transits(self, sm, scheds, now);
+            if (op <= 0)
+                return op < 0 ? -1 : OP_SETTLE;
+        }
         /* fall through */
     case PH_TICK:
         sm->phase = PH_SCAN_START;
@@ -2788,7 +3160,7 @@ static PyObject *
 core_resume(CoreObject *self, PyObject *Py_UNUSED(ignored))
 {
     if (self->sms == NULL || self->status || !memory_lowered(self)
-            || !srp_lowered(self)) {
+            || !srp_lowered(self) || self->cta_states == NULL) {
         PyErr_SetString(PyExc_RuntimeError,
                         "resume() on an unlowered or finished core");
         return NULL;
@@ -2929,20 +3301,28 @@ done:
 
 /* ------------------------------------------------------------------ */
 static PyMethodDef core_methods[] = {
+    {"set_launch", (PyCFunction)core_set_launch, METH_VARARGS,
+     "set_launch(warps_per_cta, threads_per_cta, max_ctas_per_sm, "
+     "max_warps_per_sm, max_threads_per_sm, (CTAState.ACTIVE, "
+     "CTAState.PENDING)): the run's single launch, the limits "
+     "scheduler_slots_free compares it with and the states a settle "
+     "writes."},
     {"set_policy", (PyCFunction)core_set_policy, METH_VARARGS,
      "set_policy(sm_id, sm, schedulers, needs_tick, needs_idle, "
-     "exit_local, srp_issue, srp_classify): bind one SM, say whether its "
-     "non-final EXITs finish in the core and which RegMutexPolicy bodies "
-     "it runs."},
+     "srp_issue, srp_classify): bind one SM, its policy's hook flags and "
+     "which RegMutexPolicy bodies it runs."},
     {"lower_new", (PyCFunction)core_lower_new, METH_O,
-     "lower_new(sm_id): lower the SM's active CTAs not lowered yet, with "
-     "their warps and traces."},
+     "lower_new(sm_id): lower the SM's resident CTAs not lowered yet, "
+     "with their warps (as they stand) and traces."},
     {"sync", (PyCFunction)core_sync, METH_O,
-     "sync(sm_id): re-import the SM's schedulers and active-CTA list."},
+     "sync(sm_id): re-import the SM's schedulers, round-robin cursor, "
+     "active-CTA list and transit list."},
     {"mirror", (PyCFunction)core_mirror, METH_VARARGS,
-     "mirror(sm_id, active, pending_and_transit, active_warps, dirty, "
-     "transit_min, wake_time, next_event, idle_wake, idle_backlog_limit, "
-     "next_idle_check (-1 keeps), blocked_on_rf, grid_remaining)."},
+     "mirror(sm_id, active, pending_and_transit, active_warps, "
+     "active_threads, incoming_ctas, incoming_warps, incoming_threads, "
+     "dirty, transit_min, wake_time, next_event, idle_wake, "
+     "idle_backlog_limit, next_idle_check (-1 keeps), blocked_on_rf, "
+     "grid_remaining)."},
     {"reimport_cta", (PyCFunction)core_reimport_cta, METH_O,
      "reimport_cta(cta): its barrier count and warp states."},
     {"export", (PyCFunction)core_export, METH_VARARGS,
@@ -3033,6 +3413,21 @@ PyInit__ckernel(void)
         {&s_global_warp_id, "global_warp_id"},
         {&s_active_warps, "_active_warps"},
         {&s_active_threads, "_active_threads"},
+        {&s_peak_ready, "peak_ready"}, {&s_ready_at, "ready_at"},
+        {&s_stream_counter, "stream_counter"},
+        {&s_reuse_counter, "reuse_counter"},
+        {&s_shared_counter, "shared_counter"},
+        {&s_pending_ctas, "pending_ctas"},
+        {&s_transit_ctas, "transit_ctas"},
+        {&s_transit_until, "transit_until"},
+        {&s_transit_target, "transit_target"},
+        {&s_pending_since, "pending_since"},
+        {&s_incoming_ctas, "_incoming_ctas"},
+        {&s_incoming_warps, "_incoming_warps"},
+        {&s_incoming_threads, "_incoming_threads"},
+        {&s_transit_min, "_transit_min"},
+        {&s_next_sched, "_next_sched"}, {&s_seq, "_seq"},
+        {&s_sched_seq, "sched_seq"},
         {&s_demand[DEMAND_READ], "demand_read"},
         {&s_demand[DEMAND_WRITE], "demand_write"},
     };
@@ -3055,7 +3450,9 @@ PyInit__ckernel(void)
         Py_DECREF(mod);
         return NULL;
     }
-    if (PyModule_AddIntConstant(mod, "FOREVER", CK_FOREVER) < 0) {
+    if (PyModule_AddIntConstant(mod, "FOREVER", CK_FOREVER) < 0
+            || PyModule_AddStringConstant(mod, "SOURCE_SHA256",
+                                          CKERNEL_SOURCE_SHA256) < 0) {
         Py_DECREF(mod);
         return NULL;
     }

@@ -22,11 +22,13 @@ LDG/STG completes inside the issue loop through a C transcription of
 The core returns to Python only at **ops**, in the dense engine's global
 order ``(cycle, sm_id, program order)``:
 
-* ``EXIT`` -- a warp EXIT that retires its CTA, or any EXIT on an SM whose
-  policy has a tick or idle hook: the real ``sm._finish_warp`` -> retire
+* ``EXIT`` -- a warp EXIT that retires its CTA, or, on an SM whose policy
+  has a tick or idle hook, one whose finish makes
+  ``scheduler_slots_free`` true: the real ``sm._finish_warp`` -> retire
   -> ``on_cta_finished`` -> ``fill`` chain (grid pulls included).
 * ``SETTLE`` -- ``now`` reached the SM's earliest ``transit_until``
-  (``sm._transit_min``): the real ``sm._settle_transits``.
+  (``sm._transit_min``) and, on such an SM, settling the due transits
+  makes ``scheduler_slots_free`` true: the real ``sm._settle_transits``.
 * ``TICK`` -- ``now`` reached the cached ``policy.wake_time``, the
   earliest executed cycle at which the tick can change anything: the
   real ``policy.on_tick``.
@@ -42,19 +44,30 @@ skipped calls are provably exact:
 * A warp EXIT that leaves an unfinished sibling retires nothing, so
   ``_finish_warp`` calls no policy code: the core runs its transcription
   (the packed issue-counter credit, the scheduler removal and re-sleep,
-  the barrier release) and the EXIT is no op.  It does so only on an SM
-  whose policy has no tick or idle hook (``exit_local``): a finish frees a
-  warp slot, which ``VirtualThreadPolicy.wake_time`` reads through
-  ``_slot_launches`` and relies on an op to re-ask.  ``export`` writes the
-  finished warps back: ``_active_warps`` and ``_active_threads``, the
+  the barrier release) and the EXIT is no op.  Settling a transit calls
+  no policy code either (``CTASim.settle_transit`` and
+  ``_attach_warps``), so the core runs ``_settle_transits``'s
+  transcription too, writing each change through to the Python objects
+  as it makes it.  Neither moves a value the core caches from the policy
+  unless it flips ``scheduler_slots_free``: of those values only
+  ``wake_time`` reads warp slots (``_slot_launches``,
+  ``_split_launches``); ``idle_wake``, ``idle_backlog_limit`` and
+  ``next_event`` read the readiness heaps, the register file, the
+  resident count and the grid, which a finish or a settle leaves alone.
+  Both only free slots, so on an SM whose policy has a tick or idle hook
+  the core evaluates ``scheduler_slots_free`` for the run's single launch
+  before and after, and returns the EXIT or SETTLE op only when it flips
+  (the driver re-asks after every op).  ``export`` writes the finished
+  and attached warps back: ``_active_warps`` and ``_active_threads``, the
   schedulers' ``warps`` lists, and with the warps their state; the
   counters are merged at run end.
 * ``on_tick`` before ``wake_time`` and the settle scan before the earliest
   transit are no-ops (the event engine skips them on the same contract;
-  ``wake_time`` and ``next_event`` change only inside a hook, and calling
-  them after an op never mutates state).  ``wake_time`` is re-asked after
-  every op, a SETTLE included: a settle comes before its cycle's tick
-  slot and can free warp slots.  What a skipped tick would have counted
+  ``wake_time`` and ``next_event`` change only inside a hook, or, for
+  ``wake_time``, at a finish or settle that flips the scheduler slots,
+  and calling them after an op never mutates state).  ``wake_time`` is
+  re-asked after every op, a SETTLE included: a settle comes before its
+  cycle's tick slot.  What a skipped tick would have counted
   once per executed cycle (FineReg's blocked restores), the policy counts
   in closed form over ``gpu.executed_cycles``, which the driver sets from
   the core's count before serving each op.
@@ -102,13 +115,15 @@ class inserts the class key into ``bytes_by_class``, so the dict's key
 order is the Python engines'.
 
 After each policy op the driver pushes the SM's mirrors in one call
-(levels and dirty flag, earliest transit, ``wake_time``, ``next_event``,
-``idle_wake`` and ``idle_backlog_limit``, ``_next_idle_check``,
-``_blocked_on_rf``, grid remaining) and re-imports what the op can have
-changed; before it, C's view is written onto the Python objects only
-where the op reads it (IDLE and EXIT: schedulers and active CTAs' warps;
-SETTLE: schedulers; TICK: nothing).  The level, idle and RF-depletion
-sums are int64 in C and merged into the float counters once at run end.
+(levels, warp, thread and incoming counts and dirty flag, earliest
+transit, ``wake_time``, ``next_event``, ``idle_wake`` and
+``idle_backlog_limit``, ``_next_idle_check``, ``_blocked_on_rf``, grid
+remaining) and re-imports what the op can have changed (``sync``: the
+schedulers, the active list and the transit list); before it, C's view
+is written onto the Python objects (IDLE and EXIT: counts, schedulers
+and active CTAs' warps; SETTLE and TICK: counts and schedulers).  The
+level, idle and RF-depletion sums are int64 in C and merged into the
+float counters once at run end.
 ``gpu.engine_ops`` records how many ops of each kind the driver served,
 and ``gpu.engine_op_s`` the host seconds of the run's parts, read from
 ``repro.obs.clock`` (observation only, like ``engine_refusal``; never part
@@ -123,7 +138,8 @@ instance-level override (``hierarchy_refusal``), the stock address model,
 and on every SM no Fig 5 usage sampling, GTO schedulers, an issue hook
 only where the core runs it, a policy ``policy_refusal`` admits, and
 no instance-level override on the SM or stats surface the core inlines
-(``_finish_warp`` included, which it runs for non-final EXITs).
+(``_finish_warp`` and ``_settle_transits`` included, which it runs for
+the finishes and settles that do not flip the scheduler slots).
 Each check names its own refusal reason.  A refused run takes the
 reference event engine, and ``gpu.engine_refusal`` names the first check
 that refused it.  The gate tuples below are machine-checked by the
@@ -143,6 +159,7 @@ from repro.policies import base as policy_base
 from repro.policies.base import RegisterFilePolicy, idle_wake_trusted
 from repro.policies.regmutex import (SRP_BLOCK, SRP_RETRY_INTERVAL,
                                      RegMutexPolicy)
+from repro.sim.cta import CTAState
 from repro.sim.scheduler import GTOScheduler
 from repro.sim.sm import (_K_ALU, _K_BAR, _K_BRA, _K_EXIT, _K_LDG, _K_LDS,
                           _K_SFU, _K_STG, _K_STS)
@@ -171,12 +188,15 @@ _CORE_POLICY_BODIES = ((RegMutexPolicy, "on_issue"),
 #: inlines or replaces: the event loop's step / next-event / accumulate
 #: calls, the issue attempt ``step`` hands to the schedulers, the
 #: long-block check and barrier scheduler wake inside ``_try_issue``, and
-#: the warp finish it runs itself for a non-final EXIT (marked
-#: ``transcribes StreamingMultiprocessor._finish_warp``).  An
+#: the warp finish and transit settle it runs itself unless they flip
+#: ``scheduler_slots_free`` (marked ``transcribes
+#: StreamingMultiprocessor._finish_warp`` and ``._settle_transits``), with
+#: the warp attach the settle calls (``._attach_warps``).  An
 #: instance-level wrapper on any of these would be silently skipped, so
 #: its presence routes the run to the reference engine, which honors it.
 _BYPASSED_SM_ATTRS = ("accumulate", "next_event", "step", "_try_issue",
-                      "_on_long_block", "_wake_schedulers", "_finish_warp")
+                      "_on_long_block", "_wake_schedulers", "_finish_warp",
+                      "_settle_transits", "_attach_warps")
 
 #: Stats surface inlined: the per-segment level flush runs in C as int64
 #: sums (merged once at run end).
@@ -184,6 +204,9 @@ _BYPASSED_STATS_ATTRS = ("accumulate",)
 
 #: C warp-state ids -> the Python enum (order is part of the C ABI).
 _STATES = (WarpState.RUNNABLE, WarpState.AT_BARRIER, WarpState.FINISHED)
+
+#: The states a transit settles into, by the core's target ids (C ABI).
+_CTA_STATES = (CTAState.ACTIVE, CTAState.PENDING)
 
 #: ``Core.resume`` op kinds (part of the C ABI).
 _OP_DONE, _OP_EXIT, _OP_SETTLE, _OP_TICK, _OP_IDLE, _OP_DEADLOCK = range(6)
@@ -419,12 +442,17 @@ class _Run:
         sms = gpu.sms
         sm = sms[0]
         model = gpu.address_model
+        config = gpu.config
+        launch = gpu.launches[0]
         self.gpu = gpu
         self.core = _ckernel.Core(
             len(sms), len(sm.schedulers), sm._nregs, sm._stall_threshold,
             model.reuse_spatial, model.reuse_lines, model.shared_lines,
-            model.SHARED_BASE, max_cycles, gpu.config.min_park_cycles,
+            model.SHARED_BASE, max_cycles, config.min_park_cycles,
             policy_base.IDLE_COOLDOWN, self._core_meta(sm), _STATES)
+        self.core.set_launch(launch.warps_per_cta, launch.threads_per_cta,
+                             config.max_ctas_per_sm, config.max_warps_per_sm,
+                             config.max_threads_per_sm, _CTA_STATES)
         lower_memory(self.core, gpu.hierarchy)
         # SMs whose IDLE ops the core gates on the policy's idle_wake.
         self._idle_gated = [sm._needs_idle and idle_wake_trusted(sm._policy)
@@ -432,14 +460,8 @@ class _Run:
         for sm in sms:
             policy = sm._policy
             lease, idle = core_bodies(policy)
-            # A non-final EXIT reaches no policy code, so the core finishes
-            # it itself, unless a tick or idle hook could read the warp
-            # slot it frees (virtual_thread's wake_time counts free slots
-            # and relies on an op to re-ask it).
             self.core.set_policy(sm.sm_id, sm, sm.schedulers, sm._needs_tick,
-                                 sm._needs_idle,
-                                 not (sm._needs_tick or sm._needs_idle),
-                                 lease, idle)
+                                 sm._needs_idle, lease, idle)
             self.core.lower_new(sm.sm_id)
             if lease or idle:
                 self.core.lower_srp(
@@ -497,7 +519,8 @@ class _Run:
         self.core.mirror(
             sm.sm_id, len(sm.active_ctas),
             len(sm.pending_ctas) + len(sm.transit_ctas), sm._active_warps,
-            sm._lvl_dirty, sm._transit_min,
+            sm._active_threads, sm._incoming_ctas, sm._incoming_warps,
+            sm._incoming_threads, sm._lvl_dirty, sm._transit_min,
             policy.wake_time(now) if sm._needs_tick else FOREVER,
             policy.next_event(now), idle_wake, backlog, idle,
             policy._blocked_on_rf, self.gpu.ctas_remaining)
@@ -511,14 +534,15 @@ class _Run:
     # positions, and the scheduler sleep caches must round-trip exactly
     # (a blanket wake would corrupt the wake computation near
     # ``max_cycles``).  After each, ``core.sync`` re-imports the
-    # schedulers and the active-CTA list where the op can change them.
+    # schedulers, the active-CTA list and the transit list where the op
+    # can change them.
     # ------------------------------------------------------------------
     def _serve_exit(self, sm, now, warp) -> None:
         """C already advanced the warp past its EXIT, the last of its CTA
-        or one on an SM whose policy has a tick or idle hook; the finish
-        itself (packed stat credit, scheduler removal, barrier release,
-        CTA retire -> policy fill -> grid pull) runs through the real SM
-        and policy methods, so grid races revalidate naturally."""
+        or one whose finish frees the scheduler slots a tick reads; the
+        finish itself (packed stat credit, scheduler removal, barrier
+        release, CTA retire -> policy fill -> grid pull) runs through the
+        real SM and policy methods, so grid races revalidate naturally."""
         core = self.core
         core.export(sm.sm_id, True)
         sm._finish_warp(warp, now)
@@ -530,17 +554,25 @@ class _Run:
         self._push(sm, now)
 
     def _serve_settle(self, sm, now) -> None:
+        # A batch the core left to Python: it frees the scheduler slots a
+        # tick reads, so the push below re-asks wake_time.
         self.core.export(sm.sm_id, False)
         sm._settle_transits(now)
         self.core.sync(sm.sm_id)
         self._push(sm, now)
 
     def _serve_tick(self, sm, now) -> None:
-        # on_tick only activates parked CTAs (pending -> transit): no
-        # scheduler or active-list change, nothing to exchange but mirrors.
-        # A tick SM finishes no warp in the core, so its _active_warps is
-        # current without an export.
+        # The tick reads the warp and thread counts the core's finishes and
+        # settles moved; a tick that activated a parked CTA (pending ->
+        # transit) changed the transit list.
+        core = self.core
+        core.export(sm.sm_id, False)
+        stats = sm.stats
+        moves = stats.cta_switch_events + stats.cta_launches
         sm._policy.on_tick(now)
+        if stats.cta_switch_events + stats.cta_launches != moves:
+            core.lower_new(sm.sm_id)
+            core.sync(sm.sm_id)
         self._push(sm, now)
 
     def _serve_idle(self, sm, now, next_idle) -> None:
@@ -603,8 +635,18 @@ class _Run:
         gpu.engine_ops = {name: served[kind] for kind, name in _OP_NAMES}
         op_s = gpu.engine_op_s = {"lower": lowered, "resume": resumed}
         op_s.update((name, spent[kind]) for kind, name in _OP_NAMES)
-        write_back_memory(core, gpu.hierarchy)
-        for sm in sms:
+        self.write_back()
+        # Write-back: everything since DONE came back (at ``start``).
+        op_s["write_back"] = monotonic() - start
+        return gpu._finish_run(now, timed_out)
+
+    def write_back(self) -> None:
+        """Write the core's end state onto the Python objects: the memory
+        hierarchy, each SM's warps, CTAs and schedulers (``export``), its
+        SRP pool and the counters the core accumulated."""
+        core = self.core
+        write_back_memory(core, self.gpu.hierarchy)
+        for sm in self.gpu.sms:
             # Final state export: _flush_deferred_stats reads warp.pos of
             # unfinished warps on a timeout, and post-run introspection
             # (tests, debug_accounting, extras()) sees live state on every
@@ -638,6 +680,3 @@ class _Run:
             if stalls:
                 stats.stall_latencies.extend(stalls)
             sm._policy._next_idle_check = next_idle
-        # Write-back: everything since DONE came back (at ``start``).
-        op_s["write_back"] = monotonic() - start
-        return gpu._finish_run(now, timed_out)

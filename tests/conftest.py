@@ -2,11 +2,24 @@
 
 Everything runs at TINY scale with a single SM so the whole suite stays
 fast; integration tests that need more override locally.
+
+An in-place build of the C core (``src/repro/sim/_ckernel*.so``) is
+checked before any test imports it: ``setup.py`` compiles the SHA-256 of
+``_ckernel.c`` into the module, so a build whose bytes lack the current
+source's digest is stale.  A stale build is rebuilt in place once (the
+header then says ``rebuilt``), or the session stops with the rebuild
+command; no build is ever made where there was none, so a checkout
+without one still tests ``reference``.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
+import subprocess
+import sys
+import sysconfig
+from pathlib import Path
 
 import pytest
 
@@ -25,10 +38,52 @@ from repro.workloads.generator import build_workload
 from repro.workloads.suite import get_spec
 
 
+ROOT = Path(__file__).resolve().parents[1]
+CKERNEL_SOURCE = ROOT / "src" / "repro" / "sim" / "_ckernel.c"
+REBUILD = ("python", "setup.py", "build_ext", "--inplace")
+#: What the session found in place: "prebuilt", "rebuilt" or None.
+_IN_PLACE_BUILD = None
+
+
+def _current(built: Path) -> bool:
+    """Does ``built`` carry the digest of the current ``_ckernel.c``?"""
+    digest = hashlib.sha256(CKERNEL_SOURCE.read_bytes()).hexdigest()
+    return digest.encode() in built.read_bytes()
+
+
+def check_in_place_build():
+    """``"prebuilt"`` when the in-place C core matches its source,
+    ``"rebuilt"`` after rebuilding a stale one, None when there is none;
+    stops the session when a stale build cannot be rebuilt."""
+    built = CKERNEL_SOURCE.with_name(
+        "_ckernel" + sysconfig.get_config_var("EXT_SUFFIX"))
+    if not built.exists():
+        return None
+    if _current(built):
+        return "prebuilt"
+    proc = subprocess.run((sys.executable,) + REBUILD[1:], cwd=ROOT,
+                          capture_output=True, text=True)
+    if proc.returncode == 0 and _current(built):
+        return "rebuilt"
+    pytest.exit(f"{built.relative_to(ROOT)} was built from another "
+                f"_ckernel.c and rebuilding it failed:\n"
+                f"{proc.stdout[-2000:]}{proc.stderr[-2000:]}\n"
+                f"rebuild it with `{' '.join(REBUILD)}` (or delete it to "
+                f"test without the C core)", returncode=4)
+
+
+def pytest_configure(config):
+    global _IN_PLACE_BUILD
+    _IN_PLACE_BUILD = check_in_place_build()
+
+
 def _engine_line() -> str:
     """What engine ``auto`` resolves to and whether the C extension
-    imported: the fast path this session exercises."""
+    imported (and whether its in-place build was current or rebuilt):
+    the fast path this session exercises."""
     ckernel = "imported" if compiled_available() else "not importable"
+    if _IN_PLACE_BUILD is not None:
+        ckernel += f" ({_IN_PLACE_BUILD})"
     line = (f"repro engine: auto -> {select_backend('auto')}, "
             f"repro.sim._ckernel {ckernel}")
     forced = os.environ.get(ENGINE_ENV)

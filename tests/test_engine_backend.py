@@ -377,6 +377,31 @@ def test_wrapped_finish_warp_runs_on_reference(engine):
     assert result.to_json() == plain.to_json()
 
 
+@pytest.mark.parametrize("engine", ["reference"] + (
+    ["compiled"] if backend.compiled_available() else []))
+def test_wrapped_settle_transits_runs_on_reference(engine):
+    """The C core settles due transits itself, so a counting wrapper on
+    ``sm._settle_transits`` refuses the compiled run; the reference step
+    calls it whenever a transit is due, and every switch settles once."""
+    gpu = build_gpu("finereg")
+    settled = []
+    for sm in gpu.sms:
+        def counting_settle(now, _sm=sm, _inner=sm._settle_transits):
+            before = len(_sm.transit_ctas)
+            _inner(now)
+            settled.append(before - len(_sm.transit_ctas))
+        sm._settle_transits = counting_settle
+    result = gpu.run(max_cycles=TINY.max_cycles, engine=engine)
+    assert gpu.engine_used == "reference"
+    assert gpu.engine_refusal == (
+        "sm-override:_settle_transits" if engine == "compiled" else None)
+    assert not result.timed_out and min(settled) > 0
+    assert sum(settled) == result.cta_switch_events > 0
+    plain = build_gpu("finereg").run(max_cycles=TINY.max_cycles,
+                                     engine=engine)
+    assert result.to_json() == plain.to_json()
+
+
 def test_auto_without_extension_records_extension_missing(monkeypatch):
     monkeypatch.setattr(backend, "_COMPILED_AVAILABLE", False)
     monkeypatch.delenv(backend.ENGINE_ENV, raising=False)

@@ -46,16 +46,24 @@ leg runs it over the register-file parameters the campaign sweeps (Fig 17's
 end splits, the bit-vector cache ablation's end sizes, a PCRF latency and a
 finereg_adaptive run that repartitions).
 
-The C core finishes a warp whose EXIT does not retire its CTA itself (on
-an SM whose policy has no tick or idle hook) and writes the warp, CTA and
-scheduler state back, so the tests compare that end state too
-(``sm_state``): the warp and thread counts, shared memory, the active,
-pending and transit CTAs, every scheduler's members in attach order,
-sleep cache and current warp, and each resident warp's state and trace
-position.  A warp's ``blocked_until`` is left out: the core makes the
-attempt where ``_try_issue`` peeks ahead, so a run cut by its cycle limit
-can leave a short stall unrecorded that the Python engines recorded one
-attempt early.
+The C core finishes a warp whose EXIT does not retire its CTA and settles
+transits itself (on an SM whose policy has a tick or idle hook, unless the
+finish or the settle batch flips ``scheduler_slots_free``) and writes the
+warp, CTA and scheduler state back or through, so the tests compare that
+end state too (``sm_state``): the warp and thread counts, the incoming
+footprint, the earliest transit, the round-robin cursor, shared memory,
+the active, pending and transit CTAs with each one's state, transit
+target and times, every scheduler's members in attach order with their
+``sched_seq``, its ``_seq``, sleep cache and current warp, and each
+resident warp's state and trace position.  Legs cut runs of every
+switching policy while transits toward both targets are in flight, and
+others run cells whose finishes and settle batches flip the scheduler
+slots, which the core must serve as ops.  A
+warp's ``blocked_until`` is left out: the core makes the attempt where
+``_try_issue`` peeks ahead, so a run cut by its cycle limit can leave a
+short stall unrecorded that the Python engines recorded one attempt
+early.  A hypothesis property lowers a cut reference run into a core and
+writes it straight back: the identity on that state.
 """
 
 from __future__ import annotations
@@ -86,9 +94,10 @@ from repro.policies.base import (IDLE_COOLDOWN, PendingTracker,
 from repro.policies.regmutex import SRP_BLOCK, SRP_RETRY_INTERVAL
 from repro.policies.unified_memory import apply_unified_memory
 from repro.policies.virtual_thread import VirtualThreadPolicy
-from repro.sim.cta import CTAState
+from repro.sim.cta import CTASim, CTAState
 from repro.sim.gpu import GPU
 from repro.sim.tracing import attach_tracer
+from repro.sim.warp import WarpSim
 from repro.validate.golden import CORPUS, run_case
 from repro.validate.invariants import check_policy, check_sm
 from repro.validate.sanitizer import attach_sanitizer
@@ -243,19 +252,29 @@ def policy_state(gpu) -> list:
 
 def sm_state(gpu) -> list:
     """Every SM's warp, CTA and scheduler end state: the counts the warp
-    finishes lower, the CTA lists, each scheduler's members (global warp
-    ids in attach order), sleep cache and current warp, and each resident
-    warp's ``(state, pos)``."""
+    finishes lower and the settles move, the incoming footprint, the
+    earliest transit and the round-robin cursor, the CTA lists with each
+    CTA's ``(cta_id, state, transit_until, transit_target,
+    pending_since)``, each scheduler's members (``(global warp id,
+    sched_seq)`` in attach order), ``_seq``, sleep cache and current warp,
+    and each resident warp's ``(state, pos)``."""
     states = []
     for sm in gpu.sms:
         lists = (sm.active_ctas, sm.pending_ctas, sm.transit_ctas)
         states.append({
             "active_warps": sm._active_warps,
             "active_threads": sm._active_threads,
+            "incoming": (sm._incoming_ctas, sm._incoming_warps,
+                         sm._incoming_threads),
+            "transit_min": sm._transit_min,
+            "next_sched": sm._next_sched,
             "shmem_used": sm.shmem_used,
-            "ctas": [[cta.cta_id for cta in ctas] for ctas in lists],
-            "schedulers": [([warp.global_warp_id for warp in sched.warps],
-                            sched._sleep_until,
+            "ctas": [[(cta.cta_id, cta.state, cta.transit_until,
+                       cta.transit_target, cta.pending_since)
+                      for cta in ctas] for ctas in lists],
+            "schedulers": [([(warp.global_warp_id, warp.sched_seq)
+                             for warp in sched.warps],
+                            sched._seq, sched._sleep_until,
                             getattr(sched._current, "global_warp_id", None))
                            for sched in sm.schedulers],
             "sched_sleep": sm._sched_sleep,
@@ -738,22 +757,39 @@ def build_barrier_exit_gpu(policy: str) -> GPU:
                AddressModel())
 
 
+def slots_flipped(sm, finish):
+    """Run ``finish()`` on ``sm``; True when it made
+    ``scheduler_slots_free`` true for the run's launch on an SM whose
+    policy has a tick or idle hook (the finishes the C core serves as
+    ops)."""
+    launch = sm.gpu.launches[0]
+    before = sm.scheduler_slots_free(launch)
+    finish()
+    return ((sm._needs_tick or sm._needs_idle) and not before
+            and sm.scheduler_slots_free(launch))
+
+
 @pytest.mark.parametrize("policy", ("baseline", "virtual_thread"))
 def test_exit_that_releases_a_barrier(policy):
     """No suite app has an EXIT that completes a barrier.  Here every CTA
-    has one: the core releases the barrier in its own finish on baseline,
-    and virtual_thread serves it as an op; both match the oracle."""
-    releases = [0]
+    has one, and it leaves unfinished siblings, so the core releases the
+    barrier in its own finish on both policies, unless on
+    virtual_thread's SMs the finish frees the scheduler slots its tick
+    reads (then it is an op); both match the oracle."""
+    releases, flips = [0], [0]
 
     def build():
         gpu = build_barrier_exit_gpu(policy)
         if os.environ.get("REPRO_DENSE_STEP") == "1":
             for sm in gpu.sms:
-                def counting_finish(warp, now, _inner=sm._finish_warp):
+                def counting_finish(warp, now, _sm=sm,
+                                    _inner=sm._finish_warp):
                     waiting = warp.cta.barrier_arrived
-                    _inner(warp, now)
+                    flipped = slots_flipped(_sm, lambda: _inner(warp, now))
                     if waiting and not warp.cta.barrier_arrived:
                         releases[0] += 1
+                    if flipped and not warp.cta.finished:
+                        flips[0] += 1
                 sm._finish_warp = counting_finish
         return gpu
     dense, result, gpus = end_state_differential(
@@ -763,8 +799,86 @@ def test_exit_that_releases_a_barrier(policy):
     compiled = gpus.get("compiled")
     if compiled is not None:
         assert compiled.engine_used == "compiled"
-        assert compiled.engine_ops["exit"] == (
-            64 if policy == "baseline" else 64 * 4)
+        assert compiled.engine_ops["exit"] == 64 + flips[0]
+
+
+# ----------------------------------------------------------------------
+# Transits the C core settles itself
+# ----------------------------------------------------------------------
+#: (app, spec seed, cycle limit): on 2 SMs each cut leaves transits toward
+#: ACTIVE and toward PENDING in flight under every switching policy.
+TRANSIT_CUTS = (("KM", 3, 1000), ("ST", 0, 1010), ("BF", 0, 764))
+
+
+@pytest.mark.parametrize("app, seed, max_cycles", TRANSIT_CUTS)
+@pytest.mark.parametrize("policy", TIMER_POLICIES)
+def test_end_state_with_transits_in_flight(policy, app, seed, max_cycles):
+    """A run cut while switches are in flight: the transit list, each
+    CTA's state, target and times, the incoming footprint, the earliest
+    transit and the schedulers the settles attached warps to must be the
+    oracle's."""
+    dense, result, __ = end_state_differential(
+        lambda: build_micro_gpu(policy, app, seed), max_cycles,
+        f"{policy}, {app}, seed {seed}, max_cycles={max_cycles}")
+    assert result.timed_out
+    assert {cta.transit_target for sm in dense.sms
+            for cta in sm.transit_ctas} == {CTAState.ACTIVE,
+                                             CTAState.PENDING}
+
+
+@pytest.mark.parametrize("policy, app", [
+    (policy, "BF") for policy in TIMER_POLICIES] + [("vt_regmutex", "SR")])
+def test_end_state_where_finishes_and_settles_flip_the_slots(policy, app):
+    """Seed 3 on 2 SMs: BF's settle batches and vt_regmutex's finishes on
+    SR free the scheduler slots a tick reads, so the C core serves them as
+    ops (the only way they can move ``wake_time``) and finishes and
+    settles the rest itself; every engine leaves the oracle's state."""
+    dense, result, gpus = end_state_differential(
+        lambda: build_micro_gpu(policy, app, 3), TINY.max_cycles,
+        f"{policy}, {app}, seed 3")
+    assert not result.timed_out
+    compiled = gpus.get("compiled")
+    if compiled is not None:
+        ops = compiled.engine_ops
+        if app == "BF":
+            assert 0 < ops["settle"] < result.cta_switch_events
+        else:
+            assert ops["exit"] > result.completed_ctas
+
+
+#: Every policy but vt_regmutex, whose SRP pool is lowered only before
+#: any warp holds a lease.
+LOWERABLE_POLICIES = tuple(sorted(set(POLICIES) - {"vt_regmutex"}))
+
+
+def warp_blocks(gpu) -> list:
+    """Each resident warp's ``blocked_until`` (written back on active
+    CTAs; ``sm_state`` leaves it out for the peek it cannot see)."""
+    return [warp.blocked_until for sm in gpu.sms
+            for ctas in (sm.active_ctas, sm.pending_ctas, sm.transit_ctas)
+            for cta in ctas for warp in cta.warps]
+
+
+@needs_extension
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(policy=st.sampled_from(LOWERABLE_POLICIES),
+       app=st.sampled_from(("KM", "HS", "LB", "ST")),
+       seed=st.integers(0, 3), cycles=st.integers(1, 6000))
+def test_lowering_then_writing_back_is_the_identity(policy, app, seed,
+                                                    cycles):
+    """A ``reference`` run stopped at a drawn cycle, lowered into a core
+    and written straight back with no ``resume``: the warp, CTA,
+    scheduler and transit state, the warps' ``blocked_until`` and the
+    memory hierarchy are unchanged."""
+    from repro.sim.compiled import _Run, compiled_refusal
+
+    gpu = build_micro_gpu(policy, app, seed)
+    gpu.run(max_cycles=cycles, engine="reference")
+    assert compiled_refusal(gpu) is None
+    before = (sm_state(gpu), warp_blocks(gpu), memory_state(gpu.hierarchy))
+    _Run(gpu, cycles).write_back()
+    assert (sm_state(gpu), warp_blocks(gpu),
+            memory_state(gpu.hierarchy)) == before
 
 
 # ----------------------------------------------------------------------
@@ -909,8 +1023,8 @@ SRP_BRANCHES = dict(
 
 
 class Lowerable:
-    """A stand-in SM, CTA or warp for ``Core.lower_new``: the attributes
-    it reads, keyed by identity like the real objects."""
+    """A stand-in SM for ``Core.lower_new``: the CTA lists it reads,
+    keyed by identity like the real object."""
 
     def __init__(self, **attrs) -> None:
         vars(self).update(attrs)
@@ -938,10 +1052,10 @@ def test_core_srp_lease_replays_on_issue(demand, capacity, calls):
                          [noop] * len(demand), _STATES)
     spec_warps = [SimpleNamespace(global_warp_id=gid, blocked_until=0)
                   for gid in range(6)]
-    core_warps = [Lowerable(global_warp_id=gid, trace=[0])
-                  for gid in range(6)]
-    sm = Lowerable(active_ctas=[Lowerable(cta_id=0, warps=core_warps)])
-    core.set_policy(0, sm, [object()], False, False, False, True, True)
+    core_warps = [WarpSim(0, gid, 0, [0], nregs=1) for gid in range(6)]
+    sm = Lowerable(active_ctas=[CTASim(0, core_warps)], pending_ctas=[],
+                   transit_ctas=[])
+    core.set_policy(0, sm, [object()], False, False, True, True)
     core.lower_new(0)
     core.lower_srp(0, lowered, lowered._extra_demand, SRP_BLOCK,
                    SRP_RETRY_INTERVAL)
@@ -968,8 +1082,7 @@ def test_core_srp_lowering_refuses_held_leases():
     core = _ckernel.Core(1, 1, 1, 1, 1, 1, 1, 0, 1, 0, IDLE_COOLDOWN,
                          [(0, -1, -1, 5, 0, (), 0)]
                          * len(policy._extra_demand), _STATES)
-    core.set_policy(0, object(), [object()], False, False, False, True,
-                    True)
+    core.set_policy(0, object(), [object()], False, False, True, True)
     policy._leases[0] = SRP_BLOCK
     with pytest.raises(ValueError, match="empty _leases"):
         core.lower_srp(0, policy, policy._extra_demand, SRP_BLOCK,

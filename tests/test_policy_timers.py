@@ -22,10 +22,18 @@ cooldown with a park candidate makes about three times that bound on KM,
 and on HS, where Virtual Thread never acts, over a hundred calls that
 move nothing.
 
-The skipped ticks and idle checks change nothing the dense oracle would
-compute: the differential suite (``tests/test_engine_differential.py``)
-compares ``SimResult`` bytes and every policy's end state, idle cooldown
-included.
+Warp finishes and transit settles follow it too: they call no policy
+code, and of the values the core caches only ``wake_time`` reads the warp
+slots they free, so the compiled core serves one as an EXIT or SETTLE op
+only when it makes ``scheduler_slots_free`` true on an SM whose policy
+has a tick or idle hook (a CTA's last EXIT is always an op).  The op
+counts are pinned to those flips, counted on ``reference``.
+
+The skipped ticks, idle checks, finishes and settles change nothing the
+dense oracle would compute: the differential suite
+(``tests/test_engine_differential.py``) compares ``SimResult`` bytes and
+every policy's end state, idle cooldown included, and the warp, CTA,
+scheduler and transit state.
 """
 
 import heapq
@@ -163,36 +171,87 @@ def test_idle_ops_are_bounded_by_the_ones_that_act(policy, app, engine,
         f"spill")
 
 
+def count_flips(gpu, method):
+    """Wrap ``method`` (``_finish_warp`` or ``_settle_transits``) on every
+    SM whose policy has a tick or idle hook, counting in the returned cell
+    each call that makes ``scheduler_slots_free`` true for the run's
+    launch: the finishes and settle batches the C core serves as ops.  A
+    finish that retires its CTA is an op anyway and is not counted."""
+    flips = [0]
+    launch = gpu.launches[0]
+    for sm in gpu.sms:
+        if not (sm._needs_tick or sm._needs_idle):
+            continue
+
+        def wrapper(*args, _sm=sm, _inner=getattr(sm, method)):
+            before = _sm.scheduler_slots_free(launch)
+            _inner(*args)
+            final = method == "_finish_warp" and args[0].cta.finished
+            if not before and not final and _sm.scheduler_slots_free(launch):
+                flips[0] += 1
+        setattr(sm, method, wrapper)
+    return flips
+
+
+def served_and_flips(policy, app, method):
+    """A compiled run of ``policy`` on ``app`` and the flips of ``method``
+    counted on the same run on ``reference`` (a wrapper refuses the
+    compiled core)."""
+    reference = build_gpu(policy, app)
+    flips = count_flips(reference, method)
+    expected = reference.run(max_cycles=TINY.max_cycles, engine="reference")
+    gpu = build_gpu(policy, app)
+    result = gpu.run(max_cycles=TINY.max_cycles, engine="compiled")
+    assert gpu.engine_used == "compiled", gpu.engine_refusal
+    assert not result.timed_out
+    assert result.to_json() == expected.to_json()
+    return gpu, result, flips[0]
+
+
 @needs_extension
 def test_engine_ops_count_every_served_op():
     """``gpu.engine_ops`` names every op kind the driver serves; a run on
     another engine leaves it None."""
-    gpu = build_gpu("finereg")
-    gpu.run(max_cycles=TINY.max_cycles, engine="compiled")
+    gpu, result, flips = served_and_flips("finereg", "KM", "_finish_warp")
     assert set(gpu.engine_ops) == {"exit", "settle", "tick", "idle"}
-    warps = sum(sm.stats.cta_launches for sm in gpu.sms) \
-        * gpu.launches[0].warps_per_cta
-    assert gpu.engine_ops["exit"] == warps
+    assert gpu.engine_ops["exit"] == result.completed_ctas + flips
     reference = build_gpu("finereg")
     reference.run(max_cycles=TINY.max_cycles, engine="reference")
     assert reference.engine_ops is None
 
 
+#: BF's settle batches flip the scheduler slots under every switching
+#: policy (its partly retired CTAs come back with fewer warps than their
+#: footprint), and vt_regmutex's finishes flip them on SR.
+OP_APPS = ("KM", "HS", "LB", "SR", "BF")
+
+
 @needs_extension
-@pytest.mark.parametrize("app", ("KM", "HS", "LB", "SR"))
+@pytest.mark.parametrize("app", OP_APPS)
 @pytest.mark.parametrize("policy", ("baseline",) + TIMER_POLICIES)
 def test_exit_ops_are_the_ones_python_must_serve(policy, app):
     """A warp EXIT that does not retire its CTA reaches no policy code, so
-    the core finishes it itself and serves one EXIT op per retired CTA;
-    on a timer policy's SM a finish frees a warp slot its tick or idle
-    hook may read, so every EXIT stays an op."""
-    gpu = build_gpu(policy, app)
-    result = gpu.run(max_cycles=TINY.max_cycles, engine="compiled")
-    assert not result.timed_out
-    warps = sum(sm.stats.cta_launches for sm in gpu.sms) \
-        * gpu.launches[0].warps_per_cta
-    assert gpu.engine_ops["exit"] == (
-        result.completed_ctas if policy == "baseline" else warps)
+    the core finishes it itself, unless on an SM whose policy has a tick
+    or idle hook it makes ``scheduler_slots_free`` true: the slots
+    ``wake_time`` reads, which only an op re-asks.  So the EXIT ops are
+    one per retired CTA plus those flips."""
+    gpu, result, flips = served_and_flips(policy, app, "_finish_warp")
+    assert gpu.engine_ops["exit"] == result.completed_ctas + flips
+    if policy == "baseline":
+        assert flips == 0
+
+
+@needs_extension
+@pytest.mark.parametrize("app", OP_APPS)
+@pytest.mark.parametrize("policy", TIMER_POLICIES)
+def test_settle_ops_are_the_ones_python_must_serve(policy, app):
+    """The core settles due transits itself; a settle batch stays an op
+    only when it makes ``scheduler_slots_free`` true (an activated CTA
+    with finished warps attaches fewer than its declared footprint)."""
+    gpu, result, flips = served_and_flips(policy, app, "_settle_transits")
+    assert gpu.engine_ops["settle"] == flips
+    if app == "BF":
+        assert flips > 0
 
 
 @pytest.mark.parametrize("engine", ("reference",) + (
